@@ -15,6 +15,7 @@ equality is decided by cross-multiplication.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -216,7 +217,7 @@ class Polynomial:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(operator.add, e1, e2))
                 s = terms.get(exp, 0) + c1 * c2
                 if s:
                     terms[exp] = s
@@ -265,28 +266,31 @@ class Polynomial:
             idx_bindings[ring.index[name]] = val
         if not idx_bindings:
             return self
-        power_cache = {i: {0: ring.one} for i in idx_bindings}
-        result = ring.zero
+        powers = {i: [ring.one] for i in idx_bindings}
+        terms = {}
         for exp, c in self.terms.items():
-            passthrough = list(exp)
-            factor = ring.const(c)
+            rest = list(exp)
+            factor = None
             for i, val in idx_bindings.items():
                 e = exp[i]
                 if e == 0:
                     continue
-                passthrough[i] = 0
-                cache = power_cache[i]
-                if e not in cache:
-                    p = cache[max(cache)]
-                    for _ in range(max(cache), e):
-                        p = p * val
-                        cache[len(cache)] = p
-                    cache[e] = p
-                factor = factor * cache[e]
-            if any(passthrough):
-                factor = factor * Polynomial(ring, {tuple(passthrough): Fraction(1)})
-            result = result + factor
-        return result
+                rest[i] = 0
+                cache = powers[i]
+                while len(cache) <= e:
+                    cache.append(cache[-1] * val)
+                factor = cache[e] if factor is None else factor * cache[e]
+            if factor is None:
+                factor = ring.one
+            shift = any(rest)
+            for fe, fc in factor.terms.items():
+                key = tuple(map(operator.add, fe, rest)) if shift else fe
+                s = terms.get(key, 0) + c * fc
+                if s:
+                    terms[key] = s
+                else:
+                    del terms[key]
+        return Polynomial(ring, terms)
 
     # -- rendering ------------------------------------------------------
 

@@ -240,9 +240,10 @@ def _cache_load(path):
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
-    if payload.get("version") != __version__:
+    if not isinstance(payload, dict) or payload.get("version") != __version__:
         return None
-    return payload.get("document")
+    document = payload.get("document")
+    return document if isinstance(document, dict) else None
 
 
 def _cache_store(path, document):

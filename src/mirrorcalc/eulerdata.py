@@ -286,7 +286,7 @@ def _alpha_binding(ring, j, i, d):
 
 
 def check_reciprocity(tbl):
-    """The three consequences of gluing, checked independently:
+    """The three consequences of gluing:
 
     (i)   Q_d(lam_i + d*alpha) equals bar(Q_d(lam_i));
     (ii)  Q_d(lam_j) at alpha=(lam_j-lam_i)/d equals Q_d(lam_i) at
@@ -294,11 +294,26 @@ def check_reciprocity(tbl):
     (iii) Omega(lam_i) Q_d(lam_j) = Q_r(lam_j) Q_{d-r}(lam_i) at
           alpha=(lam_j-lam_i)/r, r = 1..d.
 
-    Substitutions that hit a vanishing denominator are reported as
-    inconclusive, not failures.
+    Items (ii) and (iii) substitute each degree-zero restriction, and
+    Omega, once per alpha-binding and then multiply the substituted
+    factors; item (ii) and item (iii) at r = d share a binding and so
+    share those values.  This is exact: substitution is a ring map, and
+    a product's denominator vanishes exactly when one factor's does.  A
+    substitution that hits a vanishing denominator marks the item
+    inconclusive, not failed.
     """
     report = VerificationReport("reciprocity", tbl.n, tbl.d_max)
     ring = tbl.ring
+    substituted = {}
+
+    def at(d, k, j, i, r):
+        """entry(d, k, 0) at alpha = (lam_j - lam_i)/r."""
+        key = (d, k, j, i, r)
+        if key not in substituted:
+            substituted[key] = tbl.entry(d, k, 0).substitute(
+                {"alpha": _alpha_binding(ring, j, i, r)})
+        return substituted[key]
+
     for d in range(1, tbl.d_max + 1):
         for i in range(tbl.n + 1):
             lhs = tbl.entry(d, i, d)
@@ -313,10 +328,8 @@ def check_reciprocity(tbl):
                 if j == i:
                     continue
                 try:
-                    left = tbl.entry(d, j, 0).substitute(
-                        {"alpha": _alpha_binding(ring, j, i, d)})
-                    right = tbl.entry(d, i, 0).substitute(
-                        {"alpha": _alpha_binding(ring, i, j, d)})
+                    left = at(d, j, j, i, d)
+                    right = at(d, i, i, j, d)
                 except SubstitutionError as exc:
                     report.results.append(CheckResult(
                         d, i, j, "inconclusive", witness=f"item (ii): {exc}"))
@@ -331,10 +344,9 @@ def check_reciprocity(tbl):
                 for j in range(tbl.n + 1):
                     if j == i:
                         continue
-                    binding = {"alpha": _alpha_binding(ring, j, i, r)}
                     try:
-                        lhs = (tbl.omega_restrictions[i] * tbl.entry(d, j, 0)).substitute(binding)
-                        rhs = (tbl.entry(r, j, 0) * tbl.entry(d - r, i, 0)).substitute(binding)
+                        lhs = at(0, i, j, i, r) * at(d, j, j, i, r)
+                        rhs = at(r, j, j, i, r) * at(d - r, i, j, i, r)
                     except SubstitutionError as exc:
                         report.results.append(CheckResult(
                             d, i, r, "inconclusive", witness=f"item (iii): j={j}: {exc}"))
@@ -354,10 +366,10 @@ def check_linked(table_a, table_b):
     ring = table_a.ring
     for d in range(1, table_a.d_max + 1):
         for i in range(table_a.n + 1):
+            diff = table_a.entry(d, i, 0) - table_b.entry(d, i, 0)
             for j in range(table_a.n + 1):
                 if j == i:
                     continue
-                diff = table_a.entry(d, i, 0) - table_b.entry(d, i, 0)
                 try:
                     value = diff.substitute({"alpha": _alpha_binding(ring, i, j, d)})
                 except SubstitutionError as exc:

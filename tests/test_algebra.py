@@ -96,16 +96,16 @@ def test_denominator_normalization():
     assert rf.den.content_with_sign() == 1
 
 
-def _random_poly(rng, max_terms=4):
+def _random_poly(rng, max_terms=4, ring=R):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        exp = [0] * R.nvars
+        exp = [0] * ring.nvars
         for _ in range(rng.randint(0, 3)):
-            exp[rng.randrange(R.nvars)] += 1
+            exp[rng.randrange(ring.nvars)] += 1
         coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         if coeff:
             terms[tuple(exp)] = terms.get(tuple(exp), 0) + coeff
-    return Polynomial(R, {e: c for e, c in terms.items() if c})
+    return Polynomial(ring, {e: c for e, c in terms.items() if c})
 
 
 def test_ring_laws_random():
@@ -125,6 +125,48 @@ def test_substitution_commutes_with_multiplication():
         lhs = (p * q).substitute(binding)
         rhs = p.substitute(binding) * q.substitute(binding)
         assert lhs == rhs
+
+
+def _substitution_cases(ring, rng):
+    """(polynomial, bindings) pairs: one and two simultaneous bindings,
+    constants, Fraction coefficients, and terms that cancel to zero."""
+    lam0, lam1, lam2 = (ring.var(f"lam{i}") for i in range(3))
+    alpha, kappa = ring.var("alpha"), ring.var("kappa")
+    root = (lam0 - lam1) * Fraction(1, 3)
+    for _ in range(12):
+        p = _random_poly(rng, 8, ring)
+        q = _random_poly(rng, 3, ring)
+        yield p, {"kappa": lam0 + 2 * alpha}
+        yield p, {"alpha": root}
+        yield p, {"alpha": q}
+        yield p, {"kappa": lam1, "lam1": kappa}
+        yield p, {"kappa": lam0 + alpha, "lam1": lam2 * Fraction(-3, 4) - alpha}
+        yield p, {"alpha": Fraction(-2, 5)}
+        yield p, {"kappa": 3, "x": 0}
+        yield p * (3 * alpha - lam0 + lam1), {"alpha": root}
+        yield p * (kappa - lam0 - alpha) + q, {"kappa": lam0 + alpha}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_substitute_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    ring = weight_ring(n)
+    symbols = sympy.symbols(ring.names)
+
+    def to_sympy(p):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(s ** e for s, e in zip(symbols, exp)))
+                           for exp, c in p.terms.items()))
+
+    rng = random.Random(1997 + n)
+    for p, bindings in _substitution_cases(ring, rng):
+        got = p.substitute(bindings)
+        sym_bindings = {symbols[ring.index[name]]:
+                        to_sympy(ring.const(v) if isinstance(v, (int, Fraction)) else v)
+                        for name, v in bindings.items()}
+        want = sympy.Poly(to_sympy(p).subs(sym_bindings, simultaneous=True), *symbols)
+        assert got.terms == {exp: Fraction(int(c.p), int(c.q))
+                             for exp, c in want.as_dict().items()}
 
 
 def test_canonical_form_determinism():

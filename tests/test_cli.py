@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from mirrorcalc import __version__
 from mirrorcalc.bundles import SplittingType
 from mirrorcalc.cli import (BundleParseError, exact_decimal, parse_bundle,
                             render_bundle, run_command)
@@ -174,6 +175,19 @@ def test_compute_cache(tmp_path):
         json.dump(payload, fh)
     code3, out3, _ = run(argv)
     assert code3 == 0 and out3 == out1
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {"version": __version__, "document": [1, 2]}])
+def test_compute_cache_wrong_shape_is_a_miss(tmp_path, payload):
+    argv = ["compute", "--preset", "multicover", "--order", "3", "--format", "json"]
+    _, uncached, _ = run(argv)
+    cache = str(tmp_path / "cache")
+    run(argv + ["--cache", cache])
+    (name,) = os.listdir(cache)
+    with open(os.path.join(cache, name), "w") as fh:
+        json.dump(payload, fh)
+    code, out, _ = run(argv + ["--cache", cache])
+    assert code == 0 and out == uncached
 
 
 def test_compute_cache_env_var(tmp_path):

@@ -180,6 +180,44 @@ def test_reciprocity_detects_sign_flip():
     assert (2, 0) in failed
 
 
+def test_reciprocity_report_pins_failures_and_inconclusive():
+    # (2, 1, 0) is doubled, so items (i)-(iii) fail where it enters; the
+    # pole added to (1, 0, 0) dies at alpha = (lam0 - lam1)/1, so items
+    # (ii) and (iii) that substitute it there are inconclusive.
+    tbl = to_table(build_hypergeom_data(MULTICOVER), 2)
+    ring = tbl.ring
+    entries = dict(tbl.entries)
+    entries[(2, 1, 0)] = entries[(2, 1, 0)] * 2
+    pole = RationalFunction(ring.one, ring.var("lam0") - ring.var("lam1") - ring.var("alpha"))
+    entries[(1, 0, 0)] = entries[(1, 0, 0)] + pole
+    corrupted = EulerDataTable(tbl.n, tbl.d_max, ring, entries, tbl.omega_restrictions)
+    expected = (
+        '{"check": "reciprocity", "n": 1, "d_max": 2, "results": ['
+        '{"d": 1, "i": 0, "r": 1, "status": "fail", '
+        '"witness": "item (i): lhs=1; rhs=(lam0 - lam1 + alpha + 1) / (lam0 - lam1 + alpha)"}, '
+        '{"d": 1, "i": 1, "r": 1, "status": "pass", "witness": ""}, '
+        '{"d": 2, "i": 0, "r": 2, "status": "pass", "witness": ""}, '
+        '{"d": 2, "i": 1, "r": 2, "status": "fail", '
+        '"witness": "item (i): lhs=lam1^2 + 2*lam1*alpha + alpha^2'
+        '; rhs=2*lam1^2 + 4*lam1*alpha + 2*alpha^2"}, '
+        '{"d": 1, "i": 0, "r": 1, "status": "inconclusive", '
+        '"witness": "item (ii): substitution for \'alpha\' produced a zero denominator"}, '
+        '{"d": 1, "i": 1, "r": 0, "status": "inconclusive", '
+        '"witness": "item (ii): substitution for \'alpha\' produced a zero denominator"}, '
+        '{"d": 2, "i": 0, "r": 1, "status": "fail", "witness": "item (ii): j=1"}, '
+        '{"d": 2, "i": 1, "r": 0, "status": "fail", "witness": "item (ii): j=0"}, '
+        '{"d": 1, "i": 0, "r": 1, "status": "pass", "witness": ""}, '
+        '{"d": 1, "i": 1, "r": 1, "status": "inconclusive", '
+        '"witness": "item (iii): j=0: substitution for \'alpha\' produced a zero denominator"}, '
+        '{"d": 2, "i": 0, "r": 1, "status": "fail", "witness": "item (iii): j=1"}, '
+        '{"d": 2, "i": 1, "r": 1, "status": "inconclusive", '
+        '"witness": "item (iii): j=0: substitution for \'alpha\' produced a zero denominator"}, '
+        '{"d": 2, "i": 0, "r": 2, "status": "pass", "witness": ""}, '
+        '{"d": 2, "i": 1, "r": 2, "status": "pass", "witness": ""}'
+        '], "all_pass": false}')
+    assert check_reciprocity(corrupted).to_json() == expected
+
+
 def test_gluing_with_x_extension():
     report = check_gluing(to_table(build_hypergeom_data(LOCAL_P2, with_x=True), 2))
     assert report.all_pass
