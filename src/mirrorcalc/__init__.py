@@ -10,8 +10,7 @@ from .algebra import (NEG_INF, Polynomial, PolyRing, RationalFunction,
                       alpha_degree, bar_involution, poly_substitute, rf_equal,
                       weight_ring)
 from .bundles import CRITICAL_BUNDLES, OmegaClass, SplittingType, omega_class
-from .cohomseries import (CohomSeries, integrate_pn, scale_by, series_invert_unit,
-                          series_mul, shift_t)
+from .cohomseries import CohomSeries, integrate_pn, scale_by
 from .eulerdata import (EulerDataClosed, EulerDataTable, RestrictionSequence,
                         VerificationReport, build_hypergeom_data,
                         check_degree_bound, check_gluing, check_linked,
@@ -26,8 +25,7 @@ __all__ = [
     "NEG_INF", "Polynomial", "PolyRing", "RationalFunction", "alpha_degree",
     "bar_involution", "poly_substitute", "rf_equal", "weight_ring",
     "CRITICAL_BUNDLES", "OmegaClass", "SplittingType", "omega_class",
-    "CohomSeries", "integrate_pn", "scale_by", "series_invert_unit",
-    "series_mul", "shift_t",
+    "CohomSeries", "integrate_pn", "scale_by",
     "EulerDataClosed", "EulerDataTable", "RestrictionSequence",
     "VerificationReport", "build_hypergeom_data", "check_degree_bound",
     "check_gluing", "check_linked", "check_reciprocity", "combine",

@@ -22,9 +22,10 @@ from .bundles import CRITICAL_BUNDLES, SplittingType
 from .eulerdata import (build_hypergeom_data, check_degree_bound, check_gluing,
                         check_linked, check_reciprocity, lagrange_map,
                         mirror_transform, to_table)
-from .pipeline import (PipelineCase, PipelineError, build_hypergeom_series,
-                       classify, compute_normalization, run_pipeline)
-from .qseries import ScalarQSeries
+from .pipeline import (PipelineCase, PipelineError, PipelineResult,
+                       build_hypergeom_series, classify, compute_normalization,
+                       invert_multicover, run_pipeline)
+from .qseries import ScalarQSeries, TSeries
 
 EMIT_CHOICES = ("kd", "nd", "mirror-map", "f-series", "checks")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
@@ -102,12 +103,6 @@ def parse_bundle(text, n):
     return BundleSpec(text, SplittingType(n, tuple(convex), tuple(concave)))
 
 
-def render_bundle(st):
-    """Canonical text form; parse(render(st)) round-trips for any
-    nontrivial splitting type."""
-    return str(st)
-
-
 # ---------------------------------------------------------------------
 # exact decimal display
 
@@ -124,10 +119,6 @@ def exact_decimal(value, digits):
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
-
-
-def _frac_str(value):
-    return str(value)
 
 
 def _frac_json(value):
@@ -178,12 +169,12 @@ def _emit_text(result, bundle_text, emit, decimal, out):
         for idx in range(result.order):
             row = [str(idx + 1)]
             if "kd" in emit:
-                row.append(_frac_str(result.K[idx]))
+                row.append(str(result.K[idx]))
                 if decimal is not None:
                     row.append(exact_decimal(result.K[idx], decimal))
             if "nd" in emit:
                 d, v, flag = result.instanton[idx]
-                row += [_frac_str(v), "yes" if flag else "NO"]
+                row += [str(v), "yes" if flag else "NO"]
             rows.append(row)
         widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
         for r in [header] + rows:
@@ -213,14 +204,14 @@ def _emit_csv(result, emit, decimal, out):
     for idx in range(result.order):
         row = [str(idx + 1)]
         if "kd" in emit:
-            row.append(_frac_str(result.K[idx]))
+            row.append(str(result.K[idx]))
             if decimal is not None:
                 row.append(exact_decimal(result.K[idx], decimal))
         if "nd" in emit:
             d, v, flag = result.instanton[idx]
-            row += [_frac_str(v), "true" if flag else "false"]
+            row += [str(v), "true" if flag else "false"]
         if "mirror-map" in emit:
-            row.append(_frac_str(result.mirror_shift.coeffs[idx + 1]))
+            row.append(str(result.mirror_shift.coeffs[idx + 1]))
         out.write(",".join(row) + "\n")
 
 
@@ -349,69 +340,61 @@ def _cmd_compute(args, out, err):
         return 2
 
     cache_dir = args.cache or config.get("cache") or os.environ.get("MIRRORCALC_CACHE")
-    canonical = render_bundle(spec.splitting)
-    document = None
-    if cache_dir:
-        document = _cache_load(_cache_path(cache_dir, canonical, n, order))
-    result = None
-    if document is None:
+    cache_path = _cache_path(cache_dir, str(spec.splitting), n, order) if cache_dir else None
+    document = _cache_load(cache_path) if cache_path else None
+    # every format prints from the result, so a hit prints what a miss would
+    result = None if document is None else _result_from_document(document, spec.splitting)
+    if result is None or result.order != order:
         try:
             result = run_pipeline(spec.splitting, order)
         except PipelineError as exc:
             err.write(f"error: {exc}\n")
             return 2
-        document = _result_document(result, bundle_text,
-                                    EMIT_CHOICES)  # cache everything
-        if cache_dir:
-            _cache_store(_cache_path(cache_dir, canonical, n, order), document)
+        if cache_path:  # cache everything
+            _cache_store(cache_path, _result_document(result, bundle_text, EMIT_CHOICES))
     if fmt == "json":
-        emitted = {k: v for k, v in document.items()
-                   if k in ("bundle", "n", "order", "case")
-                   or _emit_key(k) in emit}
-        out.write(json.dumps(emitted, indent=2) + "\n")
+        out.write(json.dumps(_result_document(result, bundle_text, emit), indent=2) + "\n")
+    elif fmt == "csv":
+        _emit_csv(result, emit, decimal, out)
     else:
-        if result is None:
-            result = _result_from_document(document, spec.splitting)
-        if fmt == "csv":
-            _emit_csv(result, emit, decimal, out)
-        else:
-            _emit_text(result, bundle_text, emit, decimal, out)
+        _emit_text(result, bundle_text, emit, decimal, out)
     err.write(f"note: values are exact and emitted through the truncation "
               f"order D={order}\n")
     return 0
 
 
-def _emit_key(key):
-    return {"K": "kd", "n_d": "nd", "mirror_g": "mirror-map",
-            "checks": "checks", "f_series": "f-series"}.get(key, "")
-
-
 def _result_from_document(document, st):
-    """Rebuild a result object from a cached document (exact strings)."""
-    from .pipeline import PipelineResult
-    from .qseries import TSeries
+    """Rebuild a result object from a cached document (exact strings).
 
+    Returns None, a cache miss, unless the document is exactly what
+    ``_result_document`` writes for the rebuilt result: the order is the
+    length of K, the case and n_d are derived again, and the rebuilt
+    document must serialize to the same JSON text.
+    """
     def parse_frac(text):
         num, _, den = text.partition("/")
         return Fraction(int(num), int(den or "1"))
 
-    K = [parse_frac(s) for s in document["K"]]
-    instanton = [(e["d"], parse_frac(e["value"]), e["integral"])
-                 for e in document["n_d"]]
-    order = document["order"]
-    shift = ScalarQSeries(order, [Fraction(0)] + [parse_frac(s) for s in document["mirror_g"]])
-    f_basis = None
-    if "f_series" in document:
-        f_basis = []
-        for entry in document["f_series"]:
-            terms = {}
-            for key, val in entry.items():
-                d, _, j = key.partition(",")
-                terms[(int(d), int(j))] = parse_frac(val)
-            f_basis.append(TSeries(order, terms))
-    return PipelineResult(st, order, PipelineCase(document["case"]), K, instanton,
-                          shift, ScalarQSeries.one(order), f_basis,
-                          {k: v for k, v in document.get("checks", {}).items()})
+    try:
+        K = [parse_frac(s) for s in document["K"]]
+        order = len(K)
+        shift = ScalarQSeries(order, [Fraction(0)] + [parse_frac(s) for s in document["mirror_g"]])
+        f_basis = None
+        if "f_series" in document:
+            f_basis = []
+            for entry in document["f_series"]:
+                terms = {}
+                for key, val in entry.items():
+                    d, _, j = key.partition(",")
+                    terms[(int(d), int(j))] = parse_frac(val)
+                f_basis.append(TSeries(order, terms))
+        result = PipelineResult(st, order, classify(st), K, invert_multicover(K),
+                                shift, ScalarQSeries.one(order), f_basis,
+                                dict(document["checks"]))
+        rebuilt = _result_document(result, document["bundle"], EMIT_CHOICES)
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
+        return None
+    return result if json.dumps(rebuilt) == json.dumps(document) else None
 
 
 def _cmd_verify(args, out, err):
@@ -461,7 +444,7 @@ def _linking_shift(st, d_max, with_x):
 
 
 def _cmd_list_critical(args, out):
-    rows = [(st.n, render_bundle(st)) for st in CRITICAL_BUNDLES]
+    rows = [(st.n, str(st)) for st in CRITICAL_BUNDLES]
     if args.format == "json":
         out.write(json.dumps([{"n": n, "bundle": b} for n, b in rows], indent=2) + "\n")
     elif args.format == "csv":

@@ -1,11 +1,13 @@
-"""Truncated multi-graded cohomology-valued series.
+"""The hypergeometric cohomology series e^(-Ht/alpha) * (Omega + Sigma).
 
-A CohomSeries lives in Q[t, H, alpha, alpha^-1][[q]] / (H^(n+1), q^(D+1)):
-cells map (d, j, i, k) -> coefficient of q^d t^j H^i alpha^k, with the
-nilpotency bound i <= n enforced throughout.  An optional tagged omega
-summand represents e^(-Ht/alpha) * scalar * H^h in closed form; it is
-the only way a negative H-exponent can occur and it is never multiplied
-into the polynomial grid.
+A CohomSeries stores Sigma = sum_d q^d Sigma_d once: cells map
+(d, i, k) -> coefficient of q^d H^i alpha^k, with the nilpotency bound
+i <= n enforced throughout.  The tagged omega summand (scalar * H^h,
+where h may be negative) is kept in closed form beside the cells.
+
+All t-dependence sits in the prefactor e^(-Ht/alpha), which is never
+expanded into stored cells: ``h_coefficient`` applies it in closed form
+where a caller reads the series at one H-power.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bundles import OmegaClass
 from .qseries import ScalarQSeries, SeriesError, TSeries, _frac
-
-
-class OmegaProductError(SeriesError):
-    """Raised for unsupported products involving tagged omega summands."""
 
 
 class CohomSeries:
@@ -29,42 +26,15 @@ class CohomSeries:
         self.order = order
         clean = {}
         if cells:
-            for (d, j, i, k), c in cells.items():
+            for (d, i, k), c in cells.items():
                 c = _frac(c)
                 if c == 0 or d > order or i > n:
                     continue
-                if d < 0 or j < 0 or i < 0:
-                    raise SeriesError(f"bad cell index {(d, j, i, k)}")
-                clean[(d, j, i, k)] = c
+                if d < 0 or i < 0:
+                    raise SeriesError(f"bad cell index {(d, i, k)}")
+                clean[(d, i, k)] = c
         self.cells = clean
         self.omega = omega
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, n, order):
-        return cls(n, order)
-
-    @classmethod
-    def one(cls, n, order):
-        return cls(n, order, {(0, 0, 0, 0): Fraction(1)})
-
-    @classmethod
-    def from_scalar(cls, n, series):
-        return cls(n, series.order, {(d, 0, 0, 0): c for d, c in enumerate(series.coeffs) if c})
-
-    @classmethod
-    def cell(cls, n, order, d, j, i, k, coeff=1):
-        return cls(n, order, {(d, j, i, k): _frac(coeff)})
-
-    # -- helpers --------------------------------------------------------
-
-    def _compatible(self, other):
-        if self.n != other.n or self.order != other.order:
-            raise SeriesError("CohomSeries dimensions or orders differ")
-
-    def is_zero(self):
-        return not self.cells and self.omega is None
 
     def __eq__(self, other):
         if not isinstance(other, CohomSeries):
@@ -75,187 +45,64 @@ class CohomSeries:
     def without_omega(self):
         return CohomSeries(self.n, self.order, self.cells)
 
+    def blocks(self):
+        """Sigma by q-degree: d -> {(i, k): coefficient} for d = 0..order."""
+        out = {d: {} for d in range(self.order + 1)}
+        for (d, i, k), c in self.cells.items():
+            out[d][(i, k)] = c
+        return out
+
+    def h_coefficient(self, i):
+        """The H^i coefficient of e^(-Ht/alpha) * Sigma, as
+        (d, j, k) -> coefficient of q^d t^j alpha^k.
+
+        e^(-Ht/alpha) = sum_j (-1)^j/j! t^j H^j alpha^(-j), so the cell
+        (d, i - j, k + j) of Sigma feeds (d, j, k); i + k is unchanged.
+        """
+        if not 0 <= i <= self.n:
+            return {}
+        out = {}
+        for (d, ii, k), c in self.cells.items():
+            j = i - ii
+            if j >= 0:
+                out[(d, j, k - j)] = c * Fraction((-1) ** j, math.factorial(j))
+        return out
+
     def coefficient(self, d, j, i, k):
-        return self.cells.get((d, j, i, k), Fraction(0))
-
-    def __add__(self, other):
-        self._compatible(other)
-        cells = dict(self.cells)
-        for key, c in other.cells.items():
-            s = cells.get(key, 0) + c
-            if s:
-                cells[key] = s
-            else:
-                del cells[key]
-        omega = self.omega
-        if other.omega is not None:
-            if omega is None:
-                omega = other.omega
-            elif omega.h_exponent != other.omega.h_exponent:
-                raise OmegaProductError("cannot add omega summands of different H-exponent")
-            else:
-                s = omega.scalar + other.omega.scalar
-                omega = OmegaClass(s, omega.h_exponent) if s else None
-        return CohomSeries(self.n, self.order, cells, omega)
-
-    def __neg__(self):
-        om = self.omega
-        if om is not None:
-            om = OmegaClass(-om.scalar, om.h_exponent)
-        return CohomSeries(self.n, self.order, {k: -c for k, c in self.cells.items()}, om)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        scalar = _frac(scalar)
-        if scalar == 0:
-            return CohomSeries(self.n, self.order)
-        om = self.omega
-        if om is not None:
-            om = OmegaClass(om.scalar * scalar, om.h_exponent)
-        return CohomSeries(self.n, self.order,
-                           {k: c * scalar for k, c in self.cells.items()}, om)
-
-    __rmul__ = __mul__
+        """Coefficient of q^d t^j H^i alpha^k in e^(-Ht/alpha) * Sigma."""
+        return self.h_coefficient(i).get((d, j, k), Fraction(0))
 
     def __str__(self):
         bits = []
         if self.omega is not None:
-            bits.append(f"e^(-Ht/a)*({self.omega.scalar})*H^{self.omega.h_exponent}")
-        for key in sorted(self.cells):
-            bits.append(f"{self.cells[key]}*q^{key[0]}*t^{key[1]}*H^{key[2]}*a^{key[3]}")
-        return " + ".join(bits) if bits else "0"
+            bits.append(f"({self.omega.scalar})*H^{self.omega.h_exponent}")
+        for (d, i, k) in sorted(self.cells):
+            bits.append(f"{self.cells[(d, i, k)]}*q^{d}*H^{i}*a^{k}")
+        return f"e^(-Ht/a)*({' + '.join(bits)})" if bits else "0"
 
     __repr__ = __str__
 
 
-def omega_expansion_cells(scalar, h, n):
-    """Grid cells of e^(-Ht/alpha) * scalar * H^h, for h >= 0.
-
-    The expansion terminates by H-nilpotency: H^(h+j) t^j alpha^(-j)
-    survives only for h + j <= n.
-    """
-    if h < 0:
-        raise OmegaProductError("omega summand with negative H-exponent cannot be expanded")
-    cells = {}
-    for j in range(n - h + 1):
-        cells[(0, j, h + j, -j)] = scalar * Fraction((-1) ** j, math.factorial(j))
-    return cells
-
-
-def _grid_mul(a, b):
-    n, order = a.n, a.order
-    cells = {}
-    for (d1, j1, i1, k1), c1 in a.cells.items():
-        for (d2, j2, i2, k2), c2 in b.cells.items():
-            d = d1 + d2
-            i = i1 + i2
-            if d > order or i > n:
-                continue
-            key = (d, j1 + j2, i, k1 + k2)
-            s = cells.get(key, 0) + c1 * c2
-            if s:
-                cells[key] = s
-            else:
-                del cells[key]
-    return CohomSeries(n, order, cells)
-
-
-def series_mul(a, b):
-    """Exact truncated product; H-degrees beyond n and q-degrees beyond D drop.
-
-    At most one operand may carry a tagged omega summand, and only one
-    with nonnegative H-exponent (which distributes by expanding into the
-    grid); omega times omega is rejected.
-    """
-    a._compatible(b)
-    if a.omega is not None and b.omega is not None:
-        raise OmegaProductError("product of two omega-tagged series is unsupported")
+def _require_no_omega(a):
     if a.omega is not None:
-        a = a.without_omega() + CohomSeries(
-            a.n, a.order, omega_expansion_cells(a.omega.scalar, a.omega.h_exponent, a.n))
-    if b.omega is not None:
-        b = b.without_omega() + CohomSeries(
-            b.n, b.order, omega_expansion_cells(b.omega.scalar, b.omega.h_exponent, b.n))
-    return _grid_mul(a, b)
+        raise SeriesError("the tagged omega summand is handled in closed form; "
+                          "pass series.without_omega()")
 
 
 def scale_by(a, s):
-    """Multiply by a scalar q-series (t- and H-free)."""
+    """Multiply Sigma by a scalar q-series (t- and H-free)."""
+    _require_no_omega(a)
     if not isinstance(s, ScalarQSeries):
         s = ScalarQSeries(a.order, (_frac(s),))
-    return series_mul(a, CohomSeries.from_scalar(a.n, s))
-
-
-def series_invert_unit(a):
-    """Invert a unit whose constant part is a pure alpha-Laurent monomial.
-
-    The remainder after factoring out that monomial must be nilpotent
-    (every term carries q or H), so the geometric series terminates.
-    """
-    if a.omega is not None:
-        raise OmegaProductError("cannot invert a series carrying an omega summand")
-    unit_cells = [(k, c) for (d, j, i, k), c in a.cells.items() if d == 0 and j == 0 and i == 0]
-    if len(unit_cells) != 1:
-        raise SeriesError("constant part is not a single alpha-Laurent monomial")
-    k0, c0 = unit_cells[0]
-    m_inv = CohomSeries.cell(a.n, a.order, 0, 0, 0, -k0, 1 / c0)
-    rem = _grid_mul(m_inv, a)
-    rem = rem - CohomSeries.one(a.n, a.order)
-    for (d, j, i, k) in rem.cells:
-        if d == 0 and i == 0:
-            raise SeriesError("unit part has t-dependence; cannot invert")
-    acc = CohomSeries.one(a.n, a.order)
-    power = CohomSeries.one(a.n, a.order)
-    for s in range(1, a.order + a.n + 2):
-        power = _grid_mul(power, rem)
-        if power.is_zero():
-            break
-        acc = acc + (-power if s % 2 else power)
-    return _grid_mul(m_inv, acc)
-
-
-def shift_t(a, g):
-    """Substitute t -> t + g(q).
-
-    Because q = e^t, the substitution acts twice: t-polynomials are
-    redistributed through (t+g)^j and every q^d block picks up e^(dg).
-    """
-    if g.order != a.order:
-        raise SeriesError("shift series order mismatch")
-    if g.coeffs[0] != 0:
-        raise SeriesError("shift series must have zero constant term")
-    if a.omega is not None:
-        if g.is_zero():
-            return a
-        raise OmegaProductError("cannot shift a series carrying an omega summand")
-    order = a.order
-
-    def cached_power(cache, base, e):
-        while e not in cache:
-            top = max(cache)
-            cache[top + 1] = cache[top] * base
-        return cache[e]
-
-    exp_g = g.exp()
-    exp_pow = {0: ScalarQSeries.one(order)}
-    g_pow = {0: ScalarQSeries.one(order)}
+    if s.order != a.order:
+        raise SeriesError("scalar series order differs from the CohomSeries order")
     cells = {}
-    for (d, j, i, k), c in a.cells.items():
-        for jp in range(j + 1):
-            factor = (cached_power(exp_pow, exp_g, d)
-                      * cached_power(g_pow, g, j - jp) * math.comb(j, jp))
-            for s, fc in enumerate(factor.coeffs):
-                if fc == 0 or d + s > order:
-                    continue
-                key = (d + s, jp, i, k)
-                v = cells.get(key, 0) + c * fc
-                if v:
-                    cells[key] = v
-                else:
-                    del cells[key]
-    return CohomSeries(a.n, order, cells)
+    for (d, i, k), c in a.cells.items():
+        for e, sc in enumerate(s.coeffs[: a.order - d + 1]):
+            if sc:
+                key = (d + e, i, k)
+                cells[key] = cells.get(key, 0) + c * sc
+    return CohomSeries(a.n, a.order, cells)
 
 
 class TAlphaSeries:
@@ -282,23 +129,10 @@ class TAlphaSeries:
     def alpha_coefficient(self, k):
         return TSeries(self.order, {(d, j): c for (d, j, kk), c in self.terms.items() if kk == k})
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, TAlphaSeries):
             return NotImplemented
         return self.order == other.order and self.terms == other.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-        return TAlphaSeries(self.order, terms)
 
     def __str__(self):
         return " + ".join(f"{self.terms[k]}*q^{k[0]}*t^{k[1]}*a^{k[2]}"
@@ -306,36 +140,17 @@ class TAlphaSeries:
 
 
 def integrate_pn(a):
-    """Push forward over P^n: extract the H^n coefficient of every cell.
+    """Push e^(-Ht/alpha) * Sigma forward over P^n: its H^n coefficient.
 
-    A tagged omega summand contributes its closed-form H^n coefficient
-    scalar * (-t/alpha)^(n-h) / (n-h)! when 0 <= n-h <= n, else nothing.
+    The tagged omega summand is not integrated here; callers add its
+    closed form.
     """
-    terms = {}
-    for (d, j, i, k), c in a.cells.items():
-        if i == a.n:
-            key = (d, j, k)
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    if a.omega is not None:
-        m = a.n - a.omega.h_exponent
-        if 0 <= m <= a.n:
-            key = (0, m, -m)
-            s = terms.get(key, 0) + a.omega.scalar * Fraction((-1) ** m, math.factorial(m))
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    return TAlphaSeries(a.order, terms)
+    _require_no_omega(a)
+    return TAlphaSeries(a.order, a.h_coefficient(a.n))
 
 
 def homogeneity_violations(series, splitting):
-    """Cells violating i + k = delta_d for the given splitting type."""
-    bad = []
-    for (d, j, i, k) in series.cells:
-        if i + k != splitting.block_degree(d):
-            bad.append((d, j, i, k))
-    return sorted(bad)
+    """Sigma cells violating i + k = delta_d for the given splitting type
+    (the t-expansion keeps i + k fixed, so this covers the whole series)."""
+    return sorted((d, i, k) for (d, i, k) in series.cells
+                  if i + k != splitting.block_degree(d))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra import (RationalFunction, SubstitutionError, alpha_degree,
                       bar_involution, rf_equal, weight_ring)
 from .bundles import OmegaClass, omega_class
-from .qseries import ScalarQSeries
+from .qseries import ScalarQSeries, exp_multiples
 
 
 class EulerDataError(ValueError):
@@ -521,7 +521,6 @@ def mirror_transform(seq, multiplier=None, shift=None):
         g = g[: d_max + 1]
     if g[0] != 0:
         raise EulerDataError("shift must have zero constant term")
-    g_series = ScalarQSeries(d_max, g)
 
     if multiplier is None:
         f = [RationalFunction(ring.zero)] * (d_max + 1)
@@ -532,10 +531,7 @@ def mirror_transform(seq, multiplier=None, shift=None):
     if not f[0].is_zero():
         raise EulerDataError("multiplier series must have zero constant term")
 
-    exp_dg = {0: ScalarQSeries.one(d_max)}
-    base = g_series.exp()
-    for d in range(1, d_max + 1):
-        exp_dg[d] = exp_dg[d - 1] * base
+    exp_dg = exp_multiples(ScalarQSeries(d_max, g))
 
     alpha_rf = RationalFunction(ring.var("alpha"))
     values = {(0, i): seq.value(0, i) for i in range(n + 1)}

@@ -21,7 +21,7 @@ from .algebra import NEG_INF
 from .bundles import SplittingType, omega_class
 from .cohomseries import (CohomSeries, homogeneity_violations, integrate_pn,
                           scale_by)
-from .qseries import ScalarQSeries, TSeries, harmonic_sum
+from .qseries import ScalarQSeries, TSeries, exp_multiples, harmonic_sum
 
 
 class PipelineError(RuntimeError):
@@ -121,20 +121,13 @@ def sigma_block(st, d):
 
 def build_hypergeom_series(st, order):
     """The cohomology-valued series e^(-Ht/alpha) * (Omega + sum of
-    q^d blocks) in the nonequivariant limit, with the Omega summand kept
-    as a tagged closed form."""
+    q^d Sigma_d) in the nonequivariant limit: the Sigma_d blocks are
+    stored once, Omega as a tagged closed form."""
     if order < 1:
         raise PipelineError("order must be >= 1")
-    n = st.n
-    cells = {}
-    for d in range(1, order + 1):
-        block = sigma_block(st, d)
-        for (i, k), c in block.items():
-            for j in range(n - i + 1):
-                coeff = c * Fraction((-1) ** j, math.factorial(j))
-                cells[(d, j, i + j, k - j)] = cells.get((d, j, i + j, k - j), 0) + coeff
-    cells = {key: c for key, c in cells.items() if c}
-    return CohomSeries(n, order, cells, omega=omega_class(st))
+    cells = {(d, i, k): c for d in range(1, order + 1)
+             for (i, k), c in sigma_block(st, d).items()}
+    return CohomSeries(st.n, order, cells, omega=omega_class(st))
 
 
 # ---------------------------------------------------------------------
@@ -174,8 +167,8 @@ def frobenius_basis(series, st):
     for i in range(4):
         terms = {}
         sign = Fraction((-1) ** i) / c
-        for (d, j, ii, k), v in series.cells.items():
-            if ii == h + i and k == -i:
+        for (d, j, k), v in series.h_coefficient(h + i).items():
+            if k == -i:
                 terms[(d, j)] = sign * v
         # the d = 0 part comes from the tagged omega summand
         terms[(0, i)] = terms.get((0, i), 0) + Fraction(1, math.factorial(i))
@@ -259,10 +252,7 @@ def compute_normalization(series, st):
     order = series.order
     om = series.omega or omega_class(st)
     c, h = om.scalar, om.h_exponent
-    sigma = {d: {} for d in range(1, order + 1)}
-    for (d, j, i, k), v in series.cells.items():
-        if j == 0 and d >= 1:
-            sigma[d][(i, k)] = v
+    sigma = series.blocks()
     i_max = max(st.n, st.n - h)
     f0_coeffs = [Fraction(1)] + [Fraction(0)] * order
     g_coeffs = [Fraction(0)] * (order + 1)
@@ -284,10 +274,7 @@ def canonical_alpha_degrees(series, st, scaling, shift):
     canonical form means every value is <= -2."""
     order = series.order
     om = series.omega or omega_class(st)
-    sigma = {d: {} for d in range(1, order + 1)}
-    for (d, j, i, k), v in series.cells.items():
-        if j == 0 and d >= 1:
-            sigma[d][(i, k)] = v
+    sigma = series.blocks()
     i_max = max(st.n, st.n - om.h_exponent)
     a_table = _coefficient_table(list(scaling.coeffs), list(shift.coeffs), order, i_max)
     degrees = {}
@@ -347,10 +334,7 @@ def extract_euler_numbers(series, st, scaling, shift):
         raise PipelineError(f"integrated series has t-degree > 1 at q^{bad}")
     checks["t_degree_bound"] = True
 
-    exp_dg = {0: ScalarQSeries.one(order)}
-    base = shift.exp()
-    for d in range(1, order + 1):
-        exp_dg[d] = exp_dg[d - 1] * base
+    exp_dg = exp_multiples(shift)
 
     K = _solve_from_weighted_sum(-psi.t_coefficient(1), exp_dg, order,
                                  lambda d: Fraction(d))
@@ -474,9 +458,6 @@ def _mirror_conjecture_route(f_basis, st, shift, order):
     phi = script_f - T ** 3 * (c / 6)
     if phi.t_degree() > 0:
         raise PipelineError("prepotential retains polynomial t-dependence")
-    exp_dg = {0: ScalarQSeries.one(order)}
-    base = shift.exp()
-    for d in range(1, order + 1):
-        exp_dg[d] = exp_dg[d - 1] * base
+    exp_dg = exp_multiples(shift)
     return _solve_from_weighted_sum(phi.t_coefficient(0), exp_dg, order,
                                     lambda d: Fraction(1))

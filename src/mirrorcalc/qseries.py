@@ -8,7 +8,6 @@ silent precision loss can occur.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -202,6 +201,16 @@ class ScalarQSeries:
         return f"ScalarQSeries({self})"
 
 
+def exp_multiples(g):
+    """[e^(d*g) for d = 0..D]: the factors a shift t -> t + g puts on
+    the q^d blocks (q = e^t); g has zero constant term."""
+    base = g.exp()
+    powers = [ScalarQSeries.one(g.order)]
+    for _ in range(g.order):
+        powers.append(powers[-1] * base)
+    return powers
+
+
 def qseries_reversion(series):
     """Compositional inverse of q + O(q^2)-shaped series.
 
@@ -392,7 +401,3 @@ class TSeries:
 def harmonic_sum(a, b):
     """sum_{m=a}^{b} 1/m as an exact rational (0 when the range is empty)."""
     return sum((Fraction(1, m) for m in range(a, b + 1)), Fraction(0))
-
-
-def factorial(n):
-    return math.factorial(n)

@@ -1,6 +1,7 @@
 """Command-line surface: grammar, presets, formats, determinism,
 exit codes, cache and config handling."""
 
+import copy
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from mirrorcalc import __version__
 from mirrorcalc.bundles import SplittingType
 from mirrorcalc.cli import (BundleParseError, exact_decimal, parse_bundle,
-                            render_bundle, run_command)
+                            run_command)
 
 
 def run(argv, env=None):
@@ -58,10 +59,10 @@ def test_parse_bundle_position_annotated():
 
 def test_render_parse_roundtrip():
     st = SplittingType(4, (2, 2), (1,))
-    assert parse_bundle(render_bundle(st), 4).splitting == st
-    canonical = render_bundle(parse_bundle("O(-1)+O(4)+O(2)", 5).splitting)
+    assert parse_bundle(str(st), 4).splitting == st
+    canonical = str(parse_bundle("O(-1)+O(4)+O(2)", 5).splitting)
     assert canonical == "O(2)+O(4)+O(-1)"
-    assert render_bundle(parse_bundle(canonical, 5).splitting) == canonical
+    assert str(parse_bundle(canonical, 5).splitting) == canonical
 
 
 def test_exact_decimal():
@@ -177,17 +178,55 @@ def test_compute_cache(tmp_path):
     assert code3 == 0 and out3 == out1
 
 
-@pytest.mark.parametrize("payload", [[1, 2], {"version": __version__, "document": [1, 2]}])
+def _poisoned_document(**fields):
+    """The stored payload with document fields replaced (None deletes)."""
+    def poison(payload):
+        document = payload["document"]
+        for key, value in fields.items():
+            if value is None:
+                del document[key]
+            else:
+                document[key] = value
+        return payload
+    return poison
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"version": __version__, "document": [1, 2]},
+    _poisoned_document(K=["1/0", "1/8", "1/27"]),
+    _poisoned_document(K=[5, "1/8", "1/27"]),
+    _poisoned_document(n_d=None),
+])
 def test_compute_cache_wrong_shape_is_a_miss(tmp_path, payload):
-    argv = ["compute", "--preset", "multicover", "--order", "3", "--format", "json"]
-    _, uncached, _ = run(argv)
+    for fmt in ("json", "text", "csv"):
+        argv = ["compute", "--preset", "multicover", "--order", "3", "--format", fmt]
+        _, uncached, _ = run(argv)
+        cache = str(tmp_path / fmt)
+        run(argv + ["--cache", cache])
+        (name,) = os.listdir(cache)
+        path = os.path.join(cache, name)
+        with open(path) as fh:
+            stored = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(payload(copy.deepcopy(stored)) if callable(payload)
+                      else payload, fh)
+        code, out, _ = run(argv + ["--cache", cache])
+        assert code == 0 and out == uncached, fmt
+        # the miss recomputes and overwrites the damaged entry
+        with open(path) as fh:
+            assert json.load(fh) == stored
+
+
+def test_compute_cache_hit_prints_requested_spelling(tmp_path):
     cache = str(tmp_path / "cache")
-    run(argv + ["--cache", cache])
-    (name,) = os.listdir(cache)
-    with open(os.path.join(cache, name), "w") as fh:
-        json.dump(payload, fh)
+    argv = ["compute", "--preset", "p3-concavex", "--format", "json"]
+    _, uncached, _ = run(argv)
+    run(["compute", "--n", "3", "--bundle", "O(-2)+O(2)", "--format", "json",
+         "--cache", cache])
     code, out, _ = run(argv + ["--cache", cache])
     assert code == 0 and out == uncached
+    assert json.loads(out)["bundle"] == "O(2)+O(-2)"
 
 
 def test_compute_cache_env_var(tmp_path):

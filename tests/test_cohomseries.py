@@ -1,235 +1,136 @@
-"""The truncated cohomology-valued series ring: products, unit
-inversion, t-shifts, integration over P^n, homogeneity."""
+"""The hypergeometric series: Sigma cells with e^(-Ht/alpha) applied in
+closed form, scaling, integration over P^n, homogeneity, the e^(dg)
+factors of a t-shift, and the block arithmetic that builds each Sigma_d
+(products truncated by H-nilpotency, exact division by H - m*alpha)."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from mirrorcalc.bundles import OmegaClass, SplittingType
-from mirrorcalc.cohomseries import (CohomSeries, OmegaProductError,
-                                    homogeneity_violations, integrate_pn,
-                                    scale_by, series_invert_unit, series_mul,
-                                    shift_t)
-from mirrorcalc.qseries import ScalarQSeries, qseries_reversion
+from mirrorcalc.cohomseries import (CohomSeries, homogeneity_violations,
+                                    integrate_pn, scale_by)
+from mirrorcalc.pipeline import _block_div_unit, _block_mul_linear
+from mirrorcalc.qseries import ScalarQSeries, SeriesError, exp_multiples
 
-
-def H(n, order, power=1):
-    return CohomSeries.cell(n, order, 0, 0, power, 0)
-
-
-def Q(n, order):
-    return CohomSeries.cell(n, order, 1, 0, 0, 0)
-
-
-def ALPHA(n, order, power=1):
-    return CohomSeries.cell(n, order, 0, 0, 0, power)
-
-
-def exp_prefactor(n, order):
-    """e^(-Ht/alpha) expanded into the grid."""
-    import math
-    cells = {(0, j, j, -j): Fraction((-1) ** j, math.factorial(j))
-             for j in range(n + 1)}
-    return CohomSeries(n, order, cells)
+ONE = {(0, 0): Fraction(1)}
 
 
 def test_mul_nilpotency():
-    n, order = 1, 3
-    one = CohomSeries.one(n, order)
-    a = one + series_mul(Q(n, order), H(n, order))
-    b = one - series_mul(Q(n, order), H(n, order))
-    # (1 + qH)(1 - qH) = 1 - q^2 H^2 = 1 on P^1
-    assert series_mul(a, b) == one
-    assert series_mul(H(n, order), H(n, order)).is_zero()
-    # on P^2 the H^2 term survives
-    n = 2
-    one = CohomSeries.one(n, order)
-    a = one + series_mul(Q(n, order), H(n, order))
-    b = one - series_mul(Q(n, order), H(n, order))
-    assert series_mul(a, b) == one - CohomSeries.cell(n, order, 2, 0, 2, 0)
+    # (H + alpha)(H - alpha) = H^2 - alpha^2, and H^2 = 0 on P^1
+    for n, expected in ((1, {(0, 2): -1}), (2, {(2, 0): 1, (0, 2): -1})):
+        block = _block_mul_linear(_block_mul_linear(ONE, n, 1, 1), n, 1, -1)
+        assert block == expected
     # H^n * H = 0
-    assert series_mul(H(n, order, n), H(n, order)).is_zero()
+    n = 2
+    block = ONE
+    for _ in range(n + 1):
+        block = _block_mul_linear(block, n, 1, 0)
+    assert block == {}
 
 
 def test_mul_alpha_laurent():
-    n, order = 2, 4
-    a = CohomSeries.one(n, order) + CohomSeries.cell(n, order, 1, 0, 0, -1)
-    sq = series_mul(a, a)
-    assert sq.coefficient(1, 0, 0, -1) == 2
-    assert sq.coefficient(2, 0, 0, -2) == 1
-
-
-def test_mul_rejects_double_omega():
-    n, order = 1, 2
-    a = CohomSeries(n, order, {}, omega=OmegaClass(Fraction(1), 0))
-    with pytest.raises(OmegaProductError):
-        series_mul(a, a)
+    # alpha-Laurent exponents add: (H - alpha)^-2 = alpha^-2 (1 + 2H/alpha) on P^1
+    assert _block_div_unit(_block_div_unit(ONE, 1, 1), 1, 1) == {(0, -2): 1, (1, -3): 2}
 
 
 def test_invert_linear_factor():
     # (H - alpha)^-1 on P^1 is -alpha^-1 (1 + H/alpha)
-    n, order = 1, 2
-    a = H(n, order) - ALPHA(n, order)
-    inv = series_invert_unit(a)
-    expected = CohomSeries(n, order, {(0, 0, 0, -1): -1, (0, 0, 1, -2): -1})
-    assert inv == expected
-    assert series_mul(a, inv) == CohomSeries.one(n, order)
-
-
-def test_invert_scalar():
-    n, order = 1, 3
-    inv = series_invert_unit(CohomSeries.cell(n, order, 0, 0, 0, 1, -2))
-    assert inv == CohomSeries.cell(n, order, 0, 0, 0, -1, Fraction(-1, 2))
-
-
-def test_invert_one_plus_q():
-    n, order = 1, 4
-    a = CohomSeries.one(n, order) + Q(n, order)
-    inv = series_invert_unit(a)
-    assert inv == CohomSeries.from_scalar(n, ScalarQSeries(order, (1, -1, 1, -1, 1)))
+    n = 1
+    inv = _block_div_unit(ONE, n, 1)
+    assert inv == {(0, -1): -1, (1, -2): -1}
+    assert _block_mul_linear(inv, n, 1, -1) == ONE
 
 
 def test_invert_denominator_products():
     # the canonical denominators prod (H - m*alpha)^(n+1) invert exactly
     for n in (1, 2):
-        order = 3
         for d in (1, 2, 3):
-            a = CohomSeries.one(n, order)
+            block = ONE
             for m in range(1, d + 1):
-                factor = H(n, order) - ALPHA(n, order) * m
                 for _ in range(n + 1):
-                    a = series_mul(a, factor)
-            assert series_mul(a, series_invert_unit(a)) == CohomSeries.one(n, order)
-
-
-def test_shift_zero_is_identity():
-    n, order = 2, 4
-    a = exp_prefactor(n, order) + Q(n, order)
-    assert shift_t(a, ScalarQSeries.zero(order)) == a
-
-
-def test_shift_on_t():
-    # t -> t + cq
-    n, order = 2, 3
-    t = CohomSeries.cell(n, order, 0, 1, 0, 0)
-    g = ScalarQSeries(order, (0, Fraction(7)))
-    shifted = shift_t(t, g)
-    assert shifted == t + CohomSeries.from_scalar(n, g)
+                    block = _block_mul_linear(block, n, 1, -m)
+            for m in range(1, d + 1):
+                for _ in range(n + 1):
+                    block = _block_div_unit(block, n, m)
+            assert block == ONE
 
 
 def test_shift_multiplies_blocks():
-    # a pure q block picks up e^(dg): q -> q e^(cq) = q + cq^2 + c^2/2 q^3
-    n, order = 1, 3
+    # t -> t + g multiplies the q^d block by e^(dg): with g = cq the q block
+    # becomes q e^(cq) = q + cq^2 + c^2/2 q^3
+    order = 3
     c = Fraction(5)
-    g = ScalarQSeries(order, (0, c))
-    shifted = shift_t(Q(n, order), g)
-    expected = CohomSeries(n, order, {(1, 0, 0, 0): 1, (2, 0, 0, 0): c,
-                                      (3, 0, 0, 0): c * c / 2})
-    assert shifted == expected
-
-
-def test_shift_composition_inverse():
-    rng = random.Random(1203)
-    n, order = 2, 6
-    for _ in range(20):
-        cells = {}
-        for _ in range(6):
-            d = rng.randint(0, order)
-            j = rng.randint(0, n)
-            i = rng.randint(0, n)
-            k = rng.randint(-3, 1)
-            cells[(d, j, i, k)] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        a = CohomSeries(n, order, cells)
-        g = ScalarQSeries(order, [0] + [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-                                        for _ in range(order)])
-        forward = ScalarQSeries.q(order) * g.exp()
-        back = qseries_reversion(forward)
-        g_inverse = -g.compose(back)
-        assert shift_t(shift_t(a, g), g_inverse) == a
+    powers = exp_multiples(ScalarQSeries(order, (0, c)))
+    assert len(powers) == order + 1
+    assert powers[0] == ScalarQSeries.one(order)
+    assert powers[1].shift(1) == ScalarQSeries(order, (0, 1, c, c * c / 2))
+    assert powers[3] == ScalarQSeries(order, (0, 3 * c)).exp()
 
 
 def test_scale_by():
     n, order = 1, 3
     f0 = ScalarQSeries(order, (1, 120))
-    assert scale_by(CohomSeries.one(n, order), f0) == CohomSeries.from_scalar(n, f0)
-    a = series_mul(H(n, order), Q(n, order))
+    one = CohomSeries(n, order, {(0, 0, 0): 1})
+    assert scale_by(one, f0) == CohomSeries(n, order, {(0, 0, 0): 1, (1, 0, 0): 120})
+    a = CohomSeries(n, order, {(1, 1, 0): 1})
     s = ScalarQSeries(order, (1, -1))
-    assert scale_by(a, s) == a - CohomSeries.cell(n, order, 2, 0, 1, 0)
+    assert scale_by(a, s) == CohomSeries(n, order, {(1, 1, 0): 1, (2, 1, 0): -1})
 
 
 def test_integrate_top_cell():
     n, order = 3, 2
-    a = CohomSeries.cell(n, order, 0, 0, n, 0, Fraction(7, 2))
+    a = CohomSeries(n, order, {(0, n, 0): Fraction(7, 2)})
     out = integrate_pn(a)
     assert out.terms == {(0, 0, 0): Fraction(7, 2)}
 
 
 def test_integrate_exponential_prefactor():
-    # on P^1 the H coefficient of e^(-Ht/alpha) is -t/alpha
-    out = integrate_pn(exp_prefactor(1, 2))
+    # on P^1 the H coefficient of e^(-Ht/alpha) * 1 is -t/alpha
+    out = integrate_pn(CohomSeries(1, 2, {(0, 0, 0): 1}))
     assert out.terms == {(0, 1, -1): Fraction(-1)}
 
 
 def test_integrate_multicover_block():
-    # e^(-Ht/alpha)/(H - d*alpha)^2 integrates to alpha^-3 d^-3 (2 - dt)
+    # e^(-Ht/alpha)/(H - d*alpha)^2 integrates to alpha^-3 d^-3 (2 - dt);
+    # on P^1, (H - d*alpha)^-2 = d^-2 alpha^-2 + 2 d^-3 H alpha^-3
     n, order = 1, 1
     for d in (1, 2, 3, 5):
-        factor = H(n, order) - ALPHA(n, order) * d
-        block = series_invert_unit(series_mul(factor, factor))
-        out = integrate_pn(series_mul(exp_prefactor(n, order), block))
+        block = CohomSeries(n, order, {(0, 0, -2): Fraction(1, d ** 2),
+                                       (0, 1, -3): Fraction(2, d ** 3)})
+        out = integrate_pn(block)
         assert out.terms == {(0, 0, -3): Fraction(2, d ** 3),
                              (0, 1, -3): Fraction(-1, d ** 2)}
 
 
 def test_integrate_tagged_omega():
-    # closed-form contribution: scalar (-t/alpha)^(n-h)/(n-h)!
-    n, order = 2, 1
-    a = CohomSeries(n, order, {}, omega=OmegaClass(Fraction(5), 1))
-    out = integrate_pn(a)
-    assert out.terms == {(0, 1, -1): Fraction(-5)}
-    trivial = CohomSeries(n, order, {}, omega=OmegaClass(Fraction(1), 0))
-    assert integrate_pn(trivial).terms == {(0, 2, -2): Fraction(1, 2)}
+    # the omega summand is integrated in closed form by the caller, so
+    # integrate_pn and scale_by take Sigma alone
+    a = CohomSeries(2, 1, {(1, 0, -2): 1}, omega=OmegaClass(Fraction(5), 1))
+    with pytest.raises(SeriesError):
+        integrate_pn(a)
+    with pytest.raises(SeriesError):
+        scale_by(a, 2)
+    assert integrate_pn(a.without_omega()).terms == {(1, 2, -4): Fraction(1, 2)}
 
 
 def test_homogeneity_checker():
     st = SplittingType(2, (), (3,))
-    good = CohomSeries.cell(2, 2, 1, 0, 1, st.block_degree(1) - 1)
+    good = CohomSeries(2, 2, {(1, 1, st.block_degree(1) - 1): 1})
     assert homogeneity_violations(good, st) == []
-    bad = CohomSeries.cell(2, 2, 1, 0, 1, 5)
-    assert homogeneity_violations(bad, st) == [(1, 0, 1, 5)]
+    bad = CohomSeries(2, 2, {(1, 1, 5): 1})
+    assert homogeneity_violations(bad, st) == [(1, 1, 5)]
 
 
 def test_homogeneity_preserved_by_products():
-    # block degrees add under multiplication and drop by n under integration
-    from mirrorcalc.bundles import SplittingType as ST
+    # block degrees are kept by scalar q-series factors and drop by n
+    # under integration
     from mirrorcalc.pipeline import build_hypergeom_series
 
-    st = ST(1, (), (1, 1))
+    st = SplittingType(1, (), (1, 1))
     series = build_hypergeom_series(st, 3).without_omega()
-    # delta_d = -2 for every block here, so the square is pure degree -4
-    square = series_mul(series, series)
-    assert all(i + k == -4 for (d, j, i, k) in square.cells)
+    # delta_d = -2 for every block here
     scaled = scale_by(series, ScalarQSeries(3, (1, 5)))
-    assert all(i + k == -2 for (d, j, i, k) in scaled.cells)
+    assert all(i + k == -2 for (d, i, k) in scaled.cells)
     integrated = integrate_pn(series)
     assert all(k == st.block_degree(d) - st.n for (d, j, k) in integrated.terms)
-
-
-def _random_series(rng, n, order):
-    cells = {}
-    for _ in range(rng.randint(1, 5)):
-        key = (rng.randint(0, order), rng.randint(0, 1),
-               rng.randint(0, n), rng.randint(-2, 2))
-        cells[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return CohomSeries(n, order, cells)
-
-
-def test_ring_laws_random():
-    rng = random.Random(555)
-    for _ in range(100):
-        n = rng.choice((1, 2))
-        order = rng.randint(1, 4)
-        a, b, c = (_random_series(rng, n, order) for _ in range(3))
-        assert series_mul(a + b, c) == series_mul(a, c) + series_mul(b, c)
-        assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
