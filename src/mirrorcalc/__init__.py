@@ -7,14 +7,13 @@ identities, and mirror transformations.
 __version__ = "0.1.0"
 
 from .algebra import (NEG_INF, Polynomial, PolyRing, RationalFunction,
-                      alpha_degree, bar_involution, poly_substitute, rf_equal,
-                      weight_ring)
+                      alpha_degree, bar_involution, rf_equal, weight_ring)
 from .bundles import CRITICAL_BUNDLES, OmegaClass, SplittingType, omega_class
 from .cohomseries import CohomSeries, integrate_pn, scale_by
 from .eulerdata import (EulerDataClosed, EulerDataTable, RestrictionSequence,
                         VerificationReport, build_hypergeom_data,
                         check_degree_bound, check_gluing, check_linked,
-                        check_reciprocity, combine, endpoint_weights_data,
+                        check_reciprocity, endpoint_weights_data,
                         lagrange_map, mirror_transform, restrict, to_table)
 from .pipeline import (PipelineCase, PipelineResult, build_hypergeom_series,
                        classify, compute_normalization, extract_euler_numbers,
@@ -23,12 +22,12 @@ from .qseries import ScalarQSeries, TSeries, qseries_reversion
 
 __all__ = [
     "NEG_INF", "Polynomial", "PolyRing", "RationalFunction", "alpha_degree",
-    "bar_involution", "poly_substitute", "rf_equal", "weight_ring",
+    "bar_involution", "rf_equal", "weight_ring",
     "CRITICAL_BUNDLES", "OmegaClass", "SplittingType", "omega_class",
     "CohomSeries", "integrate_pn", "scale_by",
     "EulerDataClosed", "EulerDataTable", "RestrictionSequence",
     "VerificationReport", "build_hypergeom_data", "check_degree_bound",
-    "check_gluing", "check_linked", "check_reciprocity", "combine",
+    "check_gluing", "check_linked", "check_reciprocity",
     "endpoint_weights_data", "lagrange_map", "mirror_transform", "restrict",
     "to_table",
     "PipelineCase", "PipelineResult", "build_hypergeom_series", "classify",

@@ -41,6 +41,15 @@ def _as_fraction(value):
     raise AlgebraError(f"cannot coerce {value!r} into an exact rational")
 
 
+def nonzero(terms):
+    """The entries of a sparse coefficient dict whose value is nonzero.
+
+    Sparse sums accumulate with ``d[k] = d.get(k, 0) + c`` and prune the
+    cancelled entries once, through this, when they return.
+    """
+    return {k: c for k, c in terms.items() if c}
+
+
 class PolyRing:
     """A polynomial ring Q[names] with a fixed, ordered variable set.
 
@@ -73,20 +82,6 @@ class PolyRing:
         if value == 0:
             return self.zero
         return Polynomial(self, {self._unit_exp: value})
-
-    def monomial(self, coeff, powers):
-        """Build coeff * prod(name**e) from a {name: e} mapping."""
-        coeff = _as_fraction(coeff)
-        if coeff == 0:
-            return self.zero
-        exp = [0] * self.nvars
-        for name, e in powers.items():
-            if name not in self.index:
-                raise AlgebraError(f"unknown variable '{name}'")
-            if e < 0:
-                raise AlgebraError("negative exponent in monomial")
-            exp[self.index[name]] = e
-        return Polynomial(self, {tuple(exp): coeff})
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
@@ -135,12 +130,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and self.ring._unit_exp in self.terms)
-
-    def constant_value(self):
-        return self.terms.get(self.ring._unit_exp, Fraction(0))
-
     def sorted_terms(self):
         """Terms in descending graded-lex order (the canonical order)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
@@ -187,12 +176,8 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            s = terms.get(exp, 0) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
-        return Polynomial(self.ring, terms)
+            terms[exp] = terms.get(exp, 0) + c
+        return Polynomial(self.ring, nonzero(terms))
 
     __radd__ = __add__
 
@@ -218,12 +203,8 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(map(operator.add, e1, e2))
-                s = terms.get(exp, 0) + c1 * c2
-                if s:
-                    terms[exp] = s
-                else:
-                    del terms[exp]
-        return Polynomial(self.ring, terms)
+                terms[exp] = terms.get(exp, 0) + c1 * c2
+        return Polynomial(self.ring, nonzero(terms))
 
     __rmul__ = __mul__
 
@@ -251,8 +232,7 @@ class Polynomial:
     def substitute(self, bindings):
         """Simultaneous substitution with polynomial (or constant) values.
 
-        Unbound variables pass through unchanged.  Returns a Polynomial;
-        use poly_substitute for rational-function bindings.
+        Unbound variables pass through unchanged.
         """
         ring = self.ring
         idx_bindings = {}
@@ -285,12 +265,8 @@ class Polynomial:
             shift = any(rest)
             for fe, fc in factor.terms.items():
                 key = tuple(map(operator.add, fe, rest)) if shift else fe
-                s = terms.get(key, 0) + c * fc
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-        return Polynomial(ring, terms)
+                terms[key] = terms.get(key, 0) + c * fc
+        return Polynomial(ring, nonzero(terms))
 
     # -- rendering ------------------------------------------------------
 
@@ -399,16 +375,6 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise AlgebraError("rational function powers must be integers")
-        if k < 0:
-            return RationalFunction(self.ring.one) / (self ** (-k))
-        return RationalFunction(self.num ** k, self.den ** k)
-
     def __eq__(self, other):
         if isinstance(other, (RationalFunction, Polynomial, int, Fraction)):
             return rf_equal(self, self._coerce(other))
@@ -426,14 +392,6 @@ class RationalFunction:
             raise SubstitutionError(offender)
         return RationalFunction(num, den)
 
-    def as_polynomial(self):
-        """The numerator, provided the denominator is the constant 1."""
-        if self.den == self.ring.one:
-            return self.num
-        if self.den.is_constant():
-            return self.num * (1 / self.den.constant_value())
-        raise AlgebraError(f"not a polynomial: denominator {self.den}")
-
     def __str__(self):
         if self.den == self.ring.one:
             return str(self.num)
@@ -444,51 +402,6 @@ class RationalFunction:
 
 
 # -- module operations -------------------------------------------------
-
-
-def poly_substitute(p, bindings):
-    """Simultaneous substitution symbol -> rational function.
-
-    Accepts a Polynomial or RationalFunction and returns a
-    RationalFunction; symbols absent from ``bindings`` carry through.
-    """
-    if isinstance(p, RationalFunction):
-        num = poly_substitute(p.num, bindings)
-        den = poly_substitute(p.den, bindings)
-        if den.is_zero():
-            raise SubstitutionError(", ".join(sorted(bindings)))
-        return num / den
-    ring = p.ring
-    rf_bindings = {}
-    poly_only = True
-    for name, val in bindings.items():
-        if name not in ring.index:
-            raise AlgebraError(f"unknown variable '{name}'")
-        rf = RationalFunction.promote(ring, val)
-        rf_bindings[name] = rf
-        if rf.den != ring.one:
-            poly_only = False
-    if poly_only:
-        return RationalFunction(p.substitute({nm: rf.num for nm, rf in rf_bindings.items()}))
-    idx_bindings = {ring.index[nm]: rf for nm, rf in rf_bindings.items()}
-    power_cache = {i: {0: RationalFunction(ring.one)} for i in idx_bindings}
-    result = RationalFunction(ring.zero)
-    for exp, c in p.terms.items():
-        passthrough = list(exp)
-        factor = RationalFunction(ring.const(c))
-        for i, val in idx_bindings.items():
-            e = exp[i]
-            if e == 0:
-                continue
-            passthrough[i] = 0
-            cache = power_cache[i]
-            while e not in cache:
-                cache[len(cache)] = cache[max(cache)] * val
-            factor = factor * cache[e]
-        if any(passthrough):
-            factor = factor * Polynomial(ring, {tuple(passthrough): Fraction(1)})
-        result = result + factor
-    return result
 
 
 def bar_involution(p, d=0):
@@ -509,28 +422,19 @@ def bar_involution(p, d=0):
     for exp, c in p.terms.items():
         b = exp[ia]
         a = exp[ik] if ik is not None else 0
-        base = list(exp)
         sign = -1 if b % 2 else 1
-        if a == 0 or ik is None or d == 0:
-            e = tuple(base)
-            s = terms.get(e, 0) + sign * c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+        if a == 0 or d == 0:
+            terms[exp] = terms.get(exp, 0) + sign * c
             continue
         # expand (kappa - d*alpha)**a
+        base = list(exp)
         for s_exp in range(a + 1):
             coeff = sign * c * math.comb(a, s_exp) * Fraction(-d) ** (a - s_exp)
             base[ik] = s_exp
             base[ia] = b + a - s_exp
             e = tuple(base)
-            t = terms.get(e, 0) + coeff
-            if t:
-                terms[e] = t
-            else:
-                terms.pop(e, None)
-    return Polynomial(ring, terms)
+            terms[e] = terms.get(e, 0) + coeff
+    return Polynomial(ring, nonzero(terms))
 
 
 def alpha_degree(p):

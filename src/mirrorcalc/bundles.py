@@ -39,10 +39,6 @@ class SplittingType:
         return sum(self.convex) + sum(self.concave)
 
     @property
-    def is_trivial(self):
-        return not self.convex and not self.concave
-
-    @property
     def is_critical(self):
         """Obstruction rank equals (n+1)d + n - 3 for every d."""
         return (self.total == self.n + 1

@@ -238,9 +238,18 @@ def _cache_load(path):
 
 
 def _cache_store(path, document):
+    """Write through a temp file in the cache directory and os.replace,
+    so a reader sees the old entry or the whole new one, never a part."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": __version__, "document": document}, fh)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"version": __version__, "document": document}, fh)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------
@@ -249,16 +258,20 @@ def _cache_store(path, document):
 
 def load_config(path):
     """Simple key=value defaults; '#' starts a comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -350,8 +363,11 @@ def _cmd_compute(args, out, err):
         except PipelineError as exc:
             err.write(f"error: {exc}\n")
             return 2
-        if cache_path:  # cache everything
-            _cache_store(cache_path, _result_document(result, bundle_text, EMIT_CHOICES))
+        if cache_path:  # cache everything; a failed store never changes the output
+            try:
+                _cache_store(cache_path, _result_document(result, bundle_text, EMIT_CHOICES))
+            except OSError as exc:
+                err.write(f"warning: result not cached: {exc}\n")
     if fmt == "json":
         out.write(json.dumps(_result_document(result, bundle_text, emit), indent=2) + "\n")
     elif fmt == "csv":

@@ -183,11 +183,6 @@ class EulerDataTable:
                 values[(d, i)] = self.entries[(d, i, 0)]
         return RestrictionSequence(self.n, self.d_max, self.ring, values)
 
-    def map_entries(self, fn):
-        entries = {key: fn(key, val) for key, val in self.entries.items()}
-        omega = {i: fn((0, i, 0), val) for i, val in self.omega_restrictions.items()}
-        return EulerDataTable(self.n, self.d_max, self.ring, entries, omega)
-
 
 class RestrictionSequence:
     """A sequence B_d given only through its n+1 fixed-point restrictions.
@@ -405,49 +400,6 @@ def check_degree_bound(table_a, table_b=None):
             report.results.append(CheckResult(
                 d, i, 0, status, witness=f"deg={deg} bound={bound}"))
     return report
-
-
-# ---------------------------------------------------------------------
-# the monoid structure
-
-
-def combine(kind, table_a, table_b=None):
-    """Entrywise monoid operations on tables.
-
-    kind: "product" or "quotient" (table_b a table), "scale" (table_b a
-    scalar or rational function), "alternate" (no table_b); the classes
-    combine accordingly.
-    """
-    if kind in ("product", "quotient"):
-        if not isinstance(table_b, EulerDataTable):
-            raise EulerDataError(f"{kind} needs a second table")
-        if table_a.n != table_b.n or table_a.d_max != table_b.d_max:
-            raise EulerDataError("tables are not compatible")
-        entries = {}
-        for key, val in table_a.entries.items():
-            other = table_b.entries[key]
-            if kind == "product":
-                entries[key] = val * other
-            else:
-                if other.is_zero():
-                    raise EulerDataError(f"quotient by zero entry at {key}")
-                entries[key] = val / other
-        omega = {}
-        for i, val in table_a.omega_restrictions.items():
-            if kind == "product":
-                omega[i] = val * table_b.omega_restrictions[i]
-            else:
-                omega[i] = val / table_b.omega_restrictions[i]
-        return EulerDataTable(table_a.n, table_a.d_max, table_a.ring, entries, omega)
-    if kind == "scale":
-        factor = RationalFunction.promote(table_a.ring, table_b)
-        if factor.is_zero():
-            raise EulerDataError("scale factor must be nonzero")
-        return table_a.map_entries(lambda key, val: val * factor)
-    if kind == "alternate":
-        return table_a.map_entries(
-            lambda key, val: val if key[0] % 2 else -val)
-    raise EulerDataError(f"unknown combination kind '{kind}'")
 
 
 # ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import NEG_INF
+from .algebra import NEG_INF, nonzero
 from .bundles import SplittingType, omega_class
 from .cohomseries import (CohomSeries, homogeneity_violations, integrate_pn,
                           scale_by)
@@ -67,20 +67,10 @@ def _block_mul_linear(block, n, h_coeff, a_coeff):
     out = {}
     for (i, k), c in block.items():
         if h_coeff and i + 1 <= n:
-            key = (i + 1, k)
-            s = out.get(key, 0) + h_coeff * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            out[(i + 1, k)] = out.get((i + 1, k), 0) + h_coeff * c
         if a_coeff:
-            key = (i, k + 1)
-            s = out.get(key, 0) + a_coeff * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
+            out[(i, k + 1)] = out.get((i, k + 1), 0) + a_coeff * c
+    return nonzero(out)
 
 
 def _block_div_unit(block, n, m):
@@ -94,12 +84,8 @@ def _block_div_unit(block, n, m):
             if i1 + i2 > n:
                 continue
             key = (i1 + i2, k1 + k2)
-            s = out.get(key, 0) + c1 * c2
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + c1 * c2
+    return nonzero(out)
 
 
 def sigma_block(st, d):
@@ -220,22 +206,14 @@ def _normalized_block(sigma, omega, a_table, n, D):
                 if ia + i2 > n:
                     continue
                 key = (ia + i2, k2 - ia)
-                v = block.get(key, 0) + a * c2
-                if v:
-                    block[key] = v
-                else:
-                    del block[key]
+                block[key] = block.get(key, 0) + a * c2
     row = a_table[D]
     for ia, a in enumerate(row):
         if a == 0 or ia + h > n:
             continue
         key = (ia + h, -ia)
-        v = block.get(key, 0) + a * c
-        if v:
-            block[key] = v
-        else:
-            del block[key]
-    return block
+        block[key] = block.get(key, 0) + a * c
+    return nonzero(block)
 
 
 def compute_normalization(series, st):

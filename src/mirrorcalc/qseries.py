@@ -60,12 +60,6 @@ class ScalarQSeries:
             return self.coeffs[d]
         raise IndexError(f"coefficient {d} beyond truncation order {self.order}")
 
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     def _coerce(self, other):
         if isinstance(other, ScalarQSeries):
             if other.order != self.order:
@@ -113,19 +107,6 @@ class ScalarQSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _frac(other))
-        return self * self._coerce(other).inverse()
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise SeriesError("series powers must be nonnegative integers")
-        result = ScalarQSeries.one(self.order)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def truncate(self, order):
         return ScalarQSeries(order, self.coeffs[: order + 1])
 
@@ -159,18 +140,6 @@ class ScalarQSeries:
             for j in range(1, d + 1):
                 if self.coeffs[j]:
                     s += j * self.coeffs[j] * out[d - j]
-            out[d] = s / d
-        return ScalarQSeries(self.order, out)
-
-    def log(self):
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise SeriesError("log requires constant term 1")
-        out = [Fraction(0)] * (self.order + 1)
-        for d in range(1, self.order + 1):
-            s = d * self.coeffs[d]
-            for j in range(1, d):
-                s -= j * out[j] * self.coeffs[d - j]
             out[d] = s / d
         return ScalarQSeries(self.order, out)
 
@@ -237,7 +206,8 @@ class TSeries:
 
     Terms map (d, j) -> coefficient of t^j q^d.  These house objects like
     the solution basis of the hypergeometric equation, where q = e^t and
-    t also appears polynomially.
+    t also appears polynomially.  The constructor drops zero
+    coefficients, so the arithmetic below only accumulates.
     """
 
     __slots__ = ("order", "terms")
@@ -251,10 +221,6 @@ class TSeries:
                 if c and d <= order:
                     clean[(d, j)] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, order):
-        return cls(order)
 
     @classmethod
     def from_scalar(cls, s):
@@ -287,11 +253,7 @@ class TSeries:
         other = self._coerce(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, 0) + c
         return TSeries(self.order, terms)
 
     __radd__ = __add__
@@ -308,8 +270,6 @@ class TSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
-            if c == 0:
-                return TSeries.zero(self.order)
             return TSeries(self.order, {k: v * c for k, v in self.terms.items()})
         other = self._coerce(other)
         terms = {}
@@ -318,11 +278,7 @@ class TSeries:
                 if d1 + d2 > self.order:
                     continue
                 key = (d1 + d2, j1 + j2)
-                s = terms.get(key, 0) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
+                terms[key] = terms.get(key, 0) + c1 * c2
         return TSeries(self.order, terms)
 
     __rmul__ = __mul__
@@ -352,19 +308,9 @@ class TSeries:
         terms = {}
         for (d, j), c in self.terms.items():
             if d:
-                key = (d, j)
-                s = terms.get(key, 0) + d * c
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
+                terms[(d, j)] = terms.get((d, j), 0) + d * c
             if j:
-                key = (d, j - 1)
-                s = terms.get(key, 0) + j * c
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
+                terms[(d, j - 1)] = terms.get((d, j - 1), 0) + j * c
         return TSeries(self.order, terms)
 
     def mul_q(self):

@@ -8,37 +8,12 @@ import pytest
 
 from mirrorcalc.algebra import (NEG_INF, Polynomial, RationalFunction,
                                 SubstitutionError, alpha_degree, bar_involution,
-                                poly_substitute, rf_equal, weight_ring)
+                                rf_equal, weight_ring)
 
 R = weight_ring(2)
 LAM0, LAM1, LAM2 = (R.var(f"lam{i}") for i in range(3))
 ALPHA = R.var("alpha")
 KAPPA = R.var("kappa")
-
-
-def test_substitute_identity():
-    out = poly_substitute(KAPPA, {"kappa": RationalFunction(LAM0 + 2 * ALPHA)})
-    assert out == RationalFunction(LAM0 + 2 * ALPHA)
-
-
-def test_substitute_expands():
-    # kappa(kappa - alpha) at kappa = lam0 + alpha, expanded by hand:
-    # (lam0 + alpha) * lam0 = lam0^2 + lam0*alpha
-    p = KAPPA * (KAPPA - ALPHA)
-    out = poly_substitute(p, {"kappa": RationalFunction(LAM0 + ALPHA)})
-    assert out == RationalFunction(LAM0 * LAM0 + LAM0 * ALPHA)
-
-
-def test_substitute_root():
-    p = LAM0 - LAM1 - 2 * ALPHA
-    out = poly_substitute(p, {"alpha": RationalFunction((LAM0 - LAM1) * Fraction(1, 2))})
-    assert out.is_zero()
-
-
-def test_substitute_rational_binding():
-    p = KAPPA ** 2
-    out = poly_substitute(p, {"kappa": RationalFunction(LAM0, ALPHA)})
-    assert out == RationalFunction(LAM0 * LAM0, ALPHA * ALPHA)
 
 
 def test_substitute_denominator_collapse_names_symbol():

@@ -229,6 +229,26 @@ def test_compute_cache_hit_prints_requested_spelling(tmp_path):
     assert json.loads(out)["bundle"] == "O(2)+O(-2)"
 
 
+def test_compute_cache_store_failure_keeps_output(tmp_path, monkeypatch):
+    argv = ["compute", "--preset", "multicover", "--order", "3"]
+    _, uncached, _ = run(argv)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(argv + ["--cache", str(blocker / "cache")])
+    assert code == 0 and out == uncached
+    assert err.count("warning:") == 1
+    # the entry goes through a temp file; a failed rename leaves neither
+    cache = tmp_path / "cache"
+
+    def refuse(src, dst):
+        raise PermissionError("rename refused")
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(argv + ["--cache", str(cache)])
+    assert code == 0 and out == uncached
+    assert "warning: result not cached: rename refused" in err
+    assert os.listdir(cache) == []
+
+
 def test_compute_cache_env_var(tmp_path):
     cache = str(tmp_path / "envcache")
     code, _, _ = run(["compute", "--preset", "multicover", "--order", "2"],
@@ -264,6 +284,16 @@ def test_config_file_syntax_error(tmp_path):
     cfg.write_text("this is not a key value pair\n")
     code, _, err = run(["compute", "--preset", "multicover", "--config", str(cfg)])
     assert code == 2 and "key=value" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--preset", "multicover"],
+    ["verify", "gluing", "--n", "2", "--bundle", "O(-3)"],
+], ids=["compute", "verify"])
+def test_missing_config_exits_2(tmp_path, argv):
+    code, out, err = run(argv + ["--config", str(tmp_path / "missing.conf")])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read config") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Euler data: the hypergeometric construction, the gluing and
-reciprocity identities, the monoid operations, linking, degree bounds,
-the Lagrange map, and the mirror-group action on restriction sequences."""
+reciprocity identities, linking, degree bounds, the Lagrange map, and
+the mirror-group action on restriction sequences."""
 
 from fractions import Fraction
 
@@ -11,7 +11,7 @@ from mirrorcalc.bundles import OmegaClass, SplittingType, omega_class
 from mirrorcalc.eulerdata import (EulerDataError, EulerDataTable,
                                   build_hypergeom_data, check_degree_bound,
                                   check_gluing, check_linked, check_reciprocity,
-                                  combine, endpoint_weights_data, lagrange_map,
+                                  endpoint_weights_data, lagrange_map,
                                   mirror_transform, restrict, to_table)
 from mirrorcalc.pipeline import build_hypergeom_series, compute_normalization
 
@@ -223,56 +223,6 @@ def test_gluing_with_x_extension():
     assert report.all_pass
     report = check_gluing(to_table(build_hypergeom_data(LINE_P1, with_x=True), 2))
     assert report.all_pass
-
-
-# ---------------------------------------------------------------------
-# monoid operations
-
-
-def test_combine_scale_identity():
-    tbl = to_table(build_hypergeom_data(MULTICOVER), 2)
-    assert tables_equal(combine("scale", tbl, Fraction(1)), tbl)
-
-
-def test_combine_alternate_twice():
-    tbl = to_table(build_hypergeom_data(LOCAL_P2), 2)
-    assert tables_equal(combine("alternate", combine("alternate", tbl)), tbl)
-
-
-def test_combine_scale_and_alternate_stay_euler():
-    tbl = to_table(build_hypergeom_data(LOCAL_P2), 2)
-    assert check_gluing(combine("scale", tbl, Fraction(7, 3))).all_pass
-    assert check_gluing(combine("alternate", tbl)).all_pass
-
-
-def test_example8_square_reproduces_multicover():
-    # the quotient of the O(1) data by kappa(kappa - d alpha) squares to
-    # the multiple-cover data
-    line = to_table(build_hypergeom_data(LINE_P1), 3)
-    endpoint = to_table(endpoint_weights_data(1), 3)
-    ratio = combine("quotient", line, endpoint)
-    squared = combine("product", ratio, ratio)
-    assert tables_equal(squared, to_table(build_hypergeom_data(MULTICOVER), 3))
-    assert check_gluing(ratio).all_pass
-
-
-def test_product_of_euler_data_is_euler():
-    for n in (1, 2):
-        a = to_table(build_hypergeom_data(SplittingType(n, (1,), ())), 3)
-        b = to_table(endpoint_weights_data(n), 3)
-        assert check_gluing(a).all_pass and check_gluing(b).all_pass
-        assert check_gluing(combine("product", a, b)).all_pass
-
-
-def test_quotient_by_zero_entry_names_indices():
-    line = to_table(build_hypergeom_data(LINE_P1), 2)
-    seq0 = line.restriction_sequence()
-    values = {key: (val if key[0] == 0 else RationalFunction(seq0.ring.zero))
-              for key, val in seq0.values.items()}
-    zero_table = lagrange_map(type(seq0)(seq0.n, seq0.d_max, seq0.ring, values))
-    with pytest.raises(EulerDataError) as exc:
-        combine("quotient", line, zero_table)
-    assert "(1, 0, 0)" in str(exc.value)
 
 
 # ---------------------------------------------------------------------

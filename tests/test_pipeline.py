@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorcalc.bundles import SplittingType, omega_class
+import mirrorcalc
+from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType, omega_class
 from mirrorcalc.cohomseries import homogeneity_violations
 from mirrorcalc.pipeline import (PipelineCase, PipelineError,
                                  build_hypergeom_series,
@@ -83,6 +84,28 @@ def test_frobenius_basis_quintic():
     assert f1.t_coefficient(0) == g1
     assert f1.t_coefficient(1) == closed
     assert f3.t_degree() == 3
+
+
+def _picard_fuchs(st, f):
+    """theta^(n+1) f - q prod_a prod_{m=1..l_a} (l_a theta + m) f, with
+    theta the total t-derivative (q = e^t)."""
+    lhs = f
+    for _ in range(st.n + 1):
+        lhs = lhs.ddt()
+    rhs = f
+    for l in st.convex:
+        for m in range(1, l + 1):
+            rhs = rhs.ddt() * l + rhs * m
+    return lhs - rhs.mul_q()
+
+
+@pytest.mark.parametrize("st", [st for st in CRITICAL_BUNDLES
+                                if classify(st) is PipelineCase.CASE1], ids=str)
+def test_picard_fuchs_annihilates_basis(st):
+    basis = run_pipeline(st, 6).f_basis
+    assert len(basis) == 4 and basis[3].t_degree() == 3
+    for f in basis:
+        assert _picard_fuchs(st, f).truncate(5).is_zero()
 
 
 def test_frobenius_rejects_concave():
@@ -207,7 +230,7 @@ def test_series_blocks_match_symbolic_restrictions():
         blocks = build_hypergeom_series(st, order).blocks()
         for d in range(1, order + 1):
             expected = {}
-            for exp, coeff in restrict(data, d, 0, 0).as_polynomial().terms.items():
+            for exp, coeff in restrict(data, d, 0, 0).num.terms.items():
                 i, k = exp[lam_idx], exp[alpha_idx]
                 if i <= n:
                     expected[(i, k)] = coeff
@@ -261,3 +284,8 @@ def test_run_pipeline_quintic_checks():
     assert all(res.checks.values())
     assert res.checks["dual_route_agreement"]
     assert [v for _, v, _ in res.instanton[:3]] == [2875, 609250, 317206375]
+
+
+def test_public_names_resolve():
+    missing = [name for name in mirrorcalc.__all__ if not hasattr(mirrorcalc, name)]
+    assert missing == []
