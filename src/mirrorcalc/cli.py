@@ -29,6 +29,10 @@ from .qseries import ScalarQSeries, TSeries
 
 EMIT_CHOICES = ("kd", "nd", "mirror-map", "f-series", "checks")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
+# largest |degree| of a bundle summand; a summand O(l) costs about l*d
+# linear factors per degree d, and verify gluing --n 1 --bundle "O(64)"
+# takes 0.4 s at --dmax 1 and 14 s at the default --dmax 4
+MAX_BUNDLE_DEGREE = 64
 
 # preset name -> (n, bundle text, default order)
 PRESETS = {
@@ -312,6 +316,20 @@ def _build_parser():
     return parser
 
 
+def _read_bundle(text, n, err):
+    """The parsed spec, or None after one error line on err."""
+    try:
+        spec = parse_bundle(text, n)
+    except (BundleParseError, ValueError) as exc:
+        err.write(f"parse error: {exc}\n")
+        return None
+    st = spec.splitting
+    if max(st.convex + st.concave, default=0) > MAX_BUNDLE_DEGREE:
+        err.write(f"error: bundle degrees are limited to |a| <= {MAX_BUNDLE_DEGREE}\n")
+        return None
+    return spec
+
+
 def _cmd_compute(args, out, err):
     config = {}
     if args.config:
@@ -340,16 +358,18 @@ def _cmd_compute(args, out, err):
         if tok not in EMIT_CHOICES:
             err.write(f"error: unknown emit item '{tok}'\n")
             return 2
+    if fmt == "csv" and "f-series" in emit:
+        err.write("error: csv carries the per-degree columns only; "
+                  "use --format text or json for f-series\n")
+        return 2
     decimal = args.decimal if args.decimal is not None else (
         int(config["decimal"]) if "decimal" in config else None)
     if decimal is not None and decimal < 0:
         err.write("error: --decimal must be >= 0\n")
         return 2
 
-    try:
-        spec = parse_bundle(bundle_text, n)
-    except (BundleParseError, ValueError) as exc:
-        err.write(f"parse error: {exc}\n")
+    spec = _read_bundle(bundle_text, n, err)
+    if spec is None:
         return 2
 
     cache_dir = args.cache or config.get("cache") or os.environ.get("MIRRORCALC_CACHE")
@@ -385,7 +405,8 @@ def _result_from_document(document, st):
     Returns None, a cache miss, unless the document is exactly what
     ``_result_document`` writes for the rebuilt result: the order is the
     length of K, the case and n_d are derived again, and the rebuilt
-    document must serialize to the same JSON text.
+    document must serialize to the same JSON text.  The document does
+    not carry F0, so the rebuilt result has scaling None.
     """
     def parse_frac(text):
         num, _, den = text.partition("/")
@@ -405,7 +426,7 @@ def _result_from_document(document, st):
                     terms[(int(d), int(j))] = parse_frac(val)
                 f_basis.append(TSeries(order, terms))
         result = PipelineResult(st, order, classify(st), K, invert_multicover(K),
-                                shift, ScalarQSeries.one(order), f_basis,
+                                shift, None, f_basis,
                                 dict(document["checks"]))
         rebuilt = _result_document(result, document["bundle"], EMIT_CHOICES)
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
@@ -419,10 +440,8 @@ def _cmd_verify(args, out, err):
     if d_max < 1:
         err.write("error: --dmax must be >= 1\n")
         return 2
-    try:
-        spec = parse_bundle(args.bundle, args.n)
-    except (BundleParseError, ValueError) as exc:
-        err.write(f"parse error: {exc}\n")
+    spec = _read_bundle(args.bundle, args.n, err)
+    if spec is None:
         return 2
     st = spec.splitting
     data = build_hypergeom_data(st, with_x=args.with_x)

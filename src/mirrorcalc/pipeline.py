@@ -2,12 +2,14 @@
 numbers n_d from a concavex splitting type.
 
 The route: build the hypergeometric cohomology series in the
-nonequivariant limit, classify the bundle, normalize it into canonical
-form (a scalar rescaling F0 and a coordinate shift t -> t + g solved
-order by order), integrate over P^n, and read the K_d off the t-linear
-block of the resulting alpha^-3 series, with the t-constant block as an
-exact consistency assertion.  K_d then invert to n_d through the cubic
-multiple-cover relation.
+nonequivariant limit, one dense vector sigma_d in x = H/alpha per q^d,
+each from the previous one; classify the bundle; normalize it into
+canonical form with a scalar rescaling F0 = c/(c + S_h) and a coordinate
+shift t -> t + g, g = -S_(h+1)/(c + S_h), both in closed form from the
+columns S_i = sum_d sigma_d[i] q^d; integrate over P^n; and read the K_d
+off the t-linear block of the resulting alpha^-3 series, with the
+t-constant block as an exact consistency assertion.  K_d then invert to
+n_d through the cubic multiple-cover relation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import NEG_INF, nonzero
+from .algebra import NEG_INF
 from .bundles import SplittingType, omega_class
 from .cohomseries import (CohomSeries, homogeneity_violations, integrate_pn,
                           scale_by)
@@ -62,58 +64,48 @@ def classify(st):
 # series construction
 
 
-def _block_mul_linear(block, n, h_coeff, a_coeff):
-    """Multiply an (i, k) -> coeff block by (h_coeff*H + a_coeff*alpha)."""
-    out = {}
-    for (i, k), c in block.items():
-        if h_coeff and i + 1 <= n:
-            out[(i + 1, k)] = out.get((i + 1, k), 0) + h_coeff * c
-        if a_coeff:
-            out[(i, k + 1)] = out.get((i, k + 1), 0) + a_coeff * c
-    return nonzero(out)
+def _sigma_factors(st, d):
+    """The linear factors a*x + b of sigma_d that sigma_(d-1) lacks:
+    sigma_d has l*x - m for m = 0..l*d per convex l and -k*x + m for
+    m = 1..k*d-1 per concave k, over (x - m)^(n+1) for m = 1..d."""
+    return ([(l, -m) for l in st.convex for m in range(l * (d - 1) + (d > 1), l * d + 1)]
+            + [(-k, m) for k in st.concave for m in range(max(1, k * (d - 1)), k * d)])
 
 
-def _block_div_unit(block, n, m):
-    """Divide a block by (H - m*alpha), m >= 1, exactly mod H^(n+1)."""
-    inv = {}
-    for s in range(n + 1):
-        inv[(s, -s - 1)] = -Fraction(1, m) ** (s + 1)
-    out = {}
-    for (i1, k1), c1 in block.items():
-        for (i2, k2), c2 in inv.items():
-            if i1 + i2 > n:
-                continue
-            key = (i1 + i2, k1 + k2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return nonzero(out)
+def _times_linear(v, a, b):
+    """The x-vector v times (a*x + b), truncated at x^n."""
+    return [b * v[0]] + [b * v[i] + a * v[i - 1] for i in range(1, len(v))]
 
 
-def sigma_block(st, d):
-    """The t-free q^d block: the degree-zero restriction of the
-    hypergeometric data over prod_{m=1..d}(H - m*alpha)^(n+1)."""
-    n = st.n
-    block = {(0, 0): Fraction(1)}
-    for l in st.convex:
-        for m in range(l * d + 1):
-            block = _block_mul_linear(block, n, Fraction(l), Fraction(-m))
-    for k in st.concave:
-        for m in range(1, k * d):
-            block = _block_mul_linear(block, n, Fraction(-k), Fraction(m))
-    for m in range(1, d + 1):
-        for _ in range(n + 1):
-            block = _block_div_unit(block, n, m)
-    return block
+def _divide_linear(v, m):
+    """v / (x - m), m >= 1, exactly mod x^(n+1): w[i] = (w[i-1] - v[i]) / m."""
+    out, prev = [], Fraction(0)
+    for c in v:
+        prev = (prev - c) / m
+        out.append(prev)
+    return out
 
 
 def build_hypergeom_series(st, order):
     """The cohomology-valued series e^(-Ht/alpha) * (Omega + sum of
-    q^d Sigma_d) in the nonequivariant limit: the Sigma_d blocks are
-    stored once, Omega as a tagged closed form."""
+    q^d Sigma_d) in the nonequivariant limit.  Each sigma_d is sigma_(d-1)
+    times its new factors over (x - d)^(n+1); every factor carries one
+    alpha, so the recorded alpha-degree is the factor count."""
     if order < 1:
         raise PipelineError("order must be >= 1")
-    cells = {(d, i, k): c for d in range(1, order + 1)
-             for (i, k), c in sigma_block(st, d).items()}
-    return CohomSeries(st.n, order, cells, omega=omega_class(st))
+    n, om = st.n, omega_class(st)
+    sigma, degree = [Fraction(1)] + [Fraction(0)] * n, 0
+    cells, degrees = [[Fraction(0)] * (n + 1)], [om.h_exponent]
+    for d in range(1, order + 1):
+        factors = _sigma_factors(st, d)
+        for a, b in factors:
+            sigma = _times_linear(sigma, a, b)
+        for _ in range(n + 1):
+            sigma = _divide_linear(sigma, d)
+        degree += len(factors) - (n + 1)
+        cells.append(sigma)
+        degrees.append(degree)
+    return CohomSeries(n, order, cells, degrees, omega=om)
 
 
 # ---------------------------------------------------------------------
@@ -141,9 +133,10 @@ def g1_closed_form(st, order):
 
 
 def frobenius_basis(series, st):
-    """Read the solution basis f_0..f_3 off the series coefficients of
-    H^(h+i) alpha^(-i), and cross-check f_0 and f_1 = f_0*t + g_1
-    against their closed forms."""
+    """Read the solution basis off the series: f_i is the alpha^(-i) part
+    of the H^(h+i) coefficient, (-1)^i/c * sum_j (-t)^j/j! S_(h+i-j)
+    + t^i/i!, and f_0 and f_1 = f_0*t + g_1 are cross-checked against
+    their closed forms."""
     if classify(st) is not PipelineCase.CASE1 or not st.is_critical:
         raise PipelineError("Frobenius basis applies to critical convex types only")
     om = omega_class(st)
@@ -151,13 +144,12 @@ def frobenius_basis(series, st):
     order = series.order
     basis = []
     for i in range(4):
-        terms = {}
-        sign = Fraction((-1) ** i) / c
-        for (d, j, k), v in series.h_coefficient(h + i).items():
-            if k == -i:
-                terms[(d, j)] = sign * v
         # the d = 0 part comes from the tagged omega summand
-        terms[(0, i)] = terms.get((0, i), 0) + Fraction(1, math.factorial(i))
+        terms = {(0, i): Fraction(1, math.factorial(i))}
+        for j in range(h + i + 1):
+            w = Fraction((-1) ** (i + j), math.factorial(j)) / c
+            for d in range(1, order + 1):
+                terms[(d, j)] = w * series.cells[d][h + i - j]
         basis.append(TSeries(order, terms))
     f0 = basis[0]
     if f0.t_degree() > 0:
@@ -175,91 +167,54 @@ def frobenius_basis(series, st):
 # normalization
 
 
-def _coefficient_table(f0_coeffs, g_coeffs, order, i_max):
-    """a[s][i] = coefficient of q^s in F0 * g^i / i!."""
-    f0 = ScalarQSeries(order, f0_coeffs)
-    g = ScalarQSeries(order, g_coeffs)
-    table = []
-    current = f0
-    for i in range(i_max + 1):
-        table.append(current * Fraction(1, math.factorial(i)) if i else f0)
-        current = current * g
-    return [[table[i].coeffs[s] for i in range(i_max + 1)] for s in range(order + 1)]
-
-
-def _normalized_block(sigma, omega, a_table, n, D):
-    """q^D block of F0 * e^(Hg/alpha) * Sigma - Omega as (i, k) -> coeff.
-
-    H-exponents may be negative through the omega part; those cells must
-    end up with alpha-degree <= -2 like all others (in practice they
-    vanish).
-    """
-    c, h = omega.scalar, omega.h_exponent
-    block = {}
-    for s in range(D):
-        sig = sigma[D - s]
-        row = a_table[s]
-        for ia, a in enumerate(row):
-            if a == 0:
-                continue
-            for (i2, k2), c2 in sig.items():
-                if ia + i2 > n:
-                    continue
-                key = (ia + i2, k2 - ia)
-                block[key] = block.get(key, 0) + a * c2
-    row = a_table[D]
-    for ia, a in enumerate(row):
-        if a == 0 or ia + h > n:
-            continue
-        key = (ia + h, -ia)
-        block[key] = block.get(key, 0) + a * c
-    return nonzero(block)
-
-
 def compute_normalization(series, st):
-    """Solve for the scalar rescaling F0 and the shift g that put the
-    series into canonical form: every q^d block of
-    F0 * e^(Hg/alpha) * Sigma - Omega must have alpha-degree <= -2.
+    """The scalar rescaling F0 and the shift g that put the series into
+    canonical form: every q^d block of F0 * e^(Hg/alpha) * (Omega + Sigma)
+    - Omega must have alpha-degree <= -2.
 
-    F0 adjusts the H^h cell (alpha-degree 0) and g the H^(h+1) cell
-    (alpha-degree -1); any other cell of alpha-degree >= -1 that fails
-    to vanish means there is no solution at that order.
+    With x = H/alpha that block is alpha^h times the x-series
+    F0 * e^(xg) * (c x^h + S(x)) - c x^h, and its x^h and x^(h+1)
+    coefficients (alpha-degrees 0 and -1) vanish exactly when
+    F0 = c / (c + S_h) and g = -S_(h+1) / (c + S_h).  For CASE1 this is
+    F0 = 1/f_0 and g = g_1/f_0.  canonical_alpha_degrees checks the rest.
     """
     if not st.is_critical:
         raise PipelineError("normalization requires a critical splitting type")
-    order = series.order
     om = series.omega or omega_class(st)
     c, h = om.scalar, om.h_exponent
-    sigma = series.blocks()
-    i_max = max(st.n, st.n - h)
-    f0_coeffs = [Fraction(1)] + [Fraction(0)] * order
-    g_coeffs = [Fraction(0)] * (order + 1)
-    # IDENTITY types are already canonical; the solve returns (1, 0) for them.
-    for D in range(1, order + 1):
-        a_table = _coefficient_table(f0_coeffs, g_coeffs, order, i_max)
-        block = _normalized_block(sigma, om, a_table, st.n, D)
-        f0_coeffs[D] = -block.pop((h, 0), Fraction(0)) / c
-        g_coeffs[D] = -block.pop((h + 1, -1), Fraction(0)) / c
-        stray = [(cell, v) for cell, v in block.items() if cell[1] >= -1]
-        if stray:
-            raise PipelineError(
-                f"no canonical form at order {D}: residual cells {sorted(stray)}")
-    return ScalarQSeries(order, f0_coeffs), ScalarQSeries(order, g_coeffs)
+    inv = (series.column(h) + c).inverse()
+    return inv * c, -(series.column(h + 1) * inv)
+
+
+def _normalized_columns(series, om, scaling, shift):
+    """{i: q-series}: the x^i coefficients of
+    F0 * e^(xg) * (c x^h + S(x)) - c x^h for min(h, 0) <= i <= n, where
+    the cell x^i sits at alpha-degree h - i (delta_d = h when critical)."""
+    c, h, n = om.scalar, om.h_exponent, series.n
+    lo = min(h, 0)
+    target = {i: series.column(i) * scaling for i in range(n + 1)}
+    target[h] = target.get(h, ScalarQSeries.zero(series.order)) + scaling * c
+    powers = [ScalarQSeries.one(series.order)]  # g^j / j!
+    for j in range(1, n - lo + 1):
+        powers.append(powers[-1] * shift * Fraction(1, j))
+    out = {}
+    for i in range(lo, n + 1):
+        acc = ScalarQSeries.zero(series.order) - (c if i == h else 0)
+        for j in range(i - lo + 1):
+            if i - j in target:
+                acc = acc + powers[j] * target[i - j]
+        out[i] = acc
+    return out
 
 
 def canonical_alpha_degrees(series, st, scaling, shift):
     """Max alpha-degree of each normalized q^d block (NEG_INF for empty);
     canonical form means every value is <= -2."""
-    order = series.order
     om = series.omega or omega_class(st)
-    sigma = series.blocks()
-    i_max = max(st.n, st.n - om.h_exponent)
-    a_table = _coefficient_table(list(scaling.coeffs), list(shift.coeffs), order, i_max)
-    degrees = {}
-    for d in range(1, order + 1):
-        block = _normalized_block(sigma, om, a_table, st.n, d)
-        degrees[d] = max((k for (_, k) in block), default=NEG_INF)
-    return degrees
+    columns = _normalized_columns(series, om, scaling, shift)
+    return {d: max((om.h_exponent - i for i, s in columns.items() if s.coeffs[d]),
+                   default=NEG_INF)
+            for d in range(1, series.order + 1)}
 
 
 # ---------------------------------------------------------------------
@@ -295,11 +250,10 @@ def extract_euler_numbers(series, st, scaling, shift):
     checks = {}
 
     integrated = integrate_pn(scale_by(series.without_omega(), scaling))
-    powers = integrated.alpha_powers()
-    if any(k != -3 for k in powers):
-        raise PipelineError(f"integral is not a pure alpha^-3 series: powers {powers}")
+    if list(integrated) != [-3]:
+        raise PipelineError(f"integral is not a pure alpha^-3 series: powers {sorted(integrated)}")
     checks["alpha_purity"] = True
-    psi = integrated.alpha_coefficient(-3)
+    psi = integrated[-3]
 
     # closed-form part: alpha^3 * integral of F0 e^(-Ht/a)Omega - e^(-H(t+g)/a)Omega
     t_cubed = TSeries.t_monomial(order, 3)
@@ -372,7 +326,7 @@ class PipelineResult:
     K: list
     instanton: list  # (d, value, is_integral)
     mirror_shift: ScalarQSeries
-    scaling: ScalarQSeries
+    scaling: ScalarQSeries | None  # None on a result rebuilt from the cache
     f_basis: list | None
     checks: dict
 

@@ -10,8 +10,9 @@ import pytest
 
 from mirrorcalc import __version__
 from mirrorcalc.bundles import SplittingType
-from mirrorcalc.cli import (BundleParseError, exact_decimal, parse_bundle,
-                            run_command)
+from mirrorcalc import cli
+from mirrorcalc.cli import (MAX_BUNDLE_DEGREE, BundleParseError, exact_decimal,
+                            parse_bundle, run_command)
 
 
 def run(argv, env=None):
@@ -143,6 +144,37 @@ def test_compute_f_series_emission():
     assert doc["f_series"][0]["1,0"] == "120/1"
 
 
+def test_compute_csv_rejects_f_series():
+    code, out, err = run(["compute", "--n", "4", "--bundle", "O(5)", "--order", "2",
+                          "--emit", "f-series", "--format", "csv"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "f-series" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "gluing", "--n", "1", "--bundle", "O(99999999999)", "--dmax", "1"],
+    ["verify", "reciprocity", "--n", "2", "--bundle", f"O(1)+O(-{MAX_BUNDLE_DEGREE + 1})"],
+    ["compute", "--n", "4", "--bundle", "O(99999999999)"],
+])
+def test_bundle_degree_cap(argv, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build started")
+    monkeypatch.setattr(cli, "build_hypergeom_data", refuse)
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: bundle degrees are limited to |a| <= {MAX_BUNDLE_DEGREE}\n"
+
+
+def test_bundle_degree_cap_admits_presets():
+    for n, bundle, _ in cli.PRESETS.values():
+        st = parse_bundle(bundle, n).splitting
+        assert max(st.convex + st.concave) <= MAX_BUNDLE_DEGREE
+    code, _, _ = run(["verify", "degree-bound", "--n", "1",
+                      "--bundle", f"O({MAX_BUNDLE_DEGREE})", "--dmax", "1"])
+    assert code in (0, 1)
+
+
 def test_compute_usage_errors():
     code, _, err = run(["compute", "--bundle", "O(5)"])
     assert code == 2 and "need --preset" in err
@@ -247,6 +279,24 @@ def test_compute_cache_store_failure_keeps_output(tmp_path, monkeypatch):
     assert code == 0 and out == uncached
     assert "warning: result not cached: rename refused" in err
     assert os.listdir(cache) == []
+
+
+def test_compute_cache_hit_carries_no_scaling(tmp_path, monkeypatch):
+    # the document holds no F0, so a rebuilt result must not invent one
+    rebuilt = []
+    original = cli._result_from_document
+
+    def spy(document, st):
+        result = original(document, st)
+        rebuilt.append(result)
+        return result
+    monkeypatch.setattr(cli, "_result_from_document", spy)
+    argv = ["compute", "--preset", "quintic", "--order", "3", "--cache", str(tmp_path)]
+    _, uncached, _ = run(argv)
+    code, out, _ = run(argv)
+    assert code == 0 and out == uncached
+    assert rebuilt[-1] is not None and rebuilt[-1].order == 3
+    assert rebuilt[-1].scaling is None
 
 
 def test_compute_cache_env_var(tmp_path):

@@ -1,7 +1,8 @@
-"""The hypergeometric series: Sigma cells with e^(-Ht/alpha) applied in
-closed form, scaling, integration over P^n, homogeneity, the e^(dg)
-factors of a t-shift, and the block arithmetic that builds each Sigma_d
-(products truncated by H-nilpotency, exact division by H - m*alpha)."""
+"""The hypergeometric series: dense Sigma vectors in x = H/alpha with
+e^(-Ht/alpha) applied in closed form, scaling, integration over P^n,
+homogeneity, the e^(dg) factors of a t-shift, and the vector arithmetic
+that builds each sigma_d (products truncated by H-nilpotency, exact
+division by x - m)."""
 
 from fractions import Fraction
 
@@ -10,50 +11,57 @@ import pytest
 from mirrorcalc.bundles import OmegaClass, SplittingType
 from mirrorcalc.cohomseries import (CohomSeries, homogeneity_violations,
                                     integrate_pn, scale_by)
-from mirrorcalc.pipeline import _block_div_unit, _block_mul_linear
-from mirrorcalc.qseries import ScalarQSeries, SeriesError, exp_multiples
+from mirrorcalc.pipeline import _divide_linear, _times_linear
+from mirrorcalc.qseries import ScalarQSeries, SeriesError, TSeries, exp_multiples
 
-ONE = {(0, 0): Fraction(1)}
+
+def one(n):
+    return [Fraction(1)] + [Fraction(0)] * n
+
+
+def series(n, order, blocks, degree, omega=None):
+    """A CohomSeries with the given {d: x-vector} blocks, all of one
+    alpha-degree."""
+    cells = [blocks.get(d, [0] * (n + 1)) for d in range(order + 1)]
+    return CohomSeries(n, order, cells, [degree] * (order + 1), omega)
 
 
 def test_mul_nilpotency():
-    # (H + alpha)(H - alpha) = H^2 - alpha^2, and H^2 = 0 on P^1
-    for n, expected in ((1, {(0, 2): -1}), (2, {(2, 0): 1, (0, 2): -1})):
-        block = _block_mul_linear(_block_mul_linear(ONE, n, 1, 1), n, 1, -1)
-        assert block == expected
-    # H^n * H = 0
+    # (x + 1)(x - 1) = x^2 - 1, and x^2 = 0 on P^1
+    for n, expected in ((1, [-1, 0]), (2, [-1, 0, 1])):
+        assert _times_linear(_times_linear(one(n), 1, 1), 1, -1) == expected
+    # x^n * x = 0
     n = 2
-    block = ONE
+    vector = one(n)
     for _ in range(n + 1):
-        block = _block_mul_linear(block, n, 1, 0)
-    assert block == {}
+        vector = _times_linear(vector, 1, 0)
+    assert vector == [0, 0, 0]
 
 
 def test_mul_alpha_laurent():
-    # alpha-Laurent exponents add: (H - alpha)^-2 = alpha^-2 (1 + 2H/alpha) on P^1
-    assert _block_div_unit(_block_div_unit(ONE, 1, 1), 1, 1) == {(0, -2): 1, (1, -3): 2}
+    # (H - alpha)^-2 = alpha^-2 (1 + 2H/alpha) on P^1
+    assert _divide_linear(_divide_linear(one(1), 1), 1) == [1, 2]
 
 
 def test_invert_linear_factor():
-    # (H - alpha)^-1 on P^1 is -alpha^-1 (1 + H/alpha)
-    n = 1
-    inv = _block_div_unit(ONE, n, 1)
-    assert inv == {(0, -1): -1, (1, -2): -1}
-    assert _block_mul_linear(inv, n, 1, -1) == ONE
+    # (x - 1)^-1 on P^1 is -(1 + x)
+    inv = _divide_linear(one(1), 1)
+    assert inv == [-1, -1]
+    assert _times_linear(inv, 1, -1) == one(1)
 
 
 def test_invert_denominator_products():
-    # the canonical denominators prod (H - m*alpha)^(n+1) invert exactly
+    # the canonical denominators prod (x - m)^(n+1) invert exactly
     for n in (1, 2):
         for d in (1, 2, 3):
-            block = ONE
+            vector = one(n)
             for m in range(1, d + 1):
                 for _ in range(n + 1):
-                    block = _block_mul_linear(block, n, 1, -m)
+                    vector = _times_linear(vector, 1, -m)
             for m in range(1, d + 1):
                 for _ in range(n + 1):
-                    block = _block_div_unit(block, n, m)
-            assert block == ONE
+                    vector = _divide_linear(vector, m)
+            assert vector == one(n)
 
 
 def test_shift_multiplies_blocks():
@@ -70,56 +78,58 @@ def test_shift_multiplies_blocks():
 
 def test_scale_by():
     n, order = 1, 3
-    f0 = ScalarQSeries(order, (1, 120))
-    one = CohomSeries(n, order, {(0, 0, 0): 1})
-    assert scale_by(one, f0) == CohomSeries(n, order, {(0, 0, 0): 1, (1, 0, 0): 120})
-    a = CohomSeries(n, order, {(1, 1, 0): 1})
+    a = series(n, order, {1: [0, 1]}, 0)
     s = ScalarQSeries(order, (1, -1))
-    assert scale_by(a, s) == CohomSeries(n, order, {(1, 1, 0): 1, (2, 1, 0): -1})
+    assert scale_by(a, s) == series(n, order, {1: [0, 1], 2: [0, -1]}, 0)
+    f0 = ScalarQSeries(order, (1, 120))
+    assert scale_by(series(n, order, {1: [1, 0]}, 0), f0) == series(
+        n, order, {1: [1, 0], 2: [120, 0]}, 0)
+    assert scale_by(a, 3) == series(n, order, {1: [0, 3]}, 0)
+    # blocks of different alpha-degree do not mix
+    mixed = CohomSeries(n, order, [[0, 0], [0, 1], [1, 0], [0, 0]], [0, 0, 1, 0])
+    with pytest.raises(SeriesError):
+        scale_by(mixed, s)
 
 
 def test_integrate_top_cell():
     n, order = 3, 2
-    a = CohomSeries(n, order, {(0, n, 0): Fraction(7, 2)})
-    out = integrate_pn(a)
-    assert out.terms == {(0, 0, 0): Fraction(7, 2)}
+    a = series(n, order, {1: [0, 0, 0, Fraction(7, 2)]}, 0)
+    assert integrate_pn(a) == {-3: TSeries(order, {(1, 0): Fraction(7, 2)})}
 
 
 def test_integrate_exponential_prefactor():
     # on P^1 the H coefficient of e^(-Ht/alpha) * 1 is -t/alpha
-    out = integrate_pn(CohomSeries(1, 2, {(0, 0, 0): 1}))
-    assert out.terms == {(0, 1, -1): Fraction(-1)}
+    out = integrate_pn(series(1, 2, {1: [1, 0]}, 0))
+    assert out == {-1: TSeries(2, {(1, 1): -1})}
 
 
 def test_integrate_multicover_block():
     # e^(-Ht/alpha)/(H - d*alpha)^2 integrates to alpha^-3 d^-3 (2 - dt);
-    # on P^1, (H - d*alpha)^-2 = d^-2 alpha^-2 + 2 d^-3 H alpha^-3
-    n, order = 1, 1
+    # on P^1, (x - d)^-2 = d^-2 + 2 d^-3 x
+    n, order = 1, 5
     for d in (1, 2, 3, 5):
-        block = CohomSeries(n, order, {(0, 0, -2): Fraction(1, d ** 2),
-                                       (0, 1, -3): Fraction(2, d ** 3)})
-        out = integrate_pn(block)
-        assert out.terms == {(0, 0, -3): Fraction(2, d ** 3),
-                             (0, 1, -3): Fraction(-1, d ** 2)}
+        block = series(n, order, {d: [Fraction(1, d ** 2), Fraction(2, d ** 3)]}, -2)
+        assert integrate_pn(block) == {-3: TSeries(order, {(d, 0): Fraction(2, d ** 3),
+                                                           (d, 1): Fraction(-1, d ** 2)})}
 
 
 def test_integrate_tagged_omega():
     # the omega summand is integrated in closed form by the caller, so
     # integrate_pn and scale_by take Sigma alone
-    a = CohomSeries(2, 1, {(1, 0, -2): 1}, omega=OmegaClass(Fraction(5), 1))
+    a = series(2, 1, {1: [1, 0, 0]}, -2, omega=OmegaClass(Fraction(5), 1))
     with pytest.raises(SeriesError):
         integrate_pn(a)
     with pytest.raises(SeriesError):
         scale_by(a, 2)
-    assert integrate_pn(a.without_omega()).terms == {(1, 2, -4): Fraction(1, 2)}
+    assert integrate_pn(a.without_omega()) == {-4: TSeries(1, {(1, 2): Fraction(1, 2)})}
 
 
 def test_homogeneity_checker():
     st = SplittingType(2, (), (3,))
-    good = CohomSeries(2, 2, {(1, 1, st.block_degree(1) - 1): 1})
+    good = series(2, 2, {1: [0, 1, 0]}, st.block_degree(1))
     assert homogeneity_violations(good, st) == []
-    bad = CohomSeries(2, 2, {(1, 1, 5): 1})
-    assert homogeneity_violations(bad, st) == [(1, 1, 5)]
+    bad = CohomSeries(2, 2, good.cells, [-1, -1, 5])
+    assert homogeneity_violations(bad, st) == [(2, 5)]
 
 
 def test_homogeneity_preserved_by_products():
@@ -128,9 +138,8 @@ def test_homogeneity_preserved_by_products():
     from mirrorcalc.pipeline import build_hypergeom_series
 
     st = SplittingType(1, (), (1, 1))
-    series = build_hypergeom_series(st, 3).without_omega()
+    sigma = build_hypergeom_series(st, 3).without_omega()
     # delta_d = -2 for every block here
-    scaled = scale_by(series, ScalarQSeries(3, (1, 5)))
-    assert all(i + k == -2 for (d, i, k) in scaled.cells)
-    integrated = integrate_pn(series)
-    assert all(k == st.block_degree(d) - st.n for (d, j, k) in integrated.terms)
+    scaled = scale_by(sigma, ScalarQSeries(3, (1, 5)))
+    assert homogeneity_violations(scaled, st) == []
+    assert list(integrate_pn(sigma)) == [st.block_degree(1) - st.n]

@@ -9,7 +9,7 @@ import pytest
 
 import mirrorcalc
 from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType, omega_class
-from mirrorcalc.cohomseries import homogeneity_violations
+from mirrorcalc.cohomseries import homogeneity_violations, integrate_pn
 from mirrorcalc.pipeline import (PipelineCase, PipelineError,
                                  build_hypergeom_series,
                                  canonical_alpha_degrees, classify,
@@ -41,22 +41,26 @@ def test_classify():
 
 
 def test_series_quintic_leading_coefficient():
-    # coefficient of q t^0 H alpha^0 is 5 * 120: the constant term of the
+    # coefficient of q H alpha^0 is 5 * 120: the constant term of the
     # first block times the omega scalar
     series = build_hypergeom_series(QUINTIC, 2)
-    assert series.coefficient(1, 0, 1, 0) == 600
+    assert series.degrees[1] == 1
+    assert series.cells[1][1] == 600
 
 
 def test_series_multicover_blocks_telescope():
-    # the q^d block cancels down to (H - d alpha)^-2; the H cell of the
-    # t^0 slice is 2/(d^3 alpha^3) and of the t^1 slice is -1/(d^2 alpha^3)
+    # the q^d block cancels down to (H - d alpha)^-2 = alpha^-2 (1/d^2 +
+    # 2x/d^3); the H cell of the t^0 slice is 2/(d^3 alpha^3) and of the
+    # t^1 slice is -1/(d^2 alpha^3), and nothing survives beyond H^n
     series = build_hypergeom_series(MULTICOVER, 4)
+    integrated = integrate_pn(series.without_omega())
+    assert list(integrated) == [-3]
     for d in range(1, 5):
-        assert series.coefficient(d, 0, 1, -3) == Fraction(2, d ** 3)
-        assert series.coefficient(d, 1, 1, -3) == Fraction(-1, d ** 2)
-        assert series.coefficient(d, 0, 0, -2) == Fraction(1, d ** 2)
-        # nothing survives beyond H^n, whatever the t-power
-        assert series.coefficient(d, 1, 2, -4) == 0
+        assert series.degrees[d] == -2
+        assert series.cells[d] == [Fraction(1, d ** 2), Fraction(2, d ** 3)]
+        assert integrated[-3].terms[(d, 0)] == Fraction(2, d ** 3)
+        assert integrated[-3].terms[(d, 1)] == Fraction(-1, d ** 2)
+    assert integrated[-3].t_degree() == 1
 
 
 def test_series_trivial_bundle():
@@ -64,7 +68,8 @@ def test_series_trivial_bundle():
     st = SplittingType(1, (), ())
     series = build_hypergeom_series(st, 2)
     assert series.omega == omega_class(st)
-    assert series.coefficient(1, 0, 0, -2) == 1  # 1/(H-alpha)^2 at H^0
+    assert series.degrees[1] == -2
+    assert series.cells[1][0] == 1  # 1/(H-alpha)^2 at H^0
 
 
 def test_series_homogeneity_all_presets():
@@ -186,18 +191,46 @@ def test_normalized_block_cells_local_p2():
     # worked by hand: the first block of the local P^2 data is
     # 6 H^2/alpha^3 + 3 H/alpha^2 - 2/alpha, the shift g_1 = -6 kills the
     # 1/alpha cell, and what remains encodes d*K_1 = 3 and 2*K_1 = 6
-    from mirrorcalc.pipeline import _coefficient_table, _normalized_block
-    from mirrorcalc.bundles import omega_class
+    from mirrorcalc.pipeline import _normalized_columns
 
     st = LOCAL_P2
     series = build_hypergeom_series(st, 1)
-    raw = {(i, k): series.coefficient(1, 0, i, k) for i in (0, 1, 2) for k in (-1, -2, -3)}
-    assert raw[(2, -3)] == 6 and raw[(1, -2)] == 3 and raw[(0, -1)] == -2
+    assert series.degrees[1] == -1
+    assert series.cells[1] == [-2, 3, 6]  # x^i sits at alpha-degree -1 - i
     scaling, shift = compute_normalization(series, st)
-    table = _coefficient_table(list(scaling.coeffs), list(shift.coeffs), 1, 3)
-    block = _normalized_block({1: {k: v for k, v in raw.items() if v}},
-                              omega_class(st), table, st.n, 1)
+    columns = _normalized_columns(series, omega_class(st), scaling, shift)
+    block = {(i, -1 - i): s.coeffs[1] for i, s in columns.items() if s.coeffs[1]}
     assert block == {(1, -2): 3, (2, -3): 6}
+
+
+def test_canonical_check_catches_wrong_normalization():
+    # a perturbed F0 leaves an alpha^0 cell, a perturbed g an alpha^-1 cell
+    for st in PRESET_TYPES:
+        order = 4
+        series = build_hypergeom_series(st, order)
+        scaling, shift = compute_normalization(series, st)
+        bump = ScalarQSeries(order, (0, 0, 1))
+        degrees = canonical_alpha_degrees(series, st, scaling + bump, shift)
+        assert max(degrees.values()) == 0 and degrees[1] <= -2, st
+        degrees = canonical_alpha_degrees(series, st, scaling, shift + bump)
+        assert max(degrees.values()) == -1 and degrees[1] <= -2, st
+
+
+def test_homogeneity_catches_wrong_factor_range(monkeypatch):
+    # the recorded alpha-degree counts the factors actually multiplied,
+    # so a range that stops one short breaks delta_d
+    import mirrorcalc.pipeline as pipeline
+
+    def short_range(st, d):
+        return ([(l, -m) for l in st.convex for m in range(l * (d - 1) + (d > 1), l * d)]
+                + [(-k, m) for k in st.concave for m in range(max(1, k * (d - 1)), k * d)])
+
+    for st in (QUINTIC, P3_CONCAVEX):
+        assert homogeneity_violations(build_hypergeom_series(st, 3), st) == []
+        monkeypatch.setattr(pipeline, "_sigma_factors", short_range)
+        violations = homogeneity_violations(build_hypergeom_series(st, 3), st)
+        assert [d for d, _ in violations] == [1, 2, 3], st
+        monkeypatch.undo()
 
 
 def _times_denominators(block, n, d):
@@ -227,14 +260,16 @@ def test_series_blocks_match_symbolic_restrictions():
         ring = data.ring
         lam_idx = ring.index["lam0"]
         alpha_idx = ring.index["alpha"]
-        blocks = build_hypergeom_series(st, order).blocks()
+        series = build_hypergeom_series(st, order)
         for d in range(1, order + 1):
+            block = {(i, series.degrees[d] - i): c
+                     for i, c in enumerate(series.cells[d]) if c}
             expected = {}
             for exp, coeff in restrict(data, d, 0, 0).num.terms.items():
                 i, k = exp[lam_idx], exp[alpha_idx]
                 if i <= n:
                     expected[(i, k)] = coeff
-            assert _times_denominators(blocks[d], n, d) == expected, (st, d)
+            assert _times_denominators(block, n, d) == expected, (st, d)
 
 
 def test_extract_multicover():
@@ -284,6 +319,16 @@ def test_run_pipeline_quintic_checks():
     assert all(res.checks.values())
     assert res.checks["dual_route_agreement"]
     assert [v for _, v, _ in res.instanton[:3]] == [2875, 609250, 317206375]
+
+
+@pytest.mark.parametrize("st", CRITICAL_BUNDLES, ids=lambda st: f"P{st.n}:{st}")
+def test_instanton_numbers_integral_at_bench_depth(st):
+    result = run_pipeline(st, 30)
+    assert all(result.checks.values())
+    assert [d for d, _, integral in result.instanton if not integral] == []
+    if st == QUINTIC:
+        assert [v for _, v, _ in result.instanton[:4]] == [2875, 609250, 317206375,
+                                                          242467530000]
 
 
 def test_public_names_resolve():
