@@ -2,7 +2,8 @@
 commands, and exact output emission in text, json or csv.
 
 Exit codes: 0 success (all checks passing), 1 check failures in
-verification mode, 2 usage or parse errors.  Rationals are never
+verification mode, 2 usage or parse errors, 3 an internal error (a
+failed internal identity or any other defect).  Rationals are never
 printed as floating point; an optional --decimal column adds an exact
 decimal expansion for display.
 """
@@ -22,9 +23,9 @@ from .bundles import CRITICAL_BUNDLES, SplittingType
 from .eulerdata import (build_hypergeom_data, check_degree_bound, check_gluing,
                         check_linked, check_reciprocity, lagrange_map,
                         mirror_transform, to_table)
-from .pipeline import (PipelineCase, PipelineError, PipelineResult,
-                       build_hypergeom_series, classify, compute_normalization,
-                       invert_multicover, run_pipeline)
+from .pipeline import (PipelineResult, build_hypergeom_series, classify,
+                       compute_normalization, invert_multicover, run_pipeline,
+                       unsupported_reason)
 from .qseries import ScalarQSeries, TSeries
 
 EMIT_CHOICES = ("kd", "nd", "mirror-map", "f-series", "checks")
@@ -33,6 +34,11 @@ DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
 # linear factors per degree d, and verify gluing --n 1 --bundle "O(64)"
 # takes 0.4 s at --dmax 1 and 14 s at the default --dmax 4
 MAX_BUNDLE_DEGREE = 64
+# largest --order of compute and --dmax of verify, from a flag or a
+# config; compute --preset quintic takes 2 s at --order 100 and 17 s at
+# 200, verify reciprocity on the quintic 6 s at --dmax 6 and 16 s at 8
+MAX_ORDER = 100
+MAX_DMAX = 6
 
 # preset name -> (n, bundle text, default order)
 PRESETS = {
@@ -42,6 +48,10 @@ PRESETS = {
     "p4-concavex": (4, "O(2)+O(2)+O(-1)", 10),
     "quintic": (4, "O(5)", 12),
 }
+
+
+class UsageError(ValueError):
+    """Bad command-line or config input: one error line, exit 2."""
 
 
 class BundleParseError(ValueError):
@@ -266,17 +276,29 @@ def load_config(path):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
+        raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
     values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
+            raise UsageError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
+
+
+def _int_option(flag, config, key, default):
+    """The flag value, else the config value, else the default."""
+    if flag is not None:
+        return flag
+    if key not in config:
+        return default
+    try:
+        return int(config[key])
+    except ValueError:
+        raise UsageError(f"config value {key} = {config[key]!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------
@@ -344,12 +366,12 @@ def _cmd_compute(args, out, err):
             err.write("error: need --preset or both --n and --bundle\n")
             return 2
         n, bundle_text, default_order = args.n, args.bundle, 10
-    if args.order is None:
-        order = int(config.get("order", default_order))
-    else:
-        order = args.order
+    order = _int_option(args.order, config, "order", default_order)
     if order < 1:
         err.write("error: --order must be >= 1\n")
+        return 2
+    if order > MAX_ORDER:
+        err.write(f"error: --order is limited to <= {MAX_ORDER}\n")
         return 2
     fmt = args.format or config.get("format") or "text"
     emit_text = args.emit or config.get("emit") or ",".join(DEFAULT_EMIT)
@@ -362,14 +384,17 @@ def _cmd_compute(args, out, err):
         err.write("error: csv carries the per-degree columns only; "
                   "use --format text or json for f-series\n")
         return 2
-    decimal = args.decimal if args.decimal is not None else (
-        int(config["decimal"]) if "decimal" in config else None)
+    decimal = _int_option(args.decimal, config, "decimal", None)
     if decimal is not None and decimal < 0:
         err.write("error: --decimal must be >= 0\n")
         return 2
 
     spec = _read_bundle(bundle_text, n, err)
     if spec is None:
+        return 2
+    reason = unsupported_reason(spec.splitting)
+    if reason:
+        err.write(f"error: {reason}\n")
         return 2
 
     cache_dir = args.cache or config.get("cache") or os.environ.get("MIRRORCALC_CACHE")
@@ -378,11 +403,7 @@ def _cmd_compute(args, out, err):
     # every format prints from the result, so a hit prints what a miss would
     result = None if document is None else _result_from_document(document, spec.splitting)
     if result is None or result.order != order:
-        try:
-            result = run_pipeline(spec.splitting, order)
-        except PipelineError as exc:
-            err.write(f"error: {exc}\n")
-            return 2
+        result = run_pipeline(spec.splitting, order)
         if cache_path:  # cache everything; a failed store never changes the output
             try:
                 _cache_store(cache_path, _result_document(result, bundle_text, EMIT_CHOICES))
@@ -436,9 +457,12 @@ def _result_from_document(document, st):
 
 def _cmd_verify(args, out, err):
     config = load_config(args.config) if args.config else {}
-    d_max = args.dmax if args.dmax is not None else int(config.get("dmax", 4))
+    d_max = _int_option(args.dmax, config, "dmax", 4)
     if d_max < 1:
         err.write("error: --dmax must be >= 1\n")
+        return 2
+    if d_max > MAX_DMAX:
+        err.write(f"error: --dmax is limited to <= {MAX_DMAX}\n")
         return 2
     spec = _read_bundle(args.bundle, args.n, err)
     if spec is None:
@@ -471,7 +495,7 @@ def _cmd_verify(args, out, err):
 def _linking_shift(st, d_max, with_x):
     """The shift used to exhibit a nontrivial mirror transform: the
     canonical one for critical types, a unit one-term shift otherwise."""
-    if not with_x and st.is_critical and classify(st) is not PipelineCase.UNSUPPORTED:
+    if not with_x and unsupported_reason(st) is None:
         series = build_hypergeom_series(st, d_max)
         _, shift = compute_normalization(series, st)
         return shift
@@ -507,9 +531,12 @@ def run_command(argv, out=None, err=None):
         if args.command == "verify":
             return _cmd_verify(args, out, err)
         return _cmd_list_critical(args, out)
-    except ValueError as exc:
+    except UsageError as exc:
         err.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a defect, not bad input: exit 3, never a traceback
+        err.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def main():

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra import (RationalFunction, SubstitutionError, alpha_degree,
                       bar_involution, rf_equal, weight_ring)
 from .bundles import OmegaClass, omega_class
-from .qseries import ScalarQSeries, exp_multiples
+from .qseries import ScalarQSeries, mirror_powers
 
 
 class EulerDataError(ValueError):
@@ -483,7 +483,7 @@ def mirror_transform(seq, multiplier=None, shift=None):
     if not f[0].is_zero():
         raise EulerDataError("multiplier series must have zero constant term")
 
-    exp_dg = exp_multiples(ScalarQSeries(d_max, g))
+    powers = mirror_powers(ScalarQSeries(d_max, g))
 
     alpha_rf = RationalFunction(ring.var("alpha"))
     values = {(0, i): seq.value(0, i) for i in range(n + 1)}
@@ -503,7 +503,7 @@ def mirror_transform(seq, multiplier=None, shift=None):
         for d in range(1, d_max + 1):
             acc = seq.value(d, i)
             for r in range(d):
-                coeff = exp_dg[r].coeffs[d - r]
+                coeff = powers[r].coeffs[d]
                 if coeff:
                     acc = acc + coeff * seq.value(r, i) * factor(i, r, d)
             primed[d] = acc

@@ -23,7 +23,7 @@ from .algebra import NEG_INF
 from .bundles import SplittingType, omega_class
 from .cohomseries import (CohomSeries, homogeneity_violations, integrate_pn,
                           scale_by)
-from .qseries import ScalarQSeries, TSeries, exp_multiples, harmonic_sum
+from .qseries import ScalarQSeries, TSeries, harmonic_sum, mirror_powers
 
 
 class PipelineError(RuntimeError):
@@ -221,22 +221,25 @@ def canonical_alpha_degrees(series, st, scaling, shift):
 # K_d extraction and the multiple-cover inversion
 
 
-def _solve_from_weighted_sum(target, exp_dg, order, weight):
-    """Solve target = sum_d weight(d)*K_d*q^d*e^(dg) for the K_d."""
+def _solve_from_weighted_sum(target, powers, order, weight):
+    """Solve target = sum_d weight(d)*K_d*Q^d for the K_d, with
+    powers = mirror_powers(g) the table of Q^d = q^d e^(dg)."""
     K = {}
     for D in range(1, order + 1):
         val = target.coeffs[D]
         for d in range(1, D):
-            val -= weight(d) * K[d] * exp_dg[d].coeffs[D - d]
+            val -= weight(d) * K[d] * powers[d].coeffs[D]
         w = weight(D)
         K[D] = val / w
     return [K[d] for d in range(1, order + 1)]
 
 
-def extract_euler_numbers(series, st, scaling, shift):
+def extract_euler_numbers(series, st, scaling, shift, powers=None):
     """Integrate the normalized series over P^n and match it against
-    sum_d K_d (2 - d(t+g)) q^d e^(dg): the t-linear block determines the
-    K_d recursively and the t-constant block must then agree exactly.
+    sum_d K_d (2 - d(t+g)) Q^d, Q = q e^g: the t-linear block
+    -sum_d d K_d Q^d determines the K_d recursively and the t-constant
+    block 2 sum_d K_d Q^d - g sum_d d K_d Q^d must then agree exactly.
+    ``powers`` is mirror_powers(shift), built here when not given.
 
     Returns (K, checks); any consistency failure raises PipelineError.
     """
@@ -266,22 +269,31 @@ def extract_euler_numbers(series, st, scaling, shift):
         raise PipelineError(f"integrated series has t-degree > 1 at q^{bad}")
     checks["t_degree_bound"] = True
 
-    exp_dg = exp_multiples(shift)
-
-    K = _solve_from_weighted_sum(-psi.t_coefficient(1), exp_dg, order,
+    if powers is None:
+        powers = mirror_powers(shift)
+    K = _solve_from_weighted_sum(-psi.t_coefficient(1), powers, order,
                                  lambda d: Fraction(d))
 
-    expected_t0 = ScalarQSeries.zero(order)
-    two = ScalarQSeries(order, (2,))
-    for d in range(1, order + 1):
-        term = (two - shift * d) * exp_dg[d]
-        expected_t0 = expected_t0 + term.shift(d) * K[d - 1]
+    FQ = _combine_rows(powers, K)
+    dFQ = _combine_rows(powers, [d * k for d, k in enumerate(K, 1)])
+    expected_t0 = FQ * 2 - shift * dFQ
     if psi.t_coefficient(0) != expected_t0:
         diff = psi.t_coefficient(0) - expected_t0
         bad = next(d for d, v in enumerate(diff.coeffs) if v)
         raise PipelineError(f"t-constant block disagrees first at q^{bad}")
     checks["t0_consistency"] = True
     return K, checks
+
+
+def _combine_rows(powers, weights):
+    """sum_d weights[d-1] * powers[d] for d = 1..D; row d starts at q^d."""
+    order = len(weights)
+    out = [Fraction(0)] * (order + 1)
+    for d, w in enumerate(weights, 1):
+        row = powers[d].coeffs
+        for m in range(d, order + 1):
+            out[m] += w * row[m]
+    return ScalarQSeries(order, out)
 
 
 def invert_multicover(K):
@@ -331,14 +343,22 @@ class PipelineResult:
     checks: dict
 
 
-def run_pipeline(st, order):
-    """splitting type -> series -> normalization -> K_d -> n_d, with
-    every internal identity asserted along the way."""
+def unsupported_reason(st):
+    """Why run_pipeline has no K_d extraction for st, or None when it has."""
     case = classify(st)
     if case is PipelineCase.UNSUPPORTED or not st.is_critical:
         supported = "critical types have sum of degrees n+1 and P-N = n-3 (see list-critical)"
-        raise PipelineError(
-            f"no K_d extraction for {st} on P^{st.n} (case {case.value}): {supported}")
+        return f"no K_d extraction for {st} on P^{st.n} (case {case.value}): {supported}"
+    return None
+
+
+def run_pipeline(st, order):
+    """splitting type -> series -> normalization -> K_d -> n_d, with
+    every internal identity asserted along the way."""
+    reason = unsupported_reason(st)
+    if reason:
+        raise PipelineError(reason)
+    case = classify(st)
     series = build_hypergeom_series(st, order)
     checks = {"homogeneity": not homogeneity_violations(series, st)}
     if not checks["homogeneity"]:
@@ -361,11 +381,12 @@ def run_pipeline(st, order):
         if not (checks["mirror_map_match"] and checks["scaling_match"]):
             raise PipelineError("normalization disagrees with the Frobenius route")
 
-    K, extra = extract_euler_numbers(series, st, scaling, shift)
+    powers = mirror_powers(shift)
+    K, extra = extract_euler_numbers(series, st, scaling, shift, powers)
     checks.update(extra)
 
     if case is PipelineCase.CASE1:
-        K_alt = _mirror_conjecture_route(f_basis, st, shift, order)
+        K_alt = _mirror_conjecture_route(f_basis, st, shift, powers)
         checks["phi_t_independent"] = True  # enforced inside the route
         checks["dual_route_agreement"] = K_alt == K
         if not checks["dual_route_agreement"]:
@@ -376,10 +397,12 @@ def run_pipeline(st, order):
     return PipelineResult(st, order, case, K, instanton, shift, scaling, f_basis, checks)
 
 
-def _mirror_conjecture_route(f_basis, st, shift, order):
+def _mirror_conjecture_route(f_basis, st, shift, powers):
     """K_d from the prepotential (c/2)(f1 f2/f0^2 - f3/f0) - (c/6)T^3,
-    which must be t-free once T = t + g is subtracted off."""
+    which must be t-free once T = t + g is subtracted off; it is
+    sum_d K_d Q^d, read off the table powers = mirror_powers(shift)."""
     f0, f1, f2, f3 = f_basis
+    order = shift.order
     c = Fraction(1)
     for l in st.convex:
         c *= l
@@ -390,6 +413,5 @@ def _mirror_conjecture_route(f_basis, st, shift, order):
     phi = script_f - T ** 3 * (c / 6)
     if phi.t_degree() > 0:
         raise PipelineError("prepotential retains polynomial t-dependence")
-    exp_dg = exp_multiples(shift)
-    return _solve_from_weighted_sum(phi.t_coefficient(0), exp_dg, order,
+    return _solve_from_weighted_sum(phi.t_coefficient(0), powers, order,
                                     lambda d: Fraction(1))

@@ -8,6 +8,7 @@ silent precision loss can occur.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -21,6 +22,50 @@ def _frac(value):
     if isinstance(value, int):
         return Fraction(value)
     raise SeriesError(f"cannot coerce {value!r} into an exact rational")
+
+
+def _over_common_denominator(coeffs):
+    """(ints, den) with coeffs[i] == ints[i] / den, den the lcm of the
+    denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _int_product(a, b):
+    """The first len(a) coefficients of the product of the int
+    polynomials a and b (len(b) == len(a)), by Kronecker substitution:
+    evaluate both at 2^w, multiply once (CPython's Karatsuba), and read
+    the signed w-bit slots back.  A leading run of zeros (the q-adic
+    valuation) is split off first, so a product of q^i- and q^j-led
+    series costs one product of length len(a) - i - j.
+
+    With w = 8 * width, each output slot is bounded by
+    need * max|a| * max|b| < 2^(w-2), so biasing every slot by 2^(w-1)
+    keeps it inside [0, 2^w) and the slots unpack without carries.
+    """
+    count = len(a)
+    va = next((i for i, c in enumerate(a) if c), count)
+    vb = next((i for i, c in enumerate(b) if c), count)
+    need = count - va - vb
+    if need <= 0:
+        return [0] * count
+    a, b = a[va:va + need], b[vb:vb + need]
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + need.bit_length() + 2)
+    width = (bits + 7) // 8  # slot width in bytes
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * need, "little")
+    low = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * need)) - 1)
+    raw = low.to_bytes(width * need, "little")
+    half = 1 << (8 * width - 1)
+    return [0] * (va + vb) + [int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
+                              for k in range(need)]
+
+
+def _pack(ints, width):
+    """sum ints[k] * 2^(8*width*k), every |ints[k]| < 2^(8*width)."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in ints)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in ints)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class ScalarQSeries:
@@ -95,15 +140,10 @@ class ScalarQSeries:
             c = _frac(other)
             return ScalarQSeries(self.order, [a * c for a in self.coeffs])
         other = self._coerce(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return ScalarQSeries(self.order, out)
+        a, den_a = _over_common_denominator(self.coeffs)
+        b, den_b = _over_common_denominator(other.coeffs)
+        den = den_a * den_b
+        return ScalarQSeries(self.order, [Fraction(c, den) for c in _int_product(a, b)])
 
     __rmul__ = __mul__
 
@@ -170,10 +210,11 @@ class ScalarQSeries:
         return f"ScalarQSeries({self})"
 
 
-def exp_multiples(g):
-    """[e^(d*g) for d = 0..D]: the factors a shift t -> t + g puts on
-    the q^d blocks (q = e^t); g has zero constant term."""
-    base = g.exp()
+def mirror_powers(g):
+    """[Q^d for d = 0..D] in the mirror coordinate Q = q*e^g, g with zero
+    constant term: Q^d = q^d e^(dg) is what a shift t -> t + g makes of
+    the q^d block (q = e^t).  Row d starts at q^d."""
+    base = g.exp().shift(1)
     powers = [ScalarQSeries.one(g.order)]
     for _ in range(g.order):
         powers.append(powers[-1] * base)
@@ -272,14 +313,18 @@ class TSeries:
             c = _frac(other)
             return TSeries(self.order, {k: v * c for k, v in self.terms.items()})
         other = self._coerce(other)
-        terms = {}
-        for (d1, j1), c1 in self.terms.items():
-            for (d2, j2), c2 in other.terms.items():
-                if d1 + d2 > self.order:
-                    continue
-                key = (d1 + d2, j1 + j2)
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return TSeries(self.order, terms)
+        rows_a, den_a = self._int_rows()
+        rows_b, den_b = other._int_rows()
+        sums = {}
+        for j1, a in rows_a.items():
+            for j2, b in rows_b.items():
+                row = _int_product(a, b)
+                if j1 + j2 in sums:
+                    row = [x + y for x, y in zip(sums[j1 + j2], row)]
+                sums[j1 + j2] = row
+        den = den_a * den_b
+        return TSeries(self.order, {(d, j): Fraction(c, den)
+                                    for j, row in sums.items() for d, c in enumerate(row) if c})
 
     __rmul__ = __mul__
 
@@ -290,6 +335,15 @@ class TSeries:
         for _ in range(k):
             result = result * self
         return result
+
+    def _int_rows(self):
+        """({t-power j: the q-coefficients of t^j as ints}, den) over one
+        common denominator of every term."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        rows = {}
+        for (d, j), c in self.terms.items():
+            rows.setdefault(j, [0] * (self.order + 1))[d] = c.numerator * (den // c.denominator)
+        return rows, den
 
     def t_coefficient(self, j):
         out = [Fraction(0)] * (self.order + 1)

@@ -5,14 +5,17 @@ import copy
 import io
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from mirrorcalc import __version__
 from mirrorcalc.bundles import SplittingType
 from mirrorcalc import cli
-from mirrorcalc.cli import (MAX_BUNDLE_DEGREE, BundleParseError, exact_decimal,
-                            parse_bundle, run_command)
+from mirrorcalc.cli import (MAX_BUNDLE_DEGREE, MAX_DMAX, MAX_ORDER, BundleParseError,
+                            exact_decimal, parse_bundle, run_command)
+from mirrorcalc.pipeline import PipelineError
 
 
 def run(argv, env=None):
@@ -151,16 +154,20 @@ def test_compute_csv_rejects_f_series():
     assert err.startswith("error:") and "f-series" in err
 
 
+def refuse_builds(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build started")
+    for name in ("build_hypergeom_data", "build_hypergeom_series", "run_pipeline"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "gluing", "--n", "1", "--bundle", "O(99999999999)", "--dmax", "1"],
     ["verify", "reciprocity", "--n", "2", "--bundle", f"O(1)+O(-{MAX_BUNDLE_DEGREE + 1})"],
     ["compute", "--n", "4", "--bundle", "O(99999999999)"],
 ])
 def test_bundle_degree_cap(argv, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the build started")
-    monkeypatch.setattr(cli, "build_hypergeom_data", refuse)
-    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    refuse_builds(monkeypatch)
     code, out, err = run(argv)
     assert code == 2 and out == ""
     assert err == f"error: bundle degrees are limited to |a| <= {MAX_BUNDLE_DEGREE}\n"
@@ -173,6 +180,78 @@ def test_bundle_degree_cap_admits_presets():
     code, _, _ = run(["verify", "degree-bound", "--n", "1",
                       "--bundle", f"O({MAX_BUNDLE_DEGREE})", "--dmax", "1"])
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize("argv, key, limit", [
+    (["compute", "--preset", "quintic"], "order", MAX_ORDER),
+    (["compute", "--n", "2", "--bundle", "O(-3)", "--format", "csv"], "order", MAX_ORDER),
+    (["verify", "gluing", "--n", "2", "--bundle", "O(-3)"], "dmax", MAX_DMAX),
+    (["verify", "linking", "--n", "4", "--bundle", "O(5)"], "dmax", MAX_DMAX),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_order_and_dmax_caps(argv, key, limit, source, tmp_path, monkeypatch):
+    refuse_builds(monkeypatch)
+    if source == "flag":
+        argv = argv + [f"--{key}", str(limit + 1)]
+    else:
+        cfg = tmp_path / "big.conf"
+        cfg.write_text(f"{key} = {limit + 1}\n")
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --{key} is limited to <= {limit}\n"
+
+
+def test_order_and_dmax_caps_admit_presets_and_readme():
+    assert max(order for _, _, order in cli.PRESETS.values()) <= MAX_ORDER
+    assert MAX_DMAX >= 4  # the default --dmax
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for flag, limit in (("--order", MAX_ORDER), ("--dmax", MAX_DMAX)):
+        values = [int(v) for v in re.findall(flag + r" (\d+)", readme)]
+        assert values and max(values) <= limit, flag
+    code, out, _ = run(["compute", "--preset", "multicover", "--order", str(MAX_ORDER),
+                        "--emit", "kd"])
+    assert code == 0 and len(out.splitlines()) == MAX_ORDER + 2
+
+
+def test_compute_rejects_unsupported_before_the_build(monkeypatch):
+    refuse_builds(monkeypatch)
+    for n, bundle in ((2, "O(2)+O(2)"), (2, "O(2)"), (3, "O(1)+O(-1)")):
+        code, out, err = run(["compute", "--n", str(n), "--bundle", bundle])
+        assert code == 2 and out == ""
+        assert err.startswith("error: no K_d extraction") and "list-critical" in err
+
+
+def fail_inside(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+@pytest.mark.parametrize("argv, target, exc", [
+    (["compute", "--preset", "local-p2"], "run_pipeline",
+     PipelineError("t-constant block disagrees first at q^3")),
+    (["compute", "--preset", "quintic", "--format", "json"], "run_pipeline",
+     ZeroDivisionError("Fraction(1, 0)")),
+    (["verify", "gluing", "--n", "2", "--bundle", "O(-3)", "--dmax", "2"], "check_gluing",
+     KeyError((2, 0))),
+], ids=["pipeline-identity", "compute-defect", "verify-defect"])
+def test_internal_errors_exit_3(argv, target, exc, monkeypatch):
+    monkeypatch.setattr(cli, target, fail_inside(exc))
+    code, out, err = run(argv)
+    assert code == 3 and out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["compute", "--preset", "multicover", "--order", "2"], 0),
+    (["verify", "degree-bound", "--n", "2", "--bundle", "O(-3)", "--dmax", "2"], 1),
+    (["compute", "--n", "2", "--bundle", "O(-3"], 2),
+], ids=["0-success", "1-verification-failed", "2-usage"])
+def test_exit_codes(argv, expected):
+    code, _, err = run(argv)
+    assert code == expected
+    assert "Traceback" not in err and "internal error" not in err
 
 
 def test_compute_usage_errors():

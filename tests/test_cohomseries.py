@@ -12,7 +12,7 @@ from mirrorcalc.bundles import OmegaClass, SplittingType
 from mirrorcalc.cohomseries import (CohomSeries, homogeneity_violations,
                                     integrate_pn, scale_by)
 from mirrorcalc.pipeline import _divide_linear, _times_linear
-from mirrorcalc.qseries import ScalarQSeries, SeriesError, TSeries, exp_multiples
+from mirrorcalc.qseries import ScalarQSeries, SeriesError, TSeries, mirror_powers
 
 
 def one(n):
@@ -65,15 +65,16 @@ def test_invert_denominator_products():
 
 
 def test_shift_multiplies_blocks():
-    # t -> t + g multiplies the q^d block by e^(dg): with g = cq the q block
-    # becomes q e^(cq) = q + cq^2 + c^2/2 q^3
+    # t -> t + g multiplies the q^d block by e^(dg), so q^d becomes Q^d in
+    # the mirror coordinate Q = q e^g: with g = cq the q block becomes
+    # q e^(cq) = q + cq^2 + c^2/2 q^3
     order = 3
     c = Fraction(5)
-    powers = exp_multiples(ScalarQSeries(order, (0, c)))
+    powers = mirror_powers(ScalarQSeries(order, (0, c)))
     assert len(powers) == order + 1
     assert powers[0] == ScalarQSeries.one(order)
-    assert powers[1].shift(1) == ScalarQSeries(order, (0, 1, c, c * c / 2))
-    assert powers[3] == ScalarQSeries(order, (0, 3 * c)).exp()
+    assert powers[1] == ScalarQSeries(order, (0, 1, c, c * c / 2))
+    assert powers[3] == ScalarQSeries(order, (0, 3 * c)).exp().shift(3)
 
 
 def test_scale_by():

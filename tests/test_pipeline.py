@@ -282,6 +282,50 @@ def test_extract_multicover():
     assert checks["t0_consistency"]
 
 
+@pytest.mark.parametrize("st", (LOCAL_P2, QUINTIC), ids=("local-p2", "quintic"))
+@pytest.mark.parametrize("bumped", (1, 4))
+def test_t0_check_catches_wrong_k(st, bumped, monkeypatch):
+    # the t-constant block is rebuilt from the solved K_d, so one wrong K_d
+    # shows first at its own q^d
+    import mirrorcalc.pipeline as pipeline
+
+    solve = pipeline._solve_from_weighted_sum
+
+    def bump(*args):
+        K = solve(*args)
+        K[bumped - 1] += 1
+        return K
+
+    order = 6
+    series = build_hypergeom_series(st, order)
+    scaling, shift = compute_normalization(series, st)
+    monkeypatch.setattr(pipeline, "_solve_from_weighted_sum", bump)
+    with pytest.raises(PipelineError) as exc:
+        extract_euler_numbers(series, st, scaling, shift)
+    assert str(exc.value) == f"t-constant block disagrees first at q^{bumped}"
+
+
+def test_run_pipeline_catches_wrong_power_table(monkeypatch):
+    # one wrong coefficient in one row of the shared Q^d table: K is solved
+    # from that table too, and the t-constant block shows the error first
+    import mirrorcalc.pipeline as pipeline
+
+    table = pipeline.mirror_powers
+
+    def perturbed(g):
+        powers = table(g)
+        coeffs = list(powers[2].coeffs)
+        coeffs[4] += 1
+        powers[2] = ScalarQSeries(g.order, coeffs)
+        return powers
+
+    assert all(run_pipeline(QUINTIC, 6).checks.values())
+    monkeypatch.setattr(pipeline, "mirror_powers", perturbed)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(QUINTIC, 6)
+    assert str(exc.value) == "t-constant block disagrees first at q^4"
+
+
 def test_invert_multicover_examples():
     out = invert_multicover([Fraction(1), Fraction(1, 8), Fraction(1, 27)])
     assert [(d, v) for d, v, _ in out] == [(1, 1), (2, 0), (3, 0)]

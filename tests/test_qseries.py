@@ -1,12 +1,114 @@
-"""Scalar q-series: exp, inversion, composition, reversion."""
+"""Scalar q-series: exp, inversion, composition, reversion; the integer
+product kernel against schoolbook oracles; the mirror-coordinate powers."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorcalc.qseries import (ScalarQSeries, SeriesError, TSeries,
-                                qseries_reversion)
+                                mirror_powers, qseries_reversion)
+
+
+def schoolbook(a, b):
+    """The truncated product of two ScalarQSeries, one coefficient pair
+    at a time."""
+    out = [Fraction(0)] * (a.order + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs[: a.order + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def dict_product(a, b):
+    """The truncated product of two TSeries over their (d, j) term dicts."""
+    terms = {}
+    for (d1, j1), x in a.terms.items():
+        for (d2, j2), y in b.terms.items():
+            if d1 + d2 <= a.order:
+                terms[(d1 + d2, j1 + j2)] = terms.get((d1 + d2, j1 + j2), 0) + x * y
+    return {key: c for key, c in terms.items() if c}
+
+
+# numerators up to 1100 bits, including 0 and negatives, over mixed
+# denominators (1, small primes, large odd and power-of-two ones)
+rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(-3, 3), st.integers(-(1 << 64), 1 << 64),
+              st.integers(-(1 << 1100), 1 << 1100)),
+    st.one_of(st.just(1), st.sampled_from([2, 3, 7, 1 << 40, 3 ** 90]),
+              st.integers(1, 1 << 300)))
+
+
+@st.composite
+def scalar_pairs(draw):
+    order = draw(st.integers(0, 14))
+    coeffs = st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                      min_size=order + 1, max_size=order + 1)
+    return ScalarQSeries(order, draw(coeffs)), ScalarQSeries(order, draw(coeffs))
+
+
+@st.composite
+def tseries_pairs(draw):
+    order = draw(st.integers(0, 8))
+    keys = st.tuples(st.integers(0, order), st.integers(0, 4))
+    terms = st.dictionaries(keys, rationals, max_size=12)
+    return TSeries(order, draw(terms)), TSeries(order, draw(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_pairs())
+def test_scalar_product_matches_schoolbook(pair):
+    a, b = pair
+    assert list((a * b).coeffs) == schoolbook(a, b)
+    assert list((b * a).coeffs) == schoolbook(b, a)
+
+
+def test_scalar_product_edge_cases():
+    zero, one = ScalarQSeries.zero(0), ScalarQSeries.one(0)
+    assert zero * one == zero and one * one == one
+    big = ScalarQSeries(0, (Fraction(-(1 << 1500) + 1, 3 ** 200),))
+    assert (big * big).coeffs[0] == big.coeffs[0] ** 2
+    a = ScalarQSeries(5, (0, 0, Fraction(-1, 2), 0, 7))
+    b = ScalarQSeries(5, (0, 0, 0, 0, Fraction(1, 3)))
+    assert a * b == ScalarQSeries.zero(5)  # valuations 2 + 4 > order
+    c = ScalarQSeries(5, (0, 0, 0, Fraction(1, 3)))
+    assert (a * c).coeffs == (0, 0, 0, 0, 0, Fraction(-1, 6))
+    assert list((a * a).coeffs) == schoolbook(a, a)
+
+
+@pytest.mark.parametrize("count, bits_a, bits_b", [(31, 5, 6), (3, 7, 7), (100, 64, 63),
+                                                   (12, 1000, 1001)])
+def test_scalar_product_fills_its_slots(count, bits_a, bits_b):
+    # every coefficient at its largest magnitude, so the middle slot holds
+    # count * max|a| * max|b|, the bound the slot width is sized for
+    for sign_a, sign_b in ((1, 1), (-1, 1), (-1, -1)):
+        a = ScalarQSeries(count - 1, [sign_a * ((1 << bits_a) - 1)] * count)
+        b = ScalarQSeries(count - 1, [sign_b * ((1 << bits_b) - 1)] * count)
+        assert list((a * b).coeffs) == schoolbook(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tseries_pairs())
+def test_tseries_product_matches_dict_oracle(pair):
+    a, b = pair
+    assert (a * b).terms == dict_product(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 6), st.lists(rationals, min_size=6, max_size=6))
+def test_mirror_powers_are_powers_of_q_exp_g(order, coeffs):
+    g = ScalarQSeries(order, [0] + coeffs)
+    Q = ScalarQSeries(order, schoolbook(ScalarQSeries.q(order), g.exp()))
+    powers = mirror_powers(g)
+    assert len(powers) == order + 1
+    expected = ScalarQSeries.one(order)
+    for d in range(order + 1):
+        assert powers[d] == expected
+        assert all(c == 0 for c in powers[d].coeffs[:d])
+        expected = ScalarQSeries(order, schoolbook(expected, Q))
 
 
 def test_mul_and_inverse():
