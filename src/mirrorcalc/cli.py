@@ -29,6 +29,8 @@ from .pipeline import (PipelineResult, build_hypergeom_series, classify,
 from .qseries import ScalarQSeries, TSeries
 
 EMIT_CHOICES = ("kd", "nd", "mirror-map", "f-series", "checks")
+FORMAT_CHOICES = ("text", "json", "csv")
+CONFIG_KEYS = ("order", "format", "emit", "dmax", "cache", "decimal")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
 # largest |degree| of a bundle summand; a summand O(l) costs about l*d
 # linear factors per degree d, and verify gluing --n 1 --bundle "O(64)"
@@ -271,7 +273,7 @@ def _cache_store(path, document):
 
 
 def load_config(path):
-    """Simple key=value defaults; '#' starts a comment."""
+    """Simple key=value defaults, keys from CONFIG_KEYS; '#' starts a comment."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -285,7 +287,11 @@ def load_config(path):
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key '{key}' "
+                             f"(known: {', '.join(CONFIG_KEYS)})")
+        values[key] = value.strip()
     return values
 
 
@@ -317,7 +323,7 @@ def _build_parser():
     comp.add_argument("--n", type=int, help="ambient projective dimension")
     comp.add_argument("--bundle", help="splitting type, e.g. 'O(2)+O(-2)'")
     comp.add_argument("--order", type=int, help="q-truncation order D")
-    comp.add_argument("--format", choices=("text", "json", "csv"))
+    comp.add_argument("--format", choices=FORMAT_CHOICES)
     comp.add_argument("--emit", help="comma list from: " + ",".join(EMIT_CHOICES))
     comp.add_argument("--decimal", type=int, help="extra display column with this many digits")
     comp.add_argument("--cache", help="cache directory (default: $MIRRORCALC_CACHE)")
@@ -334,7 +340,7 @@ def _build_parser():
     ver.add_argument("--config", help="key=value config file supplying defaults")
 
     sub.add_parser("list-critical", help="print the table of critical bundles") \
-       .add_argument("--format", choices=("text", "json", "csv"), default="text")
+       .add_argument("--format", choices=FORMAT_CHOICES, default="text")
     return parser
 
 
@@ -374,6 +380,9 @@ def _cmd_compute(args, out, err):
         err.write(f"error: --order is limited to <= {MAX_ORDER}\n")
         return 2
     fmt = args.format or config.get("format") or "text"
+    if fmt not in FORMAT_CHOICES:
+        raise UsageError(f"config value format = {fmt!r} is not one of "
+                         + ", ".join(FORMAT_CHOICES))
     emit_text = args.emit or config.get("emit") or ",".join(DEFAULT_EMIT)
     emit = tuple(tok.strip() for tok in emit_text.split(",") if tok.strip())
     for tok in emit:

@@ -4,12 +4,15 @@ A CohomSeries stores Sigma = sum_d q^d Sigma_d as dense vectors in
 x = H/alpha: Sigma_d = alpha^degrees[d] * sum_i cells[d][i] x^i for
 i = 0..n (H^(n+1) = 0).  Sigma has no q^0 block, so cells[0] is zero.
 The alpha-degrees are recorded by the build from its factor counts.
-The tagged omega summand (scalar * H^h, where h may be negative) is kept
-in closed form beside the cells.
+The omega summand c H^h (h may be negative) is not stored; its one
+source is bundles.omega_class.
 
 All t-dependence sits in the prefactor e^(-Ht/alpha) =
 sum_j (-t)^j/j! x^j, which is never expanded into stored cells: the
 callers below apply it where they read the series at one x-power.
+scale_by and integrate_pn integrate Sigma over P^n term by term; the
+pipeline's K_d extraction reads the same integral off the top
+normalized columns N_(n-1), N_n instead.
 """
 
 from __future__ import annotations
@@ -21,25 +24,21 @@ from .qseries import ScalarQSeries, SeriesError, TSeries, _frac
 
 
 class CohomSeries:
-    __slots__ = ("n", "order", "cells", "degrees", "omega")
+    __slots__ = ("n", "order", "cells", "degrees")
 
-    def __init__(self, n, order, cells, degrees, omega=None):
+    def __init__(self, n, order, cells, degrees):
         if len(cells) != order + 1 or any(len(row) != n + 1 for row in cells):
             raise SeriesError(f"cells must be {order + 1} vectors of length {n + 1}")
         self.n = n
         self.order = order
         self.cells = [[_frac(c) for c in row] for row in cells]
         self.degrees = list(degrees)
-        self.omega = omega
 
     def __eq__(self, other):
         if not isinstance(other, CohomSeries):
             return NotImplemented
         return (self.n == other.n and self.order == other.order and self.cells == other.cells
-                and self.degrees == other.degrees and self.omega == other.omega)
-
-    def without_omega(self):
-        return CohomSeries(self.n, self.order, self.cells, self.degrees)
+                and self.degrees == other.degrees)
 
     def column(self, i):
         """S_i = sum_d cells[d][i] q^d, the x^i column of Sigma (0 when
@@ -49,16 +48,9 @@ class CohomSeries:
         return ScalarQSeries(self.order, [row[i] for row in self.cells])
 
 
-def _require_no_omega(a):
-    if a.omega is not None:
-        raise SeriesError("the tagged omega summand is handled in closed form; "
-                          "pass series.without_omega()")
-
-
 def scale_by(a, s):
     """Multiply Sigma by a scalar q-series (t- and H-free); the blocks
     it mixes must share one alpha-degree, as for a critical type."""
-    _require_no_omega(a)
     if not isinstance(s, ScalarQSeries):
         s = ScalarQSeries(a.order, (_frac(s),))
     if s.order != a.order:
@@ -74,10 +66,9 @@ def integrate_pn(a):
     sum_j (-t)^j/j! S_(n-j), as {alpha-power: TSeries in (d, t-power)};
     block d lands at alpha-power degrees[d] - n.
 
-    The tagged omega summand is not integrated here; callers add its
-    closed form.
+    The omega summand is not integrated here; its closed form is
+    (-t)^(n-h)/(n-h)! times the scalar of omega_class.
     """
-    _require_no_omega(a)
     out = {}
     for d in range(1, a.order + 1):
         terms = out.setdefault(a.degrees[d] - a.n, {})

@@ -6,10 +6,10 @@ nonequivariant limit, one dense vector sigma_d in x = H/alpha per q^d,
 each from the previous one; classify the bundle; normalize it into
 canonical form with a scalar rescaling F0 = c/(c + S_h) and a coordinate
 shift t -> t + g, g = -S_(h+1)/(c + S_h), both in closed form from the
-columns S_i = sum_d sigma_d[i] q^d; integrate over P^n; and read the K_d
-off the t-linear block of the resulting alpha^-3 series, with the
-t-constant block as an exact consistency assertion.  K_d then invert to
-n_d through the cubic multiple-cover relation.
+columns S_i = sum_d sigma_d[i] q^d (c H^h = omega_class(st)); read the
+K_d off the integral over P^n, which canonical form reduces to the top
+normalized columns N_n - (t+g) N_(n-1), with N_n an exact consistency
+assertion; and invert K_d to n_d by the cubic multiple-cover relation.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from .algebra import NEG_INF
 from .bundles import SplittingType, omega_class
-from .cohomseries import (CohomSeries, homogeneity_violations, integrate_pn,
-                          scale_by)
+from .cohomseries import CohomSeries, homogeneity_violations
 from .qseries import ScalarQSeries, TSeries, harmonic_sum, mirror_powers
 
 
@@ -93,9 +92,9 @@ def build_hypergeom_series(st, order):
     alpha, so the recorded alpha-degree is the factor count."""
     if order < 1:
         raise PipelineError("order must be >= 1")
-    n, om = st.n, omega_class(st)
+    n = st.n
     sigma, degree = [Fraction(1)] + [Fraction(0)] * n, 0
-    cells, degrees = [[Fraction(0)] * (n + 1)], [om.h_exponent]
+    cells, degrees = [[Fraction(0)] * (n + 1)], [st.block_degree(0)]
     for d in range(1, order + 1):
         factors = _sigma_factors(st, d)
         for a, b in factors:
@@ -105,7 +104,7 @@ def build_hypergeom_series(st, order):
         degree += len(factors) - (n + 1)
         cells.append(sigma)
         degrees.append(degree)
-    return CohomSeries(n, order, cells, degrees, omega=om)
+    return CohomSeries(n, order, cells, degrees)
 
 
 # ---------------------------------------------------------------------
@@ -144,7 +143,7 @@ def frobenius_basis(series, st):
     order = series.order
     basis = []
     for i in range(4):
-        # the d = 0 part comes from the tagged omega summand
+        # the d = 0 part comes from the omega summand
         terms = {(0, i): Fraction(1, math.factorial(i))}
         for j in range(h + i + 1):
             w = Fraction((-1) ** (i + j), math.factorial(j)) / c
@@ -180,7 +179,7 @@ def compute_normalization(series, st):
     """
     if not st.is_critical:
         raise PipelineError("normalization requires a critical splitting type")
-    om = series.omega or omega_class(st)
+    om = omega_class(st)
     c, h = om.scalar, om.h_exponent
     inv = (series.column(h) + c).inverse()
     return inv * c, -(series.column(h + 1) * inv)
@@ -210,7 +209,7 @@ def _normalized_columns(series, om, scaling, shift):
 def canonical_alpha_degrees(series, st, scaling, shift):
     """Max alpha-degree of each normalized q^d block (NEG_INF for empty);
     canonical form means every value is <= -2."""
-    om = series.omega or omega_class(st)
+    om = omega_class(st)
     columns = _normalized_columns(series, om, scaling, shift)
     return {d: max((om.h_exponent - i for i, s in columns.items() if s.coeffs[d]),
                    default=NEG_INF)
@@ -236,53 +235,34 @@ def _solve_from_weighted_sum(target, powers, order, weight):
 
 def extract_euler_numbers(series, st, scaling, shift, powers=None):
     """Integrate the normalized series over P^n and match it against
-    sum_d K_d (2 - d(t+g)) Q^d, Q = q e^g: the t-linear block
-    -sum_d d K_d Q^d determines the K_d recursively and the t-constant
-    block 2 sum_d K_d Q^d - g sum_d d K_d Q^d must then agree exactly.
+    sum_d K_d (2 - d(t+g)) Q^d, Q = q e^g.  The integral is alpha^-3
+    times sum_j (-t-g)^j/j! N_(n-j), N the normalized columns; canonical
+    form leaves N_n - (t+g) N_(n-1).  N_(n-1) = sum_d d K_d Q^d fixes the
+    K_d recursively, and N_n = 2 sum_d K_d Q^d must then hold exactly.
     ``powers`` is mirror_powers(shift), built here when not given.
 
     Returns (K, checks); any consistency failure raises PipelineError.
     """
     if not st.is_critical:
         raise PipelineError("K_d extraction requires a critical splitting type")
-    order = series.order
-    om = series.omega or omega_class(st)
-    c, h = om.scalar, om.h_exponent
-    if st.n - h != 3:
-        raise PipelineError("critical type expected: n - h must be 3")
-    checks = {}
+    order, n = series.order, series.n
+    alpha_powers = sorted({deg - n for deg in series.degrees[1:]})
+    if alpha_powers != [-3]:
+        raise PipelineError(f"integral is not a pure alpha^-3 series: powers {alpha_powers}")
 
-    integrated = integrate_pn(scale_by(series.without_omega(), scaling))
-    if list(integrated) != [-3]:
-        raise PipelineError(f"integral is not a pure alpha^-3 series: powers {sorted(integrated)}")
-    checks["alpha_purity"] = True
-    psi = integrated[-3]
-
-    # closed-form part: alpha^3 * integral of F0 e^(-Ht/a)Omega - e^(-H(t+g)/a)Omega
-    t_cubed = TSeries.t_monomial(order, 3)
-    shifted_t = TSeries.t_monomial(order) + TSeries.from_scalar(shift)
-    omega_part = (TSeries.from_scalar(scaling) * t_cubed - shifted_t ** 3) * (-c / 6)
-    psi = psi + omega_part
-
-    if psi.t_degree() > 1:
-        bad = min(d for (d, j) in psi.terms if j > 1)
-        raise PipelineError(f"integrated series has t-degree > 1 at q^{bad}")
-    checks["t_degree_bound"] = True
+    columns = _normalized_columns(series, omega_class(st), scaling, shift)
+    low = [d for i, s in columns.items() if i <= n - 2 for d, v in enumerate(s.coeffs) if v]
+    if low:
+        raise PipelineError(f"integrated series has t-degree > 1 at q^{min(low)}")
 
     if powers is None:
         powers = mirror_powers(shift)
-    K = _solve_from_weighted_sum(-psi.t_coefficient(1), powers, order,
-                                 lambda d: Fraction(d))
-
-    FQ = _combine_rows(powers, K)
-    dFQ = _combine_rows(powers, [d * k for d, k in enumerate(K, 1)])
-    expected_t0 = FQ * 2 - shift * dFQ
-    if psi.t_coefficient(0) != expected_t0:
-        diff = psi.t_coefficient(0) - expected_t0
-        bad = next(d for d, v in enumerate(diff.coeffs) if v)
+    K = _solve_from_weighted_sum(columns[n - 1], powers, order, Fraction)
+    diff = columns[n] - _combine_rows(powers, K) * 2
+    bad = next((d for d, v in enumerate(diff.coeffs) if v), None)
+    if bad is not None:
         raise PipelineError(f"t-constant block disagrees first at q^{bad}")
-    checks["t0_consistency"] = True
-    return K, checks
+    return K, {"alpha_purity": True, "t_degree_bound": True, "t0_consistency": True}
 
 
 def _combine_rows(powers, weights):
@@ -345,10 +325,9 @@ class PipelineResult:
 
 def unsupported_reason(st):
     """Why run_pipeline has no K_d extraction for st, or None when it has."""
-    case = classify(st)
-    if case is PipelineCase.UNSUPPORTED or not st.is_critical:
+    if not st.is_critical:  # a critical type is never UNSUPPORTED
         supported = "critical types have sum of degrees n+1 and P-N = n-3 (see list-critical)"
-        return f"no K_d extraction for {st} on P^{st.n} (case {case.value}): {supported}"
+        return f"no K_d extraction for {st} on P^{st.n} (case {classify(st).value}): {supported}"
     return None
 
 
@@ -403,9 +382,7 @@ def _mirror_conjecture_route(f_basis, st, shift, powers):
     sum_d K_d Q^d, read off the table powers = mirror_powers(shift)."""
     f0, f1, f2, f3 = f_basis
     order = shift.order
-    c = Fraction(1)
-    for l in st.convex:
-        c *= l
+    c = omega_class(st).scalar
     inv_f0 = f0.t_coefficient(0).inverse()
     script_f = (f1 * f2 * TSeries.from_scalar(inv_f0 * inv_f0)
                 - f3 * TSeries.from_scalar(inv_f0)) * (c / 2)

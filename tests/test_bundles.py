@@ -1,11 +1,17 @@
-"""Splitting types: derived quantities, criticality, the critical list."""
+"""Splitting types: derived quantities, criticality, the critical list,
+and properties over random types: the spelling parses back, classify is
+total, and run_pipeline supports exactly the critical types."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from mirrorcalc.bundles import (CRITICAL_BUNDLES, OmegaClass, SplittingType,
                                 omega_class)
+from mirrorcalc.cli import parse_bundle
+from mirrorcalc.pipeline import PipelineCase, classify, unsupported_reason
 
 
 def test_degrees_sorted_canonically():
@@ -49,3 +55,27 @@ def test_omega_concave_signs():
     assert om == OmegaClass(Fraction(1), -2)
     om = omega_class(SplittingType(4, (2, 2), (1,)))
     assert om == OmegaClass(Fraction(-4), 1)
+
+
+# ---------------------------------------------------------------------
+# properties over random splitting types
+
+degrees = hs.lists(hs.integers(1, 64), max_size=4)
+splitting_types = hs.builds(SplittingType, hs.integers(1, 8), degrees, degrees)
+# random types are rarely critical, so the critical list is mixed in
+with_critical = hs.one_of(hs.sampled_from(CRITICAL_BUNDLES), splitting_types)
+
+
+@given(splitting_types.filter(lambda st: st.convex or st.concave))
+def test_spelling_parses_back(st):
+    assert parse_bundle(str(st), st.n).splitting == st
+
+
+@given(with_critical)
+def test_classify_is_total(st):
+    assert isinstance(classify(st), PipelineCase)
+
+
+@given(with_critical)
+def test_supported_exactly_when_critical(st):
+    assert (unsupported_reason(st) is None) == st.is_critical

@@ -416,6 +416,29 @@ def test_config_file_syntax_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["compute", "--preset", "multicover", "--order", "2"],
+    ["verify", "gluing", "--n", "1", "--bundle", "O(-1)+O(-1)", "--dmax", "1"],
+], ids=["compute", "verify"])
+def test_config_rejects_unknown_key(tmp_path, argv, monkeypatch):
+    refuse_builds(monkeypatch)
+    cfg = tmp_path / "bogus.conf"
+    cfg.write_text("dmax = 1\nbogus = 1\n")
+    code, out, err = run(argv + ["--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:2: unknown config key 'bogus' " \
+                  "(known: order, format, emit, dmax, cache, decimal)\n"
+
+
+def test_config_rejects_unknown_format(tmp_path, monkeypatch):
+    refuse_builds(monkeypatch)
+    cfg = tmp_path / "xml.conf"
+    cfg.write_text("format = xml\n")
+    code, out, err = run(["compute", "--preset", "multicover", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == "error: config value format = 'xml' is not one of text, json, csv\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["compute", "--preset", "multicover"],
     ["verify", "gluing", "--n", "2", "--bundle", "O(-3)"],
 ], ids=["compute", "verify"])

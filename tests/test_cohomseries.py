@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorcalc.bundles import OmegaClass, SplittingType
+from mirrorcalc.bundles import SplittingType
 from mirrorcalc.cohomseries import (CohomSeries, homogeneity_violations,
                                     integrate_pn, scale_by)
 from mirrorcalc.pipeline import _divide_linear, _times_linear
@@ -19,11 +19,11 @@ def one(n):
     return [Fraction(1)] + [Fraction(0)] * n
 
 
-def series(n, order, blocks, degree, omega=None):
+def series(n, order, blocks, degree):
     """A CohomSeries with the given {d: x-vector} blocks, all of one
     alpha-degree."""
     cells = [blocks.get(d, [0] * (n + 1)) for d in range(order + 1)]
-    return CohomSeries(n, order, cells, [degree] * (order + 1), omega)
+    return CohomSeries(n, order, cells, [degree] * (order + 1))
 
 
 def test_mul_nilpotency():
@@ -102,6 +102,9 @@ def test_integrate_exponential_prefactor():
     # on P^1 the H coefficient of e^(-Ht/alpha) * 1 is -t/alpha
     out = integrate_pn(series(1, 2, {1: [1, 0]}, 0))
     assert out == {-1: TSeries(2, {(1, 1): -1})}
+    # on P^2 the H^2 coefficient is t^2/(2 alpha^2), landing at alpha^-4
+    out = integrate_pn(series(2, 1, {1: [1, 0, 0]}, -2))
+    assert out == {-4: TSeries(1, {(1, 2): Fraction(1, 2)})}
 
 
 def test_integrate_multicover_block():
@@ -112,17 +115,6 @@ def test_integrate_multicover_block():
         block = series(n, order, {d: [Fraction(1, d ** 2), Fraction(2, d ** 3)]}, -2)
         assert integrate_pn(block) == {-3: TSeries(order, {(d, 0): Fraction(2, d ** 3),
                                                            (d, 1): Fraction(-1, d ** 2)})}
-
-
-def test_integrate_tagged_omega():
-    # the omega summand is integrated in closed form by the caller, so
-    # integrate_pn and scale_by take Sigma alone
-    a = series(2, 1, {1: [1, 0, 0]}, -2, omega=OmegaClass(Fraction(5), 1))
-    with pytest.raises(SeriesError):
-        integrate_pn(a)
-    with pytest.raises(SeriesError):
-        scale_by(a, 2)
-    assert integrate_pn(a.without_omega()) == {-4: TSeries(1, {(1, 2): Fraction(1, 2)})}
 
 
 def test_homogeneity_checker():
@@ -139,7 +131,7 @@ def test_homogeneity_preserved_by_products():
     from mirrorcalc.pipeline import build_hypergeom_series
 
     st = SplittingType(1, (), (1, 1))
-    sigma = build_hypergeom_series(st, 3).without_omega()
+    sigma = build_hypergeom_series(st, 3)
     # delta_d = -2 for every block here
     scaled = scale_by(sigma, ScalarQSeries(3, (1, 5)))
     assert homogeneity_violations(scaled, st) == []

@@ -9,15 +9,15 @@ import pytest
 
 import mirrorcalc
 from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType, omega_class
-from mirrorcalc.cohomseries import homogeneity_violations, integrate_pn
-from mirrorcalc.pipeline import (PipelineCase, PipelineError,
+from mirrorcalc.cohomseries import homogeneity_violations, integrate_pn, scale_by
+from mirrorcalc.pipeline import (PipelineCase, PipelineError, _normalized_columns,
                                  build_hypergeom_series,
                                  canonical_alpha_degrees, classify,
                                  compute_normalization, extract_euler_numbers,
                                  f0_closed_form, frobenius_basis, g1_closed_form,
                                  invert_multicover, recompose_multicover,
                                  run_pipeline)
-from mirrorcalc.qseries import ScalarQSeries
+from mirrorcalc.qseries import ScalarQSeries, TSeries
 
 MULTICOVER = SplittingType(1, (), (1, 1))
 LOCAL_P2 = SplittingType(2, (), (3,))
@@ -53,7 +53,7 @@ def test_series_multicover_blocks_telescope():
     # 2x/d^3); the H cell of the t^0 slice is 2/(d^3 alpha^3) and of the
     # t^1 slice is -1/(d^2 alpha^3), and nothing survives beyond H^n
     series = build_hypergeom_series(MULTICOVER, 4)
-    integrated = integrate_pn(series.without_omega())
+    integrated = integrate_pn(series)
     assert list(integrated) == [-3]
     for d in range(1, 5):
         assert series.degrees[d] == -2
@@ -64,10 +64,9 @@ def test_series_multicover_blocks_telescope():
 
 
 def test_series_trivial_bundle():
-    # only the omega summand and the inverted denominators remain
+    # only the inverted denominators remain in Sigma
     st = SplittingType(1, (), ())
     series = build_hypergeom_series(st, 2)
-    assert series.omega == omega_class(st)
     assert series.degrees[1] == -2
     assert series.cells[1][0] == 1  # 1/(H-alpha)^2 at H^0
 
@@ -191,8 +190,6 @@ def test_normalized_block_cells_local_p2():
     # worked by hand: the first block of the local P^2 data is
     # 6 H^2/alpha^3 + 3 H/alpha^2 - 2/alpha, the shift g_1 = -6 kills the
     # 1/alpha cell, and what remains encodes d*K_1 = 3 and 2*K_1 = 6
-    from mirrorcalc.pipeline import _normalized_columns
-
     st = LOCAL_P2
     series = build_hypergeom_series(st, 1)
     assert series.degrees[1] == -1
@@ -280,6 +277,54 @@ def test_extract_multicover():
                                       ScalarQSeries.zero(order))
     assert K == [Fraction(1, d ** 3) for d in range(1, order + 1)]
     assert checks["t0_consistency"]
+
+
+@pytest.mark.parametrize("st", CRITICAL_BUNDLES, ids=lambda st: f"P{st.n}:{st}")
+def test_top_columns_are_the_integral(st):
+    # the integral over P^n of F0 e^(-Ht/alpha)(Omega + Sigma)
+    # - e^(-H(t+g)/alpha) Omega, built the long way (Sigma scaled by F0
+    # and integrated term by term, plus Omega's closed form), is
+    # N_n - (t+g) N_(n-1) from the two top normalized columns
+    order, n = 8, st.n
+    series = build_hypergeom_series(st, order)
+    scaling, shift = compute_normalization(series, st)
+    om = omega_class(st)
+    integrated = integrate_pn(scale_by(series, scaling))
+    assert list(integrated) == [-3]
+    T = TSeries.t_monomial(order) + TSeries.from_scalar(shift)
+    omega_part = (TSeries.from_scalar(scaling) * TSeries.t_monomial(order, 3)
+                  - T ** 3) * (-om.scalar / 6)
+    columns = _normalized_columns(series, om, scaling, shift)
+    top = TSeries.from_scalar(columns[n]) - T * TSeries.from_scalar(columns[n - 1])
+    assert integrated[-3] + omega_part == top
+
+
+@pytest.mark.parametrize("st", PRESET_TYPES, ids=str)
+def test_t_degree_check_catches_wrong_normalization(st):
+    # q^k added to F0 leaves N_h, added to g leaves N_(h+1), both at q^k;
+    # either column lies below N_(n-1), so the integral gains t^2 and t^3
+    order = 4
+    series = build_hypergeom_series(st, order)
+    scaling, shift = compute_normalization(series, st)
+    for k in range(1, order + 1):
+        bump = ScalarQSeries(order, [0] * k + [1])
+        for wrong in ((scaling + bump, shift), (scaling, shift + bump)):
+            with pytest.raises(PipelineError) as exc:
+                extract_euler_numbers(series, st, *wrong)
+            assert str(exc.value) == f"integrated series has t-degree > 1 at q^{k}"
+
+
+def test_alpha_purity_catches_tampered_degree():
+    order = 3
+    for st in PRESET_TYPES:
+        for d in range(1, order + 1):
+            for step, powers in ((1, [-3, -2]), (-1, [-4, -3])):
+                series = build_hypergeom_series(st, order)
+                scaling, shift = compute_normalization(series, st)
+                series.degrees[d] += step
+                with pytest.raises(PipelineError) as exc:
+                    extract_euler_numbers(series, st, scaling, shift)
+                assert str(exc.value) == f"integral is not a pure alpha^-3 series: powers {powers}"
 
 
 @pytest.mark.parametrize("st", (LOCAL_P2, QUINTIC), ids=("local-p2", "quintic"))
