@@ -404,37 +404,16 @@ class RationalFunction:
 # -- module operations -------------------------------------------------
 
 
-def bar_involution(p, d=0):
-    """The involution kappa -> kappa - d*alpha, alpha -> -alpha (lam, x fixed).
-
-    ``d`` is the index of the ambient space whose class kappa restricts
-    from; for kappa-free inputs it is irrelevant.  Applying the map twice
-    is the identity.
-    """
+def bar_involution(p):
+    """The involution alpha -> -alpha, every other variable fixed; on
+    fixed-point restrictions, which are kappa-free, this is the bar
+    involution.  Applying it twice is the identity."""
     if isinstance(p, RationalFunction):
-        return RationalFunction(bar_involution(p.num, d), bar_involution(p.den, d))
-    ring = p.ring
-    ia = ring.index.get("alpha")
-    ik = ring.index.get("kappa")
+        return RationalFunction(bar_involution(p.num), bar_involution(p.den))
+    ia = p.ring.index.get("alpha")
     if ia is None:
         raise AlgebraError("ring has no alpha variable")
-    terms = {}
-    for exp, c in p.terms.items():
-        b = exp[ia]
-        a = exp[ik] if ik is not None else 0
-        sign = -1 if b % 2 else 1
-        if a == 0 or d == 0:
-            terms[exp] = terms.get(exp, 0) + sign * c
-            continue
-        # expand (kappa - d*alpha)**a
-        base = list(exp)
-        for s_exp in range(a + 1):
-            coeff = sign * c * math.comb(a, s_exp) * Fraction(-d) ** (a - s_exp)
-            base[ik] = s_exp
-            base[ia] = b + a - s_exp
-            e = tuple(base)
-            terms[e] = terms.get(e, 0) + coeff
-    return Polynomial(ring, nonzero(terms))
+    return Polynomial(p.ring, {exp: -c if exp[ia] % 2 else c for exp, c in p.terms.items()})
 
 
 def alpha_degree(p):

@@ -30,6 +30,7 @@ from .qseries import ScalarQSeries, TSeries
 
 EMIT_CHOICES = ("kd", "nd", "mirror-map", "f-series", "checks")
 FORMAT_CHOICES = ("text", "json", "csv")
+VERIFY_FORMATS = ("text", "json")
 CONFIG_KEYS = ("order", "format", "emit", "dmax", "cache", "decimal")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
 # largest |degree| of a bundle summand; a summand O(l) costs about l*d
@@ -41,6 +42,11 @@ MAX_BUNDLE_DEGREE = 64
 # 200, verify reciprocity on the quintic 6 s at --dmax 6 and 16 s at 8
 MAX_ORDER = 100
 MAX_DMAX = 6
+# largest number sum(l*dmax + 1) + sum(k*dmax - 1) of linear factors of
+# P_dmax in verify: at 65 (O(64) at --dmax 1) each check on P^1..P^3 takes
+# <= 2 s, at 127 (O(21) at --dmax 6) reciprocity on P^2 24 s; O(64) at
+# --dmax 6 (385) ran past 30 s.  The presets need at most 31.
+MAX_LINEAR_FACTORS = 65
 
 # preset name -> (n, bundle text, default order)
 PRESETS = {
@@ -53,7 +59,12 @@ PRESETS = {
 
 
 class UsageError(ValueError):
-    """Bad command-line or config input: one error line, exit 2."""
+    """Bad command-line or config input: one ``label: message`` line on
+    stderr, exit 2."""
+
+    def __init__(self, message, label="error"):
+        super().__init__(message)
+        self.label = label
 
 
 class BundleParseError(ValueError):
@@ -295,16 +306,31 @@ def load_config(path):
     return values
 
 
-def _int_option(flag, config, key, default):
-    """The flag value, else the config value, else the default."""
-    if flag is not None:
-        return flag
-    if key not in config:
+def _int_option(flag, config, key, default, low, high=None):
+    """The flag value, else the config value, which must lie in
+    [low, high], else the default."""
+    value = flag
+    if value is None and key in config:
+        try:
+            value = int(config[key])
+        except ValueError:
+            raise UsageError(f"config value {key} = {config[key]!r} is not an integer") from None
+    if value is None:
         return default
-    try:
-        return int(config[key])
-    except ValueError:
-        raise UsageError(f"config value {key} = {config[key]!r} is not an integer") from None
+    if value < low:
+        raise UsageError(f"--{key} must be >= {low}")
+    if high is not None and value > high:
+        raise UsageError(f"--{key} is limited to <= {high}")
+    return value
+
+
+def _format_option(flag, config, default, choices):
+    """The flag value, else the config value, else the default, which
+    must be one of choices."""
+    fmt = flag or config.get("format") or default
+    if fmt not in choices:
+        raise UsageError(f"config value format = {fmt!r} is not one of " + ", ".join(choices))
+    return fmt
 
 
 # ---------------------------------------------------------------------
@@ -336,7 +362,7 @@ def _build_parser():
     ver.add_argument("--dmax", type=int, help="verification degree bound (default 4)")
     ver.add_argument("--with-x", action="store_true", dest="with_x",
                      help="use the x-extended data")
-    ver.add_argument("--format", choices=("text", "json"), default="json")
+    ver.add_argument("--format", choices=VERIFY_FORMATS)
     ver.add_argument("--config", help="key=value config file supplying defaults")
 
     sub.add_parser("list-critical", help="print the table of critical bundles") \
@@ -344,17 +370,15 @@ def _build_parser():
     return parser
 
 
-def _read_bundle(text, n, err):
-    """The parsed spec, or None after one error line on err."""
+def _read_bundle(text, n):
+    """The parsed spec of a bundle whose degrees are within the cap."""
     try:
         spec = parse_bundle(text, n)
-    except (BundleParseError, ValueError) as exc:
-        err.write(f"parse error: {exc}\n")
-        return None
+    except ValueError as exc:
+        raise UsageError(str(exc), label="parse error") from None
     st = spec.splitting
     if max(st.convex + st.concave, default=0) > MAX_BUNDLE_DEGREE:
-        err.write(f"error: bundle degrees are limited to |a| <= {MAX_BUNDLE_DEGREE}\n")
-        return None
+        raise UsageError(f"bundle degrees are limited to |a| <= {MAX_BUNDLE_DEGREE}")
     return spec
 
 
@@ -364,47 +388,28 @@ def _cmd_compute(args, out, err):
         config = load_config(args.config)
     if args.preset:
         if args.bundle or args.n is not None:
-            err.write("error: --preset conflicts with --n/--bundle\n")
-            return 2
+            raise UsageError("--preset conflicts with --n/--bundle")
         n, bundle_text, default_order = PRESETS[args.preset]
     else:
         if args.bundle is None or args.n is None:
-            err.write("error: need --preset or both --n and --bundle\n")
-            return 2
+            raise UsageError("need --preset or both --n and --bundle")
         n, bundle_text, default_order = args.n, args.bundle, 10
-    order = _int_option(args.order, config, "order", default_order)
-    if order < 1:
-        err.write("error: --order must be >= 1\n")
-        return 2
-    if order > MAX_ORDER:
-        err.write(f"error: --order is limited to <= {MAX_ORDER}\n")
-        return 2
-    fmt = args.format or config.get("format") or "text"
-    if fmt not in FORMAT_CHOICES:
-        raise UsageError(f"config value format = {fmt!r} is not one of "
-                         + ", ".join(FORMAT_CHOICES))
+    order = _int_option(args.order, config, "order", default_order, 1, MAX_ORDER)
+    fmt = _format_option(args.format, config, "text", FORMAT_CHOICES)
     emit_text = args.emit or config.get("emit") or ",".join(DEFAULT_EMIT)
     emit = tuple(tok.strip() for tok in emit_text.split(",") if tok.strip())
     for tok in emit:
         if tok not in EMIT_CHOICES:
-            err.write(f"error: unknown emit item '{tok}'\n")
-            return 2
+            raise UsageError(f"unknown emit item '{tok}'")
     if fmt == "csv" and "f-series" in emit:
-        err.write("error: csv carries the per-degree columns only; "
-                  "use --format text or json for f-series\n")
-        return 2
-    decimal = _int_option(args.decimal, config, "decimal", None)
-    if decimal is not None and decimal < 0:
-        err.write("error: --decimal must be >= 0\n")
-        return 2
+        raise UsageError("csv carries the per-degree columns only; "
+                         "use --format text or json for f-series")
+    decimal = _int_option(args.decimal, config, "decimal", None, 0)
 
-    spec = _read_bundle(bundle_text, n, err)
-    if spec is None:
-        return 2
+    spec = _read_bundle(bundle_text, n)
     reason = unsupported_reason(spec.splitting)
     if reason:
-        err.write(f"error: {reason}\n")
-        return 2
+        raise UsageError(reason)
 
     cache_dir = args.cache or config.get("cache") or os.environ.get("MIRRORCALC_CACHE")
     cache_path = _cache_path(cache_dir, str(spec.splitting), n, order) if cache_dir else None
@@ -464,19 +469,20 @@ def _result_from_document(document, st):
     return result if json.dumps(rebuilt) == json.dumps(document) else None
 
 
-def _cmd_verify(args, out, err):
+def _linear_factors(st, d):
+    """The number of linear factors of P_d: sum(l*d + 1) + sum(k*d - 1)."""
+    return d * st.total + st.rank_convex - st.rank_concave
+
+
+def _cmd_verify(args, out):
     config = load_config(args.config) if args.config else {}
-    d_max = _int_option(args.dmax, config, "dmax", 4)
-    if d_max < 1:
-        err.write("error: --dmax must be >= 1\n")
-        return 2
-    if d_max > MAX_DMAX:
-        err.write(f"error: --dmax is limited to <= {MAX_DMAX}\n")
-        return 2
-    spec = _read_bundle(args.bundle, args.n, err)
-    if spec is None:
-        return 2
-    st = spec.splitting
+    d_max = _int_option(args.dmax, config, "dmax", 4, 1, MAX_DMAX)
+    fmt = _format_option(args.format, config, "json", VERIFY_FORMATS)
+    st = _read_bundle(args.bundle, args.n).splitting
+    factors = _linear_factors(st, d_max)
+    if factors > MAX_LINEAR_FACTORS:
+        raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {factors} linear factors; "
+                         f"verify is limited to <= {MAX_LINEAR_FACTORS}")
     data = build_hypergeom_data(st, with_x=args.with_x)
     table = to_table(data, d_max)
     if args.check == "gluing":
@@ -489,7 +495,7 @@ def _cmd_verify(args, out, err):
         shift = _linking_shift(st, d_max, args.with_x)
         transformed = mirror_transform(table.restriction_sequence(), None, shift)
         report = check_linked(table, lagrange_map(transformed))
-    if args.format == "json":
+    if fmt == "json":
         out.write(report.to_json(indent=2) + "\n")
     else:
         out.write(f"{report.check}: n={report.n} d_max={report.d_max} "
@@ -538,10 +544,10 @@ def run_command(argv, out=None, err=None):
         if args.command == "compute":
             return _cmd_compute(args, out, err)
         if args.command == "verify":
-            return _cmd_verify(args, out, err)
+            return _cmd_verify(args, out)
         return _cmd_list_critical(args, out)
     except UsageError as exc:
-        err.write(f"error: {exc}\n")
+        err.write(f"{exc.label}: {exc}\n")
         return 2
     except Exception as exc:  # a defect, not bad input: exit 3, never a traceback
         err.write(f"internal error: {type(exc).__name__}: {exc}\n")

@@ -8,17 +8,25 @@ optionally x.  Verifiers consume restriction tables: the values of P_d
 at the fixed-point weights kappa = lam_i + r*alpha.  An invertible class
 Omega supplies the d = 0 entry, and "bar" on restrictions flips the sign
 of alpha only.
+
+Every verifier walks the (d, i, r) index grid through ``_grid`` and
+records each identity through ``_verdict``: "pass", "fail" with a
+witness, or "inconclusive" when a substitution hits a vanishing
+denominator.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .algebra import (RationalFunction, SubstitutionError, alpha_degree,
                       bar_involution, rf_equal, weight_ring)
-from .bundles import OmegaClass, omega_class
+from .bundles import omega_class
 from .qseries import ScalarQSeries, mirror_powers
 
 
@@ -33,20 +41,16 @@ class EulerDataError(ValueError):
 class EulerDataClosed:
     """A sequence d -> P_d given in closed form, plus its invertible class.
 
-    ``rule(d, ring)`` must return a polynomial in kappa, alpha (and x when
-    ``with_x``); ``omega_restriction(i, ring)`` gives the restriction of
-    the invertible class at the i-th fixed point.
+    ``rule(d, ring)`` must return a polynomial in kappa, alpha (and x for
+    x-extended data); ``omega_restriction(i, ring)`` gives the restriction
+    of the invertible class at the i-th fixed point.
     """
 
-    def __init__(self, n, rule, omega_restriction, omega=None,
-                 splitting=None, with_x=False):
+    def __init__(self, n, rule, omega_restriction):
         self.n = n
         self.ring = weight_ring(n)
         self._rule = rule
         self._omega_restriction = omega_restriction
-        self.omega = omega
-        self.splitting = splitting
-        self.with_x = with_x
         self._cache = {}
 
     def polynomial(self, d):
@@ -87,22 +91,15 @@ def build_hypergeom_data(st, with_x=False):
         lam = ring.var(f"lam{i}")
         if with_x:
             x = ring.var("x")
-            num = ring.one
-            den = ring.one
-            for l in st.convex:
-                num = num * (x + l * lam)
-            for k in st.concave:
-                den = den * (x - k * lam)
-            return RationalFunction(num, den)
+            return RationalFunction(math.prod((x + l * lam for l in st.convex), start=ring.one),
+                                    math.prod((x - k * lam for k in st.concave), start=ring.one))
         om = omega_class(st)
         h = om.h_exponent
         if h >= 0:
             return RationalFunction(ring.const(om.scalar) * lam ** h)
         return RationalFunction(ring.const(om.scalar), lam ** (-h))
 
-    return EulerDataClosed(st.n, rule, omega_restriction,
-                           omega=None if with_x else omega_class(st),
-                           splitting=st, with_x=with_x)
+    return EulerDataClosed(st.n, rule, omega_restriction)
 
 
 def endpoint_weights_data(n):
@@ -117,8 +114,7 @@ def endpoint_weights_data(n):
     def omega_restriction(i, ring):
         return RationalFunction(ring.var(f"lam{i}") ** 2)
 
-    return EulerDataClosed(n, rule, omega_restriction,
-                           omega=OmegaClass(Fraction(1), 2))
+    return EulerDataClosed(n, rule, omega_restriction)
 
 
 def restrict(ed, d, i, r):
@@ -130,15 +126,25 @@ def restrict(ed, d, i, r):
     return RationalFunction(ed.polynomial(d).substitute({"kappa": target}))
 
 
+def _upto(d):
+    return range(d + 1)
+
+
+def _grid(d_max, *axes):
+    """Index tuples (d, a, b, ...) for 1 <= d <= d_max, d varying
+    slowest and the last axis fastest; each axis is a range, or a
+    function of d that returns one.  ``_grid(d_max, range(n + 1), _upto)``
+    is the (d, i, r) grid of a restriction table."""
+    for d in range(1, d_max + 1):
+        for rest in itertools.product(*(ax(d) if callable(ax) else ax for ax in axes)):
+            yield (d, *rest)
+
+
 def to_table(ed, d_max):
     """Materialize the full grid of restrictions up to degree d_max."""
     if d_max < 1:
         raise EulerDataError("d_max must be >= 1")
-    entries = {}
-    for d in range(1, d_max + 1):
-        for i in range(ed.n + 1):
-            for r in range(d + 1):
-                entries[(d, i, r)] = restrict(ed, d, i, r)
+    entries = {key: restrict(ed, *key) for key in _grid(d_max, range(ed.n + 1), _upto)}
     omega = {i: ed.omega_restriction(i) for i in range(ed.n + 1)}
     return EulerDataTable(ed.n, d_max, ed.ring, entries, omega)
 
@@ -164,11 +170,9 @@ class EulerDataTable:
         for i in range(n + 1):
             if i not in omega_restrictions or omega_restrictions[i].is_zero():
                 raise EulerDataError(f"omega restriction at p_{i} missing or zero")
-        for d in range(1, d_max + 1):
-            for i in range(n + 1):
-                for r in range(d + 1):
-                    if (d, i, r) not in entries:
-                        raise EulerDataError(f"incomplete table: missing entry {(d, i, r)}")
+        for key in _grid(d_max, range(n + 1), _upto):
+            if key not in entries:
+                raise EulerDataError(f"incomplete table: missing entry {key}")
 
     def entry(self, d, i, r):
         if d == 0:
@@ -178,9 +182,8 @@ class EulerDataTable:
     def restriction_sequence(self):
         """The degree-zero slice d -> entry(d, i, 0), including d = 0."""
         values = {(0, i): self.omega_restrictions[i] for i in range(self.n + 1)}
-        for d in range(1, self.d_max + 1):
-            for i in range(self.n + 1):
-                values[(d, i)] = self.entries[(d, i, 0)]
+        for d, i in _grid(self.d_max, range(self.n + 1)):
+            values[(d, i)] = self.entries[(d, i, 0)]
         return RestrictionSequence(self.n, self.d_max, self.ring, values)
 
 
@@ -216,10 +219,6 @@ class CheckResult:
     status: str  # "pass" | "fail" | "inconclusive"
     witness: str = ""
 
-    def to_dict(self):
-        return {"d": self.d, "i": self.i, "r": self.r,
-                "status": self.status, "witness": self.witness}
-
 
 @dataclass
 class VerificationReport:
@@ -241,16 +240,28 @@ class VerificationReport:
         return [r for r in self.results if r.status == "inconclusive"]
 
     def to_dict(self):
-        return {"check": self.check, "n": self.n, "d_max": self.d_max,
-                "results": [r.to_dict() for r in self.results],
-                "all_pass": self.all_pass}
+        return {**asdict(self), "all_pass": self.all_pass}
 
     def to_json(self, indent=None):
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _bar(rf):
-    return bar_involution(rf, 0)
+def _verdict(report, key, holds, witness, prefix="", note=""):
+    """Append the result of one identity at key = (d, i, r).
+
+    holds() is True (pass, witnessed by note), False (fail) or None
+    (inconclusive); witness() is called only for the last two.  A
+    SubstitutionError inside holds() makes the result inconclusive,
+    witnessed by prefix and the error.
+    """
+    try:
+        ok = holds()
+    except SubstitutionError as exc:
+        ok, text = None, f"{prefix}{exc}"
+    else:
+        text = note if ok else witness()
+    status = "pass" if ok else "fail" if ok is False else "inconclusive"
+    report.results.append(CheckResult(*key, status, text))
 
 
 # ---------------------------------------------------------------------
@@ -261,17 +272,11 @@ def check_gluing(tbl):
     """Omega(lam_i) * Q_d(lam_i + r*alpha) = bar(Q_r(lam_i)) * Q_{d-r}(lam_i)
     for every d <= d_max, 0 <= r <= d, 0 <= i <= n, with Q_0 the class."""
     report = VerificationReport("gluing", tbl.n, tbl.d_max)
-    for d in range(1, tbl.d_max + 1):
-        for i in range(tbl.n + 1):
-            omega_i = tbl.omega_restrictions[i]
-            for r in range(d + 1):
-                lhs = omega_i * tbl.entry(d, i, r)
-                rhs = _bar(tbl.entry(r, i, 0)) * tbl.entry(d - r, i, 0)
-                if rf_equal(lhs, rhs):
-                    report.results.append(CheckResult(d, i, r, "pass"))
-                else:
-                    report.results.append(CheckResult(
-                        d, i, r, "fail", witness=f"lhs={lhs}; rhs={rhs}"))
+    for d, i, r in _grid(tbl.d_max, range(tbl.n + 1), _upto):
+        lhs = tbl.omega_restrictions[i] * tbl.entry(d, i, r)
+        rhs = bar_involution(tbl.entry(r, i, 0)) * tbl.entry(d - r, i, 0)
+        _verdict(report, (d, i, r), lambda: rf_equal(lhs, rhs),
+                 lambda: f"lhs={lhs}; rhs={rhs}")
     return report
 
 
@@ -299,57 +304,27 @@ def check_reciprocity(tbl):
     """
     report = VerificationReport("reciprocity", tbl.n, tbl.d_max)
     ring = tbl.ring
-    substituted = {}
+    points = range(tbl.n + 1)
 
+    @functools.cache
     def at(d, k, j, i, r):
         """entry(d, k, 0) at alpha = (lam_j - lam_i)/r."""
-        key = (d, k, j, i, r)
-        if key not in substituted:
-            substituted[key] = tbl.entry(d, k, 0).substitute(
-                {"alpha": _alpha_binding(ring, j, i, r)})
-        return substituted[key]
+        return tbl.entry(d, k, 0).substitute({"alpha": _alpha_binding(ring, j, i, r)})
 
-    for d in range(1, tbl.d_max + 1):
-        for i in range(tbl.n + 1):
-            lhs = tbl.entry(d, i, d)
-            rhs = _bar(tbl.entry(d, i, 0))
-            status = "pass" if rf_equal(lhs, rhs) else "fail"
-            report.results.append(CheckResult(
-                d, i, d, status,
-                witness="" if status == "pass" else f"item (i): lhs={lhs}; rhs={rhs}"))
-    for d in range(1, tbl.d_max + 1):
-        for i in range(tbl.n + 1):
-            for j in range(tbl.n + 1):
-                if j == i:
-                    continue
-                try:
-                    left = at(d, j, j, i, d)
-                    right = at(d, i, i, j, d)
-                except SubstitutionError as exc:
-                    report.results.append(CheckResult(
-                        d, i, j, "inconclusive", witness=f"item (ii): {exc}"))
-                    continue
-                status = "pass" if rf_equal(left, right) else "fail"
-                report.results.append(CheckResult(
-                    d, i, j, status,
-                    witness="" if status == "pass" else f"item (ii): j={j}"))
-    for d in range(1, tbl.d_max + 1):
-        for r in range(1, d + 1):
-            for i in range(tbl.n + 1):
-                for j in range(tbl.n + 1):
-                    if j == i:
-                        continue
-                    try:
-                        lhs = at(0, i, j, i, r) * at(d, j, j, i, r)
-                        rhs = at(r, j, j, i, r) * at(d - r, i, j, i, r)
-                    except SubstitutionError as exc:
-                        report.results.append(CheckResult(
-                            d, i, r, "inconclusive", witness=f"item (iii): j={j}: {exc}"))
-                        continue
-                    status = "pass" if rf_equal(lhs, rhs) else "fail"
-                    report.results.append(CheckResult(
-                        d, i, r, status,
-                        witness="" if status == "pass" else f"item (iii): j={j}"))
+    for d, i in _grid(tbl.d_max, points):
+        lhs, rhs = tbl.entry(d, i, d), bar_involution(tbl.entry(d, i, 0))
+        _verdict(report, (d, i, d), lambda: rf_equal(lhs, rhs),
+                 lambda: f"item (i): lhs={lhs}; rhs={rhs}")
+    for d, i, j in _grid(tbl.d_max, points, points):
+        if j != i:
+            _verdict(report, (d, i, j), lambda: rf_equal(at(d, j, j, i, d), at(d, i, i, j, d)),
+                     lambda: f"item (ii): j={j}", "item (ii): ")
+    for d, r, i, j in _grid(tbl.d_max, lambda d: range(1, d + 1), points, points):
+        if j != i:
+            _verdict(report, (d, i, r),
+                     lambda: rf_equal(at(0, i, j, i, r) * at(d, j, j, i, r),
+                                      at(r, j, j, i, r) * at(d - r, i, j, i, r)),
+                     lambda: f"item (iii): j={j}", f"item (iii): j={j}: ")
     return report
 
 
@@ -359,46 +334,31 @@ def check_linked(table_a, table_b):
         raise EulerDataError("tables are not compatible")
     report = VerificationReport("linking", table_a.n, table_a.d_max)
     ring = table_a.ring
-    for d in range(1, table_a.d_max + 1):
-        for i in range(table_a.n + 1):
-            diff = table_a.entry(d, i, 0) - table_b.entry(d, i, 0)
-            for j in range(table_a.n + 1):
-                if j == i:
-                    continue
-                try:
-                    value = diff.substitute({"alpha": _alpha_binding(ring, i, j, d)})
-                except SubstitutionError as exc:
-                    report.results.append(CheckResult(d, i, j, "inconclusive", witness=str(exc)))
-                    continue
-                status = "pass" if value.is_zero() else "fail"
-                report.results.append(CheckResult(
-                    d, i, j, status,
-                    witness="" if status == "pass" else f"j={j}: residue={value}"))
+    points = range(table_a.n + 1)
+    diffs = {(d, i): table_a.entry(d, i, 0) - table_b.entry(d, i, 0)
+             for d, i in _grid(table_a.d_max, points)}
+    for d, i, j in _grid(table_a.d_max, points, points):
+        if j != i:
+            binding = {"alpha": _alpha_binding(ring, i, j, d)}
+            _verdict(report, (d, i, j), lambda: diffs[(d, i)].substitute(binding).is_zero(),
+                     lambda: f"j={j}: residue={diffs[(d, i)].substitute(binding)}")
     return report
 
 
-def check_degree_bound(table_a, table_b=None):
-    """alpha-degree of the degree-zero restriction differences against
-    (n+1)d - 2.  table_b = None compares against the zero data."""
-    report = VerificationReport("degree-bound", table_a.n, table_a.d_max)
-    for d in range(1, table_a.d_max + 1):
-        bound = (table_a.n + 1) * d - 2
-        for i in range(table_a.n + 1):
-            diff = table_a.entry(d, i, 0)
-            if table_b is not None:
-                diff = diff - table_b.entry(d, i, 0)
-            if diff.is_zero():
-                report.results.append(CheckResult(d, i, 0, "pass", witness="deg=-inf"))
-                continue
-            if alpha_degree(diff.den) > 0:
-                report.results.append(CheckResult(
-                    d, i, 0, "inconclusive",
-                    witness=f"denominator involves alpha: {diff.den}"))
-                continue
-            deg = alpha_degree(diff.num)
-            status = "pass" if deg <= bound else "fail"
-            report.results.append(CheckResult(
-                d, i, 0, status, witness=f"deg={deg} bound={bound}"))
+def check_degree_bound(tbl):
+    """alpha-degree of each degree-zero restriction against (n+1)d - 2."""
+    report = VerificationReport("degree-bound", tbl.n, tbl.d_max)
+    for d, i in _grid(tbl.d_max, range(tbl.n + 1)):
+        value = tbl.entry(d, i, 0)
+        bound = (tbl.n + 1) * d - 2
+        if value.is_zero():
+            ok, text = True, "deg=-inf"
+        elif alpha_degree(value.den) > 0:
+            ok, text = None, f"denominator involves alpha: {value.den}"
+        else:
+            deg = alpha_degree(value.num)
+            ok, text = deg <= bound, f"deg={deg} bound={bound}"
+        _verdict(report, (d, i, 0), lambda: ok, lambda: text, note=text)
     return report
 
 
@@ -409,16 +369,10 @@ def check_degree_bound(table_a, table_b=None):
 def lagrange_map(seq):
     """Rebuild a full table from a degree-zero restriction sequence:
     entry(d, i, r) = Omega(lam_i)^-1 * bar(B_r(lam_i)) * B_{d-r}(lam_i)."""
-    entries = {}
-    for i in range(seq.n + 1):
-        if seq.value(0, i).is_zero():
-            raise EulerDataError(f"zero class restriction at p_{i}")
-    for d in range(1, seq.d_max + 1):
-        for i in range(seq.n + 1):
-            omega_inv = RationalFunction(seq.ring.one) / seq.value(0, i)
-            for r in range(d + 1):
-                entries[(d, i, r)] = (omega_inv * _bar(seq.value(r, i))
-                                      * seq.value(d - r, i))
+    one = RationalFunction(seq.ring.one)
+    omega_inv = {i: one / seq.value(0, i) for i in range(seq.n + 1)}
+    entries = {(d, i, r): omega_inv[i] * bar_involution(seq.value(r, i)) * seq.value(d - r, i)
+               for d, i, r in _grid(seq.d_max, range(seq.n + 1), _upto)}
     omega = {i: seq.value(0, i) for i in range(seq.n + 1)}
     return EulerDataTable(seq.n, seq.d_max, seq.ring, entries, omega)
 
@@ -462,37 +416,27 @@ def mirror_transform(seq, multiplier=None, shift=None):
     at p = lam_i.  Linked values are preserved.
     """
     n, d_max, ring = seq.n, seq.d_max, seq.ring
-    if shift is None:
-        g = [Fraction(0)] * (d_max + 1)
-    elif isinstance(shift, ScalarQSeries):
-        g = [Fraction(c) for c in shift.truncate(d_max).coeffs] if shift.order >= d_max else None
-        if g is None:
+    if isinstance(shift, ScalarQSeries):
+        if shift.order < d_max:
             raise EulerDataError("shift series truncated below d_max")
-    else:
-        g = [Fraction(c) for c in shift] + [Fraction(0)] * (d_max + 1 - len(shift))
-        g = g[: d_max + 1]
+        shift = shift.coeffs
+    g = ScalarQSeries(d_max, shift or ())
     if g[0] != 0:
         raise EulerDataError("shift must have zero constant term")
 
-    if multiplier is None:
-        f = [RationalFunction(ring.zero)] * (d_max + 1)
-    else:
-        f = [RationalFunction.promote(ring, c) for c in multiplier]
-        f += [RationalFunction(ring.zero)] * (d_max + 1 - len(f))
-        f = f[: d_max + 1]
+    f = [RationalFunction.promote(ring, c) for c in multiplier or ()][: d_max + 1]
+    f += [RationalFunction(ring.zero)] * (d_max + 1 - len(f))
     if not f[0].is_zero():
         raise EulerDataError("multiplier series must have zero constant term")
 
-    powers = mirror_powers(ScalarQSeries(d_max, g))
+    powers = mirror_powers(g)
 
     alpha_rf = RationalFunction(ring.var("alpha"))
     values = {(0, i): seq.value(0, i) for i in range(n + 1)}
-    factors = {}
 
+    @functools.cache
     def factor(i, r, d):
-        if (i, r, d) not in factors:
-            factors[(i, r, d)] = RationalFunction(_product_factor(ring, n, i, r, d))
-        return factors[(i, r, d)]
+        return RationalFunction(_product_factor(ring, n, i, r, d))
 
     for i in range(n + 1):
         lam_i = RationalFunction(ring.var(f"lam{i}"))

@@ -23,27 +23,23 @@ def test_substitute_denominator_collapse_names_symbol():
     assert "lam0" in str(exc.value)
 
 
-def test_bar_shifts_kappa():
-    assert bar_involution(KAPPA, 2) == KAPPA - 2 * ALPHA
-
-
 def test_bar_fixes_lambda_flips_alpha():
-    for d in range(4):
-        assert bar_involution(LAM0 + 3 * ALPHA, d) == LAM0 - 3 * ALPHA
+    assert bar_involution(LAM0 + 3 * ALPHA) == LAM0 - 3 * ALPHA
+    assert bar_involution(LAM1 * ALPHA ** 2 - ALPHA ** 3) == LAM1 * ALPHA ** 2 + ALPHA ** 3
 
 
 def test_bar_is_involution():
     p = KAPPA ** 2 * ALPHA + LAM1
-    for d in range(4):
-        assert bar_involution(bar_involution(p, d), d) == p
+    assert bar_involution(bar_involution(p)) == p
+    rf = RationalFunction(LAM0 + ALPHA, LAM1 - 2 * ALPHA)
+    assert rf_equal(bar_involution(bar_involution(rf)), rf)
 
 
 def test_bar_involution_on_monomials():
     monomials = [R.one, ALPHA, KAPPA, LAM0, KAPPA * ALPHA, KAPPA ** 2,
                  LAM1 * ALPHA ** 2, KAPPA ** 3 * LAM2]
-    for d in range(4):
-        for m in monomials:
-            assert bar_involution(bar_involution(m, d), d) == m
+    for m in monomials:
+        assert bar_involution(bar_involution(m)) == m
 
 
 def test_alpha_degree():

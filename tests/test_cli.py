@@ -13,8 +13,8 @@ import pytest
 from mirrorcalc import __version__
 from mirrorcalc.bundles import SplittingType
 from mirrorcalc import cli
-from mirrorcalc.cli import (MAX_BUNDLE_DEGREE, MAX_DMAX, MAX_ORDER, BundleParseError,
-                            exact_decimal, parse_bundle, run_command)
+from mirrorcalc.cli import (MAX_BUNDLE_DEGREE, MAX_DMAX, MAX_LINEAR_FACTORS, MAX_ORDER,
+                            BundleParseError, exact_decimal, parse_bundle, run_command)
 from mirrorcalc.pipeline import PipelineError
 
 
@@ -212,6 +212,40 @@ def test_order_and_dmax_caps_admit_presets_and_readme():
     code, out, _ = run(["compute", "--preset", "multicover", "--order", str(MAX_ORDER),
                         "--emit", "kd"])
     assert code == 0 and len(out.splitlines()) == MAX_ORDER + 2
+
+
+@pytest.mark.parametrize("argv, dmax, message", [
+    (["verify", "gluing", "--n", "1", "--bundle", "O(64)"], 6,
+     "O(64) at --dmax 6 gives P_dmax 385 linear factors"),
+    (["verify", "reciprocity", "--n", "2", "--bundle", "O(-34)"], 2,
+     "O(-34) at --dmax 2 gives P_dmax 67 linear factors"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_linear_factor_cap(argv, dmax, message, source, tmp_path, monkeypatch):
+    refuse_builds(monkeypatch)
+    if source == "flag":
+        argv = argv + ["--dmax", str(dmax)]
+    else:
+        cfg = tmp_path / "dmax.conf"
+        cfg.write_text(f"dmax = {dmax}\n")
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}; verify is limited to <= {MAX_LINEAR_FACTORS}\n"
+
+
+def test_linear_factor_cap_admits_presets_and_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [(int(n), bundle) for n, bundle
+                in re.findall(r'mirrorcalc verify \S+ --n (\d+) --bundle "([^"]+)"', readme)]
+    assert len(examples) == 5
+    bundles = [parse_bundle(bundle, n).splitting
+               for n, bundle in examples + [(n, b) for n, b, _ in cli.PRESETS.values()]]
+    for st in bundles:
+        assert cli._linear_factors(st, MAX_DMAX) <= MAX_LINEAR_FACTORS, st
+    # the largest admitted bundle degree still runs at --dmax 1
+    largest = SplittingType(1, (MAX_BUNDLE_DEGREE,), ())
+    assert cli._linear_factors(largest, 1) <= MAX_LINEAR_FACTORS
 
 
 def test_compute_rejects_unsupported_before_the_build(monkeypatch):
@@ -436,6 +470,22 @@ def test_config_rejects_unknown_format(tmp_path, monkeypatch):
     code, out, err = run(["compute", "--preset", "multicover", "--config", str(cfg)])
     assert code == 2 and out == ""
     assert err == "error: config value format = 'xml' is not one of text, json, csv\n"
+
+
+def test_verify_config_format(tmp_path, monkeypatch):
+    argv = ["verify", "degree-bound", "--n", "1", "--bundle", "O(-1)+O(-1)", "--dmax", "1"]
+    cfg = tmp_path / "text.conf"
+    cfg.write_text("format = text\n")
+    code, out, err = run(argv + ["--config", str(cfg)])
+    assert (code, out, err) == (0, "degree-bound: n=1 d_max=1 all_pass=True "
+                                   "(0 failures, 0 inconclusive)\n", "")
+    code, out, _ = run(argv + ["--config", str(cfg), "--format", "json"])
+    assert code == 0 and json.loads(out)["check"] == "degree-bound"
+    refuse_builds(monkeypatch)
+    cfg.write_text("format = csv\n")
+    code, out, err = run(argv + ["--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == "error: config value format = 'csv' is not one of text, json\n"
 
 
 @pytest.mark.parametrize("argv", [

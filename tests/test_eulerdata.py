@@ -158,7 +158,7 @@ def test_reciprocity_line_data_by_hand():
     ring = tbl.ring
     lam0, alpha = ring.var("lam0"), ring.var("alpha")
     assert tbl.entry(1, 0, 1) == RationalFunction((lam0 + alpha) * lam0)
-    assert rf_equal(tbl.entry(1, 0, 1), bar_involution(tbl.entry(1, 0, 0), 0))
+    assert rf_equal(tbl.entry(1, 0, 1), bar_involution(tbl.entry(1, 0, 0)))
     report = check_reciprocity(tbl)
     assert report.all_pass and not report.inconclusive
 
@@ -173,7 +173,7 @@ def test_reciprocity_detects_sign_flip():
     ring = tbl.ring
     entries = dict(tbl.entries)
     # flip an alpha sign in the top restriction: item (i) must fail at d=2
-    entries[(2, 0, 2)] = bar_involution(entries[(2, 0, 2)], 0)
+    entries[(2, 0, 2)] = bar_involution(entries[(2, 0, 2)])
     corrupted = EulerDataTable(tbl.n, tbl.d_max, ring, entries, tbl.omega_restrictions)
     report = check_reciprocity(corrupted)
     failed = {(r.d, r.i) for r in report.failures if "item (i)" in r.witness}
@@ -216,6 +216,71 @@ def test_reciprocity_report_pins_failures_and_inconclusive():
         '{"d": 2, "i": 1, "r": 2, "status": "pass", "witness": ""}'
         '], "all_pass": false}')
     assert check_reciprocity(corrupted).to_json() == expected
+
+
+def corrupted_multicover():
+    """The multicover table at d_max = 2, and a copy in which (2, 1, 0)
+    is multiplied by 1 + alpha and (1, 0, 0) gets a pole that dies at
+    alpha = (lam0 - lam1)/1."""
+    tbl = to_table(build_hypergeom_data(MULTICOVER), 2)
+    ring = tbl.ring
+    entries = dict(tbl.entries)
+    entries[(2, 1, 0)] = entries[(2, 1, 0)] * RationalFunction(ring.one + ring.var("alpha"))
+    pole = RationalFunction(ring.one, ring.var("lam0") - ring.var("lam1") - ring.var("alpha"))
+    entries[(1, 0, 0)] = entries[(1, 0, 0)] + pole
+    return tbl, EulerDataTable(tbl.n, tbl.d_max, ring, entries, tbl.omega_restrictions)
+
+
+@pytest.mark.parametrize("check, expected", [
+    ("gluing", (
+        '{"check": "gluing", "n": 1, "d_max": 2, "results": ['
+        '{"d": 1, "i": 0, "r": 0, "status": "pass", "witness": ""}, '
+        '{"d": 1, "i": 0, "r": 1, "status": "fail", '
+        '"witness": "lhs=(1) / (lam0^2); rhs=(lam0 - lam1 + alpha + 1) / (lam0^3 -'
+        ' lam0^2*lam1 + lam0^2*alpha)"}, '
+        '{"d": 1, "i": 1, "r": 0, "status": "pass", "witness": ""}, '
+        '{"d": 1, "i": 1, "r": 1, "status": "pass", "witness": ""}, '
+        '{"d": 2, "i": 0, "r": 0, "status": "pass", "witness": ""}, '
+        '{"d": 2, "i": 0, "r": 1, "status": "fail", '
+        '"witness": "lhs=(lam0^2) / (lam0^2); rhs=(lam0^2 - 2*lam0*lam1 + lam1^2 -'
+        ' alpha^2 + 2*lam0 - 2*lam1 + 1) / (lam0^2 - 2*lam0*lam1 + lam1^2 - alpha^2)"}, '
+        '{"d": 2, "i": 0, "r": 2, "status": "pass", "witness": ""}, '
+        '{"d": 2, "i": 1, "r": 0, "status": "pass", "witness": ""}, '
+        '{"d": 2, "i": 1, "r": 1, "status": "pass", "witness": ""}, '
+        '{"d": 2, "i": 1, "r": 2, "status": "fail", '
+        '"witness": "lhs=(lam1^2 + 2*lam1*alpha + alpha^2) / (lam1^2);'
+        ' rhs=(-lam1^2*alpha - 2*lam1*alpha^2 - alpha^3 + lam1^2 + 2*lam1*alpha +'
+        ' alpha^2) / (lam1^2)"}'
+        '], "all_pass": false}')),
+    ("linked", (
+        '{"check": "linking", "n": 1, "d_max": 2, "results": ['
+        '{"d": 1, "i": 0, "r": 1, "status": "inconclusive", '
+        '"witness": "substitution for \'alpha\' produced a zero denominator"}, '
+        '{"d": 1, "i": 1, "r": 0, "status": "pass", "witness": ""}, '
+        '{"d": 2, "i": 0, "r": 1, "status": "pass", "witness": ""}, '
+        '{"d": 2, "i": 1, "r": 0, "status": "fail", '
+        '"witness": "j=0: residue=-1/8*lam0^3 - 1/8*lam0^2*lam1 + 1/8*lam0*lam1^2 +'
+        ' 1/8*lam1^3"}'
+        '], "all_pass": false}')),
+    ("degree_bound", (
+        '{"check": "degree-bound", "n": 1, "d_max": 2, "results": ['
+        '{"d": 1, "i": 0, "r": 0, "status": "inconclusive", '
+        '"witness": "denominator involves alpha: lam0 - lam1 - alpha"}, '
+        '{"d": 1, "i": 1, "r": 0, "status": "pass", "witness": "deg=0 bound=0"}, '
+        '{"d": 2, "i": 0, "r": 0, "status": "pass", "witness": "deg=2 bound=2"}, '
+        '{"d": 2, "i": 1, "r": 0, "status": "fail", "witness": "deg=3 bound=2"}'
+        '], "all_pass": false}')),
+], ids=["gluing", "linked", "degree_bound"])
+def test_report_pins_failures_and_inconclusive(check, expected):
+    # gluing fails where (2, 1, 0) or the pole enters; linking is
+    # inconclusive where the pole dies and fails at (2, 1); the degree
+    # bound is inconclusive on the pole's alpha denominator and fails at
+    # (2, 1), whose alpha-degree rose to 3
+    tbl, corrupted = corrupted_multicover()
+    report = {"gluing": lambda: check_gluing(corrupted),
+              "linked": lambda: check_linked(corrupted, tbl),
+              "degree_bound": lambda: check_degree_bound(corrupted)}[check]()
+    assert report.to_json() == expected
 
 
 def test_gluing_with_x_extension():
@@ -267,15 +332,11 @@ def test_linked_reports_inconclusive_on_vanishing_denominator():
     assert statuses[(1, 0, 1)] == "inconclusive"
 
 
-def test_degree_bound_self_and_zero():
-    tbl = to_table(build_hypergeom_data(MULTICOVER), 3)
-    self_report = check_degree_bound(tbl, tbl)
-    assert self_report.all_pass
-    assert all("-inf" in r.witness for r in self_report.results)
-    # against zero: deg = 2d - 2 meets the bound exactly
-    zero_report = check_degree_bound(tbl)
-    assert zero_report.all_pass
-    assert {r.witness for r in zero_report.results if r.d == 3} == {"deg=4 bound=4"}
+def test_degree_bound_multicover_meets_bound():
+    # deg = 2d - 2 meets the bound (n+1)d - 2 exactly
+    report = check_degree_bound(to_table(build_hypergeom_data(MULTICOVER), 3))
+    assert report.all_pass
+    assert {r.witness for r in report.results if r.d == 3} == {"deg=4 bound=4"}
 
 
 def test_degree_bound_local_p2_fails():
@@ -321,7 +382,7 @@ def test_lagrange_constant_sequence():
     for i in range(3):
         omega_i = seq0.values[(0, i)]
         assert rf_equal(tbl.entry(1, i, 0), omega_i)
-        assert rf_equal(tbl.entry(1, i, 1), bar_involution(omega_i, 0))
+        assert rf_equal(tbl.entry(1, i, 1), bar_involution(omega_i))
 
 
 # ---------------------------------------------------------------------
