@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -47,6 +46,11 @@ MAX_DMAX = 6
 # <= 2 s, at 127 (O(21) at --dmax 6) reciprocity on P^2 24 s; O(64) at
 # --dmax 6 (385) ran past 30 s.  The presets need at most 31.
 MAX_LINEAR_FACTORS = 65
+# largest (d_max+1)^n, about the terms of the linking product factors
+# prod_j prod_m (lam_i - lam_j - m*alpha): with O(1) at --dmax 1 linking
+# takes 0.4 s on P^5, 12 s on P^9 (512) and 29 s on P^10; 5^4 admits P^4
+# at the default --dmax 4, so every preset.  It bounds linking only.
+MAX_LINKING_TERMS = 625
 
 # preset name -> (n, bundle text, default order)
 PRESETS = {
@@ -71,12 +75,6 @@ class BundleParseError(ValueError):
     def __init__(self, message, position):
         self.position = position
         super().__init__(f"{message} (at position {position})")
-
-
-@dataclass(frozen=True)
-class BundleSpec:
-    source: str
-    splitting: SplittingType
 
 
 def parse_bundle(text, n):
@@ -127,7 +125,7 @@ def parse_bundle(text, n):
         if text[pos] != "+":
             raise BundleParseError("expected '+' between terms", pos)
         pos += 1
-    return BundleSpec(text, SplittingType(n, tuple(convex), tuple(concave)))
+    return SplittingType(n, tuple(convex), tuple(concave))
 
 
 # ---------------------------------------------------------------------
@@ -371,15 +369,14 @@ def _build_parser():
 
 
 def _read_bundle(text, n):
-    """The parsed spec of a bundle whose degrees are within the cap."""
+    """The splitting type of a bundle spec whose degrees are within the cap."""
     try:
-        spec = parse_bundle(text, n)
+        st = parse_bundle(text, n)
     except ValueError as exc:
         raise UsageError(str(exc), label="parse error") from None
-    st = spec.splitting
     if max(st.convex + st.concave, default=0) > MAX_BUNDLE_DEGREE:
         raise UsageError(f"bundle degrees are limited to |a| <= {MAX_BUNDLE_DEGREE}")
-    return spec
+    return st
 
 
 def _cmd_compute(args, out, err):
@@ -406,18 +403,18 @@ def _cmd_compute(args, out, err):
                          "use --format text or json for f-series")
     decimal = _int_option(args.decimal, config, "decimal", None, 0)
 
-    spec = _read_bundle(bundle_text, n)
-    reason = unsupported_reason(spec.splitting)
+    st = _read_bundle(bundle_text, n)
+    reason = unsupported_reason(st)
     if reason:
         raise UsageError(reason)
 
     cache_dir = args.cache or config.get("cache") or os.environ.get("MIRRORCALC_CACHE")
-    cache_path = _cache_path(cache_dir, str(spec.splitting), n, order) if cache_dir else None
+    cache_path = _cache_path(cache_dir, str(st), n, order) if cache_dir else None
     document = _cache_load(cache_path) if cache_path else None
     # every format prints from the result, so a hit prints what a miss would
-    result = None if document is None else _result_from_document(document, spec.splitting)
+    result = None if document is None else _result_from_document(document, st)
     if result is None or result.order != order:
-        result = run_pipeline(spec.splitting, order)
+        result = run_pipeline(st, order)
         if cache_path:  # cache everything; a failed store never changes the output
             try:
                 _cache_store(cache_path, _result_document(result, bundle_text, EMIT_CHOICES))
@@ -478,11 +475,16 @@ def _cmd_verify(args, out):
     config = load_config(args.config) if args.config else {}
     d_max = _int_option(args.dmax, config, "dmax", 4, 1, MAX_DMAX)
     fmt = _format_option(args.format, config, "json", VERIFY_FORMATS)
-    st = _read_bundle(args.bundle, args.n).splitting
+    st = _read_bundle(args.bundle, args.n)
     factors = _linear_factors(st, d_max)
     if factors > MAX_LINEAR_FACTORS:
         raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {factors} linear factors; "
                          f"verify is limited to <= {MAX_LINEAR_FACTORS}")
+    # (d_max+1)^n >= 2^n > MAX_LINKING_TERMS once n > 64: no huge power
+    if args.check == "linking" and (st.n > 64 or (d_max + 1) ** st.n > MAX_LINKING_TERMS):
+        raise UsageError(f"verify linking on P^{st.n} at --dmax {d_max} expands products of "
+                         f"(d_max+1)^n terms; linking is limited to "
+                         f"(d_max+1)^n <= {MAX_LINKING_TERMS}")
     data = build_hypergeom_data(st, with_x=args.with_x)
     table = to_table(data, d_max)
     if args.check == "gluing":

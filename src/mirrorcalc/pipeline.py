@@ -6,10 +6,11 @@ nonequivariant limit, one dense vector sigma_d in x = H/alpha per q^d,
 each from the previous one; classify the bundle; normalize it into
 canonical form with a scalar rescaling F0 = c/(c + S_h) and a coordinate
 shift t -> t + g, g = -S_(h+1)/(c + S_h), both in closed form from the
-columns S_i = sum_d sigma_d[i] q^d (c H^h = omega_class(st)); read the
-K_d off the integral over P^n, which canonical form reduces to the top
-normalized columns N_n - (t+g) N_(n-1), with N_n an exact consistency
-assertion; and invert K_d to n_d by the cubic multiple-cover relation.
+columns S_i = sum_d sigma_d[i] q^d (c H^h = omega_class(st)); build the
+normalized columns N_i once, check canonical form (N_i = 0 for i <= n-2)
+and read the K_d off the integral over P^n, N_n - (t+g) N_(n-1), with N_n
+an exact consistency assertion; and invert K_d to n_d by the cubic
+multiple-cover relation.  f_0 is inverted once, in the normalization.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .algebra import NEG_INF
 from .bundles import SplittingType, omega_class
 from .cohomseries import CohomSeries, homogeneity_violations
-from .qseries import ScalarQSeries, TSeries, harmonic_sum, mirror_powers
+from .qseries import ScalarQSeries, TSeries, mirror_powers
 
 
 class PipelineError(RuntimeError):
@@ -122,13 +123,15 @@ def f0_closed_form(st, order):
 
 
 def g1_closed_form(st, order):
-    """sum_d prod_a (l_a d)!/(d!)^(n+1) * sum_a sum_{m=d+1..l_a d} l_a/m q^d."""
+    """sum_d prod_a (l_a d)!/(d!)^(n+1) * sum_a l_a (H[l_a d] - H[d]) q^d,
+    H[m] = sum_{k<=m} 1/k."""
     f0 = f0_closed_form(st, order)
-    coeffs = [Fraction(0)]
-    for d in range(1, order + 1):
-        tail = sum((l * harmonic_sum(d + 1, l * d) for l in st.convex), Fraction(0))
-        coeffs.append(f0[d] * tail)
-    return ScalarQSeries(order, coeffs)
+    H = [Fraction(0)]
+    for m in range(1, max(st.convex, default=0) * order + 1):
+        H.append(H[-1] + Fraction(1, m))
+    return ScalarQSeries(order, [Fraction(0)] + [
+        f0[d] * sum((l * (H[l * d] - H[d]) for l in st.convex), Fraction(0))
+        for d in range(1, order + 1)])
 
 
 def frobenius_basis(series, st):
@@ -143,13 +146,10 @@ def frobenius_basis(series, st):
     order = series.order
     basis = []
     for i in range(4):
-        # the d = 0 part comes from the omega summand
-        terms = {(0, i): Fraction(1, math.factorial(i))}
-        for j in range(h + i + 1):
-            w = Fraction((-1) ** (i + j), math.factorial(j)) / c
-            for d in range(1, order + 1):
-                terms[(d, j)] = w * series.cells[d][h + i - j]
-        basis.append(TSeries(order, terms))
+        rows = [series.column(h + i - j) * (Fraction((-1) ** (i + j), math.factorial(j)) / c)
+                for j in range(h + i + 1)]
+        rows[i] = rows[i] + Fraction(1, math.factorial(i))  # the omega summand's q^0 part
+        basis.append(TSeries.from_rows(order, rows))
     f0 = basis[0]
     if f0.t_degree() > 0:
         raise PipelineError("f_0 acquired t-dependence")
@@ -175,7 +175,8 @@ def compute_normalization(series, st):
     F0 * e^(xg) * (c x^h + S(x)) - c x^h, and its x^h and x^(h+1)
     coefficients (alpha-degrees 0 and -1) vanish exactly when
     F0 = c / (c + S_h) and g = -S_(h+1) / (c + S_h).  For CASE1 this is
-    F0 = 1/f_0 and g = g_1/f_0.  canonical_alpha_degrees checks the rest.
+    F0 = 1/f_0 and g = g_1/f_0.  extract_euler_numbers checks the rest:
+    the normalized columns below alpha-degree -1 must vanish.
     """
     if not st.is_critical:
         raise PipelineError("normalization requires a critical splitting type")
@@ -208,7 +209,10 @@ def _normalized_columns(series, om, scaling, shift):
 
 def canonical_alpha_degrees(series, st, scaling, shift):
     """Max alpha-degree of each normalized q^d block (NEG_INF for empty);
-    canonical form means every value is <= -2."""
+    canonical form means every value is <= -2.  N_i sits at alpha-degree
+    h - i = n - 3 - i, so that is N_i = 0 for i <= n - 2, the predicate
+    extract_euler_numbers checks (q^0 vanishes when F0(0) = 1, g(0) = 0);
+    this is its per-block report."""
     om = omega_class(st)
     columns = _normalized_columns(series, om, scaling, shift)
     return {d: max((om.h_exponent - i for i, s in columns.items() if s.coeffs[d]),
@@ -223,23 +227,23 @@ def canonical_alpha_degrees(series, st, scaling, shift):
 def _solve_from_weighted_sum(target, powers, order, weight):
     """Solve target = sum_d weight(d)*K_d*Q^d for the K_d, with
     powers = mirror_powers(g) the table of Q^d = q^d e^(dg)."""
-    K = {}
+    K = []
     for D in range(1, order + 1):
         val = target.coeffs[D]
         for d in range(1, D):
-            val -= weight(d) * K[d] * powers[d].coeffs[D]
-        w = weight(D)
-        K[D] = val / w
-    return [K[d] for d in range(1, order + 1)]
+            val -= weight(d) * K[d - 1] * powers[d].coeffs[D]
+        K.append(val / weight(D))
+    return K
 
 
-def extract_euler_numbers(series, st, scaling, shift, powers=None):
+def extract_euler_numbers(series, st, scaling, shift, powers):
     """Integrate the normalized series over P^n and match it against
     sum_d K_d (2 - d(t+g)) Q^d, Q = q e^g.  The integral is alpha^-3
     times sum_j (-t-g)^j/j! N_(n-j), N the normalized columns; canonical
     form leaves N_n - (t+g) N_(n-1).  N_(n-1) = sum_d d K_d Q^d fixes the
     K_d recursively, and N_n = 2 sum_d K_d Q^d must then hold exactly.
-    ``powers`` is mirror_powers(shift), built here when not given.
+    ``powers`` is mirror_powers(shift).  The t-degree bound N_i = 0 for
+    i <= n - 2 is canonical form: every canonical_alpha_degrees <= -2.
 
     Returns (K, checks); any consistency failure raises PipelineError.
     """
@@ -255,14 +259,13 @@ def extract_euler_numbers(series, st, scaling, shift, powers=None):
     if low:
         raise PipelineError(f"integrated series has t-degree > 1 at q^{min(low)}")
 
-    if powers is None:
-        powers = mirror_powers(shift)
     K = _solve_from_weighted_sum(columns[n - 1], powers, order, Fraction)
     diff = columns[n] - _combine_rows(powers, K) * 2
     bad = next((d for d, v in enumerate(diff.coeffs) if v), None)
     if bad is not None:
         raise PipelineError(f"t-constant block disagrees first at q^{bad}")
-    return K, {"alpha_purity": True, "t_degree_bound": True, "t0_consistency": True}
+    return K, {"alpha_purity": True, "canonical_form": True, "t_degree_bound": True,
+               "t0_consistency": True}
 
 
 def _combine_rows(powers, weights):
@@ -296,14 +299,9 @@ def invert_multicover(K):
 
 def recompose_multicover(n_values):
     """Inverse of invert_multicover, for round-trip checking."""
-    K = []
-    for d in range(1, len(n_values) + 1):
-        total = Fraction(0)
-        for k in range(1, d + 1):
-            if d % k == 0:
-                total += n_values[d // k - 1][1] * Fraction(1, k ** 3)
-        K.append(total)
-    return K
+    return [sum((n_values[d // k - 1][1] * Fraction(1, k ** 3)
+                 for k in range(1, d + 1) if d % k == 0), Fraction(0))
+            for d in range(1, len(n_values) + 1)]
 
 
 # ---------------------------------------------------------------------
@@ -344,20 +342,14 @@ def run_pipeline(st, order):
         raise PipelineError("series violates the block homogeneity invariant")
 
     scaling, shift = compute_normalization(series, st)
-    degrees = canonical_alpha_degrees(series, st, scaling, shift)
-    checks["canonical_form"] = all(deg <= -2 for deg in degrees.values())
-    if not checks["canonical_form"]:
-        raise PipelineError("normalized series is not in canonical form")
-
     f_basis = None
     if case is PipelineCase.CASE1:
         f_basis = frobenius_basis(series, st)
         checks["frobenius_closed_forms"] = True
-        f0 = f_basis[0].t_coefficient(0)
-        g1 = f_basis[1].t_coefficient(0)
-        checks["mirror_map_match"] = shift == g1 * f0.inverse()
-        checks["scaling_match"] = scaling == f0.inverse()
-        if not (checks["mirror_map_match"] and checks["scaling_match"]):
+        checks["scaling_match"] = scaling * f_basis[0].t_coefficient(0) == 1
+        checks["mirror_map_match"] = (checks["scaling_match"]
+                                      and shift == f_basis[1].t_coefficient(0) * scaling)
+        if not checks["mirror_map_match"]:
             raise PipelineError("normalization disagrees with the Frobenius route")
 
     powers = mirror_powers(shift)
@@ -365,7 +357,7 @@ def run_pipeline(st, order):
     checks.update(extra)
 
     if case is PipelineCase.CASE1:
-        K_alt = _mirror_conjecture_route(f_basis, st, shift, powers)
+        K_alt = _mirror_conjecture_route(f_basis, st, scaling, shift, powers)
         checks["phi_t_independent"] = True  # enforced inside the route
         checks["dual_route_agreement"] = K_alt == K
         if not checks["dual_route_agreement"]:
@@ -376,14 +368,14 @@ def run_pipeline(st, order):
     return PipelineResult(st, order, case, K, instanton, shift, scaling, f_basis, checks)
 
 
-def _mirror_conjecture_route(f_basis, st, shift, powers):
+def _mirror_conjecture_route(f_basis, st, inv_f0, shift, powers):
     """K_d from the prepotential (c/2)(f1 f2/f0^2 - f3/f0) - (c/6)T^3,
     which must be t-free once T = t + g is subtracted off; it is
-    sum_d K_d Q^d, read off the table powers = mirror_powers(shift)."""
-    f0, f1, f2, f3 = f_basis
+    sum_d K_d Q^d, read off the table powers = mirror_powers(shift).
+    inv_f0 is 1/f_0, the scaling F0 that run_pipeline has matched."""
+    _, f1, f2, f3 = f_basis
     order = shift.order
     c = omega_class(st).scalar
-    inv_f0 = f0.t_coefficient(0).inverse()
     script_f = (f1 * f2 * TSeries.from_scalar(inv_f0 * inv_f0)
                 - f3 * TSeries.from_scalar(inv_f0)) * (c / 2)
     T = TSeries.t_monomial(order) + TSeries.from_scalar(shift)

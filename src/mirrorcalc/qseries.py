@@ -1,13 +1,16 @@
 """Truncated exact power series in q, and q-series with polynomial
-t-coefficients.
+t-coefficients, stored as one q-series per power of t.
 
 Every series carries an explicit truncation order D and exact rational
 coefficients; binary operations require matching orders so that no
-silent precision loss can occur.
+silent precision loss can occur.  Every series product, scalar or
+t-graded, runs through ScalarQSeries.__mul__: one big-integer product
+by Kronecker substitution.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -245,62 +248,74 @@ def qseries_reversion(series):
 class TSeries:
     """A q-series whose coefficients are polynomials in t.
 
-    Terms map (d, j) -> coefficient of t^j q^d.  These house objects like
-    the solution basis of the hypergeometric equation, where q = e^t and
-    t also appears polynomially.  The constructor drops zero
-    coefficients, so the arithmetic below only accumulates.
+    rows[j] is the ScalarQSeries coefficient of t^j, with no trailing
+    zero row, so every product runs through ScalarQSeries.__mul__; terms
+    is the derived view (d, j) -> nonzero coefficient of t^j q^d.  These
+    house objects like the solution basis of the hypergeometric
+    equation, where q = e^t and t also appears polynomially.
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "rows")
 
     def __init__(self, order, terms=None):
+        grid = {}
+        for (d, j), c in (terms or {}).items():
+            if min(d, j) < 0:
+                raise SeriesError("q- and t-powers must be >= 0")
+            if _frac(c) and d <= order:
+                grid.setdefault(j, [0] * (order + 1))[d] = c
         self.order = order
-        clean = {}
-        if terms:
-            for (d, j), c in terms.items():
-                c = _frac(c)
-                if c and d <= order:
-                    clean[(d, j)] = c
-        self.terms = clean
+        self.rows = tuple(ScalarQSeries(order, grid.get(j, ()))
+                          for j in range(max(grid, default=-1) + 1))
+
+    @classmethod
+    def from_rows(cls, order, rows):
+        """sum_j rows[j] t^j, every row a ScalarQSeries of this order."""
+        rows = list(rows)
+        while rows and not any(rows[-1].coeffs):
+            rows.pop()
+        out = cls(order)
+        out.rows = tuple(rows)
+        return out
 
     @classmethod
     def from_scalar(cls, s):
-        return cls(s.order, {(d, 0): c for d, c in enumerate(s.coeffs) if c})
+        return cls.from_rows(s.order, [s])
 
     @classmethod
     def t_monomial(cls, order, j=1, coeff=1):
-        return cls(order, {(0, j): _frac(coeff)})
+        return cls(order, {(0, j): coeff})
+
+    @property
+    def terms(self):
+        return {(d, j): c for j, row in enumerate(self.rows)
+                for d, c in enumerate(row.coeffs) if c}
 
     def _coerce(self, other):
-        if isinstance(other, TSeries):
+        if isinstance(other, (TSeries, ScalarQSeries)):
             if other.order != self.order:
                 raise SeriesError("order mismatch")
-            return other
-        if isinstance(other, ScalarQSeries):
-            if other.order != self.order:
-                raise SeriesError("order mismatch")
-            return TSeries.from_scalar(other)
+            return other if isinstance(other, TSeries) else TSeries.from_scalar(other)
         return TSeries(self.order, {(0, 0): _frac(other)})
 
     def is_zero(self):
-        return not self.terms
+        return not self.rows
 
     def __eq__(self, other):
         if isinstance(other, (TSeries, ScalarQSeries, int, Fraction)):
-            return self.terms == self._coerce(other).terms
+            return self.rows == self._coerce(other).rows
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return TSeries(self.order, terms)
+        zero = ScalarQSeries.zero(self.order)
+        return TSeries.from_rows(self.order, [a + b for a, b in itertools.zip_longest(
+            self.rows, other.rows, fillvalue=zero)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TSeries(self.order, {k: -c for k, c in self.terms.items()})
+        return TSeries.from_rows(self.order, [-row for row in self.rows])
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -310,21 +325,13 @@ class TSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            return TSeries(self.order, {k: v * c for k, v in self.terms.items()})
+            return TSeries.from_rows(self.order, [row * other for row in self.rows])
         other = self._coerce(other)
-        rows_a, den_a = self._int_rows()
-        rows_b, den_b = other._int_rows()
-        sums = {}
-        for j1, a in rows_a.items():
-            for j2, b in rows_b.items():
-                row = _int_product(a, b)
-                if j1 + j2 in sums:
-                    row = [x + y for x, y in zip(sums[j1 + j2], row)]
-                sums[j1 + j2] = row
-        den = den_a * den_b
-        return TSeries(self.order, {(d, j): Fraction(c, den)
-                                    for j, row in sums.items() for d, c in enumerate(row) if c})
+        out = [ScalarQSeries.zero(self.order)] * (len(self.rows) + len(other.rows) - 1)
+        for j1, a in enumerate(self.rows):
+            for j2, b in enumerate(other.rows):
+                out[j1 + j2] = out[j1 + j2] + a * b
+        return TSeries.from_rows(self.order, out)
 
     __rmul__ = __mul__
 
@@ -336,51 +343,30 @@ class TSeries:
             result = result * self
         return result
 
-    def _int_rows(self):
-        """({t-power j: the q-coefficients of t^j as ints}, den) over one
-        common denominator of every term."""
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        rows = {}
-        for (d, j), c in self.terms.items():
-            rows.setdefault(j, [0] * (self.order + 1))[d] = c.numerator * (den // c.denominator)
-        return rows, den
-
     def t_coefficient(self, j):
-        out = [Fraction(0)] * (self.order + 1)
-        for (d, jj), c in self.terms.items():
-            if jj == j:
-                out[d] = c
-        return ScalarQSeries(self.order, out)
+        return self.rows[j] if 0 <= j < len(self.rows) else ScalarQSeries.zero(self.order)
 
     def t_degree(self):
-        if not self.terms:
-            return -1
-        return max(j for (_, j) in self.terms)
+        return len(self.rows) - 1
 
     def ddt(self):
         """Total t-derivative with q = e^t: acts as q d/dq + d/dt."""
-        terms = {}
-        for (d, j), c in self.terms.items():
-            if d:
-                terms[(d, j)] = terms.get((d, j), 0) + d * c
-            if j:
-                terms[(d, j - 1)] = terms.get((d, j - 1), 0) + j * c
-        return TSeries(self.order, terms)
+        rows = [ScalarQSeries(self.order, [d * c for d, c in enumerate(row.coeffs)])
+                for row in self.rows]
+        for j in range(1, len(rows)):
+            rows[j - 1] = rows[j - 1] + self.rows[j] * j
+        return TSeries.from_rows(self.order, rows)
 
     def mul_q(self):
         """Multiply by q = e^t (degree shift)."""
-        return TSeries(self.order,
-                       {(d + 1, j): c for (d, j), c in self.terms.items() if d + 1 <= self.order})
+        return TSeries.from_rows(self.order, [row.shift(1) for row in self.rows])
 
     def truncate(self, order):
-        return TSeries(order, {k: c for k, c in self.terms.items() if k[0] <= order})
+        return TSeries.from_rows(order, [row.truncate(order) for row in self.rows])
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
-        for (d, j) in sorted(self.terms):
-            c = self.terms[(d, j)]
+        for (d, j), c in sorted(self.terms.items()):
             factors = []
             if j == 1:
                 factors.append("t")
@@ -392,12 +378,7 @@ class TSeries:
                 factors.append(f"q^{d}")
             mono = "*".join(factors)
             parts.append(f"{c}*{mono}" if mono else str(c))
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"TSeries({self})"
-
-
-def harmonic_sum(a, b):
-    """sum_{m=a}^{b} 1/m as an exact rational (0 when the range is empty)."""
-    return sum((Fraction(1, m) for m in range(a, b + 1)), Fraction(0))

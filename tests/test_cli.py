@@ -13,8 +13,8 @@ import pytest
 from mirrorcalc import __version__
 from mirrorcalc.bundles import SplittingType
 from mirrorcalc import cli
-from mirrorcalc.cli import (MAX_BUNDLE_DEGREE, MAX_DMAX, MAX_LINEAR_FACTORS, MAX_ORDER,
-                            BundleParseError, exact_decimal, parse_bundle, run_command)
+from mirrorcalc.cli import (MAX_BUNDLE_DEGREE, MAX_DMAX, MAX_LINEAR_FACTORS,
+                            MAX_LINKING_TERMS, MAX_ORDER, BundleParseError, exact_decimal, parse_bundle, run_command)
 from mirrorcalc.pipeline import PipelineError
 
 
@@ -41,12 +41,12 @@ def run(argv, env=None):
 
 
 def test_parse_bundle_basic():
-    spec = parse_bundle("O(5)", 4)
-    assert spec.splitting == SplittingType(4, (5,), ())
-    spec = parse_bundle("O(2)+O(-2)", 3)
-    assert spec.splitting == SplittingType(3, (2,), (2,))
-    spec = parse_bundle("  o( 2 ) +  O(+2)+O( -1 )", 4)
-    assert spec.splitting == SplittingType(4, (2, 2), (1,))
+    st = parse_bundle("O(5)", 4)
+    assert st == SplittingType(4, (5,), ())
+    st = parse_bundle("O(2)+O(-2)", 3)
+    assert st == SplittingType(3, (2,), (2,))
+    st = parse_bundle("  o( 2 ) +  O(+2)+O( -1 )", 4)
+    assert st == SplittingType(4, (2, 2), (1,))
 
 
 def test_parse_bundle_rejects_zero():
@@ -63,10 +63,10 @@ def test_parse_bundle_position_annotated():
 
 def test_render_parse_roundtrip():
     st = SplittingType(4, (2, 2), (1,))
-    assert parse_bundle(str(st), 4).splitting == st
-    canonical = str(parse_bundle("O(-1)+O(4)+O(2)", 5).splitting)
+    assert parse_bundle(str(st), 4) == st
+    canonical = str(parse_bundle("O(-1)+O(4)+O(2)", 5))
     assert canonical == "O(2)+O(4)+O(-1)"
-    assert str(parse_bundle(canonical, 5).splitting) == canonical
+    assert str(parse_bundle(canonical, 5)) == canonical
 
 
 def test_exact_decimal():
@@ -175,7 +175,7 @@ def test_bundle_degree_cap(argv, monkeypatch):
 
 def test_bundle_degree_cap_admits_presets():
     for n, bundle, _ in cli.PRESETS.values():
-        st = parse_bundle(bundle, n).splitting
+        st = parse_bundle(bundle, n)
         assert max(st.convex + st.concave) <= MAX_BUNDLE_DEGREE
     code, _, _ = run(["verify", "degree-bound", "--n", "1",
                       "--bundle", f"O({MAX_BUNDLE_DEGREE})", "--dmax", "1"])
@@ -239,13 +239,39 @@ def test_linear_factor_cap_admits_presets_and_readme():
     examples = [(int(n), bundle) for n, bundle
                 in re.findall(r'mirrorcalc verify \S+ --n (\d+) --bundle "([^"]+)"', readme)]
     assert len(examples) == 5
-    bundles = [parse_bundle(bundle, n).splitting
+    bundles = [parse_bundle(bundle, n)
                for n, bundle in examples + [(n, b) for n, b, _ in cli.PRESETS.values()]]
     for st in bundles:
         assert cli._linear_factors(st, MAX_DMAX) <= MAX_LINEAR_FACTORS, st
     # the largest admitted bundle degree still runs at --dmax 1
     largest = SplittingType(1, (MAX_BUNDLE_DEGREE,), ())
     assert cli._linear_factors(largest, 1) <= MAX_LINEAR_FACTORS
+
+
+@pytest.mark.parametrize("n, dmax", [(12, 1), (10, 1), (6, 2), (5, 3), (5, 6), (10 ** 9, 1)])
+def test_linking_term_cap(n, dmax, monkeypatch):
+    refuse_builds(monkeypatch)
+    code, out, err = run(["verify", "linking", "--n", str(n), "--bundle", "O(1)",
+                          "--dmax", str(dmax)])
+    assert code == 2 and out == ""
+    assert err == (f"error: verify linking on P^{n} at --dmax {dmax} expands products of "
+                   f"(d_max+1)^n terms; linking is limited to "
+                   f"(d_max+1)^n <= {MAX_LINKING_TERMS}\n")
+
+
+@pytest.mark.parametrize("check", ["gluing", "reciprocity", "degree-bound"])
+def test_linking_term_cap_bounds_linking_only(check, monkeypatch):
+    refuse_builds(monkeypatch)
+    code, out, err = run(["verify", check, "--n", "12", "--bundle", "O(1)", "--dmax", "1"])
+    assert code == 3 and err == "internal error: AssertionError: the build started\n"
+
+
+def test_linking_term_cap_admits_presets_and_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    dims = [int(n) for n in re.findall(r'mirrorcalc verify \S+ --n (\d+)', readme)]
+    dims += [n for n, _, _ in cli.PRESETS.values()]
+    assert len(dims) == 10
+    assert max(5 ** n for n in dims) <= MAX_LINKING_TERMS  # the default --dmax 4
 
 
 def test_compute_rejects_unsupported_before_the_build(monkeypatch):

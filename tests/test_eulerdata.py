@@ -5,7 +5,10 @@ the mirror-group action on restriction sequences."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from mirrorcalc import cli
 from mirrorcalc.algebra import RationalFunction, bar_involution, rf_equal
 from mirrorcalc.bundles import OmegaClass, SplittingType, omega_class
 from mirrorcalc.eulerdata import (EulerDataError, EulerDataTable,
@@ -166,6 +169,23 @@ def test_reciprocity_line_data_by_hand():
 def test_reciprocity_multicover():
     report = check_reciprocity(to_table(build_hypergeom_data(MULTICOVER), 4))
     assert report.all_pass and not report.inconclusive
+
+
+# random non-critical bundles inside the verify caps, with few and small
+# summands so that each example builds its table in well under a second
+noncritical = hs.builds(SplittingType, hs.integers(1, 3),
+                        hs.lists(hs.integers(1, 6), max_size=2),
+                        hs.lists(hs.integers(1, 6), max_size=2)).filter(
+    lambda st: not st.is_critical)
+
+
+@settings(max_examples=25, deadline=None)
+@given(noncritical, hs.integers(1, 2))
+def test_gluing_and_reciprocity_hold_on_noncritical_bundles(st, d_max):
+    assert cli._linear_factors(st, d_max) <= cli.MAX_LINEAR_FACTORS
+    tbl = to_table(build_hypergeom_data(st), d_max)
+    for report in (check_gluing(tbl), check_reciprocity(tbl)):
+        assert report.results and report.all_pass and not report.inconclusive, (st, report.check)
 
 
 def test_reciprocity_detects_sign_flip():

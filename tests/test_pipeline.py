@@ -17,7 +17,7 @@ from mirrorcalc.pipeline import (PipelineCase, PipelineError, _normalized_column
                                  f0_closed_form, frobenius_basis, g1_closed_form,
                                  invert_multicover, recompose_multicover,
                                  run_pipeline)
-from mirrorcalc.qseries import ScalarQSeries, TSeries
+from mirrorcalc.qseries import ScalarQSeries, TSeries, mirror_powers
 
 MULTICOVER = SplittingType(1, (), (1, 1))
 LOCAL_P2 = SplittingType(2, (), (3,))
@@ -272,9 +272,9 @@ def test_series_blocks_match_symbolic_restrictions():
 def test_extract_multicover():
     order = 8
     series = build_hypergeom_series(MULTICOVER, order)
-    K, checks = extract_euler_numbers(series, MULTICOVER,
-                                      ScalarQSeries.one(order),
-                                      ScalarQSeries.zero(order))
+    shift = ScalarQSeries.zero(order)
+    K, checks = extract_euler_numbers(series, MULTICOVER, ScalarQSeries.one(order), shift,
+                                      mirror_powers(shift))
     assert K == [Fraction(1, d ** 3) for d in range(1, order + 1)]
     assert checks["t0_consistency"]
 
@@ -310,8 +310,46 @@ def test_t_degree_check_catches_wrong_normalization(st):
         bump = ScalarQSeries(order, [0] * k + [1])
         for wrong in ((scaling + bump, shift), (scaling, shift + bump)):
             with pytest.raises(PipelineError) as exc:
-                extract_euler_numbers(series, st, *wrong)
+                extract_euler_numbers(series, st, *wrong, mirror_powers(wrong[1]))
             assert str(exc.value) == f"integrated series has t-degree > 1 at q^{k}"
+
+
+def _bumped_normalizations(series, st):
+    """(k, scaling, shift) with q^k added to F0 or to g, k = 1..order."""
+    scaling, shift = compute_normalization(series, st)
+    for k in range(1, series.order + 1):
+        bump = ScalarQSeries(series.order, [0] * k + [1])
+        yield k, scaling + bump, shift
+        yield k, scaling, shift + bump
+
+
+@pytest.mark.parametrize("st", CRITICAL_BUNDLES, ids=lambda st: f"P{st.n}:{st}")
+def test_canonical_report_and_t_degree_scan_agree(st):
+    # canonical_alpha_degrees > -2 at q^d exactly where the extraction's
+    # scan finds N_i != 0 for some i <= n - 2: the same predicate
+    series = build_hypergeom_series(st, 4)
+    for k, scaling, shift in _bumped_normalizations(series, st):
+        degrees = canonical_alpha_degrees(series, st, scaling, shift)
+        first = min(d for d, deg in degrees.items() if deg > -2)
+        with pytest.raises(PipelineError) as exc:
+            extract_euler_numbers(series, st, scaling, shift, mirror_powers(shift))
+        assert str(exc.value) == f"integrated series has t-degree > 1 at q^{first}"
+        assert first == k
+
+
+@pytest.mark.parametrize("st", CRITICAL_BUNDLES, ids=lambda st: f"P{st.n}:{st}")
+def test_run_pipeline_rejects_wrong_normalization(st, monkeypatch):
+    # with canonical_alpha_degrees out of run_pipeline, a wrong F0 or g is
+    # caught by the Frobenius match (CASE1) or the extraction's scan
+    import mirrorcalc.pipeline as pipeline
+
+    order = 4
+    bumped = list(_bumped_normalizations(build_hypergeom_series(st, order), st))
+    for _, scaling, shift in bumped:
+        monkeypatch.setattr(pipeline, "compute_normalization",
+                            lambda series, st, pair=(scaling, shift): pair)
+        with pytest.raises(PipelineError):
+            run_pipeline(st, order)
 
 
 def test_alpha_purity_catches_tampered_degree():
@@ -323,7 +361,7 @@ def test_alpha_purity_catches_tampered_degree():
                 scaling, shift = compute_normalization(series, st)
                 series.degrees[d] += step
                 with pytest.raises(PipelineError) as exc:
-                    extract_euler_numbers(series, st, scaling, shift)
+                    extract_euler_numbers(series, st, scaling, shift, mirror_powers(shift))
                 assert str(exc.value) == f"integral is not a pure alpha^-3 series: powers {powers}"
 
 
@@ -346,7 +384,7 @@ def test_t0_check_catches_wrong_k(st, bumped, monkeypatch):
     scaling, shift = compute_normalization(series, st)
     monkeypatch.setattr(pipeline, "_solve_from_weighted_sum", bump)
     with pytest.raises(PipelineError) as exc:
-        extract_euler_numbers(series, st, scaling, shift)
+        extract_euler_numbers(series, st, scaling, shift, mirror_powers(shift))
     assert str(exc.value) == f"t-constant block disagrees first at q^{bumped}"
 
 

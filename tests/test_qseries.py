@@ -97,6 +97,27 @@ def test_tseries_product_matches_dict_oracle(pair):
     assert (a * b).terms == dict_product(a, b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(tseries_pairs())
+def test_tseries_rows_and_terms_agree(pair):
+    # terms is a view of the t-rows: it rebuilds the series, holds no
+    # zero, and the rows end in a nonzero one
+    for a in pair:
+        assert TSeries(a.order, a.terms) == a
+        assert 0 not in a.terms.values()
+        assert all(len(row.coeffs) == a.order + 1 for row in a.rows)
+        assert not a.rows or any(a.rows[-1].coeffs)
+        assert a.t_degree() == max((j for _, j in a.terms), default=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tseries_pairs())
+def test_tseries_derivations_on_products(pair):
+    a, b = pair
+    assert (a * b).ddt() == a.ddt() * b + a * b.ddt()
+    assert (a * b).mul_q() == a.mul_q() * b
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 6), st.lists(rationals, min_size=6, max_size=6))
 def test_mirror_powers_are_powers_of_q_exp_g(order, coeffs):
@@ -176,3 +197,9 @@ def test_tseries_arithmetic():
     q = TSeries(4, {(1, 0): 1})
     assert (t + q) * (t - q) == t * t - q * q
     assert (t * q).t_coefficient(1) == ScalarQSeries(4, (0, 1))
+
+
+def test_tseries_rejects_negative_powers():
+    for key in ((-1, 0), (0, -1)):
+        with pytest.raises(SeriesError):
+            TSeries(3, {key: 1})
