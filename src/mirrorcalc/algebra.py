@@ -7,6 +7,13 @@ kappa, and an inert extension variable x.  Values are immutable after
 construction and all operations are pure, so they are safe to share
 between workers.
 
+A polynomial is integers over one denominator: packed int keys (one
+fixed-width field per exponent, the total degree on top) mapped to int
+coefficients, over one positive denominator.  Adding two keys adds the
+exponents, so a product is dict accumulation on int sums (the packed
+exponents of Monagan and Pearce, CASC 2007), and integer order on keys
+is graded-lex order.
+
 Rational functions are stored as unreduced pairs; only the integer
 content of the denominator is normalized (no multivariate gcd), and
 equality is decided by cross-multiplication.
@@ -14,11 +21,21 @@ equality is decided by cross-multiplication.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
+from types import MappingProxyType
+
+from .qseries import _over_common_denominator
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
+# bits per exponent field; the top bit of each is a guard, so every
+# exponent and the total degree stay <= MAX_DEGREE and no key wraps
+FIELD_BITS = 16
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+FIELD_MASK = (1 << FIELD_BITS) - 1
+_UNIT = {0: 1}  # the ints of the polynomial 1, over den 1
 
 
 class AlgebraError(ValueError):
@@ -41,22 +58,14 @@ def _as_fraction(value):
     raise AlgebraError(f"cannot coerce {value!r} into an exact rational")
 
 
-def nonzero(terms):
-    """The entries of a sparse coefficient dict whose value is nonzero.
-
-    Sparse sums accumulate with ``d[k] = d.get(k, 0) + c`` and prune the
-    cancelled entries once, through this, when they return.
-    """
-    return {k: c for k, c in terms.items() if c}
-
-
 class PolyRing:
     """A polynomial ring Q[names] with a fixed, ordered variable set.
 
-    Monomials are exponent tuples aligned with ``names``; the graded
-    lexicographic order on these tuples fixes a canonical term order, so
-    equal polynomials always have identical stored representations.
-    Substitutions may not introduce symbols outside the ring.
+    A monomial is packed into one int: the total degree in the top
+    field, then var 0 down to the last var, FIELD_BITS each.  Integer
+    order on keys is the graded lexicographic order on exponent tuples,
+    the canonical term order.  Substitutions may not introduce symbols
+    outside the ring.
     """
 
     def __init__(self, names):
@@ -66,22 +75,34 @@ class PolyRing:
         self.names = names
         self.index = {nm: i for i, nm in enumerate(names)}
         self.nvars = len(names)
-        self._unit_exp = (0,) * self.nvars
-        self.zero = Polynomial(self, {})
-        self.one = Polynomial(self, {self._unit_exp: Fraction(1)})
+        self.shifts = tuple(FIELD_BITS * (self.nvars - 1 - i) for i in range(self.nvars))
+        self.top = FIELD_BITS * self.nvars  # shift of the total-degree field
+        # the first key whose total degree sets its field's guard bit; the
+        # total bounds every exponent, so this one test guards all fields
+        self.limit = (MAX_DEGREE + 1) << self.top
+        self.zero = _poly(self, {}, 1)
+        self.one = _poly(self, {0: 1}, 1)
+
+    def pack(self, exp):
+        """The key of an exponent tuple; AlgebraError outside the fields."""
+        if len(exp) != self.nvars or min(exp, default=0) < 0 or sum(exp) > MAX_DEGREE:
+            raise AlgebraError(f"exponent {exp} outside the {FIELD_BITS - 1}-bit fields of {self}")
+        key = sum(exp)
+        for e in exp:
+            key = (key << FIELD_BITS) | e
+        return key
+
+    def unpack(self, key):
+        return tuple((key >> s) & FIELD_MASK for s in self.shifts)
 
     def var(self, name):
         if name not in self.index:
             raise AlgebraError(f"unknown variable '{name}'")
-        exp = [0] * self.nvars
-        exp[self.index[name]] = 1
-        return Polynomial(self, {tuple(exp): Fraction(1)})
+        return _poly(self, {(1 << self.top) | (1 << self.shifts[self.index[name]]): 1}, 1)
 
     def const(self, value):
         value = _as_fraction(value)
-        if value == 0:
-            return self.zero
-        return Polynomial(self, {self._unit_exp: value})
+        return _canonical(self, {0: value.numerator}, value.denominator)
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
@@ -99,22 +120,52 @@ def weight_ring(n):
     return PolyRing(names)
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
+def _poly(ring, ints, den):
+    """A Polynomial from ints and den already in canonical form."""
+    p = object.__new__(Polynomial)
+    p.ring, p.ints, p.den, p._terms = ring, ints, den, None
+    return p
+
+
+def _canonical(ring, acc, den):
+    """The Polynomial sum(acc[key] * key) / den, den > 0, in canonical
+    form (acc is fresh and may be reused); AlgebraError when a key has
+    reached the guard bit."""
+    if acc and max(acc) >= ring.limit:
+        raise AlgebraError(f"a total degree exceeds {MAX_DEGREE}, the exponent field of {ring}")
+    ints = acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
+    g = math.gcd(den, *ints.values())
+    if g != 1:
+        ints = {k: c // g for k, c in ints.items()}
+        den //= g
+    return _poly(ring, ints, den)
 
 
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent tuples to nonzero Fractions.  Instances are
-    treated as immutable; do not mutate ``terms`` after construction.
+    Stored as ``ints`` (packed key -> nonzero int) over the positive
+    common denominator ``den``, in canonical form, so equal polynomials
+    have equal stored representations.  ``Polynomial(ring, terms)``
+    builds one from exponent tuples mapped to ints or Fractions;
+    ``terms`` is the read-only view back.  Instances are immutable.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "ints", "den", "_terms")
 
     def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = terms
+        ints, den = _over_common_denominator([_as_fraction(c) for c in terms.values()])
+        self.ring, self.den, self._terms = ring, den, None
+        self.ints = {ring.pack(e): c for e, c in zip(terms, ints) if c}
+
+    @property
+    def terms(self):
+        """Exponent tuple -> nonzero Fraction, derived once on first use."""
+        if self._terms is None:
+            unpack, den = self.ring.unpack, self.den
+            self._terms = MappingProxyType({unpack(k): Fraction(c, den)
+                                            for k, c in self.ints.items()})
+        return self._terms
 
     # -- constructors / coercion ------------------------------------
 
@@ -128,17 +179,18 @@ class Polynomial:
     # -- structure ---------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order (the canonical order)."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        """(exponent tuple, Fraction) in descending graded-lex order (the
+        canonical order)."""
+        unpack, den = self.ring.unpack, self.den
+        return [(unpack(k), Fraction(self.ints[k], den)) for k in sorted(self.ints, reverse=True)]
 
     def leading_coefficient(self):
-        if not self.terms:
+        if not self.ints:
             return Fraction(0)
-        exp = max(self.terms, key=_grlex_key)
-        return self.terms[exp]
+        return Fraction(self.ints[max(self.ints)], self.den)
 
     def content_with_sign(self):
         """Rational content carrying the sign of the leading coefficient.
@@ -146,43 +198,39 @@ class Polynomial:
         Dividing by this makes the coefficients coprime integers with a
         positive leading coefficient.  Content of 0 is 0.
         """
-        if not self.terms:
+        if not self.ints:
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        if self.leading_coefficient() < 0:
-            content = -content
-        return content
+        content = Fraction(math.gcd(*self.ints.values()), self.den)
+        return content if self.ints[max(self.ints)] > 0 else -content
 
     def degree(self, name):
         """Degree in one variable; NEG_INF for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return NEG_INF
-        i = self.ring.index[name]
-        return max(exp[i] for exp in self.terms)
+        shift = self.ring.shifts[self.ring.index[name]]
+        return max((k >> shift) & FIELD_MASK for k in self.ints)
 
     def total_degree(self):
-        if not self.terms:
+        if not self.ints:
             return NEG_INF
-        return max(sum(exp) for exp in self.terms)
+        return max(self.ints) >> self.ring.top
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + c
-        return Polynomial(self.ring, nonzero(terms))
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        acc = {k: c * sa for k, c in self.ints.items()}
+        get = acc.get
+        for k, c in other.ints.items():
+            acc[k] = get(k, 0) + c * sb
+        return _canonical(self.ring, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {exp: -c for exp, c in self.terms.items()})
+        return _poly(self.ring, {k: -c for k, c in self.ints.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -192,19 +240,21 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            if other == 0:
-                return self.ring.zero
-            return Polynomial(self.ring, {exp: c * other for exp, c in self.terms.items()})
+            num = other.numerator
+            return _canonical(self.ring, {k: c * num for k, c in self.ints.items()},
+                              self.den * other.denominator)
         other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return self.ring.zero
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(operator.add, e1, e2))
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return Polynomial(self.ring, nonzero(terms))
+        if self.den == 1 and self.ints == _UNIT:
+            return other
+        if other.den == 1 and other.ints == _UNIT:
+            return self
+        acc = {}
+        get = acc.get
+        for k1, c1 in self.ints.items():
+            for k2, c2 in other.ints.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        return _canonical(self.ring, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -221,21 +271,23 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.ring == other.ring and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == self.ring.const(other).terms
-        return NotImplemented
+            other = self.ring.const(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.ring == other.ring and self.den == other.den and self.ints == other.ints
 
     # -- substitution ---------------------------------------------------
 
     def substitute(self, bindings):
         """Simultaneous substitution with polynomial (or constant) values.
 
-        Unbound variables pass through unchanged.
+        Unbound variables pass through unchanged.  Terms are grouped by
+        the exponents of the bound variables; each group is one product
+        of cached powers of the values, shifted by the unbound rest.
         """
         ring = self.ring
-        idx_bindings = {}
+        bound = []
         for name, val in bindings.items():
             if name not in ring.index:
                 raise AlgebraError(f"unknown variable '{name}'")
@@ -243,58 +295,46 @@ class Polynomial:
                 val = ring.const(val)
             if val.ring != ring:
                 raise AlgebraError("binding from a different ring")
-            idx_bindings[ring.index[name]] = val
-        if not idx_bindings:
+            bound.append((ring.shifts[ring.index[name]], [ring.one, val]))
+        if not bound:
             return self
-        powers = {i: [ring.one] for i in idx_bindings}
-        terms = {}
-        for exp, c in self.terms.items():
-            rest = list(exp)
-            factor = None
-            for i, val in idx_bindings.items():
-                e = exp[i]
-                if e == 0:
-                    continue
-                rest[i] = 0
-                cache = powers[i]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * val)
-                factor = cache[e] if factor is None else factor * cache[e]
-            if factor is None:
-                factor = ring.one
-            shift = any(rest)
-            for fe, fc in factor.terms.items():
-                key = tuple(map(operator.add, fe, rest)) if shift else fe
-                terms[key] = terms.get(key, 0) + c * fc
-        return Polynomial(ring, nonzero(terms))
+        mask = sum(FIELD_MASK << shift for shift, _ in bound)
+        groups = {}  # the bound fields of a key -> the terms that share them
+        for k, c in self.ints.items():
+            groups.setdefault(k & mask, {})[k] = c
+        products = []
+        for sel, group in groups.items():
+            exps = [(sel >> shift) & FIELD_MASK for shift, _ in bound]
+            for e, (_, powers) in zip(exps, bound):
+                while len(powers) <= e:
+                    powers.append(powers[-1] * powers[1])
+            factor = functools.reduce(operator.mul,
+                                      [powers[e] for e, (_, powers) in zip(exps, bound)])
+            products.append((factor, sel + (sum(exps) << ring.top), group))
+        den = math.lcm(*(factor.den for factor, _, _ in products))
+        acc = {}
+        get = acc.get
+        for factor, drop, group in products:
+            scale = den // factor.den
+            # each key k of the group becomes k - drop + fk
+            shifted = [(fk - drop, fc * scale) for fk, fc in factor.ints.items()]
+            for k, c in group.items():
+                for fk, fc in shifted:
+                    key = k + fk
+                    acc[key] = get(key, 0) + c * fc
+        return _canonical(ring, acc, self.den * den)
 
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        out = ""
         for exp, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.ring.names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            if not mono:
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c}*{mono}"
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+            mono = "*".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in zip(self.ring.names, exp) if e)
+            piece = (str(c) if not mono else mono if c == 1 else f"-{mono}" if c == -1
+                     else f"{c}*{mono}")
+            out += piece if not out else f" - {piece[1:]}" if piece[0] == "-" else f" + {piece}"
+        return out or "0"
 
     def __repr__(self):
         return f"Polynomial({self})"
@@ -413,7 +453,8 @@ def bar_involution(p):
     ia = p.ring.index.get("alpha")
     if ia is None:
         raise AlgebraError("ring has no alpha variable")
-    return Polynomial(p.ring, {exp: -c if exp[ia] % 2 else c for exp, c in p.terms.items()})
+    shift = p.ring.shifts[ia]
+    return _poly(p.ring, {k: -c if k >> shift & 1 else c for k, c in p.ints.items()}, p.den)
 
 
 def alpha_degree(p):
@@ -423,4 +464,4 @@ def alpha_degree(p):
 
 def rf_equal(f, g):
     """Exact equality of rational functions via cross-multiplication."""
-    return (f.num * g.den - g.num * f.den).is_zero()
+    return f.num * g.den == g.num * f.den

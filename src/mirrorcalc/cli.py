@@ -34,21 +34,21 @@ CONFIG_KEYS = ("order", "format", "emit", "dmax", "cache", "decimal")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
 # largest |degree| of a bundle summand; a summand O(l) costs about l*d
 # linear factors per degree d, and verify gluing --n 1 --bundle "O(64)"
-# takes 0.4 s at --dmax 1 and 14 s at the default --dmax 4
+# takes 0.15 s at --dmax 1 and 1.0 s at --dmax 4 (past the factor cap)
 MAX_BUNDLE_DEGREE = 64
 # largest --order of compute and --dmax of verify, from a flag or a
 # config; compute --preset quintic takes 2 s at --order 100 and 17 s at
-# 200, verify reciprocity on the quintic 6 s at --dmax 6 and 16 s at 8
+# 200, verify reciprocity on the quintic 0.5 s at --dmax 6 and 1.1 s at 8
 MAX_ORDER = 100
 MAX_DMAX = 6
 # largest number sum(l*dmax + 1) + sum(k*dmax - 1) of linear factors of
 # P_dmax in verify: at 65 (O(64) at --dmax 1) each check on P^1..P^3 takes
-# <= 2 s, at 127 (O(21) at --dmax 6) reciprocity on P^2 24 s; O(64) at
-# --dmax 6 (385) ran past 30 s.  The presets need at most 31.
+# <= 0.3 s, at 127 (O(21) at --dmax 6) reciprocity on P^2 2.2 s; O(64) at
+# --dmax 6 (385) gluing 6.8 s.  The presets need at most 31.
 MAX_LINEAR_FACTORS = 65
 # largest (d_max+1)^n, about the terms of the linking product factors
 # prod_j prod_m (lam_i - lam_j - m*alpha): with O(1) at --dmax 1 linking
-# takes 0.4 s on P^5, 12 s on P^9 (512) and 29 s on P^10; 5^4 admits P^4
+# takes 0.1 s on P^5, 0.6 s on P^9 (512) and 1.4 s on P^10; 5^4 admits P^4
 # at the default --dmax 4, so every preset.  It bounds linking only.
 MAX_LINKING_TERMS = 625
 

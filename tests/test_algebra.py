@@ -1,14 +1,18 @@
 """Exact algebra layer: substitution, the bar involution, degrees,
-cross-multiplication equality, and the ring laws on random inputs."""
+cross-multiplication equality, the ring laws on random inputs, and the
+packed kernel against a tuple-key Fraction oracle."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from mirrorcalc.algebra import (NEG_INF, Polynomial, RationalFunction,
-                                SubstitutionError, alpha_degree, bar_involution,
-                                rf_equal, weight_ring)
+from mirrorcalc.algebra import (MAX_DEGREE, NEG_INF, AlgebraError, Polynomial,
+                                RationalFunction, SubstitutionError, alpha_degree,
+                                bar_involution, rf_equal, weight_ring)
 
 R = weight_ring(2)
 LAM0, LAM1, LAM2 = (R.var(f"lam{i}") for i in range(3))
@@ -146,3 +150,157 @@ def test_canonical_form_determinism():
     assert one_way.terms == other_way.terms
     assert str(one_way) == str(other_way)
     assert one_way.sorted_terms() == other_way.sorted_terms()
+
+
+# ---------------------------------------------------------------------
+# the packed kernel against a tuple-key Fraction oracle: exponent tuple
+# -> nonzero Fraction dicts, summed and multiplied term by term
+
+
+def oracle_add(a, b):
+    out = dict(a)
+    for exp, c in b.items():
+        out[exp] = out.get(exp, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(map(operator.add, e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_pow(a, k, ring):
+    out = {(0,) * ring.nvars: Fraction(1)}
+    for _ in range(k):
+        out = oracle_mul(out, a)
+    return out
+
+
+def oracle_substitute(a, bindings, ring):
+    """bindings: variable index -> oracle dict, applied simultaneously."""
+    out = {}
+    for exp, c in a.items():
+        term = {tuple(0 if i in bindings else e for i, e in enumerate(exp)): c}
+        for i, value in bindings.items():
+            term = oracle_mul(term, oracle_pow(value, exp[i], ring))
+        out = oracle_add(out, term)
+    return out
+
+
+def oracle_bar(a, ring):
+    ia = ring.index["alpha"]
+    return {e: -c if e[ia] % 2 else c for e, c in a.items()}
+
+
+def oracle_str(a, ring):
+    """Descending graded-lex terms, rendered one statement at a time."""
+    if not a:
+        return "0"
+    parts = []
+    for exp in sorted(a, key=lambda e: (sum(e), e), reverse=True):
+        c = a[exp]
+        factors = []
+        for name, e in zip(ring.names, exp):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mono = "*".join(factors)
+        if not mono:
+            piece = str(c)
+        elif c == 1:
+            piece = mono
+        elif c == -1:
+            piece = f"-{mono}"
+        else:
+            piece = f"{c}*{mono}"
+        parts.append(piece)
+    out = parts[0]
+    for piece in parts[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return out
+
+
+def assert_matches(poly, want):
+    assert poly.terms == want
+    assert str(poly) == oracle_str(want, poly.ring)
+    assert poly == Polynomial(poly.ring, want)
+
+
+coeffs = hs.fractions(min_value=-6, max_value=6, max_denominator=6)
+# exponent tuples of R (lam0, lam1, lam2, alpha, kappa, x), small degrees
+exps = hs.lists(hs.integers(0, 3), min_size=R.nvars, max_size=R.nvars).map(tuple)
+oracles = hs.dictionaries(exps, coeffs, max_size=6).map(
+    lambda t: {e: c for e, c in t.items() if c})
+values = hs.one_of(oracles.map(lambda t: Polynomial(R, t)), coeffs,
+                   hs.integers(-3, 3))
+
+
+def as_oracle(value):
+    return value.terms if isinstance(value, Polynomial) else R.const(value).terms
+
+
+@settings(max_examples=100)
+@given(oracles, oracles)
+def test_arithmetic_matches_oracle(a, b):
+    p, q = Polynomial(R, a), Polynomial(R, b)
+    assert_matches(p, a)
+    assert_matches(p + q, oracle_add(a, b))
+    assert_matches(p - q, oracle_add(a, {e: -c for e, c in b.items()}))
+    assert_matches(p * q, oracle_mul(a, b))
+
+
+@settings(max_examples=100)
+@given(oracles, values)
+def test_scalar_arithmetic_matches_oracle(a, v):
+    p = Polynomial(R, a)
+    assert_matches(p * v, oracle_mul(a, as_oracle(v)))
+    assert_matches(v * p, oracle_mul(a, as_oracle(v)))
+    assert_matches(p + v, oracle_add(a, as_oracle(v)))
+    assert_matches(v - p, oracle_add(as_oracle(v), {e: -c for e, c in a.items()}))
+
+
+@settings(max_examples=100)
+@given(oracles, hs.integers(0, 4))
+def test_power_matches_oracle(a, k):
+    assert_matches(Polynomial(R, a) ** k, oracle_pow(a, k, R))
+
+
+@settings(max_examples=100)
+@given(oracles, hs.dictionaries(hs.sampled_from(R.names), values, min_size=1, max_size=3))
+def test_substitute_matches_oracle(a, bindings):
+    got = Polynomial(R, a).substitute(bindings)
+    want = oracle_substitute(a, {R.index[name]: as_oracle(v) for name, v in bindings.items()}, R)
+    assert_matches(got, want)
+
+
+@settings(max_examples=100)
+@given(oracles)
+def test_bar_involution_matches_oracle(a):
+    assert_matches(bar_involution(Polynomial(R, a)), oracle_bar(a, R))
+
+
+def test_degree_guard():
+    top = (MAX_DEGREE,) + (0,) * (R.nvars - 1)
+    p = Polynomial(R, {top: Fraction(1, 3)})  # the largest degree a field holds
+    assert p.total_degree() == MAX_DEGREE and str(p) == f"1/3*lam0^{MAX_DEGREE}"
+    with pytest.raises(AlgebraError):
+        p * LAM1  # the total degree reaches the guard bit
+    with pytest.raises(AlgebraError):
+        p * p
+    with pytest.raises(AlgebraError):
+        (KAPPA * LAM1).substitute({"kappa": p})
+    with pytest.raises(AlgebraError):
+        Polynomial(R, {(MAX_DEGREE + 1,) + (0,) * (R.nvars - 1): 1})
+    with pytest.raises(AlgebraError):
+        Polynomial(R, {(1, -1) + (0,) * (R.nvars - 2): 1})
+    with pytest.raises(AlgebraError):
+        Polynomial(R, {(1, 1): 1})  # too few exponents
+    half = (MAX_DEGREE // 2 + 1,) + (0,) * (R.nvars - 1)
+    with pytest.raises(AlgebraError):
+        Polynomial(R, {half: 1}) ** 2
+    assert (p * 0).is_zero() and (p - p).is_zero()

@@ -2,13 +2,14 @@
 reciprocity identities, linking, degree bounds, the Lagrange map, and
 the mirror-group action on restriction sequences."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from mirrorcalc import cli
+from mirrorcalc import cli, eulerdata
 from mirrorcalc.algebra import RationalFunction, bar_involution, rf_equal
 from mirrorcalc.bundles import OmegaClass, SplittingType, omega_class
 from mirrorcalc.eulerdata import (EulerDataError, EulerDataTable,
@@ -327,6 +328,23 @@ def test_linked_mirror_transform():
     _, shift = compute_normalization(series, LOCAL_P2)
     transformed = mirror_transform(tbl.restriction_sequence(), None, shift)
     assert check_linked(tbl, lagrange_map(transformed)).all_pass
+
+
+def test_linked_fails_when_transform_factor_stops_short(monkeypatch):
+    # a mutated mirror transform whose product factor runs m = r+1..d-1,
+    # dropping the (lam_i - lam_j - d*alpha) factors: no result may pass
+    def short_factor(ring, n, i, r, d):
+        alpha, lam_i = ring.var("alpha"), ring.var(f"lam{i}")
+        return math.prod((lam_i - ring.var(f"lam{j}") - m * alpha
+                          for j in range(n + 1) for m in range(r + 1, d)), start=ring.one)
+
+    monkeypatch.setattr(eulerdata, "_product_factor", short_factor)
+    tbl = to_table(build_hypergeom_data(LOCAL_P2), 3)
+    _, shift = compute_normalization(build_hypergeom_series(LOCAL_P2, 3), LOCAL_P2)
+    transformed = mirror_transform(tbl.restriction_sequence(), None, shift)
+    report = check_linked(tbl, lagrange_map(transformed))
+    assert len(report.results) == 18
+    assert all(r.status == "fail" for r in report.results)
 
 
 def test_linked_detects_shift():
