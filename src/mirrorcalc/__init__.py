@@ -13,7 +13,7 @@ from .cohomseries import CohomSeries, integrate_pn, scale_by
 from .eulerdata import (EulerDataClosed, EulerDataTable, RestrictionSequence,
                         VerificationReport, build_hypergeom_data,
                         check_degree_bound, check_gluing, check_linked,
-                        check_reciprocity, endpoint_weights_data,
+                        check_mirror_linked, check_reciprocity, endpoint_weights_data,
                         lagrange_map, mirror_transform, restrict, to_table)
 from .pipeline import (PipelineCase, PipelineResult, build_hypergeom_series,
                        classify, compute_normalization, extract_euler_numbers,
@@ -27,7 +27,7 @@ __all__ = [
     "CohomSeries", "integrate_pn", "scale_by",
     "EulerDataClosed", "EulerDataTable", "RestrictionSequence",
     "VerificationReport", "build_hypergeom_data", "check_degree_bound",
-    "check_gluing", "check_linked", "check_reciprocity",
+    "check_gluing", "check_linked", "check_mirror_linked", "check_reciprocity",
     "endpoint_weights_data", "lagrange_map", "mirror_transform", "restrict",
     "to_table",
     "PipelineCase", "PipelineResult", "build_hypergeom_series", "classify",

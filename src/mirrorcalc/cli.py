@@ -20,8 +20,7 @@ from fractions import Fraction
 from . import __version__
 from .bundles import CRITICAL_BUNDLES, SplittingType
 from .eulerdata import (build_hypergeom_data, check_degree_bound, check_gluing,
-                        check_linked, check_reciprocity, lagrange_map,
-                        mirror_transform, to_table)
+                        check_mirror_linked, check_reciprocity, to_table)
 from .pipeline import (PipelineResult, build_hypergeom_series, classify,
                        compute_normalization, invert_multicover, run_pipeline,
                        unsupported_reason)
@@ -32,10 +31,6 @@ FORMAT_CHOICES = ("text", "json", "csv")
 VERIFY_FORMATS = ("text", "json")
 CONFIG_KEYS = ("order", "format", "emit", "dmax", "cache", "decimal")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
-# largest |degree| of a bundle summand; a summand O(l) costs about l*d
-# linear factors per degree d, and verify gluing --n 1 --bundle "O(64)"
-# takes 0.15 s at --dmax 1 and 1.0 s at --dmax 4 (past the factor cap)
-MAX_BUNDLE_DEGREE = 64
 # largest --order of compute and --dmax of verify, from a flag or a
 # config; compute --preset quintic takes 2 s at --order 100 and 17 s at
 # 200, verify reciprocity on the quintic 0.5 s at --dmax 6 and 1.1 s at 8
@@ -44,13 +39,13 @@ MAX_DMAX = 6
 # largest number sum(l*dmax + 1) + sum(k*dmax - 1) of linear factors of
 # P_dmax in verify: at 65 (O(64) at --dmax 1) each check on P^1..P^3 takes
 # <= 0.3 s, at 127 (O(21) at --dmax 6) reciprocity on P^2 2.2 s; O(64) at
-# --dmax 6 (385) gluing 6.8 s.  The presets need at most 31.
+# --dmax 6 (385) gluing 6.8 s.  The presets need at most 31.  It also
+# bounds every bundle degree of verify; compute admits only the critical
+# types, whose degrees are all <= 5.
 MAX_LINEAR_FACTORS = 65
-# largest (d_max+1)^n, about the terms of the linking product factors
-# prod_j prod_m (lam_i - lam_j - m*alpha): with O(1) at --dmax 1 linking
-# takes 0.1 s on P^5, 0.6 s on P^9 (512) and 1.4 s on P^10; 5^4 admits P^4
-# at the default --dmax 4, so every preset.  It bounds linking only.
-MAX_LINKING_TERMS = 625
+# largest --n of every command; it admits every critical type (n <= 7),
+# and at the factor cap on P^12 reciprocity takes 12 s (README, limits)
+MAX_DIMENSION = 12
 
 # preset name -> (n, bundle text, default order)
 PRESETS = {
@@ -369,20 +364,18 @@ def _build_parser():
 
 
 def _read_bundle(text, n):
-    """The splitting type of a bundle spec whose degrees are within the cap."""
+    """The splitting type of a bundle spec on P^n, n within the cap."""
     try:
         st = parse_bundle(text, n)
     except ValueError as exc:
         raise UsageError(str(exc), label="parse error") from None
-    if max(st.convex + st.concave, default=0) > MAX_BUNDLE_DEGREE:
-        raise UsageError(f"bundle degrees are limited to |a| <= {MAX_BUNDLE_DEGREE}")
+    if n > MAX_DIMENSION:
+        raise UsageError(f"--n is limited to <= {MAX_DIMENSION}")
     return st
 
 
 def _cmd_compute(args, out, err):
-    config = {}
-    if args.config:
-        config = load_config(args.config)
+    config = load_config(args.config) if args.config else {}
     if args.preset:
         if args.bundle or args.n is not None:
             raise UsageError("--preset conflicts with --n/--bundle")
@@ -480,23 +473,12 @@ def _cmd_verify(args, out):
     if factors > MAX_LINEAR_FACTORS:
         raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {factors} linear factors; "
                          f"verify is limited to <= {MAX_LINEAR_FACTORS}")
-    # (d_max+1)^n >= 2^n > MAX_LINKING_TERMS once n > 64: no huge power
-    if args.check == "linking" and (st.n > 64 or (d_max + 1) ** st.n > MAX_LINKING_TERMS):
-        raise UsageError(f"verify linking on P^{st.n} at --dmax {d_max} expands products of "
-                         f"(d_max+1)^n terms; linking is limited to "
-                         f"(d_max+1)^n <= {MAX_LINKING_TERMS}")
-    data = build_hypergeom_data(st, with_x=args.with_x)
-    table = to_table(data, d_max)
-    if args.check == "gluing":
-        report = check_gluing(table)
-    elif args.check == "reciprocity":
-        report = check_reciprocity(table)
-    elif args.check == "degree-bound":
-        report = check_degree_bound(table)
+    table = to_table(build_hypergeom_data(st, with_x=args.with_x), d_max)
+    if args.check == "linking":
+        report = check_mirror_linked(table, _linking_shift(st, d_max, args.with_x))
     else:
-        shift = _linking_shift(st, d_max, args.with_x)
-        transformed = mirror_transform(table.restriction_sequence(), None, shift)
-        report = check_linked(table, lagrange_map(transformed))
+        report = {"gluing": check_gluing, "reciprocity": check_reciprocity,
+                  "degree-bound": check_degree_bound}[args.check](table)
     if fmt == "json":
         out.write(report.to_json(indent=2) + "\n")
     else:
@@ -513,9 +495,7 @@ def _linking_shift(st, d_max, with_x):
     """The shift used to exhibit a nontrivial mirror transform: the
     canonical one for critical types, a unit one-term shift otherwise."""
     if not with_x and unsupported_reason(st) is None:
-        series = build_hypergeom_series(st, d_max)
-        _, shift = compute_normalization(series, st)
-        return shift
+        return compute_normalization(build_hypergeom_series(st, d_max), st)[1]
     return ScalarQSeries.q(d_max)
 
 

@@ -12,7 +12,9 @@ of alpha only.
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
 records each identity through ``_verdict``: "pass", "fail" with a
 witness, or "inconclusive" when a substitution hits a vanishing
-denominator.
+denominator.  The mirror transform is one per-point recursion with
+alpha a polynomial value: the variable in ``mirror_transform``, each
+linking binding alpha = (lam_i - lam_j)/d in ``check_mirror_linked``.
 """
 
 from __future__ import annotations
@@ -181,9 +183,8 @@ class EulerDataTable:
 
     def restriction_sequence(self):
         """The degree-zero slice d -> entry(d, i, 0), including d = 0."""
-        values = {(0, i): self.omega_restrictions[i] for i in range(self.n + 1)}
-        for d, i in _grid(self.d_max, range(self.n + 1)):
-            values[(d, i)] = self.entries[(d, i, 0)]
+        values = {(d, i): self.entry(d, i, 0)
+                  for d, i in itertools.product(range(self.d_max + 1), range(self.n + 1))}
         return RestrictionSequence(self.n, self.d_max, self.ring, values)
 
 
@@ -328,21 +329,24 @@ def check_reciprocity(tbl):
     return report
 
 
+def _linking_report(tbl, residue):
+    """Record, for every d and i != j, whether residue(d, i, binding)
+    vanishes, binding alpha = (lam_i - lam_j)/d."""
+    report = VerificationReport("linking", tbl.n, tbl.d_max)
+    for d, i, j in _grid(tbl.d_max, range(tbl.n + 1), range(tbl.n + 1)):
+        if j != i:
+            binding = {"alpha": _alpha_binding(tbl.ring, i, j, d)}
+            _verdict(report, (d, i, j), lambda: residue(d, i, binding).is_zero(),
+                     lambda: f"j={j}: residue={residue(d, i, binding)}")
+    return report
+
+
 def check_linked(table_a, table_b):
     """Both degree-zero restrictions agree at alpha = (lam_i - lam_j)/d."""
     if table_a.n != table_b.n or table_a.d_max != table_b.d_max:
         raise EulerDataError("tables are not compatible")
-    report = VerificationReport("linking", table_a.n, table_a.d_max)
-    ring = table_a.ring
-    points = range(table_a.n + 1)
-    diffs = {(d, i): table_a.entry(d, i, 0) - table_b.entry(d, i, 0)
-             for d, i in _grid(table_a.d_max, points)}
-    for d, i, j in _grid(table_a.d_max, points, points):
-        if j != i:
-            binding = {"alpha": _alpha_binding(ring, i, j, d)}
-            _verdict(report, (d, i, j), lambda: diffs[(d, i)].substitute(binding).is_zero(),
-                     lambda: f"j={j}: residue={diffs[(d, i)].substitute(binding)}")
-    return report
+    diff = functools.cache(lambda d, i: table_a.entry(d, i, 0) - table_b.entry(d, i, 0))
+    return _linking_report(table_a, lambda d, i, binding: diff(d, i).substitute(binding))
 
 
 def check_degree_bound(tbl):
@@ -377,32 +381,67 @@ def lagrange_map(seq):
     return EulerDataTable(seq.n, seq.d_max, seq.ring, entries, omega)
 
 
-def _exp_rf_series(ring, coeffs, order):
-    """exp of a series with rational-function coefficients and zero
-    constant term, to the given order."""
-    one = RationalFunction(ring.one)
-    zero = RationalFunction(ring.zero)
-    out = [zero] * (order + 1)
-    out[0] = one
-    for d in range(1, order + 1):
-        acc = zero
-        for j in range(1, d + 1):
-            if not coeffs[j].is_zero():
-                acc = acc + coeffs[j] * out[d - j] * j
-        out[d] = acc * Fraction(1, d)
-    return out
-
-
-def _product_factor(ring, n, i, r, d):
-    """prod_{j=0..n} prod_{m=r+1..d} (lam_i - lam_j - m*alpha)."""
+def _product_factor(ring, n, i, r, d, alpha):
+    """prod_{j=0..n} prod_{m=r+1..d} (lam_i - lam_j - m*alpha), alpha a
+    polynomial; zero, not expanded, when one linear factor vanishes."""
     lam_i = ring.var(f"lam{i}")
-    alpha = ring.var("alpha")
-    p = ring.one
-    for j in range(n + 1):
-        lam_j = ring.var(f"lam{j}")
-        for m in range(r + 1, d + 1):
-            p = p * (lam_i - lam_j - m * alpha)
-    return p
+    factors = [lam_i - ring.var(f"lam{j}") - m * alpha
+               for j in range(n + 1) for m in range(r + 1, d + 1)]
+    return ring.zero if any(p.is_zero() for p in factors) else math.prod(factors, start=ring.one)
+
+
+def _shift_series(shift, d_max):
+    """The shift g as a scalar q-series to order d_max, zero constant term."""
+    if isinstance(shift, ScalarQSeries):
+        if shift.order < d_max:
+            raise EulerDataError("shift series truncated below d_max")
+        shift = shift.coeffs
+    g = ScalarQSeries(d_max, shift or ())
+    if g[0] != 0:
+        raise EulerDataError("shift must have zero constant term")
+    return g
+
+
+def _transform_at(n, i, alpha, value, f, g, powers):
+    """d -> the mirror transform at p_i, memoized; alpha is a polynomial,
+    the variable or a binding, at which value(d) (the restriction at
+    p_i) and f are given, and powers = mirror_powers(g).  The e^(dg)
+    redistribution gives primed(d), then u = e^((f - lam_i*g)/alpha)
+    gives out(d); a summand whose product factor vanishes is not formed.
+    """
+    ring = alpha.ring
+    lam_i, alpha_rf = RationalFunction(ring.var(f"lam{i}")), RationalFunction(alpha)
+    combined = [(c - lam_i * g[s]) / alpha_rf for s, c in enumerate(f)]
+    factor = functools.cache(lambda r, d: _product_factor(ring, n, i, r, d, alpha))
+
+    @functools.cache
+    def u(d):
+        if d == 0:
+            return RationalFunction(ring.one)
+        acc = RationalFunction(ring.zero)
+        for s in range(1, d + 1):
+            if not combined[s].is_zero():
+                acc = acc + combined[s] * u(d - s) * s
+        return acc * Fraction(1, d)
+
+    @functools.cache
+    def primed(d):
+        acc = value(d)
+        for r in range(d):
+            coeff = powers[r].coeffs[d]
+            if coeff and not factor(r, d).is_zero():
+                acc = acc + coeff * value(r) * factor(r, d)
+        return acc
+
+    @functools.cache
+    def out(d):
+        acc = primed(d)
+        for r in range(d):
+            if not factor(r, d).is_zero() and not u(d - r).is_zero():
+                acc = acc + u(d - r) * primed(r) * factor(r, d)
+        return acc
+
+    return out
 
 
 def mirror_transform(seq, multiplier=None, shift=None):
@@ -411,50 +450,38 @@ def mirror_transform(seq, multiplier=None, shift=None):
     ``shift`` (g) is a scalar q-series with rational coefficients and
     zero constant term; ``multiplier`` (f) is a list of coefficients,
     rational functions in (lam, alpha), also with zero constant term.
-    The two explicit recursions are applied in order: first the e^(dg)
-    redistribution, then the series e^(f/alpha - p*g/alpha) restricted
-    at p = lam_i.  Linked values are preserved.
+    The two recursions of ``_transform_at`` are applied in order: first
+    the e^(dg) redistribution, then the series e^(f/alpha - p*g/alpha)
+    restricted at p = lam_i.  Linked values are preserved.
     """
     n, d_max, ring = seq.n, seq.d_max, seq.ring
-    if isinstance(shift, ScalarQSeries):
-        if shift.order < d_max:
-            raise EulerDataError("shift series truncated below d_max")
-        shift = shift.coeffs
-    g = ScalarQSeries(d_max, shift or ())
-    if g[0] != 0:
-        raise EulerDataError("shift must have zero constant term")
-
+    g = _shift_series(shift, d_max)
     f = [RationalFunction.promote(ring, c) for c in multiplier or ()][: d_max + 1]
     f += [RationalFunction(ring.zero)] * (d_max + 1 - len(f))
     if not f[0].is_zero():
         raise EulerDataError("multiplier series must have zero constant term")
 
-    powers = mirror_powers(g)
-
-    alpha_rf = RationalFunction(ring.var("alpha"))
-    values = {(0, i): seq.value(0, i) for i in range(n + 1)}
-
-    @functools.cache
-    def factor(i, r, d):
-        return RationalFunction(_product_factor(ring, n, i, r, d))
-
-    for i in range(n + 1):
-        lam_i = RationalFunction(ring.var(f"lam{i}"))
-        # u = exp((f - lam_i * g)/alpha), the combined multiplier at p_i
-        combined = [(f[s] - lam_i * g[s]) / alpha_rf for s in range(d_max + 1)]
-        u = _exp_rf_series(ring, combined, d_max)
-        primed = {0: seq.value(0, i)}
-        for d in range(1, d_max + 1):
-            acc = seq.value(d, i)
-            for r in range(d):
-                coeff = powers[r].coeffs[d]
-                if coeff:
-                    acc = acc + coeff * seq.value(r, i) * factor(i, r, d)
-            primed[d] = acc
-        for d in range(1, d_max + 1):
-            acc = primed[d]
-            for r in range(d):
-                if not u[d - r].is_zero():
-                    acc = acc + u[d - r] * primed[r] * factor(i, r, d)
-            values[(d, i)] = acc
+    alpha, powers = ring.var("alpha"), mirror_powers(g)
+    out = [_transform_at(n, i, alpha, lambda d, i=i: seq.value(d, i), f, g, powers)
+           for i in range(n + 1)]
+    values = {(d, i): out[i](d) for d in range(d_max + 1) for i in range(n + 1)}
     return RestrictionSequence(n, d_max, ring, values)
+
+
+def check_mirror_linked(table, shift):
+    """The report of check_linked(table, lagrange_map(mirror_transform(
+    table.restriction_sequence(), None, shift))), built at each binding:
+    substitution is a ring map, so ``_transform_at`` runs on the
+    substituted degree-zero slice, where every summand carries
+    lam_i - lam_j - d*alpha and is never formed.
+    """
+    ring, g = table.ring, _shift_series(shift, table.d_max)
+    powers, f = mirror_powers(g), [RationalFunction(ring.zero)] * (table.d_max + 1)
+
+    def residue(d, i, binding):
+        at = functools.cache(lambda r: table.entry(r, i, 0).substitute(binding))
+        omega = table.omega_restrictions[i]
+        scale = (bar_involution(omega) / omega).substitute(binding)
+        return at(d) - scale * _transform_at(table.n, i, binding["alpha"], at, f, g, powers)(d)
+
+    return _linking_report(table, residue)

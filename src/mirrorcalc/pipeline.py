@@ -114,12 +114,9 @@ def build_hypergeom_series(st, order):
 
 def f0_closed_form(st, order):
     """sum_d prod_a (l_a d)! / (d!)^(n+1) q^d."""
-    def coeff(d):
-        num = 1
-        for l in st.convex:
-            num *= math.factorial(l * d)
-        return Fraction(num, math.factorial(d) ** (st.n + 1))
-    return ScalarQSeries.from_function(order, coeff)
+    return ScalarQSeries(order, [Fraction(math.prod(math.factorial(l * d) for l in st.convex),
+                                          math.factorial(d) ** (st.n + 1))
+                                 for d in range(order + 1)])
 
 
 def g1_closed_form(st, order):

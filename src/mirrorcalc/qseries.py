@@ -99,10 +99,6 @@ class ScalarQSeries:
     def q(cls, order):
         return cls(order, (0, 1))
 
-    @classmethod
-    def from_function(cls, order, fn):
-        return cls(order, [fn(d) for d in range(order + 1)])
-
     def __getitem__(self, d):
         if 0 <= d <= self.order:
             return self.coeffs[d]

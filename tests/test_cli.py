@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 from mirrorcalc import __version__
-from mirrorcalc.bundles import SplittingType
+from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType
 from mirrorcalc import cli
-from mirrorcalc.cli import (MAX_BUNDLE_DEGREE, MAX_DMAX, MAX_LINEAR_FACTORS,
-                            MAX_LINKING_TERMS, MAX_ORDER, BundleParseError, exact_decimal, parse_bundle, run_command)
+from mirrorcalc.cli import (MAX_DIMENSION, MAX_DMAX, MAX_LINEAR_FACTORS, MAX_ORDER,
+                            BundleParseError, exact_decimal, parse_bundle, run_command)
 from mirrorcalc.pipeline import PipelineError
 
 
@@ -163,23 +163,29 @@ def refuse_builds(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "gluing", "--n", "1", "--bundle", "O(99999999999)", "--dmax", "1"],
-    ["verify", "reciprocity", "--n", "2", "--bundle", f"O(1)+O(-{MAX_BUNDLE_DEGREE + 1})"],
+    ["verify", "reciprocity", "--n", "2", "--bundle", "O(1)+O(-65)"],
     ["compute", "--n", "4", "--bundle", "O(99999999999)"],
 ])
 def test_bundle_degree_cap(argv, monkeypatch):
+    # no cap of its own bounds a bundle degree: verify refuses it through
+    # the linear-factor cap, compute because the type is not critical
     refuse_builds(monkeypatch)
     code, out, err = run(argv)
     assert code == 2 and out == ""
-    assert err == f"error: bundle degrees are limited to |a| <= {MAX_BUNDLE_DEGREE}\n"
+    expected = "linear factors" if argv[0] == "verify" else "no K_d extraction"
+    assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
 
 
 def test_bundle_degree_cap_admits_presets():
+    # every critical type, so every compute input, has degrees <= 5; the
+    # linear-factor cap admits O(64), its largest degree, at --dmax 1
+    assert max(max(st.convex + st.concave) for st in CRITICAL_BUNDLES) == 5
     for n, bundle, _ in cli.PRESETS.values():
-        st = parse_bundle(bundle, n)
-        assert max(st.convex + st.concave) <= MAX_BUNDLE_DEGREE
-    code, _, _ = run(["verify", "degree-bound", "--n", "1",
-                      "--bundle", f"O({MAX_BUNDLE_DEGREE})", "--dmax", "1"])
+        assert parse_bundle(bundle, n) in CRITICAL_BUNDLES
+    code, _, _ = run(["verify", "degree-bound", "--n", "1", "--bundle", "O(64)", "--dmax", "1"])
     assert code in (0, 1)
+    code, _, err = run(["verify", "degree-bound", "--n", "1", "--bundle", "O(65)", "--dmax", "1"])
+    assert code == 2 and "66 linear factors" in err
 
 
 @pytest.mark.parametrize("argv, key, limit", [
@@ -243,35 +249,58 @@ def test_linear_factor_cap_admits_presets_and_readme():
                for n, bundle in examples + [(n, b) for n, b, _ in cli.PRESETS.values()]]
     for st in bundles:
         assert cli._linear_factors(st, MAX_DMAX) <= MAX_LINEAR_FACTORS, st
-    # the largest admitted bundle degree still runs at --dmax 1
-    largest = SplittingType(1, (MAX_BUNDLE_DEGREE,), ())
-    assert cli._linear_factors(largest, 1) <= MAX_LINEAR_FACTORS
+    # O(64), the largest degree the cap admits, still runs at --dmax 1
+    assert cli._linear_factors(SplittingType(1, (64,), ()), 1) == MAX_LINEAR_FACTORS
 
 
 @pytest.mark.parametrize("n, dmax", [(12, 1), (10, 1), (6, 2), (5, 3), (5, 6), (10 ** 9, 1)])
 def test_linking_term_cap(n, dmax, monkeypatch):
-    refuse_builds(monkeypatch)
+    # the (d_max+1)^n linking cap refused each of these; linking is now
+    # checked at each binding, and only the dimension bound is left
+    if n > MAX_DIMENSION:
+        refuse_builds(monkeypatch)
     code, out, err = run(["verify", "linking", "--n", str(n), "--bundle", "O(1)",
                           "--dmax", str(dmax)])
-    assert code == 2 and out == ""
-    assert err == (f"error: verify linking on P^{n} at --dmax {dmax} expands products of "
-                   f"(d_max+1)^n terms; linking is limited to "
-                   f"(d_max+1)^n <= {MAX_LINKING_TERMS}\n")
+    if n > MAX_DIMENSION:
+        assert code == 2 and out == "" and err == f"error: --n is limited to <= {MAX_DIMENSION}\n"
+    else:
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["all_pass"]
+        assert len(report["results"]) == dmax * (n + 1) * n
 
 
 @pytest.mark.parametrize("check", ["gluing", "reciprocity", "degree-bound"])
 def test_linking_term_cap_bounds_linking_only(check, monkeypatch):
+    # the dimension bound covers every check, not linking only: P^12
+    # reaches the build, P^13 exits 2 before it
     refuse_builds(monkeypatch)
-    code, out, err = run(["verify", check, "--n", "12", "--bundle", "O(1)", "--dmax", "1"])
+    argv = ["verify", check, "--bundle", "O(1)", "--dmax", "1", "--n"]
+    code, out, err = run(argv + [str(MAX_DIMENSION)])
     assert code == 3 and err == "internal error: AssertionError: the build started\n"
+    code, out, err = run(argv + [str(MAX_DIMENSION + 1)])
+    assert code == 2 and out == "" and err == f"error: --n is limited to <= {MAX_DIMENSION}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--n", "1000000000", "--bundle", "O(1)"],
+    ["compute", "--n", str(MAX_DIMENSION + 1), "--bundle", "O(1)"],
+    ["verify", "reciprocity", "--n", "1000", "--bundle", "O(-1)", "--dmax", "2"],
+    ["verify", "linking", "--n", "1000000000", "--bundle", "O(1)", "--with-x"],
+])
+def test_dimension_cap(argv, monkeypatch):
+    refuse_builds(monkeypatch)
+    code, out, err = run(argv)
+    assert code == 2 and out == "" and err == f"error: --n is limited to <= {MAX_DIMENSION}\n"
 
 
 def test_linking_term_cap_admits_presets_and_readme():
+    # the dimension bound admits every README example, preset and
+    # critical type
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     dims = [int(n) for n in re.findall(r'mirrorcalc verify \S+ --n (\d+)', readme)]
-    dims += [n for n, _, _ in cli.PRESETS.values()]
-    assert len(dims) == 10
-    assert max(5 ** n for n in dims) <= MAX_LINKING_TERMS  # the default --dmax 4
+    dims += [n for n, _, _ in cli.PRESETS.values()] + [st.n for st in CRITICAL_BUNDLES]
+    assert len(dims) == 19
+    assert max(dims) <= MAX_DIMENSION
 
 
 def test_compute_rejects_unsupported_before_the_build(monkeypatch):

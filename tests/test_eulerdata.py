@@ -2,6 +2,7 @@
 reciprocity identities, linking, degree bounds, the Lagrange map, and
 the mirror-group action on restriction sequences."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -14,10 +15,12 @@ from mirrorcalc.algebra import RationalFunction, bar_involution, rf_equal
 from mirrorcalc.bundles import OmegaClass, SplittingType, omega_class
 from mirrorcalc.eulerdata import (EulerDataError, EulerDataTable,
                                   build_hypergeom_data, check_degree_bound,
-                                  check_gluing, check_linked, check_reciprocity,
+                                  check_gluing, check_linked, check_mirror_linked,
+                                  check_reciprocity,
                                   endpoint_weights_data, lagrange_map,
                                   mirror_transform, restrict, to_table)
 from mirrorcalc.pipeline import build_hypergeom_series, compute_normalization
+from mirrorcalc.qseries import ScalarQSeries
 
 MULTICOVER = SplittingType(1, (), (1, 1))
 LOCAL_P2 = SplittingType(2, (), (3,))
@@ -332,9 +335,10 @@ def test_linked_mirror_transform():
 
 def test_linked_fails_when_transform_factor_stops_short(monkeypatch):
     # a mutated mirror transform whose product factor runs m = r+1..d-1,
-    # dropping the (lam_i - lam_j - d*alpha) factors: no result may pass
-    def short_factor(ring, n, i, r, d):
-        alpha, lam_i = ring.var("alpha"), ring.var(f"lam{i}")
+    # dropping the (lam_i - lam_j - d*alpha) factors: no result may pass,
+    # on the composite route or at each binding
+    def short_factor(ring, n, i, r, d, alpha):
+        lam_i = ring.var(f"lam{i}")
         return math.prod((lam_i - ring.var(f"lam{j}") - m * alpha
                           for j in range(n + 1) for m in range(r + 1, d)), start=ring.one)
 
@@ -342,9 +346,67 @@ def test_linked_fails_when_transform_factor_stops_short(monkeypatch):
     tbl = to_table(build_hypergeom_data(LOCAL_P2), 3)
     _, shift = compute_normalization(build_hypergeom_series(LOCAL_P2, 3), LOCAL_P2)
     transformed = mirror_transform(tbl.restriction_sequence(), None, shift)
-    report = check_linked(tbl, lagrange_map(transformed))
-    assert len(report.results) == 18
-    assert all(r.status == "fail" for r in report.results)
+    for report in (check_linked(tbl, lagrange_map(transformed)), check_mirror_linked(tbl, shift)):
+        assert len(report.results) == 18
+        assert all(r.status == "fail" for r in report.results)
+
+
+# sha1 prefix of the `mirrorcalc verify linking` stdout (the report's
+# to_json(indent=2) and a newline) on the composite route of check_linked,
+# lagrange_map and mirror_transform, for P^n at --dmax d_max; the same
+# with and without --with-x, since every result passes
+LINKING_DIGESTS = {
+    (1, 1): "88a77b3b211f", (1, 2): "2c5785384d50", (1, 3): "7b1e3f992ae7", (1, 4): "cbc55b178966",
+    (2, 1): "a28b16fc1e6c", (2, 2): "d10319bdea20", (2, 3): "f0ac9192c2a0", (2, 4): "866931687fc9",
+    (3, 1): "bf9e16c06f61", (3, 2): "bc1356b32602", (3, 3): "c28f7c1ebcd5", (3, 4): "0fe5d9b3a917",
+    (4, 1): "0ab3551a4d95", (4, 2): "bf564d077255", (4, 3): "9faee9c9403a", (4, 4): "9a5b392d52bb",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_mirror_linked_matches_composite(preset):
+    # the binding route gives the composite's report byte for byte: live
+    # at --dmax <= 2, and through the composite's pinned digests at 1-4
+    # (the composite takes up to 35 s per preset at --dmax 4)
+    n, bundle, _ = cli.PRESETS[preset]
+    st = cli.parse_bundle(bundle, n)
+    for with_x in (False, True):
+        for d_max in (1, 2, 3, 4):
+            tbl = to_table(build_hypergeom_data(st, with_x=with_x), d_max)
+            shift = cli._linking_shift(st, d_max, with_x)
+            text = check_mirror_linked(tbl, shift).to_json(indent=2)
+            digest = hashlib.sha1((text + "\n").encode()).hexdigest()
+            assert digest[:12] == LINKING_DIGESTS[(n, d_max)], (with_x, d_max)
+            if d_max <= 2:
+                transformed = mirror_transform(tbl.restriction_sequence(), None, shift)
+                assert text == check_linked(tbl, lagrange_map(transformed)).to_json(indent=2)
+
+
+def test_mirror_linked_forms_no_summand(monkeypatch):
+    # at alpha = (lam_i - lam_j)/d every product factor with r < d holds
+    # lam_i - lam_j - d*alpha, so each one comes back zero, unexpanded
+    product_factor, seen = eulerdata._product_factor, []
+
+    def recording_factor(*args):
+        seen.append(product_factor(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(eulerdata, "_product_factor", recording_factor)
+    st = SplittingType(4, (5,), ())
+    tbl = to_table(build_hypergeom_data(st, with_x=True), 4)
+    assert check_mirror_linked(tbl, compute_normalization(build_hypergeom_series(st, 4), st)[1]).all_pass
+    # one factor per r < d at each of the 20 (i, j) pairs of each d
+    assert len(seen) == 20 * (1 + 2 + 3 + 4) and all(p.is_zero() for p in seen)
+    assert not product_factor(tbl.ring, 4, 0, 0, 4, tbl.ring.var("alpha")).is_zero()
+
+
+def test_mirror_linked_checks_the_shift():
+    tbl = to_table(build_hypergeom_data(LOCAL_P2), 3)
+    with pytest.raises(EulerDataError, match="truncated below d_max"):
+        check_mirror_linked(tbl, ScalarQSeries.q(2))
+    with pytest.raises(EulerDataError, match="zero constant term"):
+        check_mirror_linked(tbl, [1, 1])
+    assert check_mirror_linked(tbl, None).to_json() == check_linked(tbl, tbl).to_json()
 
 
 def test_linked_detects_shift():

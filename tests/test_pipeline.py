@@ -248,11 +248,12 @@ def test_series_blocks_match_symbolic_restrictions():
     # bridge between the symbolic table layer and the series layer: the
     # q^d block times prod (H - m*alpha)^(n+1) must equal the restriction
     # polynomial (lam_i renamed to H, truncated by nilpotency); that
-    # product is a unit, so this pins the block itself
+    # product is a unit, so this pins the block itself.  The domain, all 9
+    # critical bundles at d <= 4, is enumerated exhaustively.
     from mirrorcalc.eulerdata import build_hypergeom_data, restrict
 
-    for st in (MULTICOVER, LOCAL_P2, P3_CONCAVEX):
-        n, order = st.n, 3
+    for st in CRITICAL_BUNDLES:
+        n, order = st.n, 4
         data = build_hypergeom_data(st)
         ring = data.ring
         lam_idx = ring.index["lam0"]
