@@ -32,16 +32,19 @@ VERIFY_FORMATS = ("text", "json")
 CONFIG_KEYS = ("order", "format", "emit", "dmax", "cache", "decimal")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
 # largest --order of compute and --dmax of verify, from a flag or a
-# config; compute --preset quintic takes 2 s at --order 100 and 17 s at
-# 200, verify reciprocity on the quintic 0.5 s at --dmax 6 and 1.1 s at 8
+# config; compute --preset quintic takes 0.55 s at --order 100 (run_pipeline
+# 5.4 s at 200), verify reciprocity on the quintic 0.5 s at --dmax 6, 1.1 s at 8
 MAX_ORDER = 100
 MAX_DMAX = 6
 # largest number sum(l*dmax + 1) + sum(k*dmax - 1) of linear factors of
-# P_dmax in verify: at 65 (O(64) at --dmax 1) each check on P^1..P^3 takes
+# P_dmax in verify, each counted twice under --with-x, which adds x to
+# every factor: at 65 (O(64) at --dmax 1) each check on P^1..P^3 takes
 # <= 0.3 s, at 127 (O(21) at --dmax 6) reciprocity on P^2 2.2 s; O(64) at
-# --dmax 6 (385) gluing 6.8 s.  The presets need at most 31.  It also
-# bounds every bundle degree of verify; compute admits only the critical
-# types, whose degrees are all <= 5.
+# --dmax 6 (385) gluing 6.8 s.  The worst admitted --with-x input, 32
+# factors (O(4)+O(1) at --dmax 6), takes 0.6-1.0 s for reciprocity on P^2,
+# 1.8-2.1 s on P^4 and 12.9-15.5 s on P^12.  The presets need at most 31
+# (62 under --with-x).  It also bounds every bundle degree of verify;
+# compute admits only the critical types, whose degrees are all <= 5.
 MAX_LINEAR_FACTORS = 65
 # largest --n of every command; it admits every critical type (n <= 7),
 # and at the factor cap on P^12 reciprocity takes 12 s (README, limits)
@@ -231,7 +234,7 @@ def _emit_csv(result, emit, decimal, out):
             d, v, flag = result.instanton[idx]
             row += [str(v), "true" if flag else "false"]
         if "mirror-map" in emit:
-            row.append(str(result.mirror_shift.coeffs[idx + 1]))
+            row.append(str(result.mirror_shift[idx + 1]))
         out.write(",".join(row) + "\n")
 
 
@@ -470,9 +473,10 @@ def _cmd_verify(args, out):
     fmt = _format_option(args.format, config, "json", VERIFY_FORMATS)
     st = _read_bundle(args.bundle, args.n)
     factors = _linear_factors(st, d_max)
-    if factors > MAX_LINEAR_FACTORS:
-        raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {factors} linear factors; "
-                         f"verify is limited to <= {MAX_LINEAR_FACTORS}")
+    if factors * (1 + args.with_x) > MAX_LINEAR_FACTORS:  # x joins every factor
+        with_x = f", {2 * factors} with --with-x" if args.with_x else ""
+        raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {factors} linear factors"
+                         f"{with_x}; verify is limited to <= {MAX_LINEAR_FACTORS}")
     table = to_table(build_hypergeom_data(st, with_x=args.with_x), d_max)
     if args.check == "linking":
         report = check_mirror_linked(table, _linking_shift(st, d_max, args.with_x))

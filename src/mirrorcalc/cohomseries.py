@@ -1,8 +1,9 @@
 """The hypergeometric cohomology series e^(-Ht/alpha) * (Omega + Sigma).
 
-A CohomSeries stores Sigma = sum_d q^d Sigma_d as dense vectors in
+A CohomSeries holds Sigma = sum_d q^d Sigma_d as dense vectors in
 x = H/alpha: Sigma_d = alpha^degrees[d] * sum_i cells[d][i] x^i for
 i = 0..n (H^(n+1) = 0).  Sigma has no q^0 block, so cells[0] is zero.
+Its x^i columns S_i = sum_d cells[d][i] q^d are stored; cells is derived.
 The alpha-degrees are recorded by the build from its factor counts.
 The omega summand c H^h (h may be negative) is not stored; its one
 source is bundles.omega_class.
@@ -24,28 +25,31 @@ from .qseries import ScalarQSeries, SeriesError, TSeries, _frac
 
 
 class CohomSeries:
-    __slots__ = ("n", "order", "cells", "degrees")
+    __slots__ = ("n", "order", "columns", "degrees")
 
-    def __init__(self, n, order, cells, degrees):
-        if len(cells) != order + 1 or any(len(row) != n + 1 for row in cells):
-            raise SeriesError(f"cells must be {order + 1} vectors of length {n + 1}")
+    def __init__(self, n, order, columns, degrees):
+        if len(columns) != n + 1 or any(s.order != order for s in columns):
+            raise SeriesError(f"columns must be {n + 1} q-series of order {order}")
         self.n = n
         self.order = order
-        self.cells = [[_frac(c) for c in row] for row in cells]
+        self.columns = tuple(columns)
         self.degrees = list(degrees)
+
+    @property
+    def cells(self):
+        """The derived rows: cells[d][i] is the x^i coefficient of sigma_d."""
+        return [list(row) for row in zip(*(s.coeffs for s in self.columns))]
 
     def __eq__(self, other):
         if not isinstance(other, CohomSeries):
             return NotImplemented
-        return (self.n == other.n and self.order == other.order and self.cells == other.cells
-                and self.degrees == other.degrees)
+        return (self.n == other.n and self.order == other.order
+                and self.columns == other.columns and self.degrees == other.degrees)
 
     def column(self, i):
         """S_i = sum_d cells[d][i] q^d, the x^i column of Sigma (0 when
         i is outside 0..n)."""
-        if not 0 <= i <= self.n:
-            return ScalarQSeries.zero(self.order)
-        return ScalarQSeries(self.order, [row[i] for row in self.cells])
+        return self.columns[i] if 0 <= i <= self.n else ScalarQSeries.zero(self.order)
 
 
 def scale_by(a, s):
@@ -57,8 +61,7 @@ def scale_by(a, s):
         raise SeriesError("scalar series order differs from the CohomSeries order")
     if len(set(a.degrees[1:])) > 1:
         raise SeriesError("blocks of different alpha-degree cannot be mixed")
-    columns = [(a.column(i) * s).coeffs for i in range(a.n + 1)]
-    return CohomSeries(a.n, a.order, [list(row) for row in zip(*columns)], a.degrees)
+    return CohomSeries(a.n, a.order, [column * s for column in a.columns], a.degrees)
 
 
 def integrate_pn(a):
@@ -69,11 +72,11 @@ def integrate_pn(a):
     The omega summand is not integrated here; its closed form is
     (-t)^(n-h)/(n-h)! times the scalar of omega_class.
     """
-    out = {}
+    out, cells = {}, a.cells
     for d in range(1, a.order + 1):
         terms = out.setdefault(a.degrees[d] - a.n, {})
         for j in range(a.n + 1):
-            terms[(d, j)] = a.cells[d][a.n - j] * Fraction((-1) ** j, math.factorial(j))
+            terms[(d, j)] = cells[d][a.n - j] * Fraction((-1) ** j, math.factorial(j))
     return {k: TSeries(a.order, terms) for k, terms in out.items()}
 
 

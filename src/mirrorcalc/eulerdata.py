@@ -392,11 +392,10 @@ def _product_factor(ring, n, i, r, d, alpha):
 
 def _shift_series(shift, d_max):
     """The shift g as a scalar q-series to order d_max, zero constant term."""
-    if isinstance(shift, ScalarQSeries):
-        if shift.order < d_max:
-            raise EulerDataError("shift series truncated below d_max")
-        shift = shift.coeffs
-    g = ScalarQSeries(d_max, shift or ())
+    series = isinstance(shift, ScalarQSeries)
+    if series and shift.order < d_max:
+        raise EulerDataError("shift series truncated below d_max")
+    g = shift.truncate(d_max) if series else ScalarQSeries(d_max, shift or ())
     if g[0] != 0:
         raise EulerDataError("shift must have zero constant term")
     return g
@@ -428,7 +427,7 @@ def _transform_at(n, i, alpha, value, f, g, powers):
     def primed(d):
         acc = value(d)
         for r in range(d):
-            coeff = powers[r].coeffs[d]
+            coeff = powers[r][d]
             if coeff and not factor(r, d).is_zero():
                 acc = acc + coeff * value(r) * factor(r, d)
         return acc

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import NEG_INF
 from .bundles import SplittingType, omega_class
 from .cohomseries import CohomSeries, homogeneity_violations
-from .qseries import ScalarQSeries, TSeries, mirror_powers
+from .qseries import ScalarQSeries, TSeries, _append_over, mirror_powers
 
 
 class PipelineError(RuntimeError):
@@ -72,40 +73,34 @@ def _sigma_factors(st, d):
             + [(-k, m) for k in st.concave for m in range(max(1, k * (d - 1)), k * d)])
 
 
-def _times_linear(v, a, b):
-    """The x-vector v times (a*x + b), truncated at x^n."""
-    return [b * v[0]] + [b * v[i] + a * v[i - 1] for i in range(1, len(v))]
-
-
-def _divide_linear(v, m):
-    """v / (x - m), m >= 1, exactly mod x^(n+1): w[i] = (w[i-1] - v[i]) / m."""
-    out, prev = [], Fraction(0)
-    for c in v:
-        prev = (prev - c) / m
-        out.append(prev)
-    return out
-
-
 def build_hypergeom_series(st, order):
     """The cohomology-valued series e^(-Ht/alpha) * (Omega + sum of
-    q^d Sigma_d) in the nonequivariant limit.  Each sigma_d is sigma_(d-1)
-    times its new factors over (x - d)^(n+1); every factor carries one
-    alpha, so the recorded alpha-degree is the factor count."""
+    q^d Sigma_d) in the nonequivariant limit.  Each sigma_d is one int
+    vector over one denominator: sigma_(d-1) times its new factors over
+    (x - d)^(n+1), whose inverse mod x^(n+1) is
+    (-1)^(n+1) * sum_k C(n+k, k) d^(n-k) x^k / d^(2n+1); every factor
+    carries one alpha, so the recorded alpha-degree is the factor count."""
     if order < 1:
         raise PipelineError("order must be >= 1")
     n = st.n
-    sigma, degree = [Fraction(1)] + [Fraction(0)] * n, 0
-    cells, degrees = [[Fraction(0)] * (n + 1)], [st.block_degree(0)]
+    sigma, den, degree = [1] + [0] * n, 1, 0
+    rows, degrees = [([0] * (n + 1), 1)], [st.block_degree(0)]
     for d in range(1, order + 1):
         factors = _sigma_factors(st, d)
         for a, b in factors:
-            sigma = _times_linear(sigma, a, b)
-        for _ in range(n + 1):
-            sigma = _divide_linear(sigma, d)
+            sigma = [b * sigma[0]] + [b * sigma[i] + a * sigma[i - 1] for i in range(1, n + 1)]
+        inv = [(-1) ** (n + 1) * math.comb(n + k, k) * d ** (n - k) for k in range(n + 1)]
+        sigma = [sum(map(operator.mul, sigma[i::-1], inv)) for i in range(n + 1)]
+        den *= d ** (2 * n + 1)
+        g = math.gcd(den, *sigma)
+        sigma, den = [c // g for c in sigma], den // g
         degree += len(factors) - (n + 1)
-        cells.append(sigma)
+        rows.append((sigma, den))
         degrees.append(degree)
-    return CohomSeries(n, order, cells, degrees)
+    common = math.lcm(*(den for _, den in rows))
+    columns = zip(*([c * (common // den) for c in sigma] for sigma, den in rows))
+    return CohomSeries(n, order, [ScalarQSeries._reduced(order, column, common)
+                                  for column in columns], degrees)
 
 
 # ---------------------------------------------------------------------
@@ -212,7 +207,7 @@ def canonical_alpha_degrees(series, st, scaling, shift):
     this is its per-block report."""
     om = omega_class(st)
     columns = _normalized_columns(series, om, scaling, shift)
-    return {d: max((om.h_exponent - i for i, s in columns.items() if s.coeffs[d]),
+    return {d: max((om.h_exponent - i for i, s in columns.items() if s.ints[d]),
                    default=NEG_INF)
             for d in range(1, series.order + 1)}
 
@@ -223,13 +218,14 @@ def canonical_alpha_degrees(series, st, scaling, shift):
 
 def _solve_from_weighted_sum(target, powers, order, weight):
     """Solve target = sum_d weight(d)*K_d*Q^d for the K_d, with
-    powers = mirror_powers(g) the table of Q^d = q^d e^(dg)."""
-    K = []
+    powers = mirror_powers(g) the table of Q^d = q^d e^(dg); the ints ys
+    over den hold weight(d)*K_d / powers[d].den, one dot product per D."""
+    K, ys, den = [], [], 1
     for D in range(1, order + 1):
-        val = target.coeffs[D]
-        for d in range(1, D):
-            val -= weight(d) * K[d - 1] * powers[d].coeffs[D]
+        dot = sum(y * powers[d].ints[D] for d, y in enumerate(ys, 1))
+        val = Fraction(target.ints[D] * den - dot * target.den, target.den * den)
         K.append(val / weight(D))
+        den = _append_over(ys, den, val / powers[D].den)
     return K
 
 
@@ -252,13 +248,13 @@ def extract_euler_numbers(series, st, scaling, shift, powers):
         raise PipelineError(f"integral is not a pure alpha^-3 series: powers {alpha_powers}")
 
     columns = _normalized_columns(series, omega_class(st), scaling, shift)
-    low = [d for i, s in columns.items() if i <= n - 2 for d, v in enumerate(s.coeffs) if v]
+    low = [d for i, s in columns.items() if i <= n - 2 for d, v in enumerate(s.ints) if v]
     if low:
         raise PipelineError(f"integrated series has t-degree > 1 at q^{min(low)}")
 
     K = _solve_from_weighted_sum(columns[n - 1], powers, order, Fraction)
     diff = columns[n] - _combine_rows(powers, K) * 2
-    bad = next((d for d, v in enumerate(diff.coeffs) if v), None)
+    bad = next((d for d, v in enumerate(diff.ints) if v), None)
     if bad is not None:
         raise PipelineError(f"t-constant block disagrees first at q^{bad}")
     return K, {"alpha_purity": True, "canonical_form": True, "t_degree_bound": True,
@@ -266,14 +262,14 @@ def extract_euler_numbers(series, st, scaling, shift, powers):
 
 
 def _combine_rows(powers, weights):
-    """sum_d weights[d-1] * powers[d] for d = 1..D; row d starts at q^d."""
-    order = len(weights)
-    out = [Fraction(0)] * (order + 1)
+    """sum_d weights[d-1] * powers[d] for d = 1..D; row d starts at q^d.
+    The ints ys over den hold weights[d-1] / powers[d].den."""
+    ys, den = [], 1
     for d, w in enumerate(weights, 1):
-        row = powers[d].coeffs
-        for m in range(d, order + 1):
-            out[m] += w * row[m]
-    return ScalarQSeries(order, out)
+        den = _append_over(ys, den, w / powers[d].den)
+    rows = [powers[d].ints for d in range(1, len(weights) + 1)]
+    return ScalarQSeries._reduced(len(weights), [sum(map(operator.mul, ys, column))
+                                                 for column in zip(*rows)], den)
 
 
 def invert_multicover(K):

@@ -2,16 +2,18 @@
 t-coefficients, stored as one q-series per power of t.
 
 Every series carries an explicit truncation order D and exact rational
-coefficients; binary operations require matching orders so that no
-silent precision loss can occur.  Every series product, scalar or
-t-graded, runs through ScalarQSeries.__mul__: one big-integer product
-by Kronecker substitution.
+coefficients, stored as integers over one denominator (as FLINT's
+fmpq_poly does; coeffs is the derived Fraction view); binary operations
+require matching orders so that no silent precision loss can occur.
+Every series product, scalar or t-graded, runs through
+ScalarQSeries.__mul__: one big-integer product by Kronecker substitution.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -71,21 +73,39 @@ def _pack(ints, width):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-class ScalarQSeries:
-    """A power series sum c_d q^d truncated at order D, coefficients in Q."""
+def _append_over(nums, den, value):
+    """Append the rational value to the ints nums over den, which stays the
+    lcm of the reduced denominators (so gcd(den, *nums) == 1); the new den."""
+    scale = value.denominator // math.gcd(den, value.denominator)
+    if scale != 1:
+        nums[:] = [c * scale for c in nums]
+        den *= scale
+    nums.append(value.numerator * (den // value.denominator))
+    return den
 
-    __slots__ = ("order", "coeffs")
+
+class ScalarQSeries:
+    """A power series sum c_d q^d truncated at order D, coefficients in Q:
+    c_d = ints[d] / den, in canonical form (den > 0, gcd(den, *ints) == 1)."""
+
+    __slots__ = ("order", "ints", "den")
 
     def __init__(self, order, coeffs=()):
         if order < 0:
             raise SeriesError("order must be >= 0")
-        cs = [Fraction(0)] * (order + 1)
-        for d, c in enumerate(coeffs):
-            if d > order:
-                break
-            cs[d] = _frac(c)
-        self.order = order
-        self.coeffs = tuple(cs)
+        cs = [_frac(c) for c in itertools.islice(coeffs, order + 1)]
+        ints, den = _over_common_denominator(cs + [Fraction(0)] * (order + 1 - len(cs)))
+        self.order, self.ints, self.den = order, tuple(ints), den
+
+    @classmethod
+    def _reduced(cls, order, ints, den):
+        """The series ints[d] / den (len(ints) == order + 1, den != 0) in
+        canonical form: one gcd for the whole series."""
+        g = math.gcd(den, *ints) if den > 0 else -math.gcd(den, *ints)
+        out = cls.__new__(cls)
+        out.order, out.den = order, den // g
+        out.ints = tuple(ints) if g == 1 else tuple(c // g for c in ints)
+        return out
 
     @classmethod
     def zero(cls, order):
@@ -99,9 +119,14 @@ class ScalarQSeries:
     def q(cls, order):
         return cls(order, (0, 1))
 
+    @property
+    def coeffs(self):
+        """The derived, read-only tuple of Fraction coefficients."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
     def __getitem__(self, d):
         if 0 <= d <= self.order:
-            return self.coeffs[d]
+            return Fraction(self.ints[d], self.den)
         raise IndexError(f"coefficient {d} beyond truncation order {self.order}")
 
     def _coerce(self, other):
@@ -113,20 +138,24 @@ class ScalarQSeries:
 
     def __eq__(self, other):
         if isinstance(other, (ScalarQSeries, int, Fraction)):
-            return self.coeffs == self._coerce(other).coeffs
+            other = self._coerce(other)
+            return self.den == other.den and self.ints == other.ints
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __add__(self, other):
         other = self._coerce(other)
-        return ScalarQSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return ScalarQSeries._reduced(self.order, [a * sa + b * sb for a, b in
+                                                   zip(self.ints, other.ints)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarQSeries(self.order, [-a for a in self.coeffs])
+        return ScalarQSeries._reduced(self.order, [-a for a in self.ints], self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -137,59 +166,56 @@ class ScalarQSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
-            return ScalarQSeries(self.order, [a * c for a in self.coeffs])
+            return ScalarQSeries._reduced(self.order, [a * c.numerator for a in self.ints],
+                                          self.den * c.denominator)
         other = self._coerce(other)
-        a, den_a = _over_common_denominator(self.coeffs)
-        b, den_b = _over_common_denominator(other.coeffs)
-        den = den_a * den_b
-        return ScalarQSeries(self.order, [Fraction(c, den) for c in _int_product(a, b)])
+        return ScalarQSeries._reduced(self.order, _int_product(self.ints, other.ints),
+                                      self.den * other.den)
 
     __rmul__ = __mul__
 
     def truncate(self, order):
-        return ScalarQSeries(order, self.coeffs[: order + 1])
+        return ScalarQSeries._reduced(order, self.ints[: order + 1] + (0,) * (order - self.order),
+                                      self.den)
 
     def shift(self, s):
         """Multiply by q^s."""
-        return ScalarQSeries(self.order, [Fraction(0)] * s + list(self.coeffs))
+        return ScalarQSeries._reduced(self.order, ((0,) * s + self.ints)[: self.order + 1],
+                                      self.den)
 
     def inverse(self):
-        """Multiplicative inverse; requires an invertible constant term."""
-        if self.coeffs[0] == 0:
+        """Multiplicative inverse; requires an invertible constant term.
+        out[d] = -sum_j ints[j] out[d-j] / ints[0], over one denominator."""
+        a = self.ints
+        if not a[0]:
             raise SeriesError("cannot invert a series with zero constant term")
-        c0 = self.coeffs[0]
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = 1 / c0
+        out = []
+        den = _append_over(out, 1, Fraction(self.den, a[0]))
         for d in range(1, self.order + 1):
-            s = Fraction(0)
-            for j in range(1, d + 1):
-                s += self.coeffs[j] * out[d - j]
-            out[d] = -s / c0
-        return ScalarQSeries(self.order, out)
+            dot = sum(map(operator.mul, a[d:0:-1], out))
+            den = _append_over(out, den, Fraction(-dot, a[0] * den))
+        return ScalarQSeries._reduced(self.order, out, den)
 
     def exp(self):
-        """exp of a series with zero constant term."""
-        if self.coeffs[0] != 0:
+        """exp of a series with zero constant term: e' = g' e gives
+        d*out[d] = sum_j j*g[j]*out[d-j], over one denominator."""
+        if self.ints[0]:
             raise SeriesError("exp requires zero constant term")
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = Fraction(1)
-        # e' = g' e  =>  d*out[d] = sum_j j*g[j]*out[d-j]
+        weights = [j * c for j, c in enumerate(self.ints)]
+        out, den = [1], 1
         for d in range(1, self.order + 1):
-            s = Fraction(0)
-            for j in range(1, d + 1):
-                if self.coeffs[j]:
-                    s += j * self.coeffs[j] * out[d - j]
-            out[d] = s / d
-        return ScalarQSeries(self.order, out)
+            dot = sum(map(operator.mul, weights[d:0:-1], out))
+            den = _append_over(out, den, Fraction(dot, d * self.den * den))
+        return ScalarQSeries._reduced(self.order, out, den)
 
     def compose(self, inner):
         """self(inner(q)); inner must have zero constant term."""
         inner = self._coerce(inner)
-        if inner.coeffs[0] != 0:
+        if inner.ints[0]:
             raise SeriesError("composition requires zero constant term")
-        result = ScalarQSeries(self.order, (self.coeffs[-1],))
+        result = ScalarQSeries(self.order, (self[self.order],))
         for d in range(self.order - 1, -1, -1):
-            result = result * inner + self.coeffs[d]
+            result = result * inner + self[d]
         return result
 
     def __str__(self):
@@ -226,9 +252,9 @@ def qseries_reversion(series):
     Solves series(g(Q)) = Q coefficient by coefficient; the linear
     coefficient must be nonzero (it is a unit over Q).
     """
-    if series.coeffs[0] != 0:
+    if series.ints[0]:
         raise SeriesError("reversion requires zero constant term")
-    c1 = series.coeffs[1]
+    c1 = series[1]
     if c1 == 0:
         raise SeriesError("reversion requires an invertible linear coefficient")
     order = series.order
@@ -236,7 +262,7 @@ def qseries_reversion(series):
     g[1] = 1 / c1
     for m in range(2, order + 1):
         partial = ScalarQSeries(m, g[: m + 1])
-        val = series.truncate(m).compose(partial).coeffs[m]
+        val = series.truncate(m).compose(partial)[m]
         g[m] = -val / c1
     return ScalarQSeries(order, g)
 
@@ -268,7 +294,7 @@ class TSeries:
     def from_rows(cls, order, rows):
         """sum_j rows[j] t^j, every row a ScalarQSeries of this order."""
         rows = list(rows)
-        while rows and not any(rows[-1].coeffs):
+        while rows and not any(rows[-1].ints):
             rows.pop()
         out = cls(order)
         out.rows = tuple(rows)
@@ -347,8 +373,8 @@ class TSeries:
 
     def ddt(self):
         """Total t-derivative with q = e^t: acts as q d/dq + d/dt."""
-        rows = [ScalarQSeries(self.order, [d * c for d, c in enumerate(row.coeffs)])
-                for row in self.rows]
+        rows = [ScalarQSeries._reduced(self.order, [d * c for d, c in enumerate(row.ints)],
+                                       row.den) for row in self.rows]
         for j in range(1, len(rows)):
             rows[j - 1] = rows[j - 1] + self.rows[j] * j
         return TSeries.from_rows(self.order, rows)

@@ -225,6 +225,11 @@ def test_order_and_dmax_caps_admit_presets_and_readme():
      "O(64) at --dmax 6 gives P_dmax 385 linear factors"),
     (["verify", "reciprocity", "--n", "2", "--bundle", "O(-34)"], 2,
      "O(-34) at --dmax 2 gives P_dmax 67 linear factors"),
+    # --with-x adds x to every factor, so each counts twice
+    (["verify", "reciprocity", "--n", "12", "--bundle", "O(-11)", "--with-x"], 6,
+     "O(-11) at --dmax 6 gives P_dmax 65 linear factors, 130 with --with-x"),
+    (["verify", "linking", "--n", "2", "--bundle", "O(-34)", "--with-x"], 1,
+     "O(-34) at --dmax 1 gives P_dmax 33 linear factors, 66 with --with-x"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_linear_factor_cap(argv, dmax, message, source, tmp_path, monkeypatch):
@@ -251,6 +256,22 @@ def test_linear_factor_cap_admits_presets_and_readme():
         assert cli._linear_factors(st, MAX_DMAX) <= MAX_LINEAR_FACTORS, st
     # O(64), the largest degree the cap admits, still runs at --dmax 1
     assert cli._linear_factors(SplittingType(1, (64,), ()), 1) == MAX_LINEAR_FACTORS
+    # every preset stays admitted at --dmax 6 with --with-x (at most 62)
+    presets = [parse_bundle(b, n) for n, b, _ in cli.PRESETS.values()]
+    assert max(2 * cli._linear_factors(st, MAX_DMAX) for st in presets) == 62
+
+
+@pytest.mark.parametrize("bundle, dmax, with_x", [
+    ("O(-33)", 1, True),   # 32 factors, 64 counted: the last admitted with x
+    ("O(-34)", 1, False),  # 33, refused with x only
+    ("O(-11)", 3, True),   # 32 factors, 64 counted
+    ("O(5)", 6, True),     # the quintic at --dmax 6, 62 counted
+])
+def test_linear_factor_cap_admits_with_x(bundle, dmax, with_x, monkeypatch):
+    refuse_builds(monkeypatch)
+    argv = ["verify", "reciprocity", "--n", "4", "--bundle", bundle, "--dmax", str(dmax)]
+    code, out, err = run(argv + ["--with-x"] * with_x)
+    assert code == 3 and err == "internal error: AssertionError: the build started\n"
 
 
 @pytest.mark.parametrize("n, dmax", [(12, 1), (10, 1), (6, 2), (5, 3), (5, 6), (10 ** 9, 1)])

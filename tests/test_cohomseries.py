@@ -1,17 +1,18 @@
 """The hypergeometric series: dense Sigma vectors in x = H/alpha with
 e^(-Ht/alpha) applied in closed form, scaling, integration over P^n,
-homogeneity, the e^(dg) factors of a t-shift, and the vector arithmetic
-that builds each sigma_d (products truncated by H-nilpotency, exact
-division by x - m)."""
+homogeneity, the e^(dg) factors of a t-shift, and the Fraction vector
+arithmetic that is the oracle of the integer sigma_d build (products
+truncated by H-nilpotency, exact division by x - m)."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from mirrorcalc.bundles import SplittingType
+from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType
 from mirrorcalc.cohomseries import (CohomSeries, homogeneity_violations,
                                     integrate_pn, scale_by)
-from mirrorcalc.pipeline import _divide_linear, _times_linear
+from mirrorcalc.pipeline import _sigma_factors, build_hypergeom_series
 from mirrorcalc.qseries import ScalarQSeries, SeriesError, TSeries, mirror_powers
 
 
@@ -19,11 +20,55 @@ def one(n):
     return [Fraction(1)] + [Fraction(0)] * n
 
 
+def _times_linear(v, a, b):
+    """The x-vector v times (a*x + b), truncated at x^n."""
+    return [b * v[0]] + [b * v[i] + a * v[i - 1] for i in range(1, len(v))]
+
+
+def _divide_linear(v, m):
+    """v / (x - m), m >= 1, exactly mod x^(n+1): w[i] = (w[i-1] - v[i]) / m."""
+    out, prev = [], Fraction(0)
+    for c in v:
+        prev = (prev - c) / m
+        out.append(prev)
+    return out
+
+
+def oracle_cells(st, order):
+    """sigma_d for d = 0..order, one Fraction at a time: sigma_(d-1)
+    times its new factors, divided n+1 times by x - d."""
+    sigma, cells = one(st.n), [[Fraction(0)] * (st.n + 1)]
+    for d in range(1, order + 1):
+        for a, b in _sigma_factors(st, d):
+            sigma = _times_linear(sigma, a, b)
+        for _ in range(st.n + 1):
+            sigma = _divide_linear(sigma, d)
+        cells.append(sigma)
+    return cells
+
+
+@pytest.mark.parametrize("st", CRITICAL_BUNDLES, ids=lambda st: f"P^{st.n} {st}")
+def test_integer_sigma_matches_fraction_oracle(st):
+    # the integer build (one vector over one denominator per d, one
+    # convolution with the inverse of (x - d)^(n+1)) equals the Fraction
+    # build at every cell, and its columns are in canonical form
+    series = build_hypergeom_series(st, 12)
+    assert series.cells == oracle_cells(st, 12)
+    for column in series.columns:
+        assert column.den > 0 and math.gcd(column.den, *column.ints) == 1
+
+
 def series(n, order, blocks, degree):
     """A CohomSeries with the given {d: x-vector} blocks, all of one
     alpha-degree."""
-    cells = [blocks.get(d, [0] * (n + 1)) for d in range(order + 1)]
-    return CohomSeries(n, order, cells, [degree] * (order + 1))
+    return from_cells(n, order, [blocks.get(d, [0] * (n + 1)) for d in range(order + 1)],
+                      [degree] * (order + 1))
+
+
+def from_cells(n, order, cells, degrees):
+    """A CohomSeries from its rows cells[d][i]."""
+    return CohomSeries(n, order, [ScalarQSeries(order, column) for column in zip(*cells)],
+                       degrees)
 
 
 def test_mul_nilpotency():
@@ -87,7 +132,7 @@ def test_scale_by():
         n, order, {1: [1, 0], 2: [120, 0]}, 0)
     assert scale_by(a, 3) == series(n, order, {1: [0, 3]}, 0)
     # blocks of different alpha-degree do not mix
-    mixed = CohomSeries(n, order, [[0, 0], [0, 1], [1, 0], [0, 0]], [0, 0, 1, 0])
+    mixed = from_cells(n, order, [[0, 0], [0, 1], [1, 0], [0, 0]], [0, 0, 1, 0])
     with pytest.raises(SeriesError):
         scale_by(mixed, s)
 
@@ -121,7 +166,7 @@ def test_homogeneity_checker():
     st = SplittingType(2, (), (3,))
     good = series(2, 2, {1: [0, 1, 0]}, st.block_degree(1))
     assert homogeneity_violations(good, st) == []
-    bad = CohomSeries(2, 2, good.cells, [-1, -1, 5])
+    bad = CohomSeries(2, 2, good.columns, [-1, -1, 5])
     assert homogeneity_violations(bad, st) == [(2, 5)]
 
 

@@ -1,6 +1,9 @@
 """Scalar q-series: exp, inversion, composition, reversion; the integer
-product kernel against schoolbook oracles; the mirror-coordinate powers."""
+arithmetic against Fraction-list oracles (the schoolbook product, the
+inverse and exp recurrences); the canonical (ints, den) form; the
+mirror-coordinate powers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +23,42 @@ def schoolbook(a, b):
         for j, y in enumerate(b.coeffs[: a.order + 1 - i]):
             out[i + j] += x * y
     return out
+
+
+def oracle_inverse(cs):
+    """1/sum cs[d] q^d, one Fraction at a time."""
+    out = [1 / cs[0]]
+    for d in range(1, len(cs)):
+        out.append(-sum((cs[j] * out[d - j] for j in range(1, d + 1)), Fraction(0)) / cs[0])
+    return out
+
+
+def oracle_exp(cs):
+    """exp(sum cs[d] q^d), cs[0] == 0, by d*out[d] = sum_j j*cs[j]*out[d-j]."""
+    out = [Fraction(1)]
+    for d in range(1, len(cs)):
+        out.append(sum((j * cs[j] * out[d - j] for j in range(1, d + 1)), Fraction(0)) / d)
+    return out
+
+
+def oracle_ddt(terms):
+    """d/dt on a (d, j) -> c dict with q = e^t: t^j q^d -> d t^j q^d + j t^(j-1) q^d."""
+    out = {}
+    for (d, j), c in terms.items():
+        for key, weight in (((d, j), d), ((d, j - 1), j)):
+            if weight:
+                out[key] = out.get(key, 0) + weight * c
+    return {key: c for key, c in out.items() if c}
+
+
+def assert_canonical(s):
+    """den > 0, gcd(den, *ints) == 1, and the series equals (with the
+    same hash) the one rebuilt from its Fraction coefficients."""
+    assert s.den > 0 and math.gcd(s.den, *s.ints) == 1
+    assert len(s.ints) == len(s.coeffs) == s.order + 1
+    rebuilt = ScalarQSeries(s.order, s.coeffs)
+    assert rebuilt == s and hash(rebuilt) == hash(s)
+    assert (rebuilt.ints, rebuilt.den) == (s.ints, s.den)
 
 
 def dict_product(a, b):
@@ -64,6 +103,57 @@ def test_scalar_product_matches_schoolbook(pair):
     a, b = pair
     assert list((a * b).coeffs) == schoolbook(a, b)
     assert list((b * a).coeffs) == schoolbook(b, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_pairs(), rationals, st.integers(0, 16))
+def test_scalar_arithmetic_matches_fraction_oracle(pair, c, s):
+    a, b = pair
+    x, y = list(a.coeffs), list(b.coeffs)
+    g = a - x[0]  # zero constant term
+    cases = [(a + b, [u + v for u, v in zip(x, y)]), (a - b, [u - v for u, v in zip(x, y)]),
+             (-a, [-u for u in x]), (a * c, [u * c for u in x]), (c * a, [c * u for u in x]),
+             (a * b, schoolbook(a, b)), (a.shift(s), ([Fraction(0)] * s + x)[: a.order + 1]),
+             (g.exp(), oracle_exp([Fraction(0)] + x[1:]))]
+    if x[0]:
+        cases.append((a.inverse(), oracle_inverse(x)))
+    for series, expected in cases:
+        assert list(series.coeffs) == expected
+        assert [series[d] for d in range(series.order + 1)] == expected
+        assert_canonical(series)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tseries_pairs())
+def test_tseries_ddt_matches_dict_oracle(pair):
+    for a in pair:
+        derived = a.ddt()
+        assert derived.terms == oracle_ddt(a.terms)
+        for row in derived.rows:
+            assert_canonical(row)
+
+
+def test_canonical_form_edge_cases():
+    big = 3 ** 200 << 100
+    a = ScalarQSeries(4, (Fraction(1, big), 0, Fraction(-6, big)))
+    assert a.ints == (1, 0, -6, 0, 0) and a.den == big
+    zero = a - a
+    assert zero.ints == (0,) * 5 and zero.den == 1
+    assert zero == ScalarQSeries.zero(4) == a * 0 and hash(zero) == hash(ScalarQSeries.zero(4))
+    assert a * zero == zero and (a * big).den == 1 and (a * Fraction(big, 7)).den == 7
+    assert (a.shift(3).ints, a.shift(3).den) == ((0, 0, 0, 1, 0), big) and a.shift(5) == zero
+    # dropping a term can leave a common factor, which is divided out
+    c = ScalarQSeries(1, (Fraction(1, 2), Fraction(1, 4)))
+    assert (c.ints, c.den) == ((2, 1), 4)
+    assert (c.truncate(0).ints, c.truncate(0).den) == ((1,), 2)
+    assert (c.shift(1).ints, c.shift(1).den) == ((0, 1), 2)
+    # a negative denominator is moved into the numerators
+    neg = ScalarQSeries._reduced(2, [2, -4, 6], -4)
+    assert neg.ints == (-1, 2, -3) and neg.den == 2
+    assert neg == ScalarQSeries(2, (Fraction(-1, 2), 1, Fraction(-3, 2)))
+    for s in (a, zero, neg, a * a, (a + 1).inverse(), (a - a[0]).exp()):
+        assert_canonical(s)
 
 
 def test_scalar_product_edge_cases():
