@@ -187,11 +187,6 @@ class Polynomial:
         unpack, den = self.ring.unpack, self.den
         return [(unpack(k), Fraction(self.ints[k], den)) for k in sorted(self.ints, reverse=True)]
 
-    def leading_coefficient(self):
-        if not self.ints:
-            return Fraction(0)
-        return Fraction(self.ints[max(self.ints)], self.den)
-
     def content_with_sign(self):
         """Rational content carrying the sign of the leading coefficient.
 
@@ -209,11 +204,6 @@ class Polynomial:
             return NEG_INF
         shift = self.ring.shifts[self.ring.index[name]]
         return max((k >> shift) & FIELD_MASK for k in self.ints)
-
-    def total_degree(self):
-        if not self.ints:
-            return NEG_INF
-        return max(self.ints) >> self.ring.top
 
     # -- arithmetic ----------------------------------------------------
 

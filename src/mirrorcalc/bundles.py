@@ -44,10 +44,13 @@ class SplittingType:
         return (self.total == self.n + 1
                 and self.rank_convex - self.rank_concave == self.n - 3)
 
+    def linear_factors(self, d):
+        """The number of linear factors of P_d: sum(l*d + 1) + sum(k*d - 1)."""
+        return d * self.total + self.rank_convex - self.rank_concave
+
     def block_degree(self, d):
         """Homogeneity degree of the q^d block of the associated series."""
-        return (d * self.total + self.rank_convex - self.rank_concave
-                - (self.n + 1) * d)
+        return self.linear_factors(d) - (self.n + 1) * d
 
     def __str__(self):
         parts = [f"O({l})" for l in self.convex] + [f"O(-{k})" for k in self.concave]

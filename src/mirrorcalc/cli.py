@@ -21,7 +21,7 @@ from . import __version__
 from .bundles import CRITICAL_BUNDLES, SplittingType
 from .eulerdata import (build_hypergeom_data, check_degree_bound, check_gluing,
                         check_mirror_linked, check_reciprocity, to_table)
-from .pipeline import (PipelineResult, build_hypergeom_series, classify,
+from .pipeline import (PipelineCase, PipelineResult, build_hypergeom_series, classify,
                        compute_normalization, invert_multicover, run_pipeline,
                        unsupported_reason)
 from .qseries import ScalarQSeries, TSeries
@@ -167,13 +167,27 @@ def _result_document(result, bundle_text, emit):
     if "mirror-map" in emit:
         doc["mirror_g"] = [_frac_json(c) for c in result.mirror_shift.coeffs[1:]]
     if "checks" in emit:
-        doc["checks"] = {name: bool(val) for name, val in sorted(result.checks.items())}
+        doc["checks"] = dict(sorted(result.checks.items()))
     if "f-series" in emit and result.f_basis is not None:
         doc["f_series"] = [
             {f"{d},{j}": _frac_json(c) for (d, j), c in sorted(f.terms.items())}
             for f in result.f_basis
         ]
     return doc
+
+
+def _degree_rows(result, emit, decimal, flag_words):
+    """The cells of each degree d: d, K_d and its decimal, n_d and its
+    integrality flag, spelled flag_words = (integral, not integral)."""
+    for (d, v, flag), k in zip(result.instanton, result.K):
+        row = [str(d)]
+        if "kd" in emit:
+            row.append(str(k))
+            if decimal is not None:
+                row.append(exact_decimal(k, decimal))
+        if "nd" in emit:
+            row += [str(v), flag_words[not flag]]
+        yield row
 
 
 def _emit_text(result, bundle_text, emit, decimal, out):
@@ -188,17 +202,7 @@ def _emit_text(result, bundle_text, emit, decimal, out):
                 header.append(f"K_d ({decimal} digits)")
         if "nd" in emit:
             header += ["n_d", "integral"]
-        rows = []
-        for idx in range(result.order):
-            row = [str(idx + 1)]
-            if "kd" in emit:
-                row.append(str(result.K[idx]))
-                if decimal is not None:
-                    row.append(exact_decimal(result.K[idx], decimal))
-            if "nd" in emit:
-                d, v, flag = result.instanton[idx]
-                row += [str(v), "yes" if flag else "NO"]
-            rows.append(row)
+        rows = list(_degree_rows(result, emit, decimal, ("yes", "NO")))
         widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
         for r in [header] + rows:
             out.write("  ".join(cell.rjust(w) for cell, w in zip(r, widths)) + "\n")
@@ -208,9 +212,7 @@ def _emit_text(result, bundle_text, emit, decimal, out):
         for i, f in enumerate(result.f_basis):
             out.write(f"f_{i}: {f}\n")
     if "checks" in emit:
-        line = "; ".join(f"{name}={'ok' if val else 'FAIL'}"
-                         for name, val in sorted(result.checks.items()))
-        out.write(f"checks: {line}\n")
+        out.write("checks: " + "; ".join(f"{name}=ok" for name in sorted(result.checks)) + "\n")
 
 
 def _emit_csv(result, emit, decimal, out):
@@ -224,17 +226,9 @@ def _emit_csv(result, emit, decimal, out):
     if "mirror-map" in emit:
         header.append("mirror_g")
     out.write(",".join(header) + "\n")
-    for idx in range(result.order):
-        row = [str(idx + 1)]
-        if "kd" in emit:
-            row.append(str(result.K[idx]))
-            if decimal is not None:
-                row.append(exact_decimal(result.K[idx], decimal))
-        if "nd" in emit:
-            d, v, flag = result.instanton[idx]
-            row += [str(v), "true" if flag else "false"]
+    for d, row in enumerate(_degree_rows(result, emit, decimal, ("true", "false")), 1):
         if "mirror-map" in emit:
-            row.append(str(result.mirror_shift[idx + 1]))
+            row.append(str(result.mirror_shift[d]))
         out.write(",".join(row) + "\n")
 
 
@@ -432,9 +426,11 @@ def _result_from_document(document, st):
 
     Returns None, a cache miss, unless the document is exactly what
     ``_result_document`` writes for the rebuilt result: the order is the
-    length of K, the case and n_d are derived again, and the rebuilt
-    document must serialize to the same JSON text.  The document does
-    not carry F0, so the rebuilt result has scaling None.
+    length of K, the case, n_d and checks are derived again, the case
+    decides whether the f-series must be there (CASE1 only), and the
+    rebuilt document must serialize to the same JSON text, so no verdict
+    is read from the cache.  The document does not carry F0, so the
+    rebuilt result has scaling None.
     """
     def parse_frac(text):
         num, _, den = text.partition("/")
@@ -444,8 +440,8 @@ def _result_from_document(document, st):
         K = [parse_frac(s) for s in document["K"]]
         order = len(K)
         shift = ScalarQSeries(order, [Fraction(0)] + [parse_frac(s) for s in document["mirror_g"]])
-        f_basis = None
-        if "f_series" in document:
+        case, f_basis = classify(st), None
+        if case is PipelineCase.CASE1:
             f_basis = []
             for entry in document["f_series"]:
                 terms = {}
@@ -453,18 +449,12 @@ def _result_from_document(document, st):
                     d, _, j = key.partition(",")
                     terms[(int(d), int(j))] = parse_frac(val)
                 f_basis.append(TSeries(order, terms))
-        result = PipelineResult(st, order, classify(st), K, invert_multicover(K),
-                                shift, None, f_basis,
-                                dict(document["checks"]))
+        result = PipelineResult(st, order, case, K, invert_multicover(K),
+                                shift, None, f_basis)
         rebuilt = _result_document(result, document["bundle"], EMIT_CHOICES)
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
         return None
     return result if json.dumps(rebuilt) == json.dumps(document) else None
-
-
-def _linear_factors(st, d):
-    """The number of linear factors of P_d: sum(l*d + 1) + sum(k*d - 1)."""
-    return d * st.total + st.rank_convex - st.rank_concave
 
 
 def _cmd_verify(args, out):
@@ -472,7 +462,7 @@ def _cmd_verify(args, out):
     d_max = _int_option(args.dmax, config, "dmax", 4, 1, MAX_DMAX)
     fmt = _format_option(args.format, config, "json", VERIFY_FORMATS)
     st = _read_bundle(args.bundle, args.n)
-    factors = _linear_factors(st, d_max)
+    factors = st.linear_factors(d_max)
     if factors * (1 + args.with_x) > MAX_LINEAR_FACTORS:  # x joins every factor
         with_x = f", {2 * factors} with --with-x" if args.with_x else ""
         raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {factors} linear factors"

@@ -238,7 +238,7 @@ def extract_euler_numbers(series, st, scaling, shift, powers):
     ``powers`` is mirror_powers(shift).  The t-degree bound N_i = 0 for
     i <= n - 2 is canonical form: every canonical_alpha_degrees <= -2.
 
-    Returns (K, checks); any consistency failure raises PipelineError.
+    Returns K; any consistency failure raises PipelineError.
     """
     if not st.is_critical:
         raise PipelineError("K_d extraction requires a critical splitting type")
@@ -257,8 +257,7 @@ def extract_euler_numbers(series, st, scaling, shift, powers):
     bad = next((d for d, v in enumerate(diff.ints) if v), None)
     if bad is not None:
         raise PipelineError(f"t-constant block disagrees first at q^{bad}")
-    return K, {"alpha_purity": True, "canonical_form": True, "t_degree_bound": True,
-               "t0_consistency": True}
+    return K
 
 
 def _combine_rows(powers, weights):
@@ -301,6 +300,18 @@ def recompose_multicover(n_values):
 # orchestration
 
 
+# The names of the identities run_pipeline asserts.  In every case:
+# homogeneity, then alpha_purity, canonical_form (= t_degree_bound) and
+# t0_consistency in extract_euler_numbers, then multicover_roundtrip.
+# CASE1 adds the Frobenius route: frobenius_closed_forms in
+# frobenius_basis, scaling_match and mirror_map_match, then
+# phi_t_independent and dual_route_agreement in the prepotential route.
+CHECKS = ("homogeneity", "alpha_purity", "canonical_form", "t_degree_bound",
+          "t0_consistency", "multicover_roundtrip")
+FROBENIUS_CHECKS = ("frobenius_closed_forms", "scaling_match", "mirror_map_match",
+                    "phi_t_independent", "dual_route_agreement")
+
+
 @dataclass
 class PipelineResult:
     splitting: SplittingType
@@ -311,7 +322,14 @@ class PipelineResult:
     mirror_shift: ScalarQSeries
     scaling: ScalarQSeries | None  # None on a result rebuilt from the cache
     f_basis: list | None
-    checks: dict
+
+    @property
+    def checks(self):
+        """{name: True} for each identity run_pipeline asserts in this
+        case: a failed one raises PipelineError, so a result never
+        carries a false one."""
+        frobenius = FROBENIUS_CHECKS if self.case is PipelineCase.CASE1 else ()
+        return dict.fromkeys(CHECKS + frobenius, True)
 
 
 def unsupported_reason(st):
@@ -324,41 +342,34 @@ def unsupported_reason(st):
 
 def run_pipeline(st, order):
     """splitting type -> series -> normalization -> K_d -> n_d, with
-    every internal identity asserted along the way."""
+    every identity of CHECKS (and FROBENIUS_CHECKS for CASE1) asserted
+    along the way: each raises PipelineError when it fails."""
     reason = unsupported_reason(st)
     if reason:
         raise PipelineError(reason)
     case = classify(st)
     series = build_hypergeom_series(st, order)
-    checks = {"homogeneity": not homogeneity_violations(series, st)}
-    if not checks["homogeneity"]:
+    if homogeneity_violations(series, st):
         raise PipelineError("series violates the block homogeneity invariant")
 
     scaling, shift = compute_normalization(series, st)
     f_basis = None
     if case is PipelineCase.CASE1:
         f_basis = frobenius_basis(series, st)
-        checks["frobenius_closed_forms"] = True
-        checks["scaling_match"] = scaling * f_basis[0].t_coefficient(0) == 1
-        checks["mirror_map_match"] = (checks["scaling_match"]
-                                      and shift == f_basis[1].t_coefficient(0) * scaling)
-        if not checks["mirror_map_match"]:
+        if (scaling * f_basis[0].t_coefficient(0) != 1
+                or shift != f_basis[1].t_coefficient(0) * scaling):
             raise PipelineError("normalization disagrees with the Frobenius route")
 
     powers = mirror_powers(shift)
-    K, extra = extract_euler_numbers(series, st, scaling, shift, powers)
-    checks.update(extra)
-
+    K = extract_euler_numbers(series, st, scaling, shift, powers)
     if case is PipelineCase.CASE1:
-        K_alt = _mirror_conjecture_route(f_basis, st, scaling, shift, powers)
-        checks["phi_t_independent"] = True  # enforced inside the route
-        checks["dual_route_agreement"] = K_alt == K
-        if not checks["dual_route_agreement"]:
+        if _mirror_conjecture_route(f_basis, st, scaling, shift, powers) != K:
             raise PipelineError("prepotential route disagrees with the integral route")
 
     instanton = invert_multicover(K)
-    checks["multicover_roundtrip"] = recompose_multicover(instanton) == K
-    return PipelineResult(st, order, case, K, instanton, shift, scaling, f_basis, checks)
+    if recompose_multicover(instanton) != K:
+        raise PipelineError("multiple-cover inversion does not recompose to K")
+    return PipelineResult(st, order, case, K, instanton, shift, scaling, f_basis)
 
 
 def _mirror_conjecture_route(f_basis, st, inv_f0, shift, powers):

@@ -106,6 +106,7 @@ def test_compute_json_schema():
     assert doc["n_d"][0] == {"d": 1, "value": "3/1", "integral": True}
     assert doc["mirror_g"] == ["-6/1", "45/1", "-560/1"]
     assert all(isinstance(v, bool) for v in doc["checks"].values())
+    assert list(doc["checks"]) == sorted(doc["checks"])
     # rationals are strings, never floats
     assert not any(isinstance(x, float) for x in doc["K"])
 
@@ -253,12 +254,12 @@ def test_linear_factor_cap_admits_presets_and_readme():
     bundles = [parse_bundle(bundle, n)
                for n, bundle in examples + [(n, b) for n, b, _ in cli.PRESETS.values()]]
     for st in bundles:
-        assert cli._linear_factors(st, MAX_DMAX) <= MAX_LINEAR_FACTORS, st
+        assert st.linear_factors(MAX_DMAX) <= MAX_LINEAR_FACTORS, st
     # O(64), the largest degree the cap admits, still runs at --dmax 1
-    assert cli._linear_factors(SplittingType(1, (64,), ()), 1) == MAX_LINEAR_FACTORS
+    assert SplittingType(1, (64,), ()).linear_factors(1) == MAX_LINEAR_FACTORS
     # every preset stays admitted at --dmax 6 with --with-x (at most 62)
     presets = [parse_bundle(b, n) for n, b, _ in cli.PRESETS.values()]
-    assert max(2 * cli._linear_factors(st, MAX_DMAX) for st in presets) == 62
+    assert max(2 * st.linear_factors(MAX_DMAX) for st in presets) == 62
 
 
 @pytest.mark.parametrize("bundle, dmax, with_x", [
@@ -353,6 +354,25 @@ def test_internal_errors_exit_3(argv, target, exc, monkeypatch):
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_failed_multicover_round_trip_exits_3(fmt, monkeypatch):
+    import mirrorcalc.pipeline as pipeline
+
+    invert = pipeline.invert_multicover
+
+    def perturbed(K):
+        out = invert(K)
+        d, v, _ = out[1]
+        out[1] = (d, v + 1, True)
+        return out
+
+    monkeypatch.setattr(pipeline, "invert_multicover", perturbed)
+    code, out, err = run(["compute", "--preset", "local-p2", "--order", "3", "--format", fmt])
+    assert code == 3 and out == ""
+    assert err == ("internal error: PipelineError: "
+                   "multiple-cover inversion does not recompose to K\n")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["compute", "--preset", "multicover", "--order", "2"], 0),
     (["verify", "degree-bound", "--n", "2", "--bundle", "O(-3)", "--dmax", "2"], 1),
@@ -412,17 +432,33 @@ def _poisoned_document(**fields):
     return poison
 
 
+def _edited_checks(edit):
+    """The stored payload with its checks edited, in the sorted order the
+    store writes them.  The checks are derived from the case, never read
+    back, so no such edit can be a hit."""
+    def poison(payload):
+        checks = payload["document"]["checks"]
+        edit(checks)
+        payload["document"]["checks"] = dict(sorted(checks.items()))
+        return payload
+    return poison
+
+
 @pytest.mark.parametrize("payload", [
     [1, 2],
     {"version": __version__, "document": [1, 2]},
     _poisoned_document(K=["1/0", "1/8", "1/27"]),
     _poisoned_document(K=[5, "1/8", "1/27"]),
     _poisoned_document(n_d=None),
+    _edited_checks(lambda checks: checks.update(canonical_form=False)),
+    _edited_checks(lambda checks: checks.pop("multicover_roundtrip")),
+    _edited_checks(lambda checks: checks.update(dual_route_agreement=True)),
 ])
 def test_compute_cache_wrong_shape_is_a_miss(tmp_path, payload):
     for fmt in ("json", "text", "csv"):
         argv = ["compute", "--preset", "multicover", "--order", "3", "--format", fmt]
-        _, uncached, _ = run(argv)
+        uncached = run(argv)
+        assert uncached[0] == 0
         cache = str(tmp_path / fmt)
         run(argv + ["--cache", cache])
         (name,) = os.listdir(cache)
@@ -432,11 +468,32 @@ def test_compute_cache_wrong_shape_is_a_miss(tmp_path, payload):
         with open(path, "w") as fh:
             json.dump(payload(copy.deepcopy(stored)) if callable(payload)
                       else payload, fh)
-        code, out, _ = run(argv + ["--cache", cache])
-        assert code == 0 and out == uncached, fmt
+        assert run(argv + ["--cache", cache]) == uncached, fmt
         # the miss recomputes and overwrites the damaged entry
         with open(path) as fh:
             assert json.load(fh) == stored
+
+
+@pytest.mark.parametrize("preset, edit", [
+    ("quintic", _poisoned_document(f_series=None)),
+    ("local-p2", _poisoned_document(f_series=[{"0,0": "1/1"}] * 4)),
+], ids=["CASE1-without", "CASE2-with"])
+def test_compute_cache_f_series_follow_the_case(preset, edit, tmp_path):
+    # the case, not the entry, decides whether there are f-series: an
+    # entry that drops them, or adds them, is a miss
+    argv = ["compute", "--preset", preset, "--order", "3", "--emit", "kd,f-series"]
+    uncached = run(argv)
+    cache = str(tmp_path)
+    run(argv + ["--cache", cache])
+    (name,) = os.listdir(cache)
+    path = os.path.join(cache, name)
+    with open(path) as fh:
+        stored = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(edit(copy.deepcopy(stored)), fh)
+    assert run(argv + ["--cache", cache]) == uncached
+    with open(path) as fh:
+        assert json.load(fh) == stored
 
 
 def test_compute_cache_hit_prints_requested_spelling(tmp_path):

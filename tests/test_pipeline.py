@@ -274,10 +274,9 @@ def test_extract_multicover():
     order = 8
     series = build_hypergeom_series(MULTICOVER, order)
     shift = ScalarQSeries.zero(order)
-    K, checks = extract_euler_numbers(series, MULTICOVER, ScalarQSeries.one(order), shift,
-                                      mirror_powers(shift))
+    K = extract_euler_numbers(series, MULTICOVER, ScalarQSeries.one(order), shift,
+                              mirror_powers(shift))
     assert K == [Fraction(1, d ** 3) for d in range(1, order + 1)]
-    assert checks["t0_consistency"]
 
 
 @pytest.mark.parametrize("st", CRITICAL_BUNDLES, ids=lambda st: f"P{st.n}:{st}")
@@ -408,6 +407,43 @@ def test_run_pipeline_catches_wrong_power_table(monkeypatch):
     with pytest.raises(PipelineError) as exc:
         run_pipeline(QUINTIC, 6)
     assert str(exc.value) == "t-constant block disagrees first at q^4"
+
+
+def test_run_pipeline_catches_wrong_multicover_inversion(monkeypatch):
+    # one perturbed n_d no longer recomposes to K, and the round trip
+    # raises as every other identity does
+    import mirrorcalc.pipeline as pipeline
+
+    invert = pipeline.invert_multicover
+
+    def perturbed(K):
+        out = invert(K)
+        d, v, _ = out[1]
+        out[1] = (d, v + 1, True)
+        return out
+
+    monkeypatch.setattr(pipeline, "invert_multicover", perturbed)
+    for st in (LOCAL_P2, QUINTIC):
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(st, 3)
+        assert str(exc.value) == "multiple-cover inversion does not recompose to K"
+
+
+# The checks of each critical type, pinned as literals: six identities
+# in every case, and the Frobenius route's five more for the convex-only
+# (CASE1) types.
+EVERY_CASE = {"alpha_purity": True, "canonical_form": True, "homogeneity": True,
+              "multicover_roundtrip": True, "t0_consistency": True, "t_degree_bound": True}
+FROBENIUS_ROUTE = {"dual_route_agreement": True, "frobenius_closed_forms": True,
+                   "mirror_map_match": True, "phi_t_independent": True,
+                   "scaling_match": True}
+CONVEX_ONLY = {st for st in CRITICAL_BUNDLES if not st.concave}
+
+
+@pytest.mark.parametrize("st", CRITICAL_BUNDLES, ids=lambda st: f"P{st.n}:{st}")
+def test_checks_are_the_asserted_identities(st):
+    expected = EVERY_CASE | (FROBENIUS_ROUTE if st in CONVEX_ONLY else {})
+    assert run_pipeline(st, 4).checks == expected
 
 
 def test_invert_multicover_examples():
