@@ -27,7 +27,7 @@ import operator
 from fractions import Fraction
 from types import MappingProxyType
 
-from .qseries import _over_common_denominator
+from .qseries import ExactValue, _over_common_denominator
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 # bits per exponent field; the top bit of each is a guard, so every
@@ -141,7 +141,7 @@ def _canonical(ring, acc, den):
     return _poly(ring, ints, den)
 
 
-class Polynomial:
+class Polynomial(ExactValue):
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Stored as ``ints`` (packed key -> nonzero int) over the positive
@@ -221,12 +221,6 @@ class Polynomial:
 
     def __neg__(self):
         return _poly(self.ring, {k: -c for k, c in self.ints.items()}, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -326,11 +320,8 @@ class Polynomial:
             out += piece if not out else f" - {piece[1:]}" if piece[0] == "-" else f" + {piece}"
         return out or "0"
 
-    def __repr__(self):
-        return f"Polynomial({self})"
 
-
-class RationalFunction:
+class RationalFunction(ExactValue):
     """Quotient of two polynomials; den != 0 and its content is 1.
 
     No polynomial gcd is taken: only the integer content of the
@@ -387,12 +378,6 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
@@ -426,9 +411,6 @@ class RationalFunction:
         if self.den == self.ring.one:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"RationalFunction({self})"
 
 
 # -- module operations -------------------------------------------------

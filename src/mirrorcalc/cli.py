@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -36,6 +37,9 @@ DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
 # 5.4 s at 200), verify reciprocity on the quintic 0.5 s at --dmax 6, 1.1 s at 8
 MAX_ORDER = 100
 MAX_DMAX = 6
+# largest --decimal of compute, from a flag or a config; K_d has <= 324 integer
+# digits at --order 100, and CPython converts ints of <= 4300 digits to str
+MAX_DECIMAL = 1000
 # largest number sum(l*dmax + 1) + sum(k*dmax - 1) of linear factors of
 # P_dmax in verify, each counted twice under --with-x, which adds x to
 # every factor: at 65 (O(64) at --dmax 1) each check on P^1..P^3 takes
@@ -75,54 +79,37 @@ class BundleParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
+# one term of a bundle spec and the '+' after it, every piece optional;
+# ASCII digits only
+_TERM = re.compile(r"\s*(?P<O>[oO]?)\s*(?P<open>\(?)\s*(?P<sign>[+-]?)\s*"
+                   r"(?P<degree>[0-9]*)\s*(?P<close>\)?)\s*(?P<plus>\+?)")
+# the required pieces in the order they are checked, each with the
+# message when it is empty
+_EXPECTED = {"O": "expected 'O'", "open": "expected '('",
+             "degree": "expected an integer degree", "close": "expected ')'"}
+
+
 def parse_bundle(text, n):
     """Parse 'O(a)+O(b)+...' into a splitting type on P^n.
 
     Positive degrees are convex, negative concave; O(0) is rejected
     because the data's class would not be invertible.
     """
-    pos = 0
-    length = len(text)
-
-    def skip_ws(p):
-        while p < length and text[p].isspace():
-            p += 1
-        return p
-
+    if not text.strip():
+        raise BundleParseError("empty bundle spec", len(text))
     convex, concave = [], []
-    pos = skip_ws(pos)
-    if pos == length:
-        raise BundleParseError("empty bundle spec", pos)
-    while True:
-        pos = skip_ws(pos)
-        if pos >= length or text[pos] not in "oO":
-            raise BundleParseError("expected 'O'", pos)
-        pos = skip_ws(pos + 1)
-        if pos >= length or text[pos] != "(":
-            raise BundleParseError("expected '('", pos)
-        pos = skip_ws(pos + 1)
-        sign = 1
-        if pos < length and text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos = skip_ws(pos + 1)
-        start = pos
-        while pos < length and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise BundleParseError("expected an integer degree", pos)
-        degree = sign * int(text[start:pos])
-        if degree == 0:
-            raise BundleParseError("O(0) not concavex", start)
-        pos = skip_ws(pos)
-        if pos >= length or text[pos] != ")":
-            raise BundleParseError("expected ')'", pos)
-        pos = skip_ws(pos + 1)
-        (convex if degree > 0 else concave).append(abs(degree))
-        if pos == length:
-            break
-        if text[pos] != "+":
-            raise BundleParseError("expected '+' between terms", pos)
-        pos += 1
+    pos, plus = 0, "+"
+    while plus:
+        term = _TERM.match(text, pos)
+        for piece, message in _EXPECTED.items():
+            if not term[piece]:
+                raise BundleParseError(message, term.start(piece))
+            if piece == "degree" and not int(term[piece]):
+                raise BundleParseError("O(0) not concavex", term.start(piece))
+        (concave if term["sign"] == "-" else convex).append(int(term["degree"]))
+        pos, plus = term.end(), term["plus"]
+    if pos < len(text):
+        raise BundleParseError("expected '+' between terms", pos)
     return SplittingType(n, tuple(convex), tuple(concave))
 
 
@@ -246,7 +233,7 @@ def _cache_load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):  # RecursionError: nested too deep
         return None
     if not isinstance(payload, dict) or payload.get("version") != __version__:
         return None
@@ -280,6 +267,8 @@ def load_config(path):
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read config {path}: not UTF-8 (byte {exc.start})") from None
     values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -391,7 +380,7 @@ def _cmd_compute(args, out, err):
     if fmt == "csv" and "f-series" in emit:
         raise UsageError("csv carries the per-degree columns only; "
                          "use --format text or json for f-series")
-    decimal = _int_option(args.decimal, config, "decimal", None, 0)
+    decimal = _int_option(args.decimal, config, "decimal", None, 0, MAX_DECIMAL)
 
     st = _read_bundle(bundle_text, n)
     reason = unsupported_reason(st)

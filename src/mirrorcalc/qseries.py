@@ -84,7 +84,24 @@ def _append_over(nums, den, value):
     return den
 
 
-class ScalarQSeries:
+class ExactValue:
+    """Subtraction and repr derived from ``+``, unary ``-``, ``_coerce``
+    and ``str``, shared by the exact value types (the q-series here, the
+    polynomials and rational functions of ``algebra``)."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class ScalarQSeries(ExactValue):
     """A power series sum c_d q^d truncated at order D, coefficients in Q:
     c_d = ints[d] / den, in canonical form (den > 0, gcd(den, *ints) == 1)."""
 
@@ -157,12 +174,6 @@ class ScalarQSeries:
     def __neg__(self):
         return ScalarQSeries._reduced(self.order, [-a for a in self.ints], self.den)
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
@@ -231,9 +242,6 @@ class ScalarQSeries:
                 parts.append(f"{c}*q^{d}")
         return " + ".join(parts) if parts else "0"
 
-    def __repr__(self):
-        return f"ScalarQSeries({self})"
-
 
 def mirror_powers(g):
     """[Q^d for d = 0..D] in the mirror coordinate Q = q*e^g, g with zero
@@ -267,7 +275,7 @@ def qseries_reversion(series):
     return ScalarQSeries(order, g)
 
 
-class TSeries:
+class TSeries(ExactValue):
     """A q-series whose coefficients are polynomials in t.
 
     rows[j] is the ScalarQSeries coefficient of t^j, with no trailing
@@ -339,12 +347,6 @@ class TSeries:
     def __neg__(self):
         return TSeries.from_rows(self.order, [-row for row in self.rows])
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return TSeries.from_rows(self.order, [row * other for row in self.rows])
@@ -401,6 +403,3 @@ class TSeries:
             mono = "*".join(factors)
             parts.append(f"{c}*{mono}" if mono else str(c))
         return " + ".join(parts) or "0"
-
-    def __repr__(self):
-        return f"TSeries({self})"

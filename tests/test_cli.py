@@ -9,12 +9,14 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mirrorcalc import __version__
 from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType
 from mirrorcalc import cli
-from mirrorcalc.cli import (MAX_DIMENSION, MAX_DMAX, MAX_LINEAR_FACTORS, MAX_ORDER,
-                            BundleParseError, exact_decimal, parse_bundle, run_command)
+from mirrorcalc.cli import (MAX_DECIMAL, MAX_DIMENSION, MAX_DMAX, MAX_LINEAR_FACTORS,
+                            MAX_ORDER, BundleParseError, exact_decimal, parse_bundle, run_command)
 from mirrorcalc.pipeline import PipelineError
 
 
@@ -59,6 +61,113 @@ def test_parse_bundle_position_annotated():
     with pytest.raises(BundleParseError) as exc:
         parse_bundle("O(2)+Q(3)", 2)
     assert "position 5" in str(exc.value)
+
+
+def scanner_parse_bundle(text, n):
+    """The character scanner that parse_bundle replaced, kept as its
+    oracle: on ASCII input both give the same splitting type, or the
+    same message at the same position."""
+    pos = 0
+    length = len(text)
+
+    def skip_ws(p):
+        while p < length and text[p].isspace():
+            p += 1
+        return p
+
+    convex, concave = [], []
+    pos = skip_ws(pos)
+    if pos == length:
+        raise BundleParseError("empty bundle spec", pos)
+    while True:
+        pos = skip_ws(pos)
+        if pos >= length or text[pos] not in "oO":
+            raise BundleParseError("expected 'O'", pos)
+        pos = skip_ws(pos + 1)
+        if pos >= length or text[pos] != "(":
+            raise BundleParseError("expected '('", pos)
+        pos = skip_ws(pos + 1)
+        sign = 1
+        if pos < length and text[pos] in "+-":
+            sign = -1 if text[pos] == "-" else 1
+            pos = skip_ws(pos + 1)
+        start = pos
+        while pos < length and text[pos].isdigit():
+            pos += 1
+        if pos == start:
+            raise BundleParseError("expected an integer degree", pos)
+        degree = sign * int(text[start:pos])
+        if degree == 0:
+            raise BundleParseError("O(0) not concavex", start)
+        pos = skip_ws(pos)
+        if pos >= length or text[pos] != ")":
+            raise BundleParseError("expected ')'", pos)
+        pos = skip_ws(pos + 1)
+        (convex if degree > 0 else concave).append(abs(degree))
+        if pos == length:
+            break
+        if text[pos] != "+":
+            raise BundleParseError("expected '+' between terms", pos)
+        pos += 1
+    return SplittingType(n, tuple(convex), tuple(concave))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text, 3)
+    except BundleParseError as exc:
+        return str(exc), exc.position
+
+
+NON_ASCII_DIGITS = "\u0663\u00b3"  # ARABIC-INDIC DIGIT THREE, SUPERSCRIPT THREE
+SPEC_ALPHABET = "Oo()+- \tx0123456789" + NON_ASCII_DIGITS
+
+
+blank = hs.sampled_from(["", " ", "\t "])
+term = hs.tuples(blank, hs.sampled_from("Oo"), blank, blank, hs.sampled_from(["", "+", "-"]),
+                 blank, hs.text("0123456789", min_size=1, max_size=3), blank, blank)
+
+
+@hs.composite
+def edited_specs(draw):
+    """A well-formed spec of 1-3 terms, then up to 3 edits, each an
+    insertion, a deletion or a replacement by a character of
+    SPEC_ALPHABET, so that whole parses and every message occur."""
+    text = "+".join("{}{}{}({}{}{}{}{}){}".format(*t)
+                    for t in draw(hs.lists(term, min_size=1, max_size=3)))
+    for _ in range(draw(hs.integers(0, 3))):
+        at = draw(hs.integers(0, len(text)))
+        text = (text[:at] + draw(hs.sampled_from(["", *SPEC_ALPHABET]))
+                + text[at + draw(hs.integers(0, 1)):])
+    return text
+
+
+specs = hs.one_of(edited_specs(), hs.text(SPEC_ALPHABET, max_size=12))
+
+
+@settings(max_examples=500)
+@given(specs)
+def test_parse_bundle_matches_the_scanner(text):
+    if not any(c in text for c in NON_ASCII_DIGITS):
+        assert parse_outcome(parse_bundle, text) == parse_outcome(scanner_parse_bundle, text)
+        return
+    # a non-ASCII digit never parses: it is an unexpected character, as
+    # 'x' is, with a positioned message
+    outcome = parse_outcome(parse_bundle, text)
+    assert isinstance(outcome, tuple)
+    ascii_text = text.translate({ord(c): "x" for c in NON_ASCII_DIGITS})
+    assert outcome == parse_outcome(scanner_parse_bundle, ascii_text)
+
+
+@pytest.mark.parametrize("bundle, message", [
+    ("O(-\u0663)", "expected an integer degree (at position 3)"),
+    ("O(-\u00b3)", "expected an integer degree (at position 3)"),
+    ("O(1\u0663)", "expected ')' (at position 3)"),
+    ("O(2)+O(\u0663)", "expected an integer degree (at position 7)"),
+])
+def test_non_ascii_digits_are_positioned_parse_errors(bundle, message, monkeypatch):
+    refuse_builds(monkeypatch)
+    assert run(["compute", "--n", "2", "--bundle", bundle]) == (2, "", f"parse error: {message}\n")
 
 
 def test_render_parse_roundtrip():
@@ -194,6 +303,7 @@ def test_bundle_degree_cap_admits_presets():
     (["compute", "--n", "2", "--bundle", "O(-3)", "--format", "csv"], "order", MAX_ORDER),
     (["verify", "gluing", "--n", "2", "--bundle", "O(-3)"], "dmax", MAX_DMAX),
     (["verify", "linking", "--n", "4", "--bundle", "O(5)"], "dmax", MAX_DMAX),
+    (["compute", "--preset", "local-p2", "--order", "2"], "decimal", MAX_DECIMAL),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_order_and_dmax_caps(argv, key, limit, source, tmp_path, monkeypatch):
@@ -219,6 +329,17 @@ def test_order_and_dmax_caps_admit_presets_and_readme():
     code, out, _ = run(["compute", "--preset", "multicover", "--order", str(MAX_ORDER),
                         "--emit", "kd"])
     assert code == 0 and len(out.splitlines()) == MAX_ORDER + 2
+
+
+def test_decimal_cap_admits_the_largest_k_d():
+    # the quintic at the --order cap has the longest K_d; at the --decimal
+    # cap each expansion stays below the 4300-digit int-to-str limit
+    code, out, _ = run(["compute", "--preset", "quintic", "--order", str(MAX_ORDER),
+                        "--emit", "kd", "--format", "csv", "--decimal", str(MAX_DECIMAL)])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == MAX_ORDER
+    assert max(len(expansion.split(".")[0].lstrip("-")) for _, _, expansion in rows) == 324
 
 
 @pytest.mark.parametrize("argv, dmax, message", [
@@ -453,6 +574,7 @@ def _edited_checks(edit):
     _edited_checks(lambda checks: checks.update(canonical_form=False)),
     _edited_checks(lambda checks: checks.pop("multicover_roundtrip")),
     _edited_checks(lambda checks: checks.update(dual_route_agreement=True)),
+    pytest.param("[" * 200000 + "]" * 200000, id="nested-too-deep-to-decode"),
 ])
 def test_compute_cache_wrong_shape_is_a_miss(tmp_path, payload):
     for fmt in ("json", "text", "csv"):
@@ -466,8 +588,11 @@ def test_compute_cache_wrong_shape_is_a_miss(tmp_path, payload):
         with open(path) as fh:
             stored = json.load(fh)
         with open(path, "w") as fh:
-            json.dump(payload(copy.deepcopy(stored)) if callable(payload)
-                      else payload, fh)
+            if isinstance(payload, str):  # the raw file text
+                fh.write(payload)
+            else:
+                json.dump(payload(copy.deepcopy(stored)) if callable(payload)
+                          else payload, fh)
         assert run(argv + ["--cache", cache]) == uncached, fmt
         # the miss recomputes and overwrites the damaged entry
         with open(path) as fh:
@@ -629,6 +754,18 @@ def test_missing_config_exits_2(tmp_path, argv):
     code, out, err = run(argv + ["--config", str(tmp_path / "missing.conf")])
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read config") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--preset", "local-p2"],
+    ["verify", "gluing", "--n", "2", "--bundle", "O(-3)"],
+], ids=["compute", "verify"])
+def test_config_not_utf8_exits_2(tmp_path, argv, monkeypatch):
+    refuse_builds(monkeypatch)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"order=\xff\n")
+    assert run(argv + ["--config", str(cfg)]) == (
+        2, "", f"error: cannot read config {cfg}: not UTF-8 (byte 6)\n")
 
 
 # ---------------------------------------------------------------------
