@@ -17,11 +17,19 @@ is graded-lex order.
 Rational functions are stored as unreduced pairs; only the integer
 content of the denominator is normalized (no multivariate gcd), and
 equality is decided by cross-multiplication.
+
+A product of homogeneous linear forms can stay unexpanded as a
+``Factored`` value: a rational constant and the forms, on which
+products, the bar involution, linear substitutions, alpha-degrees and
+equality act directly.  Each ring interns the forms of its Factored
+values and memoizes their substitutions in its ``FormTable``, which
+only grows; the values stay immutable.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -82,6 +90,7 @@ class PolyRing:
         self.limit = (MAX_DEGREE + 1) << self.top
         self.zero = _poly(self, {}, 1)
         self.one = _poly(self, {0: 1}, 1)
+        self.forms = FormTable()
 
     def pack(self, exp):
         """The key of an exponent tuple; AlgebraError outside the fields."""
@@ -407,10 +416,209 @@ class RationalFunction(ExactValue):
             raise SubstitutionError(offender)
         return RationalFunction(num, den)
 
+    def alpha_degrees(self):
+        """The alpha-degrees of the numerator and the denominator."""
+        return alpha_degree(self.num), alpha_degree(self.den)
+
     def __str__(self):
         if self.den == self.ring.one:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+# -- factored values ---------------------------------------------------
+
+
+def _linear(p):
+    """A homogeneous linear Polynomial as (ints, den): one int per ring
+    variable, over the denominator of p."""
+    ring = p.ring
+    ints = [0] * ring.nvars
+    for k, c in p.ints.items():
+        low = k - (1 << ring.top)
+        field = (low.bit_length() - 1) // FIELD_BITS
+        if low != 1 << (FIELD_BITS * field) or field >= ring.nvars:
+            raise AlgebraError(f"{p} is not a homogeneous linear form")
+        ints[ring.nvars - 1 - field] = c
+    return ints, p.den
+
+
+class FormTable:
+    """The linear forms of one ring's Factored values, interned.
+
+    A form is a tuple of coprime ints, one per ring variable, whose
+    first nonzero entry is positive; a value refers to it by its index
+    in ``forms``.  ``images`` memoizes substitutions: one map per
+    binding, from a form's index to the (g, index) of its image.
+    """
+
+    def __init__(self):
+        self.forms, self.index, self.images = [], {}, {}
+
+    def normal(self, ints):
+        """(g, i) with ints = g * forms[i]; (0, None) for zero."""
+        g = math.gcd(*ints)
+        if not g:
+            return 0, None
+        for c in ints:
+            if c:
+                break
+        if c < 0:
+            g = -g
+        form = tuple([c // g for c in ints]) if g != 1 else tuple(ints)
+        i = self.index.get(form)
+        if i is None:
+            i = self.index[form] = len(self.forms)
+            self.forms.append(form)
+        return g, i
+
+
+def _factored(ring, const, num, den):
+    """A Factored value from its parts, already in canonical form."""
+    f = object.__new__(Factored)
+    f.ring, f.const, f.num, f.den, f._expanded = ring, const, num, den, None
+    return f
+
+
+def _merge(a, b):
+    """The multiset sum of two form -> exponent maps."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = dict(a)
+    for form, e in b.items():
+        out[form] = out.get(form, 0) + e
+    return out
+
+
+class Factored:
+    """const * prod(f ** e for f in num) / prod(f ** e for f in den),
+    every f a homogeneous linear form, interned in the ring's
+    ``FormTable`` and mapped to its exponent.
+
+    ``Factored(ring, num, den, const)`` takes the forms as linear
+    Polynomials.  Numerator and denominator are kept apart, uncancelled,
+    so ``expand`` gives the RationalFunction that the same products,
+    bars and substitutions give on the expanded operands.  Equality
+    cancels; that is exact because Q[vars] is a UFD and distinct forms
+    are coprime irreducibles.  A zero value has no forms.  Instances are
+    immutable.
+    """
+
+    __slots__ = ("ring", "const", "num", "den", "_expanded")
+
+    def __init__(self, ring, num=(), den=(), const=1):
+        const = _as_fraction(const)
+        scale, parts = [const.numerator, const.denominator], ({}, {})
+        for side, polys in enumerate((num, den)):
+            for p in polys:
+                ints, q = _linear(p)
+                g, i = ring.forms.normal(ints)  # p = g/q * forms[i]
+                if i is None and side:
+                    raise ZeroDivisionError("zero linear form in a denominator")
+                scale[side] *= g
+                scale[1 - side] *= q
+                if i is not None:
+                    parts[side][i] = parts[side].get(i, 0) + 1
+        self.ring, self.const, self._expanded = ring, Fraction(*scale), None
+        self.num, self.den = parts if self.const else ({}, {})
+
+    def is_zero(self):
+        return not self.const
+
+    def __mul__(self, other):
+        if not isinstance(other, Factored):
+            return NotImplemented
+        if other.ring is not self.ring:
+            raise AlgebraError("factored values of different ring instances")
+        if not self.const or not other.const:
+            return _factored(self.ring, Fraction(0), {}, {})
+        return _factored(self.ring, self.const * other.const,
+                         _merge(self.num, other.num), _merge(self.den, other.den))
+
+    def __eq__(self, other):
+        if not isinstance(other, Factored):
+            return NotImplemented
+        if other.ring is not self.ring:
+            return self.expand() == other.expand()
+        return (self.const == other.const
+                and _merge(self.num, other.den) == _merge(other.num, self.den))
+
+    def substitute(self, bindings):
+        """Simultaneous substitution of homogeneous linear Polynomials,
+        form by form; SubstitutionError when a denominator form vanishes."""
+        ring = self.ring
+        bound = []
+        for name, val in bindings.items():
+            if name not in ring.index:
+                raise AlgebraError(f"unknown variable '{name}'")
+            if not isinstance(val, Polynomial) or val.ring != ring:
+                raise AlgebraError("factored values bind linear polynomials of their ring")
+            bound.append((ring.index[name], *_linear(val)))
+        q = math.lcm(*(b for _, _, b in bound))
+        # a form f goes to g/q * forms[i], with (g, i) the normal of q * f
+        # after the nonzero (w, b) of each binding, times q, replace f[v]
+        scaled = tuple((v, tuple((w, c * (q // b)) for w, c in enumerate(ints) if c))
+                       for v, ints, b in bound)
+        table = ring.forms
+        images = table.images.setdefault((q, scaled), {})
+        parts, gains = ({}, {}), [1, 1]
+        for side in (1, 0):  # the denominator first: it decides SubstitutionError
+            out, gain = parts[side], 1
+            for i, e in (self.den if side else self.num).items():
+                image = images.get(i)
+                if image is None:
+                    form = table.forms[i]
+                    ints = [c * q for c in form]
+                    for v, _ in scaled:
+                        ints[v] = 0
+                    for v, pairs in scaled:
+                        for w, b in pairs:
+                            ints[w] += form[v] * b
+                    image = images[i] = table.normal(ints)
+                g, j = image
+                if j is None:
+                    if side:
+                        raise SubstitutionError(", ".join(sorted(bindings)))
+                    return _factored(ring, Fraction(0), {}, {})
+                out[j] = out.get(j, 0) + e
+                gain *= g if e == 1 else g ** e
+            gains[side] = gain
+        const = Fraction(self.const.numerator * gains[0] * q ** sum(self.den.values()),
+                         self.const.denominator * gains[1] * q ** sum(self.num.values()))
+        return _factored(ring, const, *parts)
+
+    def alpha_degrees(self):
+        """The alpha-degrees of the numerator and the denominator."""
+        if not self.const:
+            return NEG_INF, 0
+        ia, forms = self.ring.index["alpha"], self.ring.forms.forms
+        return tuple(sum(e for i, e in side.items() if forms[i][ia])
+                     for side in (self.num, self.den))
+
+    def expand(self):
+        """The RationalFunction, built on first use."""
+        if self._expanded is None:
+            ring = self.ring
+            keys = [(1 << ring.top) | (1 << shift) for shift in ring.shifts]
+
+            def power(i, e):
+                form = ring.forms.forms[i]
+                return _poly(ring, {k: c for k, c in zip(keys, form) if c}, 1) ** e
+
+            self._expanded = RationalFunction(
+                math.prod(itertools.starmap(power, self.num.items()), start=ring.const(self.const)),
+                math.prod(itertools.starmap(power, self.den.items()), start=ring.one))
+        return self._expanded
+
+    def __str__(self):
+        return str(self.expand())
+
+
+def expanded(value):
+    """A RationalFunction as is, a Factored value expanded."""
+    return value.expand() if isinstance(value, Factored) else value
 
 
 # -- module operations -------------------------------------------------
@@ -420,6 +628,8 @@ def bar_involution(p):
     """The involution alpha -> -alpha, every other variable fixed; on
     fixed-point restrictions, which are kappa-free, this is the bar
     involution.  Applying it twice is the identity."""
+    if isinstance(p, Factored):
+        return p.substitute({"alpha": -p.ring.var("alpha")})
     if isinstance(p, RationalFunction):
         return RationalFunction(bar_involution(p.num), bar_involution(p.den))
     ia = p.ring.index.get("alpha")
@@ -435,5 +645,8 @@ def alpha_degree(p):
 
 
 def rf_equal(f, g):
-    """Exact equality of rational functions via cross-multiplication."""
+    """Exact equality of rational functions via cross-multiplication; of
+    two Factored values, by their constants and cancelled forms."""
+    if isinstance(f, Factored):
+        return f == g
     return f.num * g.den == g.num * f.den

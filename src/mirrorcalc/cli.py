@@ -34,7 +34,7 @@ CONFIG_KEYS = ("order", "format", "emit", "dmax", "cache", "decimal")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
 # largest --order of compute and --dmax of verify, from a flag or a
 # config; compute --preset quintic takes 0.55 s at --order 100 (run_pipeline
-# 5.4 s at 200), verify reciprocity on the quintic 0.5 s at --dmax 6, 1.1 s at 8
+# 5.4 s at 200), verify linking on the quintic 0.28 s at --dmax 6, 0.55 s at 8
 MAX_ORDER = 100
 MAX_DMAX = 6
 # largest --decimal of compute, from a flag or a config; K_d has <= 324 integer
@@ -42,16 +42,18 @@ MAX_DMAX = 6
 MAX_DECIMAL = 1000
 # largest number sum(l*dmax + 1) + sum(k*dmax - 1) of linear factors of
 # P_dmax in verify, each counted twice under --with-x, which adds x to
-# every factor: at 65 (O(64) at --dmax 1) each check on P^1..P^3 takes
-# <= 0.3 s, at 127 (O(21) at --dmax 6) reciprocity on P^2 2.2 s; O(64) at
-# --dmax 6 (385) gluing 6.8 s.  The worst admitted --with-x input, 32
-# factors (O(4)+O(1) at --dmax 6), takes 0.6-1.0 s for reciprocity on P^2,
-# 1.8-2.1 s on P^4 and 12.9-15.5 s on P^12.  The presets need at most 31
-# (62 under --with-x).  It also bounds every bundle degree of verify;
-# compute admits only the critical types, whose degrees are all <= 5.
+# every factor.  Gluing, reciprocity and the degree bound act on the
+# factors; linking expands the degree-zero restrictions and sets the cap.
+# Fresh-process runs on P^12: O(-11) at --dmax 6 (65 factors) takes
+# 0.3 s for gluing, 1.2 s for reciprocity, 0.2 s for the degree bound and
+# 4.1-5.1 s for linking; O(4)+O(1) at --dmax 6 with --with-x (32 factors, 64
+# counted) 0.2, 0.9, 0.2 and 3.9-5.0 s.  Counting x once would admit O(-11) at
+# --dmax 6 with --with-x, whose linking took 16 s on P^12.  The presets
+# need at most 31 (62 under --with-x).  It also bounds every bundle degree
+# of verify; compute admits only the critical types, whose degrees are all <= 5.
 MAX_LINEAR_FACTORS = 65
 # largest --n of every command; it admits every critical type (n <= 7),
-# and at the factor cap on P^12 reciprocity takes 12 s (README, limits)
+# and at the factor cap on P^12 linking takes 4-5 s (README, limits)
 MAX_DIMENSION = 12
 
 # preset name -> (n, bundle text, default order)
@@ -285,16 +287,23 @@ def load_config(path):
     return values
 
 
+def _integer(text, label):
+    """The int spelled by a flag or config value, label naming it: ASCII
+    digits, and a leading '-' that the option's lower bound then reports."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(f"{label} {text!r} is not an integer")
+    return int(text)
+
+
 def _int_option(flag, config, key, default, low, high=None):
     """The flag value, else the config value, which must lie in
     [low, high], else the default."""
-    value = flag
-    if value is None and key in config:
-        try:
-            value = int(config[key])
-        except ValueError:
-            raise UsageError(f"config value {key} = {config[key]!r} is not an integer") from None
-    if value is None:
+    if flag is not None:
+        value = _integer(flag, f"--{key}")
+    elif key in config:
+        value = _integer(config[key], f"config value {key} =")
+    else:
         return default
     if value < low:
         raise UsageError(f"--{key} must be >= {low}")
@@ -325,20 +334,20 @@ def _build_parser():
 
     comp = sub.add_parser("compute", help="run the full pipeline for a bundle")
     comp.add_argument("--preset", choices=sorted(PRESETS))
-    comp.add_argument("--n", type=int, help="ambient projective dimension")
+    comp.add_argument("--n", help="ambient projective dimension")
     comp.add_argument("--bundle", help="splitting type, e.g. 'O(2)+O(-2)'")
-    comp.add_argument("--order", type=int, help="q-truncation order D")
+    comp.add_argument("--order", help="q-truncation order D")
     comp.add_argument("--format", choices=FORMAT_CHOICES)
     comp.add_argument("--emit", help="comma list from: " + ",".join(EMIT_CHOICES))
-    comp.add_argument("--decimal", type=int, help="extra display column with this many digits")
+    comp.add_argument("--decimal", help="extra display column with this many digits")
     comp.add_argument("--cache", help="cache directory (default: $MIRRORCALC_CACHE)")
     comp.add_argument("--config", help="key=value config file supplying defaults")
 
     ver = sub.add_parser("verify", help="symbolic verification of the data identities")
     ver.add_argument("check", choices=("gluing", "reciprocity", "linking", "degree-bound"))
-    ver.add_argument("--n", type=int, required=True)
+    ver.add_argument("--n", required=True)
     ver.add_argument("--bundle", required=True)
-    ver.add_argument("--dmax", type=int, help="verification degree bound (default 4)")
+    ver.add_argument("--dmax", help="verification degree bound (default 4)")
     ver.add_argument("--with-x", action="store_true", dest="with_x",
                      help="use the x-extended data")
     ver.add_argument("--format", choices=VERIFY_FORMATS)
@@ -369,7 +378,7 @@ def _cmd_compute(args, out, err):
     else:
         if args.bundle is None or args.n is None:
             raise UsageError("need --preset or both --n and --bundle")
-        n, bundle_text, default_order = args.n, args.bundle, 10
+        n, bundle_text, default_order = _integer(args.n, "--n"), args.bundle, 10
     order = _int_option(args.order, config, "order", default_order, 1, MAX_ORDER)
     fmt = _format_option(args.format, config, "text", FORMAT_CHOICES)
     emit_text = args.emit or config.get("emit") or ",".join(DEFAULT_EMIT)
@@ -450,7 +459,7 @@ def _cmd_verify(args, out):
     config = load_config(args.config) if args.config else {}
     d_max = _int_option(args.dmax, config, "dmax", 4, 1, MAX_DMAX)
     fmt = _format_option(args.format, config, "json", VERIFY_FORMATS)
-    st = _read_bundle(args.bundle, args.n)
+    st = _read_bundle(args.bundle, _integer(args.n, "--n"))
     factors = st.linear_factors(d_max)
     if factors * (1 + args.with_x) > MAX_LINEAR_FACTORS:  # x joins every factor
         with_x = f", {2 * factors} with --with-x" if args.with_x else ""

@@ -3,11 +3,20 @@ symbolic verifiers for the gluing, reciprocity, linking and degree-bound
 identities, together with the Lagrange map and the mirror-group action
 on degree-zero restriction sequences.
 
-Closed-form data is a rule d -> P_d, a polynomial in (kappa, alpha) and
-optionally x.  Verifiers consume restriction tables: the values of P_d
-at the fixed-point weights kappa = lam_i + r*alpha.  An invertible class
-Omega supplies the d = 0 entry, and "bar" on restrictions flips the sign
-of alpha only.
+Closed-form data is a rule d -> P_d, a product of linear forms in
+(kappa, alpha) and optionally x.  Verifiers consume restriction tables:
+the values of P_d at the fixed-point weights kappa = lam_i + r*alpha.
+An invertible class Omega supplies the d = 0 entry, and "bar" on
+restrictions flips the sign of alpha only.
+
+``to_table`` keeps every restriction, and every Omega restriction, as a
+``Factored`` value: a constant times linear forms.  Gluing, reciprocity
+and the degree bound multiply, bar, substitute and compare the forms
+and expand nothing; a value is expanded, once, only where a
+RationalFunction is needed: ``entries``, ``entry``, ``restrict``,
+linking, and a printed witness, which is the one the same operations
+give on the expanded values.  A table of RationalFunctions, such as
+``lagrange_map`` builds, goes through the same checks unexpanded.
 
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
 records each identity through ``_verdict``: "pass", "fail" with a
@@ -26,8 +35,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .algebra import (RationalFunction, SubstitutionError, alpha_degree,
-                      bar_involution, rf_equal, weight_ring)
+from .algebra import (Factored, RationalFunction, SubstitutionError, bar_involution,
+                      expanded, rf_equal, weight_ring)
 from .bundles import omega_class
 from .qseries import ScalarQSeries, mirror_powers
 
@@ -43,9 +52,10 @@ class EulerDataError(ValueError):
 class EulerDataClosed:
     """A sequence d -> P_d given in closed form, plus its invertible class.
 
-    ``rule(d, ring)`` must return a polynomial in kappa, alpha (and x for
-    x-extended data); ``omega_restriction(i, ring)`` gives the restriction
-    of the invertible class at the i-th fixed point.
+    ``rule(d, ring)`` must return P_d as a Factored product of linear
+    forms in kappa, alpha (and x for x-extended data);
+    ``omega_restriction(i, ring)`` gives the Factored restriction of the
+    invertible class at the i-th fixed point.
     """
 
     def __init__(self, n, rule, omega_restriction):
@@ -55,12 +65,15 @@ class EulerDataClosed:
         self._omega_restriction = omega_restriction
         self._cache = {}
 
-    def polynomial(self, d):
+    def factors(self, d):
         if d < 1:
             raise EulerDataError("closed-form data is indexed by d >= 1")
         if d not in self._cache:
             self._cache[d] = self._rule(d, self.ring)
         return self._cache[d]
+
+    def polynomial(self, d):
+        return self.factors(d).expand().num
 
     def omega_restriction(self, i):
         if not 0 <= i <= self.n:
@@ -80,26 +93,19 @@ def build_hypergeom_data(st, with_x=False):
         kappa = ring.var("kappa")
         alpha = ring.var("alpha")
         x = ring.var("x") if with_x else ring.zero
-        p = ring.one
-        for l in st.convex:
-            for m in range(l * d + 1):
-                p = p * (x + l * kappa - m * alpha)
-        for k in st.concave:
-            for m in range(1, k * d):
-                p = p * (x - k * kappa + m * alpha)
-        return p
+        return Factored(ring, [x + l * kappa - m * alpha
+                               for l in st.convex for m in range(l * d + 1)]
+                        + [x - k * kappa + m * alpha
+                           for k in st.concave for m in range(1, k * d)])
 
     def omega_restriction(i, ring):
         lam = ring.var(f"lam{i}")
         if with_x:
             x = ring.var("x")
-            return RationalFunction(math.prod((x + l * lam for l in st.convex), start=ring.one),
-                                    math.prod((x - k * lam for k in st.concave), start=ring.one))
+            return Factored(ring, [x + l * lam for l in st.convex],
+                            [x - k * lam for k in st.concave])
         om = omega_class(st)
-        h = om.h_exponent
-        if h >= 0:
-            return RationalFunction(ring.const(om.scalar) * lam ** h)
-        return RationalFunction(ring.const(om.scalar), lam ** (-h))
+        return Factored(ring, [lam] * om.h_exponent, [lam] * -om.h_exponent, om.scalar)
 
     return EulerDataClosed(st.n, rule, omega_restriction)
 
@@ -110,22 +116,24 @@ def endpoint_weights_data(n):
     lam_i^2."""
     def rule(d, ring):
         kappa = ring.var("kappa")
-        alpha = ring.var("alpha")
-        return kappa * (kappa - d * alpha)
+        return Factored(ring, [kappa, kappa - d * ring.var("alpha")])
 
     def omega_restriction(i, ring):
-        return RationalFunction(ring.var(f"lam{i}") ** 2)
+        return Factored(ring, [ring.var(f"lam{i}")] * 2)
 
     return EulerDataClosed(n, rule, omega_restriction)
+
+
+def _weight(ring, i, r):
+    """The binding kappa = lam_i + r*alpha of a fixed-point restriction."""
+    return {"kappa": ring.var(f"lam{i}") + r * ring.var("alpha")}
 
 
 def restrict(ed, d, i, r):
     """Restriction of P_d at the fixed point with weight lam_i + r*alpha."""
     if d < 1 or not 0 <= i <= ed.n or not 0 <= r <= d:
         raise EulerDataError(f"restriction indices out of range: d={d}, i={i}, r={r}")
-    ring = ed.ring
-    target = ring.var(f"lam{i}") + r * ring.var("alpha")
-    return RationalFunction(ed.polynomial(d).substitute({"kappa": target}))
+    return ed.factors(d).substitute(_weight(ed.ring, i, r)).expand()
 
 
 def _upto(d):
@@ -143,10 +151,12 @@ def _grid(d_max, *axes):
 
 
 def to_table(ed, d_max):
-    """Materialize the full grid of restrictions up to degree d_max."""
+    """The full grid of restrictions up to degree d_max, factored."""
     if d_max < 1:
         raise EulerDataError("d_max must be >= 1")
-    entries = {key: restrict(ed, *key) for key in _grid(d_max, range(ed.n + 1), _upto)}
+    weight = functools.cache(functools.partial(_weight, ed.ring))
+    entries = {(d, i, r): ed.factors(d).substitute(weight(i, r))
+               for d, i, r in _grid(d_max, range(ed.n + 1), _upto)}
     omega = {i: ed.omega_restriction(i) for i in range(ed.n + 1)}
     return EulerDataTable(ed.n, d_max, ed.ring, entries, omega)
 
@@ -160,15 +170,17 @@ class EulerDataTable:
 
     entries[(d, i, r)] is the value at the weight lam_i + r*alpha;
     omega_restrictions[i] is the (nonzero) restriction of the class
-    standing in degree zero.
+    standing in degree zero.  Each is given as a RationalFunction or a
+    Factored value; ``value`` returns it as given, and ``entry``,
+    ``entries`` and ``omega_restrictions`` expanded.
     """
 
     def __init__(self, n, d_max, ring, entries, omega_restrictions):
         self.n = n
         self.d_max = d_max
         self.ring = ring
-        self.entries = entries
-        self.omega_restrictions = omega_restrictions
+        self._entries = entries
+        self._omega = omega_restrictions
         for i in range(n + 1):
             if i not in omega_restrictions or omega_restrictions[i].is_zero():
                 raise EulerDataError(f"omega restriction at p_{i} missing or zero")
@@ -176,10 +188,20 @@ class EulerDataTable:
             if key not in entries:
                 raise EulerDataError(f"incomplete table: missing entry {key}")
 
+    @functools.cached_property
+    def entries(self):
+        return {key: expanded(v) for key, v in self._entries.items()}
+
+    @functools.cached_property
+    def omega_restrictions(self):
+        return {i: expanded(v) for i, v in self._omega.items()}
+
+    def value(self, d, i, r):
+        """The value at (d, i, r) as given; Omega at d = 0."""
+        return self._omega[i] if d == 0 else self._entries[(d, i, r)]
+
     def entry(self, d, i, r):
-        if d == 0:
-            return self.omega_restrictions[i]
-        return self.entries[(d, i, r)]
+        return expanded(self.value(d, i, r))
 
     def restriction_sequence(self):
         """The degree-zero slice d -> entry(d, i, 0), including d = 0."""
@@ -274,8 +296,8 @@ def check_gluing(tbl):
     for every d <= d_max, 0 <= r <= d, 0 <= i <= n, with Q_0 the class."""
     report = VerificationReport("gluing", tbl.n, tbl.d_max)
     for d, i, r in _grid(tbl.d_max, range(tbl.n + 1), _upto):
-        lhs = tbl.omega_restrictions[i] * tbl.entry(d, i, r)
-        rhs = bar_involution(tbl.entry(r, i, 0)) * tbl.entry(d - r, i, 0)
+        lhs = tbl.value(0, i, 0) * tbl.value(d, i, r)
+        rhs = bar_involution(tbl.value(r, i, 0)) * tbl.value(d - r, i, 0)
         _verdict(report, (d, i, r), lambda: rf_equal(lhs, rhs),
                  lambda: f"lhs={lhs}; rhs={rhs}")
     return report
@@ -306,14 +328,15 @@ def check_reciprocity(tbl):
     report = VerificationReport("reciprocity", tbl.n, tbl.d_max)
     ring = tbl.ring
     points = range(tbl.n + 1)
+    binding = functools.cache(lambda j, i, r: {"alpha": _alpha_binding(ring, j, i, r)})
 
     @functools.cache
     def at(d, k, j, i, r):
-        """entry(d, k, 0) at alpha = (lam_j - lam_i)/r."""
-        return tbl.entry(d, k, 0).substitute({"alpha": _alpha_binding(ring, j, i, r)})
+        """value(d, k, 0) at alpha = (lam_j - lam_i)/r."""
+        return tbl.value(d, k, 0).substitute(binding(j, i, r))
 
     for d, i in _grid(tbl.d_max, points):
-        lhs, rhs = tbl.entry(d, i, d), bar_involution(tbl.entry(d, i, 0))
+        lhs, rhs = tbl.value(d, i, d), bar_involution(tbl.value(d, i, 0))
         _verdict(report, (d, i, d), lambda: rf_equal(lhs, rhs),
                  lambda: f"item (i): lhs={lhs}; rhs={rhs}")
     for d, i, j in _grid(tbl.d_max, points, points):
@@ -353,14 +376,14 @@ def check_degree_bound(tbl):
     """alpha-degree of each degree-zero restriction against (n+1)d - 2."""
     report = VerificationReport("degree-bound", tbl.n, tbl.d_max)
     for d, i in _grid(tbl.d_max, range(tbl.n + 1)):
-        value = tbl.entry(d, i, 0)
+        value = tbl.value(d, i, 0)
         bound = (tbl.n + 1) * d - 2
+        deg, den_deg = value.alpha_degrees()
         if value.is_zero():
             ok, text = True, "deg=-inf"
-        elif alpha_degree(value.den) > 0:
-            ok, text = None, f"denominator involves alpha: {value.den}"
+        elif den_deg > 0:
+            ok, text = None, f"denominator involves alpha: {expanded(value).den}"
         else:
-            deg = alpha_degree(value.num)
             ok, text = deg <= bound, f"deg={deg} bound={bound}"
         _verdict(report, (d, i, 0), lambda: ok, lambda: text, note=text)
     return report

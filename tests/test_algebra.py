@@ -1,6 +1,7 @@
 """Exact algebra layer: substitution, the bar involution, degrees,
-cross-multiplication equality, the ring laws on random inputs, and the
-packed kernel against a tuple-key Fraction oracle."""
+cross-multiplication equality, the ring laws on random inputs, the
+packed kernel against a tuple-key Fraction oracle, and factored values
+against their expansions."""
 
 import operator
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from mirrorcalc.algebra import (MAX_DEGREE, NEG_INF, AlgebraError, Polynomial,
+from mirrorcalc.algebra import (MAX_DEGREE, NEG_INF, AlgebraError, Factored, Polynomial,
                                 RationalFunction, SubstitutionError, alpha_degree,
                                 bar_involution, rf_equal, weight_ring)
 from mirrorcalc.qseries import ExactValue, ScalarQSeries, TSeries
@@ -331,3 +332,56 @@ def test_degree_guard():
     with pytest.raises(AlgebraError):
         Polynomial(R, {half: 1}) ** 2
     assert (p * 0).is_zero() and (p - p).is_zero()
+
+
+# ---------------------------------------------------------------------
+# factored values against their expansions
+
+
+# homogeneous linear forms over lam0, lam1, alpha and x, small integer
+# coefficients so that products and bindings collide and cancel often
+forms = hs.builds(lambda cs: sum((c * R.var(v) for c, v in zip(cs, ("lam0", "lam1", "alpha", "x"))),
+                                 R.zero),
+                  hs.lists(hs.integers(-2, 2), min_size=4, max_size=4)).filter(
+    lambda p: not p.is_zero())
+factored = hs.builds(lambda num, den, c: Factored(R, num, den, c),
+                     hs.lists(forms, max_size=3), hs.lists(forms, max_size=2),
+                     hs.fractions(max_denominator=4).filter(bool))
+
+
+def same(f, rf):
+    """f expands to rf byte for byte."""
+    return str(f.expand()) == str(rf) and repr(f.expand()) == repr(rf)
+
+
+@settings(max_examples=150)
+@given(factored, factored, hs.sampled_from(("lam0", "alpha", "x")), forms)
+def test_factored_operations_match_their_expansions(a, b, name, value):
+    # products, the bar involution and substitutions of factored values
+    # expand to exactly what the same operations give on the expansions,
+    # uncancelled; equality and alpha-degrees agree with them too
+    ea, eb = a.expand(), b.expand()
+    assert same(a * b, ea * eb)
+    assert same(bar_involution(a), bar_involution(ea))
+    assert rf_equal(a, b) == rf_equal(ea, eb)
+    assert rf_equal(a * b, b * a) and rf_equal(bar_involution(bar_involution(a)), a)
+    assert a.alpha_degrees() == ea.alpha_degrees()
+    try:
+        expected = ea.substitute({name: value})
+    except SubstitutionError as exc:
+        with pytest.raises(SubstitutionError, match=str(exc)):
+            a.substitute({name: value})
+    else:
+        assert same(a.substitute({name: value}), expected)
+
+
+def test_factored_rejects_what_it_cannot_hold():
+    with pytest.raises(AlgebraError, match="not a homogeneous linear form"):
+        Factored(R, [LAM0 + 1])
+    with pytest.raises(ZeroDivisionError):
+        Factored(R, [LAM0], [R.zero])
+    zero = Factored(R, [R.zero, LAM0], [LAM1])
+    assert zero.is_zero() and zero.num == zero.den == {} and not Factored(R, [LAM0]).is_zero()
+    with pytest.raises(AlgebraError, match="different ring instances"):
+        Factored(R, [LAM0]) * Factored(weight_ring(2), [LAM0])
+    assert rf_equal(Factored(R, [LAM0]), Factored(weight_ring(2), [2 * LAM0], [], Fraction(1, 2)))

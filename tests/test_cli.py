@@ -319,6 +319,51 @@ def test_order_and_dmax_caps(argv, key, limit, source, tmp_path, monkeypatch):
     assert err == f"error: --{key} is limited to <= {limit}\n"
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0662", "\u00b3", "+3", " 3", "3 ", "3.0", "0x3", "x", ""])
+@pytest.mark.parametrize("argv, key", [
+    (["verify", "gluing", "--bundle", "O(-1)+O(-1)", "--dmax", "2", "--n"], "n"),
+    (["compute", "--bundle", "O(-1)+O(-1)", "--n"], "n"),
+    (["verify", "gluing", "--n", "1", "--bundle", "O(-1)+O(-1)", "--dmax"], "dmax"),
+    (["compute", "--preset", "local-p2", "--order"], "order"),
+    (["compute", "--preset", "local-p2", "--decimal"], "decimal"),
+])
+def test_integer_flags_take_ascii_digits_only(argv, key, text, monkeypatch):
+    # int() would read '1_0' as 10 and the Arabic-Indic two as 2; every
+    # integer flag takes [0-9]+ (and a '-' its lower bound reports)
+    refuse_builds(monkeypatch)
+    assert run(argv + [text]) == (2, "", f"error: --{key} {text!r} is not an integer\n")
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0662", "+3", "3.0", "x"])
+@pytest.mark.parametrize("argv, key", [
+    (["verify", "gluing", "--n", "1", "--bundle", "O(-1)+O(-1)"], "dmax"),
+    (["compute", "--preset", "local-p2"], "order"),
+    (["compute", "--preset", "local-p2"], "decimal"),
+])
+def test_integer_config_values_take_ascii_digits_only(argv, key, text, tmp_path, monkeypatch):
+    refuse_builds(monkeypatch)
+    cfg = tmp_path / "int.conf"
+    cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+    assert run(argv + ["--config", str(cfg)]) == (
+        2, "", f"error: config value {key} = {text!r} is not an integer\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "--preset", "local-p2", "--order", "-1"], "--order must be >= 1"),
+    (["compute", "--preset", "local-p2", "--decimal", "-1"], "--decimal must be >= 0"),
+    (["verify", "gluing", "--n", "1", "--bundle", "O(1)", "--dmax", "-2"], "--dmax must be >= 1"),
+])
+def test_negative_integers_reach_the_bound(argv, message, monkeypatch):
+    refuse_builds(monkeypatch)
+    assert run(argv) == (2, "", f"error: {message}\n")
+
+
+def test_integer_flags_read_ascii_digits():
+    code, out, _ = run(["verify", "gluing", "--n", "01", "--bundle", "O(-1)+O(-1)",
+                        "--dmax", "02", "--format", "text"])
+    assert code == 0 and out.startswith("gluing: n=1 d_max=2 all_pass=True")
+
+
 def test_order_and_dmax_caps_admit_presets_and_readme():
     assert max(order for _, _, order in cli.PRESETS.values()) <= MAX_ORDER
     assert MAX_DMAX >= 4  # the default --dmax

@@ -2,6 +2,7 @@
 reciprocity identities, linking, degree bounds, the Lagrange map, and
 the mirror-group action on restriction sequences."""
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from mirrorcalc import cli, eulerdata
-from mirrorcalc.algebra import RationalFunction, bar_involution, rf_equal
+from mirrorcalc import algebra, cli, eulerdata
+from mirrorcalc.algebra import (Factored, RationalFunction, alpha_degree, bar_involution,
+                                expanded, rf_equal)
 from mirrorcalc.bundles import OmegaClass, SplittingType, omega_class
-from mirrorcalc.eulerdata import (EulerDataError, EulerDataTable,
-                                  build_hypergeom_data, check_degree_bound,
+from mirrorcalc.eulerdata import (EulerDataClosed, EulerDataError, EulerDataTable,
+                                  VerificationReport, _alpha_binding, _grid, _upto,
+                                  _verdict, build_hypergeom_data, check_degree_bound,
                                   check_gluing, check_linked, check_mirror_linked,
                                   check_reciprocity,
                                   endpoint_weights_data, lagrange_map,
@@ -312,6 +315,227 @@ def test_gluing_with_x_extension():
     assert report.all_pass
     report = check_gluing(to_table(build_hypergeom_data(LINE_P1, with_x=True), 2))
     assert report.all_pass
+
+
+# ---------------------------------------------------------------------
+# the expanded oracle: the data, table and checks as they were before
+# tables kept their values factored, on RationalFunctions throughout
+
+
+def expanded_data_table(st, d_max, with_x=False, rule=None):
+    """The table of st as to_table built it by expansion: P_d as one
+    polynomial (or rule(d, ring)), substituted at each weight."""
+    ring = algebra.weight_ring(st.n)
+    kappa, alpha = ring.var("kappa"), ring.var("alpha")
+    x = ring.var("x") if with_x else ring.zero
+
+    def hypergeom(d, ring):
+        p = ring.one
+        for l in st.convex:
+            for m in range(l * d + 1):
+                p = p * (x + l * kappa - m * alpha)
+        for k in st.concave:
+            for m in range(1, k * d):
+                p = p * (x - k * kappa + m * alpha)
+        return p
+
+    def omega(i):
+        lam = ring.var(f"lam{i}")
+        if with_x:
+            return RationalFunction(math.prod((x + l * lam for l in st.convex), start=ring.one),
+                                    math.prod((x - k * lam for k in st.concave), start=ring.one))
+        om = omega_class(st)
+        h = om.h_exponent
+        if h >= 0:
+            return RationalFunction(ring.const(om.scalar) * lam ** h)
+        return RationalFunction(ring.const(om.scalar), lam ** (-h))
+
+    polys = {d: (rule or hypergeom)(d, ring) for d in range(1, d_max + 1)}
+    entries = {(d, i, r): RationalFunction(polys[d].substitute(
+                   {"kappa": ring.var(f"lam{i}") + r * alpha}))
+               for d, i, r in _grid(d_max, range(st.n + 1), _upto)}
+    return EulerDataTable(st.n, d_max, ring, entries, {i: omega(i) for i in range(st.n + 1)})
+
+
+def oracle_gluing(tbl):
+    report = VerificationReport("gluing", tbl.n, tbl.d_max)
+    for d, i, r in _grid(tbl.d_max, range(tbl.n + 1), _upto):
+        lhs = tbl.omega_restrictions[i] * tbl.entry(d, i, r)
+        rhs = bar_involution(tbl.entry(r, i, 0)) * tbl.entry(d - r, i, 0)
+        _verdict(report, (d, i, r), lambda: rf_equal(lhs, rhs),
+                 lambda: f"lhs={lhs}; rhs={rhs}")
+    return report
+
+
+def oracle_reciprocity(tbl):
+    report = VerificationReport("reciprocity", tbl.n, tbl.d_max)
+    ring = tbl.ring
+    points = range(tbl.n + 1)
+
+    @functools.cache
+    def at(d, k, j, i, r):
+        return tbl.entry(d, k, 0).substitute({"alpha": _alpha_binding(ring, j, i, r)})
+
+    for d, i in _grid(tbl.d_max, points):
+        lhs, rhs = tbl.entry(d, i, d), bar_involution(tbl.entry(d, i, 0))
+        _verdict(report, (d, i, d), lambda: rf_equal(lhs, rhs),
+                 lambda: f"item (i): lhs={lhs}; rhs={rhs}")
+    for d, i, j in _grid(tbl.d_max, points, points):
+        if j != i:
+            _verdict(report, (d, i, j), lambda: rf_equal(at(d, j, j, i, d), at(d, i, i, j, d)),
+                     lambda: f"item (ii): j={j}", "item (ii): ")
+    for d, r, i, j in _grid(tbl.d_max, lambda d: range(1, d + 1), points, points):
+        if j != i:
+            _verdict(report, (d, i, r),
+                     lambda: rf_equal(at(0, i, j, i, r) * at(d, j, j, i, r),
+                                      at(r, j, j, i, r) * at(d - r, i, j, i, r)),
+                     lambda: f"item (iii): j={j}", f"item (iii): j={j}: ")
+    return report
+
+
+def oracle_degree_bound(tbl):
+    report = VerificationReport("degree-bound", tbl.n, tbl.d_max)
+    for d, i in _grid(tbl.d_max, range(tbl.n + 1)):
+        value = tbl.entry(d, i, 0)
+        bound = (tbl.n + 1) * d - 2
+        if value.is_zero():
+            ok, text = True, "deg=-inf"
+        elif alpha_degree(value.den) > 0:
+            ok, text = None, f"denominator involves alpha: {value.den}"
+        else:
+            deg = alpha_degree(value.num)
+            ok, text = deg <= bound, f"deg={deg} bound={bound}"
+        _verdict(report, (d, i, 0), lambda: ok, lambda: text, note=text)
+    return report
+
+
+ORACLES = {check_gluing: oracle_gluing, check_reciprocity: oracle_reciprocity,
+           check_degree_bound: oracle_degree_bound}
+
+
+def assert_reports_match(factored, oracle_table):
+    """Each check's JSON report on the factored table equals the
+    oracle's on the expanded one; returns the reports."""
+    reports = []
+    for check, oracle in ORACLES.items():
+        reports.append(check(factored))
+        assert reports[-1].to_json() == oracle(oracle_table).to_json(), check.__name__
+    return reports
+
+
+def test_oracle_table_equals_expanded_table():
+    for st in (MULTICOVER, LOCAL_P2, SplittingType(3, (2,), (2,))):
+        for with_x in (False, True):
+            tbl = to_table(build_hypergeom_data(st, with_x=with_x), 3)
+            oracle = expanded_data_table(st, 3, with_x)
+            # byte-identical expansions, not just equal rational functions
+            assert {k: str(v) for k, v in tbl.entries.items()} == \
+                {k: str(v) for k, v in oracle.entries.items()}
+            assert {i: str(v) for i, v in tbl.omega_restrictions.items()} == \
+                {i: str(v) for i, v in oracle.omega_restrictions.items()}
+
+
+@hs.composite
+def types_and_dmax(draw):
+    """A splitting type on P^1..P^4 with degrees <= 5, and a d_max <= 4
+    at which P_dmax has at most 30 linear factors (or d_max = 1), so the
+    expanded oracle stays fast."""
+    st = draw(hs.builds(SplittingType, hs.integers(1, 4),
+                        hs.lists(hs.integers(1, 5), max_size=2),
+                        hs.lists(hs.integers(1, 5), max_size=2)))
+    top = max([1] + [d for d in range(1, 5) if st.linear_factors(d) <= 30])
+    return st, draw(hs.integers(1, top))
+
+
+@settings(max_examples=40, deadline=None)
+@given(types_and_dmax(), hs.booleans())
+def test_factored_reports_match_the_expanded_oracle(case, with_x):
+    st, d_max = case
+    tbl = to_table(build_hypergeom_data(st, with_x=with_x), d_max)
+    assert_reports_match(tbl, expanded_data_table(st, d_max, with_x))
+
+
+def test_checks_on_factored_tables_expand_nothing(monkeypatch):
+    # gluing, reciprocity and the degree bound run on the factors; only
+    # a printed witness, linking or the public accessors expand a value
+    calls = []
+    expand = Factored.expand
+    monkeypatch.setattr(Factored, "expand", lambda self: calls.append(1) or expand(self))
+    for st in (MULTICOVER, LOCAL_P2, SplittingType(4, (5,), ())):
+        for with_x in (False, True):
+            tbl = to_table(build_hypergeom_data(st, with_x=with_x), 3)
+            for check in (check_gluing, check_reciprocity, check_degree_bound):
+                check(tbl)
+    assert calls == []
+    tbl.entry(1, 0, 0)
+    tbl.entry(1, 0, 0)
+    assert len(calls) == 2  # memoized: the second call returns the first expansion
+    assert tbl.entry(1, 0, 0) is tbl.entry(1, 0, 0)
+
+
+def pole_tables():
+    """The multicover table at d_max = 2, factored and expanded, with
+    (1, 0, 0) divided by lam0 - lam1 - alpha, a form that the binding
+    alpha = (lam0 - lam1)/1 sends to zero."""
+    tbl = to_table(build_hypergeom_data(MULTICOVER), 2)
+    ring = tbl.ring
+    pole = Factored(ring, den=[ring.var("lam0") - ring.var("lam1") - ring.var("alpha")])
+    entries = {key: tbl.value(*key) for key in _grid(2, range(2), _upto)}
+    entries[(1, 0, 0)] = entries[(1, 0, 0)] * pole
+    omega = {i: tbl.value(0, i, 0) for i in range(2)}
+    factored = EulerDataTable(1, 2, ring, entries, omega)
+    expanded_table = EulerDataTable(1, 2, ring, {k: expanded(v) for k, v in entries.items()},
+                                    {i: expanded(v) for i, v in omega.items()})
+    return factored, expanded_table
+
+
+def test_vanishing_denominator_factor_is_inconclusive():
+    factored, expanded_table = pole_tables()
+    gluing, reciprocity, degree = assert_reports_match(factored, expanded_table)
+    zero = "substitution for 'alpha' produced a zero denominator"
+    assert {(r.d, r.i, r.r, r.witness) for r in reciprocity.inconclusive} == {
+        (1, 0, 1, f"item (ii): {zero}"), (1, 1, 0, f"item (ii): {zero}"),
+        (1, 1, 1, f"item (iii): j=0: {zero}"), (2, 1, 1, f"item (iii): j=0: {zero}")}
+    assert [(r.d, r.i, r.status, r.witness) for r in degree.results if r.d == 1] == [
+        (1, 0, "inconclusive", "denominator involves alpha: lam0 - lam1 - alpha"),
+        (1, 1, "pass", "deg=0 bound=0")]
+    assert [(r.d, r.i, r.r) for r in gluing.failures] == [(1, 0, 1), (2, 0, 1)]
+    with pytest.raises(algebra.SubstitutionError, match=zero):
+        factored.value(1, 0, 0).substitute({"alpha": factored.ring.var("lam0")
+                                            - factored.ring.var("lam1")})
+
+
+def mutated_data(st, d, mutate):
+    """The hypergeometric data of st with the linear factors of P_d, in
+    build_hypergeom_data's order, passed through mutate; and the same
+    P_e as expanded polynomials, for the oracle."""
+    def forms(e, ring):
+        kappa, alpha = ring.var("kappa"), ring.var("alpha")
+        out = ([l * kappa - m * alpha for l in st.convex for m in range(l * e + 1)]
+               + [-k * kappa + m * alpha for k in st.concave for m in range(1, k * e)])
+        return mutate(out, ring) if e == d else out
+
+    data = build_hypergeom_data(st)
+    return (EulerDataClosed(st.n, lambda e, ring: Factored(ring, forms(e, ring)),
+                            data._omega_restriction),
+            lambda e, ring: math.prod(forms(e, ring), start=ring.one))
+
+
+@pytest.mark.parametrize("st, d", [(LOCAL_P2, 2), (SplittingType(3, (2,), (2,)), 2),
+                                   (SplittingType(4, (5,), ()), 1)])
+@pytest.mark.parametrize("mutation", ["drop", "shift"])
+def test_mutated_data_fails_gluing_and_reciprocity(st, d, mutation):
+    # drop P_d's second linear factor, or shift its m by one; both break
+    # the data, and the factored checks report what the oracle reports
+    def mutate(forms, ring):
+        if mutation == "drop":
+            return forms[:1] + forms[2:]
+        return forms[:1] + [forms[1] - ring.var("alpha")] + forms[2:]
+
+    data, rule = mutated_data(st, d, mutate)
+    tbl = to_table(data, 2)
+    gluing, reciprocity, _ = assert_reports_match(tbl, expanded_data_table(st, 2, rule=rule))
+    assert gluing.failures and reciprocity.failures
 
 
 # ---------------------------------------------------------------------
