@@ -293,7 +293,10 @@ def _integer(text, label):
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise UsageError(f"{label} {text!r} is not an integer")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than CPython converts
+        raise UsageError(f"{label} {text[:12]}... has too many digits") from None
 
 
 def _int_option(flag, config, key, default, low, high=None):

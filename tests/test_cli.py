@@ -348,6 +348,23 @@ def test_integer_config_values_take_ascii_digits_only(argv, key, text, tmp_path,
         2, "", f"error: config value {key} = {text!r} is not an integer\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--preset", "local-p2", "--order"],
+    ["compute", "--bundle", "O(-1)+O(-1)", "--n"],
+    ["verify", "gluing", "--bundle", "O(1)", "--n"],
+])
+def test_integers_past_the_conversion_limit_exit_2(argv, tmp_path, monkeypatch):
+    # int() refuses more than 4300 digits with a ValueError, which must
+    # not reach the exit-3 handler, from a flag or from a config
+    refuse_builds(monkeypatch)
+    big = "9" * 5000
+    assert run(argv + [big]) == (2, "", f"error: --{argv[-1][2:]} {big[:12]}... has too many digits\n")
+    cfg = tmp_path / "big.conf"
+    cfg.write_text(f"order = -{big}\n")
+    assert run(["compute", "--preset", "local-p2", "--config", str(cfg)]) == (
+        2, "", f"error: config value order = -{big[:11]}... has too many digits\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["compute", "--preset", "local-p2", "--order", "-1"], "--order must be >= 1"),
     (["compute", "--preset", "local-p2", "--decimal", "-1"], "--decimal must be >= 0"),
