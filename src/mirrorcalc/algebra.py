@@ -557,8 +557,10 @@ class Factored:
                 raise AlgebraError("factored values bind linear polynomials of their ring")
             bound.append((ring.index[name], *_linear(val)))
         q = math.lcm(*(b for _, _, b in bound))
-        # a form f goes to g/q * forms[i], with (g, i) the normal of q * f
-        # after the nonzero (w, b) of each binding, times q, replace f[v]
+        # over the common denominator q each binding of v is the nonzero
+        # (w, b) of q * value; a form f goes to (q * f with each f[v] * v
+        # replaced by f[v] * q * value) / q = g/q * forms[i], (g, i) the
+        # normal of that numerator
         scaled = tuple((v, tuple((w, c * (q // b)) for w, c in enumerate(ints) if c))
                        for v, ints, b in bound)
         table = ring.forms
