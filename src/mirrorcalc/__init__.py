@@ -14,7 +14,7 @@ from .eulerdata import (EulerDataClosed, EulerDataTable, RestrictionSequence,
                         VerificationReport, build_hypergeom_data,
                         check_degree_bound, check_gluing, check_linked,
                         check_mirror_linked, check_reciprocity, endpoint_weights_data,
-                        lagrange_map, mirror_transform, restrict, to_table)
+                        lagrange_map, mirror_transform, to_table)
 from .pipeline import (PipelineCase, PipelineResult, build_hypergeom_series,
                        classify, compute_normalization, extract_euler_numbers,
                        frobenius_basis, invert_multicover, run_pipeline)
@@ -28,8 +28,7 @@ __all__ = [
     "EulerDataClosed", "EulerDataTable", "RestrictionSequence",
     "VerificationReport", "build_hypergeom_data", "check_degree_bound",
     "check_gluing", "check_linked", "check_mirror_linked", "check_reciprocity",
-    "endpoint_weights_data", "lagrange_map", "mirror_transform", "restrict",
-    "to_table",
+    "endpoint_weights_data", "lagrange_map", "mirror_transform", "to_table",
     "PipelineCase", "PipelineResult", "build_hypergeom_series", "classify",
     "compute_normalization", "extract_euler_numbers", "frobenius_basis",
     "invert_multicover", "run_pipeline",

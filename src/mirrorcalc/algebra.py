@@ -20,10 +20,10 @@ equality is decided by cross-multiplication.
 
 A product of homogeneous linear forms can stay unexpanded as a
 ``Factored`` value: a rational constant and the forms, on which
-products, the bar involution, linear substitutions, alpha-degrees and
-equality act directly.  Each ring interns the forms of its Factored
-values and memoizes their substitutions in its ``FormTable``, which
-only grows; the values stay immutable.
+products, quotients, the bar involution, linear substitutions,
+alpha-degrees and equality act directly, expanding it only beside a
+RationalFunction.  Each ring interns the forms of its Factored values
+and memoizes their substitutions in its ``FormTable``, which only grows.
 """
 
 from __future__ import annotations
@@ -370,6 +370,8 @@ class RationalFunction(ExactValue):
             return value
         if isinstance(value, Polynomial):
             return RationalFunction(value)
+        if isinstance(value, Factored):
+            return value.expand()
         return RationalFunction(ring.const(value))
 
     def is_zero(self):
@@ -537,6 +539,13 @@ class Factored:
         return _factored(self.ring, self.const * other.const,
                          _merge(self.num, other.num), _merge(self.den, other.den))
 
+    def __truediv__(self, other):
+        if not isinstance(other, Factored):
+            return NotImplemented
+        if not other.const:
+            raise ZeroDivisionError("division by a zero factored value")
+        return self * _factored(other.ring, 1 / other.const, other.den, other.num)
+
     def __eq__(self, other):
         if not isinstance(other, Factored):
             return NotImplemented
@@ -648,7 +657,9 @@ def alpha_degree(p):
 
 def rf_equal(f, g):
     """Exact equality of rational functions via cross-multiplication; of
-    two Factored values, by their constants and cancelled forms."""
-    if isinstance(f, Factored):
+    two Factored values, by their constants and cancelled forms; of one
+    of each, by expansion."""
+    if isinstance(f, Factored) and isinstance(g, Factored):
         return f == g
+    f, g = expanded(f), expanded(g)
     return f.num * g.den == g.num * f.den

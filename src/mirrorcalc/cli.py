@@ -5,32 +5,29 @@ Exit codes: 0 success (all checks passing), 1 check failures in
 verification mode, 2 usage or parse errors, 3 an internal error (a
 failed internal identity or any other defect).  Rationals are never
 printed as floating point; an optional --decimal column adds an exact
-decimal expansion for display.
+decimal expansion for display.  ``compute`` runs the pipeline on every
+call: nothing is cached, and --cache is accepted, ignored and warned
+about until it is removed.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import re
 import sys
-from fractions import Fraction
 
-from . import __version__
 from .bundles import CRITICAL_BUNDLES, SplittingType
 from .eulerdata import (build_hypergeom_data, check_degree_bound, check_gluing,
                         check_mirror_linked, check_reciprocity, to_table)
-from .pipeline import (PipelineCase, PipelineResult, build_hypergeom_series, classify,
-                       compute_normalization, invert_multicover, run_pipeline,
+from .pipeline import (build_hypergeom_series, compute_normalization, run_pipeline,
                        unsupported_reason)
-from .qseries import ScalarQSeries, TSeries
+from .qseries import ScalarQSeries
 
 EMIT_CHOICES = ("kd", "nd", "mirror-map", "f-series", "checks")
 FORMAT_CHOICES = ("text", "json", "csv")
 VERIFY_FORMATS = ("text", "json")
-CONFIG_KEYS = ("order", "format", "emit", "dmax", "cache", "decimal")
+CONFIG_KEYS = ("order", "format", "emit", "dmax", "decimal")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
 # largest --order of compute and --dmax of verify, from a flag or a
 # config; compute --preset quintic takes 0.55 s at --order 100 (run_pipeline
@@ -41,19 +38,15 @@ MAX_DMAX = 6
 # digits at --order 100, and CPython converts ints of <= 4300 digits to str
 MAX_DECIMAL = 1000
 # largest number sum(l*dmax + 1) + sum(k*dmax - 1) of linear factors of
-# P_dmax in verify, each counted twice under --with-x, which adds x to
-# every factor.  Gluing, reciprocity and the degree bound act on the
-# factors; linking expands the degree-zero restrictions and sets the cap.
-# Fresh-process runs on P^12: O(-11) at --dmax 6 (65 factors) takes
-# 0.3 s for gluing, 1.2 s for reciprocity, 0.2 s for the degree bound and
-# 4.1-5.1 s for linking; O(4)+O(1) at --dmax 6 with --with-x (32 factors, 64
-# counted) 0.2, 0.9, 0.2 and 3.9-5.0 s.  Counting x once would admit O(-11) at
-# --dmax 6 with --with-x, whose linking took 16 s on P^12.  The presets
-# need at most 31 (62 under --with-x).  It also bounds every bundle degree
-# of verify; compute admits only the critical types, whose degrees are all <= 5.
+# P_dmax in verify, with or without --with-x.  Every check acts on the
+# factors.  Fresh-process runs on P^12 of O(-11) at --dmax 6 (65 factors)
+# take 0.2-0.3 s for gluing, 0.9-1.2 s for reciprocity, 0.2 s for the
+# degree bound and 1.0-1.4 s for linking, with and without --with-x.
+# The presets need at most 31.  It also bounds every bundle degree of
+# verify; compute admits only the critical types, whose degrees are all <= 5.
 MAX_LINEAR_FACTORS = 65
 # largest --n of every command; it admits every critical type (n <= 7),
-# and at the factor cap on P^12 linking takes 4-5 s (README, limits)
+# and at the factor cap on P^12 no check takes 1.5 s (README, limits)
 MAX_DIMENSION = 12
 
 # preset name -> (n, bundle text, default order)
@@ -222,43 +215,6 @@ def _emit_csv(result, emit, decimal, out):
 
 
 # ---------------------------------------------------------------------
-# cache
-
-
-def _cache_path(cache_dir, bundle_text, n, order):
-    key = f"{bundle_text}|{n}|{order}|{__version__}"
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return os.path.join(cache_dir, f"mirrorcalc-{digest}.json")
-
-
-def _cache_load(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError, RecursionError):  # RecursionError: nested too deep
-        return None
-    if not isinstance(payload, dict) or payload.get("version") != __version__:
-        return None
-    document = payload.get("document")
-    return document if isinstance(document, dict) else None
-
-
-def _cache_store(path, document):
-    """Write through a temp file in the cache directory and os.replace,
-    so a reader sees the old entry or the whole new one, never a part."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"version": __version__, "document": document}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-# ---------------------------------------------------------------------
 # config file
 
 
@@ -343,7 +299,7 @@ def _build_parser():
     comp.add_argument("--format", choices=FORMAT_CHOICES)
     comp.add_argument("--emit", help="comma list from: " + ",".join(EMIT_CHOICES))
     comp.add_argument("--decimal", help="extra display column with this many digits")
-    comp.add_argument("--cache", help="cache directory (default: $MIRRORCALC_CACHE)")
+    comp.add_argument("--cache", help=argparse.SUPPRESS)
     comp.add_argument("--config", help="key=value config file supplying defaults")
 
     ver = sub.add_parser("verify", help="symbolic verification of the data identities")
@@ -373,6 +329,8 @@ def _read_bundle(text, n):
 
 
 def _cmd_compute(args, out, err):
+    if args.cache is not None:
+        err.write("warning: --cache is ignored: mirrorcalc no longer caches results\n")
     config = load_config(args.config) if args.config else {}
     if args.preset:
         if args.bundle or args.n is not None:
@@ -399,18 +357,7 @@ def _cmd_compute(args, out, err):
     if reason:
         raise UsageError(reason)
 
-    cache_dir = args.cache or config.get("cache") or os.environ.get("MIRRORCALC_CACHE")
-    cache_path = _cache_path(cache_dir, str(st), n, order) if cache_dir else None
-    document = _cache_load(cache_path) if cache_path else None
-    # every format prints from the result, so a hit prints what a miss would
-    result = None if document is None else _result_from_document(document, st)
-    if result is None or result.order != order:
-        result = run_pipeline(st, order)
-        if cache_path:  # cache everything; a failed store never changes the output
-            try:
-                _cache_store(cache_path, _result_document(result, bundle_text, EMIT_CHOICES))
-            except OSError as exc:
-                err.write(f"warning: result not cached: {exc}\n")
+    result = run_pipeline(st, order)
     if fmt == "json":
         out.write(json.dumps(_result_document(result, bundle_text, emit), indent=2) + "\n")
     elif fmt == "csv":
@@ -422,52 +369,15 @@ def _cmd_compute(args, out, err):
     return 0
 
 
-def _result_from_document(document, st):
-    """Rebuild a result object from a cached document (exact strings).
-
-    Returns None, a cache miss, unless the document is exactly what
-    ``_result_document`` writes for the rebuilt result: the order is the
-    length of K, the case, n_d and checks are derived again, the case
-    decides whether the f-series must be there (CASE1 only), and the
-    rebuilt document must serialize to the same JSON text, so no verdict
-    is read from the cache.  The document does not carry F0, so the
-    rebuilt result has scaling None.
-    """
-    def parse_frac(text):
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den or "1"))
-
-    try:
-        K = [parse_frac(s) for s in document["K"]]
-        order = len(K)
-        shift = ScalarQSeries(order, [Fraction(0)] + [parse_frac(s) for s in document["mirror_g"]])
-        case, f_basis = classify(st), None
-        if case is PipelineCase.CASE1:
-            f_basis = []
-            for entry in document["f_series"]:
-                terms = {}
-                for key, val in entry.items():
-                    d, _, j = key.partition(",")
-                    terms[(int(d), int(j))] = parse_frac(val)
-                f_basis.append(TSeries(order, terms))
-        result = PipelineResult(st, order, case, K, invert_multicover(K),
-                                shift, None, f_basis)
-        rebuilt = _result_document(result, document["bundle"], EMIT_CHOICES)
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
-        return None
-    return result if json.dumps(rebuilt) == json.dumps(document) else None
-
-
 def _cmd_verify(args, out):
     config = load_config(args.config) if args.config else {}
     d_max = _int_option(args.dmax, config, "dmax", 4, 1, MAX_DMAX)
     fmt = _format_option(args.format, config, "json", VERIFY_FORMATS)
     st = _read_bundle(args.bundle, _integer(args.n, "--n"))
     factors = st.linear_factors(d_max)
-    if factors * (1 + args.with_x) > MAX_LINEAR_FACTORS:  # x joins every factor
-        with_x = f", {2 * factors} with --with-x" if args.with_x else ""
-        raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {factors} linear factors"
-                         f"{with_x}; verify is limited to <= {MAX_LINEAR_FACTORS}")
+    if factors > MAX_LINEAR_FACTORS:
+        raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {factors} linear factors; "
+                         f"verify is limited to <= {MAX_LINEAR_FACTORS}")
     table = to_table(build_hypergeom_data(st, with_x=args.with_x), d_max)
     if args.check == "linking":
         report = check_mirror_linked(table, _linking_shift(st, d_max, args.with_x))

@@ -13,8 +13,8 @@ restrictions flips the sign of alpha only.
 ``Factored`` value: a constant times linear forms.  Gluing, reciprocity
 and the degree bound multiply, bar, substitute and compare the forms
 and expand nothing; a value is expanded, once, only where a
-RationalFunction is needed: ``entries``, ``entry``, ``restrict``,
-linking, and a printed witness, which is the one the same operations
+RationalFunction is needed: ``entries``, ``entry``, a sum that linking
+forms, and a printed witness, which is the one the same operations
 give on the expanded values.  A table of RationalFunctions, such as
 ``lagrange_map`` builds, goes through the same checks unexpanded.
 
@@ -32,6 +32,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -71,9 +72,6 @@ class EulerDataClosed:
         if d not in self._cache:
             self._cache[d] = self._rule(d, self.ring)
         return self._cache[d]
-
-    def polynomial(self, d):
-        return self.factors(d).expand().num
 
     def omega_restriction(self, i):
         if not 0 <= i <= self.n:
@@ -127,13 +125,6 @@ def endpoint_weights_data(n):
 def _weight(ring, i, r):
     """The binding kappa = lam_i + r*alpha of a fixed-point restriction."""
     return {"kappa": ring.var(f"lam{i}") + r * ring.var("alpha")}
-
-
-def restrict(ed, d, i, r):
-    """Restriction of P_d at the fixed point with weight lam_i + r*alpha."""
-    if d < 1 or not 0 <= i <= ed.n or not 0 <= r <= d:
-        raise EulerDataError(f"restriction indices out of range: d={d}, i={i}, r={r}")
-    return ed.factors(d).substitute(_weight(ed.ring, i, r)).expand()
 
 
 def _upto(d):
@@ -352,24 +343,28 @@ def check_reciprocity(tbl):
     return report
 
 
-def _linking_report(tbl, residue):
-    """Record, for every d and i != j, whether residue(d, i, binding)
-    vanishes, binding alpha = (lam_i - lam_j)/d."""
+def _linking_report(tbl, sides):
+    """Record, for every d and i != j, whether the two sides
+    sides(form, d, i, binding) agree, binding alpha = (lam_i - lam_j)/d:
+    decided on the table values as given (form the identity), witnessed
+    by their difference on the expanded values (form ``expanded``)."""
     report = VerificationReport("linking", tbl.n, tbl.d_max)
     for d, i, j in _grid(tbl.d_max, range(tbl.n + 1), range(tbl.n + 1)):
         if j != i:
             binding = {"alpha": _alpha_binding(tbl.ring, i, j, d)}
-            _verdict(report, (d, i, j), lambda: residue(d, i, binding).is_zero(),
-                     lambda: f"j={j}: residue={residue(d, i, binding)}")
+            _verdict(report, (d, i, j), lambda: rf_equal(*sides(lambda v: v, d, i, binding)),
+                     lambda: f"j={j}: residue={operator.sub(*sides(expanded, d, i, binding))}")
     return report
 
 
 def check_linked(table_a, table_b):
-    """Both degree-zero restrictions agree at alpha = (lam_i - lam_j)/d."""
+    """Both degree-zero restrictions agree at alpha = (lam_i - lam_j)/d:
+    their expanded difference, substituted, against zero."""
     if table_a.n != table_b.n or table_a.d_max != table_b.d_max:
         raise EulerDataError("tables are not compatible")
     diff = functools.cache(lambda d, i: table_a.entry(d, i, 0) - table_b.entry(d, i, 0))
-    return _linking_report(table_a, lambda d, i, binding: diff(d, i).substitute(binding))
+    zero = RationalFunction(table_a.ring.zero)
+    return _linking_report(table_a, lambda _, d, i, binding: (diff(d, i).substitute(binding), zero))
 
 
 def check_degree_bound(tbl):
@@ -406,11 +401,17 @@ def lagrange_map(seq):
 
 def _product_factor(ring, n, i, r, d, alpha):
     """prod_{j=0..n} prod_{m=r+1..d} (lam_i - lam_j - m*alpha), alpha a
-    polynomial; zero, not expanded, when one linear factor vanishes."""
-    lam_i = ring.var(f"lam{i}")
-    factors = [lam_i - ring.var(f"lam{j}") - m * alpha
-               for j in range(n + 1) for m in range(r + 1, d + 1)]
-    return ring.zero if any(p.is_zero() for p in factors) else math.prod(factors, start=ring.one)
+    polynomial; zero, not expanded, at the first linear factor that
+    vanishes."""
+    lam_i, factors = ring.var(f"lam{i}"), []
+    # m = d first: at a linking binding the vanishing factor has m = d
+    for m, j in itertools.product(range(d, r, -1), range(n + 1)):
+        factors.append(lam_i - ring.var(f"lam{j}") - m * alpha)
+        if factors[-1].is_zero():
+            return ring.zero
+    # multiplied j by j, which keeps the partial products sparse
+    by_j = (factors[j::n + 1] for j in range(n + 1))
+    return math.prod(itertools.chain.from_iterable(by_j), start=ring.one)
 
 
 def _shift_series(shift, d_max):
@@ -429,11 +430,13 @@ def _transform_at(n, i, alpha, value, f, g, powers):
     the variable or a binding, at which value(d) (the restriction at
     p_i) and f are given, and powers = mirror_powers(g).  The e^(dg)
     redistribution gives primed(d), then u = e^((f - lam_i*g)/alpha)
-    gives out(d); a summand whose product factor vanishes is not formed.
+    gives out(d).  A summand whose product factor vanishes is not
+    formed, and a value is expanded only when it enters a summand, so
+    where none is formed out(d) is value(d) as given.
     """
     ring = alpha.ring
     lam_i, alpha_rf = RationalFunction(ring.var(f"lam{i}")), RationalFunction(alpha)
-    combined = [(c - lam_i * g[s]) / alpha_rf for s, c in enumerate(f)]
+    combined = functools.cache(lambda s: (f[s] - lam_i * g[s]) / alpha_rf)
     factor = functools.cache(lambda r, d: _product_factor(ring, n, i, r, d, alpha))
 
     @functools.cache
@@ -442,8 +445,8 @@ def _transform_at(n, i, alpha, value, f, g, powers):
             return RationalFunction(ring.one)
         acc = RationalFunction(ring.zero)
         for s in range(1, d + 1):
-            if not combined[s].is_zero():
-                acc = acc + combined[s] * u(d - s) * s
+            if not combined(s).is_zero():
+                acc = acc + combined(s) * u(d - s) * s
         return acc * Fraction(1, d)
 
     @functools.cache
@@ -452,7 +455,7 @@ def _transform_at(n, i, alpha, value, f, g, powers):
         for r in range(d):
             coeff = powers[r][d]
             if coeff and not factor(r, d).is_zero():
-                acc = acc + coeff * value(r) * factor(r, d)
+                acc = acc + coeff * expanded(value(r)) * factor(r, d)
         return acc
 
     @functools.cache
@@ -500,10 +503,11 @@ def check_mirror_linked(table, shift):
     ring, g = table.ring, _shift_series(shift, table.d_max)
     powers, f = mirror_powers(g), [RationalFunction(ring.zero)] * (table.d_max + 1)
 
-    def residue(d, i, binding):
-        at = functools.cache(lambda r: table.entry(r, i, 0).substitute(binding))
-        omega = table.omega_restrictions[i]
+    def sides(form, d, i, binding):
+        """at(d) and (bar(Omega)/Omega) * out(d) at the binding."""
+        at = functools.cache(lambda r: form(table.value(r, i, 0)).substitute(binding))
+        omega = form(table.value(0, i, 0))
         scale = (bar_involution(omega) / omega).substitute(binding)
-        return at(d) - scale * _transform_at(table.n, i, binding["alpha"], at, f, g, powers)(d)
+        return at(d), scale * _transform_at(table.n, i, binding["alpha"], at, f, g, powers)(d)
 
-    return _linking_report(table, residue)
+    return _linking_report(table, sides)

@@ -320,7 +320,7 @@ class PipelineResult:
     K: list
     instanton: list  # (d, value, is_integral)
     mirror_shift: ScalarQSeries
-    scaling: ScalarQSeries | None  # None on a result rebuilt from the cache
+    scaling: ScalarQSeries
     f_basis: list | None
 
     @property

@@ -357,13 +357,16 @@ def same(f, rf):
 @settings(max_examples=150)
 @given(factored, factored, hs.sampled_from(("lam0", "alpha", "x")), forms)
 def test_factored_operations_match_their_expansions(a, b, name, value):
-    # products, the bar involution and substitutions of factored values
-    # expand to exactly what the same operations give on the expansions,
-    # uncancelled; equality and alpha-degrees agree with them too
+    # products, quotients, the bar involution and substitutions of
+    # factored values expand to exactly what the same operations give on
+    # the expansions, uncancelled; equality and alpha-degrees agree with
+    # them too, and a factored value meets a RationalFunction expanded
     ea, eb = a.expand(), b.expand()
-    assert same(a * b, ea * eb)
+    assert same(a * b, ea * eb) and same(a / b, ea / eb)
+    assert str(ea * b) == str(ea * eb)
     assert same(bar_involution(a), bar_involution(ea))
-    assert rf_equal(a, b) == rf_equal(ea, eb)
+    assert rf_equal(a, b) == rf_equal(ea, eb) == rf_equal(a, eb) == rf_equal(ea, b)
+    assert rf_equal(a, ea) and rf_equal(ea, a)
     assert rf_equal(a * b, b * a) and rf_equal(bar_involution(bar_involution(a)), a)
     assert a.alpha_degrees() == ea.alpha_degrees()
     try:

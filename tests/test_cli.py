@@ -1,7 +1,6 @@
 """Command-line surface: grammar, presets, formats, determinism,
-exit codes, cache and config handling."""
+exit codes and config handling."""
 
-import copy
 import io
 import json
 import os
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from mirrorcalc import __version__
 from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType
 from mirrorcalc import cli
 from mirrorcalc.cli import (MAX_DECIMAL, MAX_DIMENSION, MAX_DMAX, MAX_LINEAR_FACTORS,
@@ -409,11 +407,11 @@ def test_decimal_cap_admits_the_largest_k_d():
      "O(64) at --dmax 6 gives P_dmax 385 linear factors"),
     (["verify", "reciprocity", "--n", "2", "--bundle", "O(-34)"], 2,
      "O(-34) at --dmax 2 gives P_dmax 67 linear factors"),
-    # --with-x adds x to every factor, so each counts twice
-    (["verify", "reciprocity", "--n", "12", "--bundle", "O(-11)", "--with-x"], 6,
-     "O(-11) at --dmax 6 gives P_dmax 65 linear factors, 130 with --with-x"),
-    (["verify", "linking", "--n", "2", "--bundle", "O(-34)", "--with-x"], 1,
-     "O(-34) at --dmax 1 gives P_dmax 33 linear factors, 66 with --with-x"),
+    # --with-x adds x to every factor, and the factors count as without it
+    (["verify", "reciprocity", "--n", "12", "--bundle", "O(-12)", "--with-x"], 6,
+     "O(-12) at --dmax 6 gives P_dmax 71 linear factors"),
+    (["verify", "linking", "--n", "2", "--bundle", "O(-67)", "--with-x"], 1,
+     "O(-67) at --dmax 1 gives P_dmax 66 linear factors"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_linear_factor_cap(argv, dmax, message, source, tmp_path, monkeypatch):
@@ -440,16 +438,20 @@ def test_linear_factor_cap_admits_presets_and_readme():
         assert st.linear_factors(MAX_DMAX) <= MAX_LINEAR_FACTORS, st
     # O(64), the largest degree the cap admits, still runs at --dmax 1
     assert SplittingType(1, (64,), ()).linear_factors(1) == MAX_LINEAR_FACTORS
-    # every preset stays admitted at --dmax 6 with --with-x (at most 62)
+    # the presets need at most 31 at --dmax 6, with or without --with-x
     presets = [parse_bundle(b, n) for n, b, _ in cli.PRESETS.values()]
-    assert max(2 * st.linear_factors(MAX_DMAX) for st in presets) == 62
+    assert max(st.linear_factors(MAX_DMAX) for st in presets) == 31
 
 
 @pytest.mark.parametrize("bundle, dmax, with_x", [
-    ("O(-33)", 1, True),   # 32 factors, 64 counted: the last admitted with x
-    ("O(-34)", 1, False),  # 33, refused with x only
-    ("O(-11)", 3, True),   # 32 factors, 64 counted
-    ("O(5)", 6, True),     # the quintic at --dmax 6, 62 counted
+    ("O(-33)", 1, True),   # 32 factors
+    ("O(-34)", 1, False),  # 33
+    ("O(-11)", 3, True),   # 32
+    ("O(5)", 6, True),     # the quintic at --dmax 6, 31
+    # x counts once, so the cap admits as many factors with --with-x as without
+    ("O(-11)", 6, True),   # 65
+    ("O(-66)", 1, True),   # 65
+    ("O(64)", 1, True),    # 65
 ])
 def test_linear_factor_cap_admits_with_x(bundle, dmax, with_x, monkeypatch):
     refuse_builds(monkeypatch)
@@ -580,164 +582,20 @@ def test_compute_usage_errors():
     assert code == 2
 
 
-def test_compute_cache(tmp_path):
-    cache = str(tmp_path / "cache")
-    argv = ["compute", "--preset", "multicover", "--order", "3",
-            "--format", "json", "--cache", cache]
-    code1, out1, _ = run(argv)
-    assert code1 == 0
-    files = os.listdir(cache)
-    assert len(files) == 1
-    code2, out2, _ = run(argv)
-    assert code2 == 0 and out2 == out1
-    # a stale version is never trusted
-    path = os.path.join(cache, files[0])
-    with open(path) as fh:
-        payload = json.load(fh)
-    payload["version"] = "0.0.0"
-    payload["document"]["K"] = ["999/1"]
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    code3, out3, _ = run(argv)
-    assert code3 == 0 and out3 == out1
-
-
-def _poisoned_document(**fields):
-    """The stored payload with document fields replaced (None deletes)."""
-    def poison(payload):
-        document = payload["document"]
-        for key, value in fields.items():
-            if value is None:
-                del document[key]
-            else:
-                document[key] = value
-        return payload
-    return poison
-
-
-def _edited_checks(edit):
-    """The stored payload with its checks edited, in the sorted order the
-    store writes them.  The checks are derived from the case, never read
-    back, so no such edit can be a hit."""
-    def poison(payload):
-        checks = payload["document"]["checks"]
-        edit(checks)
-        payload["document"]["checks"] = dict(sorted(checks.items()))
-        return payload
-    return poison
-
-
-@pytest.mark.parametrize("payload", [
-    [1, 2],
-    {"version": __version__, "document": [1, 2]},
-    _poisoned_document(K=["1/0", "1/8", "1/27"]),
-    _poisoned_document(K=[5, "1/8", "1/27"]),
-    _poisoned_document(n_d=None),
-    _edited_checks(lambda checks: checks.update(canonical_form=False)),
-    _edited_checks(lambda checks: checks.pop("multicover_roundtrip")),
-    _edited_checks(lambda checks: checks.update(dual_route_agreement=True)),
-    pytest.param("[" * 200000 + "]" * 200000, id="nested-too-deep-to-decode"),
-])
-def test_compute_cache_wrong_shape_is_a_miss(tmp_path, payload):
-    for fmt in ("json", "text", "csv"):
-        argv = ["compute", "--preset", "multicover", "--order", "3", "--format", fmt]
-        uncached = run(argv)
-        assert uncached[0] == 0
-        cache = str(tmp_path / fmt)
-        run(argv + ["--cache", cache])
-        (name,) = os.listdir(cache)
-        path = os.path.join(cache, name)
-        with open(path) as fh:
-            stored = json.load(fh)
-        with open(path, "w") as fh:
-            if isinstance(payload, str):  # the raw file text
-                fh.write(payload)
-            else:
-                json.dump(payload(copy.deepcopy(stored)) if callable(payload)
-                          else payload, fh)
-        assert run(argv + ["--cache", cache]) == uncached, fmt
-        # the miss recomputes and overwrites the damaged entry
-        with open(path) as fh:
-            assert json.load(fh) == stored
-
-
-@pytest.mark.parametrize("preset, edit", [
-    ("quintic", _poisoned_document(f_series=None)),
-    ("local-p2", _poisoned_document(f_series=[{"0,0": "1/1"}] * 4)),
-], ids=["CASE1-without", "CASE2-with"])
-def test_compute_cache_f_series_follow_the_case(preset, edit, tmp_path):
-    # the case, not the entry, decides whether there are f-series: an
-    # entry that drops them, or adds them, is a miss
-    argv = ["compute", "--preset", preset, "--order", "3", "--emit", "kd,f-series"]
-    uncached = run(argv)
-    cache = str(tmp_path)
-    run(argv + ["--cache", cache])
-    (name,) = os.listdir(cache)
-    path = os.path.join(cache, name)
-    with open(path) as fh:
-        stored = json.load(fh)
-    with open(path, "w") as fh:
-        json.dump(edit(copy.deepcopy(stored)), fh)
-    assert run(argv + ["--cache", cache]) == uncached
-    with open(path) as fh:
-        assert json.load(fh) == stored
-
-
-def test_compute_cache_hit_prints_requested_spelling(tmp_path):
-    cache = str(tmp_path / "cache")
-    argv = ["compute", "--preset", "p3-concavex", "--format", "json"]
-    _, uncached, _ = run(argv)
-    run(["compute", "--n", "3", "--bundle", "O(-2)+O(2)", "--format", "json",
-         "--cache", cache])
-    code, out, _ = run(argv + ["--cache", cache])
-    assert code == 0 and out == uncached
-    assert json.loads(out)["bundle"] == "O(2)+O(-2)"
-
-
-def test_compute_cache_store_failure_keeps_output(tmp_path, monkeypatch):
-    argv = ["compute", "--preset", "multicover", "--order", "3"]
-    _, uncached, _ = run(argv)
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    code, out, err = run(argv + ["--cache", str(blocker / "cache")])
-    assert code == 0 and out == uncached
-    assert err.count("warning:") == 1
-    # the entry goes through a temp file; a failed rename leaves neither
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_cache_flag_and_env_change_nothing(preset, fmt, tmp_path):
+    # mirrorcalc caches nothing: --cache is accepted with one warning and
+    # MIRRORCALC_CACHE is not read; neither creates the directory
     cache = tmp_path / "cache"
-
-    def refuse(src, dst):
-        raise PermissionError("rename refused")
-    monkeypatch.setattr(os, "replace", refuse)
-    code, out, err = run(argv + ["--cache", str(cache)])
-    assert code == 0 and out == uncached
-    assert "warning: result not cached: rename refused" in err
-    assert os.listdir(cache) == []
-
-
-def test_compute_cache_hit_carries_no_scaling(tmp_path, monkeypatch):
-    # the document holds no F0, so a rebuilt result must not invent one
-    rebuilt = []
-    original = cli._result_from_document
-
-    def spy(document, st):
-        result = original(document, st)
-        rebuilt.append(result)
-        return result
-    monkeypatch.setattr(cli, "_result_from_document", spy)
-    argv = ["compute", "--preset", "quintic", "--order", "3", "--cache", str(tmp_path)]
-    _, uncached, _ = run(argv)
-    code, out, _ = run(argv)
-    assert code == 0 and out == uncached
-    assert rebuilt[-1] is not None and rebuilt[-1].order == 3
-    assert rebuilt[-1].scaling is None
-
-
-def test_compute_cache_env_var(tmp_path):
-    cache = str(tmp_path / "envcache")
-    code, _, _ = run(["compute", "--preset", "multicover", "--order", "2"],
-                     env={"MIRRORCALC_CACHE": cache})
-    assert code == 0
-    assert len(os.listdir(cache)) == 1
+    argv = ["compute", "--preset", preset, "--format", fmt]
+    code, out, err = run(argv)
+    assert code == 0 and out
+    warning = "warning: --cache is ignored: mirrorcalc no longer caches results\n"
+    for _ in range(2):
+        assert run(argv + ["--cache", str(cache)]) == (code, out, warning + err)
+    assert run(argv, env={"MIRRORCALC_CACHE": str(cache)}) == (code, out, err)
+    assert not cache.exists()
 
 
 def test_config_file_defaults(tmp_path):
@@ -753,13 +611,23 @@ def test_config_file_defaults(tmp_path):
     assert json.loads(out)["order"] == 2
 
 
-def test_config_cache_key(tmp_path):
+def test_cache_flag_is_hidden_from_help(capsys):
+    assert run(["compute", "--help"])[0] == 0
+    usage = capsys.readouterr().out
+    assert "--decimal" in usage and "--cache" not in usage
+
+
+def test_config_cache_key(tmp_path, monkeypatch):
+    # the cache key went with the cache: it is an unknown key like any other
+    refuse_builds(monkeypatch)
     cfg = tmp_path / "mirrorcalc.conf"
     cache = tmp_path / "cfgcache"
     cfg.write_text(f"cache = {cache}\norder = 2\n")
-    code, _, _ = run(["compute", "--preset", "multicover", "--config", str(cfg)])
-    assert code == 0
-    assert len(os.listdir(cache)) == 1
+    code, out, err = run(["compute", "--preset", "multicover", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:1: unknown config key 'cache' " \
+                  "(known: order, format, emit, dmax, decimal)\n"
+    assert not cache.exists()
 
 
 def test_config_file_syntax_error(tmp_path):
@@ -780,7 +648,7 @@ def test_config_rejects_unknown_key(tmp_path, argv, monkeypatch):
     code, out, err = run(argv + ["--config", str(cfg)])
     assert code == 2 and out == ""
     assert err == f"error: {cfg}:2: unknown config key 'bogus' " \
-                  "(known: order, format, emit, dmax, cache, decimal)\n"
+                  "(known: order, format, emit, dmax, decimal)\n"
 
 
 def test_config_rejects_unknown_format(tmp_path, monkeypatch):

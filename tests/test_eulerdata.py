@@ -21,7 +21,7 @@ from mirrorcalc.eulerdata import (EulerDataClosed, EulerDataError, EulerDataTabl
                                   check_gluing, check_linked, check_mirror_linked,
                                   check_reciprocity,
                                   endpoint_weights_data, lagrange_map,
-                                  mirror_transform, restrict, to_table)
+                                  mirror_transform, to_table)
 from mirrorcalc.pipeline import build_hypergeom_series, compute_normalization
 from mirrorcalc.qseries import ScalarQSeries
 
@@ -47,26 +47,26 @@ def test_hypergeom_rule_multicover():
     data = build_hypergeom_data(MULTICOVER)
     ring = data.ring
     kappa, alpha = ring.var("kappa"), ring.var("alpha")
-    assert data.polynomial(2) == (kappa - alpha) ** 2
+    assert data.factors(2).expand().num == (kappa - alpha) ** 2
 
 
 def test_hypergeom_rule_local_p2():
     data = build_hypergeom_data(LOCAL_P2)
     ring = data.ring
     kappa, alpha = ring.var("kappa"), ring.var("alpha")
-    assert data.polynomial(1) == (-3 * kappa + alpha) * (-3 * kappa + 2 * alpha)
+    assert data.factors(1).expand().num == (-3 * kappa + alpha) * (-3 * kappa + 2 * alpha)
 
 
 def test_hypergeom_rule_convex():
     data = build_hypergeom_data(LINE_P1)
     ring = data.ring
     kappa, alpha = ring.var("kappa"), ring.var("alpha")
-    assert data.polynomial(1) == kappa * (kappa - alpha)
+    assert data.factors(1).expand().num == kappa * (kappa - alpha)
 
 
 def test_hypergeom_trivial_bundle():
     data = build_hypergeom_data(SplittingType(1, (), ()))
-    assert data.polynomial(3) == data.ring.one
+    assert data.factors(3).expand().num == data.ring.one
 
 
 def test_hypergeom_total_degree():
@@ -77,7 +77,7 @@ def test_hypergeom_total_degree():
             for d in (1, 2):
                 expected = (sum(l * d + 1 for l in st.convex)
                             + sum(k * d - 1 for k in st.concave))
-                assert max(map(sum, data.polynomial(d).terms)) == expected
+                assert max(map(sum, data.factors(d).expand().num.terms)) == expected
 
 
 def test_omega_class_values():
@@ -91,31 +91,33 @@ def test_restrict_values():
     local = build_hypergeom_data(LOCAL_P2)
     ring = local.ring
     lam0, alpha = ring.var("lam0"), ring.var("alpha")
-    assert restrict(local, 1, 0, 0) == RationalFunction(
+    assert to_table(local, 1).entry(1, 0, 0) == RationalFunction(
         (-3 * lam0 + alpha) * (-3 * lam0 + 2 * alpha))
 
     multi = build_hypergeom_data(MULTICOVER)
     # P_2 at kappa = lam0 + alpha collapses to lam0^2 by hand
     lam0m = multi.ring.var("lam0")
-    assert restrict(multi, 2, 0, 1) == RationalFunction(lam0m * lam0m)
+    assert to_table(multi, 2).entry(2, 0, 1) == RationalFunction(lam0m * lam0m)
 
     endpoint = endpoint_weights_data(2)
     ring = endpoint.ring
+    tbl = to_table(endpoint, 3)
     for d in (1, 2, 3):
         for i in (0, 1):
             lam = ring.var(f"lam{i}")
             expected = (lam + d * ring.var("alpha")) * lam
-            assert restrict(endpoint, d, i, d) == RationalFunction(expected)
+            assert tbl.entry(d, i, d) == RationalFunction(expected)
 
 
 def test_restrict_rejects_bad_indices():
+    # closed-form data is indexed by d >= 1 and its class by 0 <= i <= n
     data = build_hypergeom_data(MULTICOVER)
     with pytest.raises(EulerDataError):
-        restrict(data, 1, 0, 2)
+        data.factors(0)
     with pytest.raises(EulerDataError):
-        restrict(data, 0, 0, 0)
+        data.omega_restriction(5)
     with pytest.raises(EulerDataError):
-        restrict(data, 1, 5, 0)
+        to_table(data, 0)
 
 
 def test_to_table_multicover_d1():
@@ -456,8 +458,8 @@ def test_factored_reports_match_the_expanded_oracle(case, with_x):
 
 
 def test_checks_on_factored_tables_expand_nothing(monkeypatch):
-    # gluing, reciprocity and the degree bound run on the factors; only
-    # a printed witness, linking or the public accessors expand a value
+    # every check runs on the factors, linking too, where no summand is
+    # formed; only a printed witness or the public accessors expand a value
     calls = []
     expand = Factored.expand
     monkeypatch.setattr(Factored, "expand", lambda self: calls.append(1) or expand(self))
@@ -466,6 +468,7 @@ def test_checks_on_factored_tables_expand_nothing(monkeypatch):
             tbl = to_table(build_hypergeom_data(st, with_x=with_x), 3)
             for check in (check_gluing, check_reciprocity, check_degree_bound):
                 check(tbl)
+            assert check_mirror_linked(tbl, cli._linking_shift(st, 3, with_x)).all_pass
     assert calls == []
     tbl.entry(1, 0, 0)
     tbl.entry(1, 0, 0)
@@ -500,6 +503,10 @@ def test_vanishing_denominator_factor_is_inconclusive():
         (1, 0, "inconclusive", "denominator involves alpha: lam0 - lam1 - alpha"),
         (1, 1, "pass", "deg=0 bound=0")]
     assert [(r.d, r.i, r.r) for r in gluing.failures] == [(1, 0, 1), (2, 0, 1)]
+    # linking decides on the factors what it decides on the expansions
+    linking = check_mirror_linked(factored, ScalarQSeries.q(2))
+    assert linking.to_json() == check_mirror_linked(expanded_table, ScalarQSeries.q(2)).to_json()
+    assert [(r.d, r.i, r.r, r.witness) for r in linking.inconclusive] == [(1, 0, 1, zero)]
     with pytest.raises(algebra.SubstitutionError, match=zero):
         factored.value(1, 0, 0).substitute({"alpha": factored.ring.var("lam0")
                                             - factored.ring.var("lam1")})

@@ -250,12 +250,13 @@ def test_series_blocks_match_symbolic_restrictions():
     # polynomial (lam_i renamed to H, truncated by nilpotency); that
     # product is a unit, so this pins the block itself.  The domain, all 9
     # critical bundles at d <= 4, is enumerated exhaustively.
-    from mirrorcalc.eulerdata import build_hypergeom_data, restrict
+    from mirrorcalc.eulerdata import build_hypergeom_data, to_table
 
     for st in CRITICAL_BUNDLES:
         n, order = st.n, 4
         data = build_hypergeom_data(st)
         ring = data.ring
+        tbl = to_table(data, order)
         lam_idx = ring.index["lam0"]
         alpha_idx = ring.index["alpha"]
         series = build_hypergeom_series(st, order)
@@ -263,7 +264,7 @@ def test_series_blocks_match_symbolic_restrictions():
             block = {(i, series.degrees[d] - i): c
                      for i, c in enumerate(series.cells[d]) if c}
             expected = {}
-            for exp, coeff in restrict(data, d, 0, 0).num.terms.items():
+            for exp, coeff in tbl.entry(d, 0, 0).num.terms.items():
                 i, k = exp[lam_idx], exp[alpha_idx]
                 if i <= n:
                     expected[(i, k)] = coeff
