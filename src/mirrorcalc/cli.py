@@ -20,9 +20,7 @@ import sys
 from .bundles import CRITICAL_BUNDLES, SplittingType
 from .eulerdata import (build_hypergeom_data, check_degree_bound, check_gluing,
                         check_mirror_linked, check_reciprocity, to_table)
-from .pipeline import (build_hypergeom_series, compute_normalization, run_pipeline,
-                       unsupported_reason)
-from .qseries import ScalarQSeries
+from .pipeline import run_pipeline, unsupported_reason
 
 EMIT_CHOICES = ("kd", "nd", "mirror-map", "f-series", "checks")
 FORMAT_CHOICES = ("text", "json", "csv")
@@ -31,7 +29,7 @@ CONFIG_KEYS = ("order", "format", "emit", "dmax", "decimal")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
 # largest --order of compute and --dmax of verify, from a flag or a
 # config; compute --preset quintic takes 0.55 s at --order 100 (run_pipeline
-# 5.4 s at 200), verify linking on the quintic 0.28 s at --dmax 6, 0.55 s at 8
+# 5.4 s at 200), verify linking on the quintic 0.16 s at --dmax 6, 0.21 s at 8
 MAX_ORDER = 100
 MAX_DMAX = 6
 # largest --decimal of compute, from a flag or a config; K_d has <= 324 integer
@@ -41,7 +39,7 @@ MAX_DECIMAL = 1000
 # P_dmax in verify, with or without --with-x.  Every check acts on the
 # factors.  Fresh-process runs on P^12 of O(-11) at --dmax 6 (65 factors)
 # take 0.2-0.3 s for gluing, 0.9-1.2 s for reciprocity, 0.2 s for the
-# degree bound and 1.0-1.4 s for linking, with and without --with-x.
+# degree bound and 0.5-0.6 s for linking, with and without --with-x.
 # The presets need at most 31.  It also bounds every bundle degree of
 # verify; compute admits only the critical types, whose degrees are all <= 5.
 MAX_LINEAR_FACTORS = 65
@@ -379,11 +377,9 @@ def _cmd_verify(args, out):
         raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {factors} linear factors; "
                          f"verify is limited to <= {MAX_LINEAR_FACTORS}")
     table = to_table(build_hypergeom_data(st, with_x=args.with_x), d_max)
-    if args.check == "linking":
-        report = check_mirror_linked(table, _linking_shift(st, d_max, args.with_x))
-    else:
-        report = {"gluing": check_gluing, "reciprocity": check_reciprocity,
-                  "degree-bound": check_degree_bound}[args.check](table)
+    check = {"gluing": check_gluing, "reciprocity": check_reciprocity,
+             "linking": check_mirror_linked, "degree-bound": check_degree_bound}[args.check]
+    report = check(table)
     if fmt == "json":
         out.write(report.to_json(indent=2) + "\n")
     else:
@@ -394,14 +390,6 @@ def _cmd_verify(args, out):
         for r in report.failures + report.inconclusive:
             out.write(f"  d={r.d} i={r.i} r={r.r} {r.status}: {r.witness}\n")
     return 0 if report.all_pass else 1
-
-
-def _linking_shift(st, d_max, with_x):
-    """The shift used to exhibit a nontrivial mirror transform: the
-    canonical one for critical types, a unit one-term shift otherwise."""
-    if not with_x and unsupported_reason(st) is None:
-        return compute_normalization(build_hypergeom_series(st, d_max), st)[1]
-    return ScalarQSeries.q(d_max)
 
 
 def _cmd_list_critical(args, out):

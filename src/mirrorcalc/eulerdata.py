@@ -10,20 +10,23 @@ An invertible class Omega supplies the d = 0 entry, and "bar" on
 restrictions flips the sign of alpha only.
 
 ``to_table`` keeps every restriction, and every Omega restriction, as a
-``Factored`` value: a constant times linear forms.  Gluing, reciprocity
-and the degree bound multiply, bar, substitute and compare the forms
-and expand nothing; a value is expanded, once, only where a
-RationalFunction is needed: ``entries``, ``entry``, a sum that linking
-forms, and a printed witness, which is the one the same operations
-give on the expanded values.  A table of RationalFunctions, such as
-``lagrange_map`` builds, goes through the same checks unexpanded.
+``Factored`` value: a constant times linear forms.  Gluing, reciprocity,
+linking and the degree bound multiply, bar, substitute and compare the
+forms and expand nothing; a value is expanded, once, only where a
+RationalFunction is needed: ``entries``, ``entry`` (and so
+``restriction_sequence`` and ``check_linked``) and a printed witness,
+which is the one the same operations give on the expanded values.  A
+table of RationalFunctions, such as ``lagrange_map`` builds, goes
+through the same checks unexpanded.
 
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
 records each identity through ``_verdict``: "pass", "fail" with a
 witness, or "inconclusive" when a substitution hits a vanishing
-denominator.  The mirror transform is one per-point recursion with
-alpha a polynomial value: the variable in ``mirror_transform``, each
-linking binding alpha = (lam_i - lam_j)/d in ``check_mirror_linked``.
+denominator.  ``mirror_transform`` runs over the variable alpha.  Every
+summand it adds to P_d(lam_i) carries lam_i - lam_j - d*alpha, so
+``check_mirror_linked`` decides linking in closed form: at the binding
+alpha = (lam_i - lam_j)/d it compares P_d(lam_i) with
+(bar(Omega)/Omega) * P_d(lam_i), and runs no transform.
 """
 
 from __future__ import annotations
@@ -399,19 +402,12 @@ def lagrange_map(seq):
     return EulerDataTable(seq.n, seq.d_max, seq.ring, entries, omega)
 
 
-def _product_factor(ring, n, i, r, d, alpha):
-    """prod_{j=0..n} prod_{m=r+1..d} (lam_i - lam_j - m*alpha), alpha a
-    polynomial; zero, not expanded, at the first linear factor that
-    vanishes."""
-    lam_i, factors = ring.var(f"lam{i}"), []
-    # m = d first: at a linking binding the vanishing factor has m = d
-    for m, j in itertools.product(range(d, r, -1), range(n + 1)):
-        factors.append(lam_i - ring.var(f"lam{j}") - m * alpha)
-        if factors[-1].is_zero():
-            return ring.zero
-    # multiplied j by j, which keeps the partial products sparse
-    by_j = (factors[j::n + 1] for j in range(n + 1))
-    return math.prod(itertools.chain.from_iterable(by_j), start=ring.one)
+def _product_factor(ring, n, i, r, d):
+    """prod_{j=0..n} prod_{m=r+1..d} (lam_i - lam_j - m*alpha), multiplied
+    j by j, which keeps the partial products sparse."""
+    lam_i, alpha = ring.var(f"lam{i}"), ring.var("alpha")
+    return math.prod((lam_i - ring.var(f"lam{j}") - m * alpha
+                      for j in range(n + 1) for m in range(d, r, -1)), start=ring.one)
 
 
 def _shift_series(shift, d_max):
@@ -425,59 +421,17 @@ def _shift_series(shift, d_max):
     return g
 
 
-def _transform_at(n, i, alpha, value, f, g, powers):
-    """d -> the mirror transform at p_i, memoized; alpha is a polynomial,
-    the variable or a binding, at which value(d) (the restriction at
-    p_i) and f are given, and powers = mirror_powers(g).  The e^(dg)
-    redistribution gives primed(d), then u = e^((f - lam_i*g)/alpha)
-    gives out(d).  A summand whose product factor vanishes is not
-    formed, and a value is expanded only when it enters a summand, so
-    where none is formed out(d) is value(d) as given.
-    """
-    ring = alpha.ring
-    lam_i, alpha_rf = RationalFunction(ring.var(f"lam{i}")), RationalFunction(alpha)
-    combined = functools.cache(lambda s: (f[s] - lam_i * g[s]) / alpha_rf)
-    factor = functools.cache(lambda r, d: _product_factor(ring, n, i, r, d, alpha))
-
-    @functools.cache
-    def u(d):
-        if d == 0:
-            return RationalFunction(ring.one)
-        acc = RationalFunction(ring.zero)
-        for s in range(1, d + 1):
-            if not combined(s).is_zero():
-                acc = acc + combined(s) * u(d - s) * s
-        return acc * Fraction(1, d)
-
-    @functools.cache
-    def primed(d):
-        acc = value(d)
-        for r in range(d):
-            coeff = powers[r][d]
-            if coeff and not factor(r, d).is_zero():
-                acc = acc + coeff * expanded(value(r)) * factor(r, d)
-        return acc
-
-    @functools.cache
-    def out(d):
-        acc = primed(d)
-        for r in range(d):
-            if not factor(r, d).is_zero() and not u(d - r).is_zero():
-                acc = acc + u(d - r) * primed(r) * factor(r, d)
-        return acc
-
-    return out
-
-
 def mirror_transform(seq, multiplier=None, shift=None):
     """Transform a restriction sequence by e^(f/alpha) and t -> t + g.
 
     ``shift`` (g) is a scalar q-series with rational coefficients and
     zero constant term; ``multiplier`` (f) is a list of coefficients,
     rational functions in (lam, alpha), also with zero constant term.
-    The two recursions of ``_transform_at`` are applied in order: first
-    the e^(dg) redistribution, then the series e^(f/alpha - p*g/alpha)
-    restricted at p = lam_i.  Linked values are preserved.
+    Two recursions are applied in order at each p_i: first the e^(dg)
+    redistribution gives primed(d), then the series
+    u = e^(f/alpha - lam_i*g/alpha) gives the transformed value.  Every
+    summand that either recursion adds to B_d(lam_i) carries the factor
+    prod_j (lam_i - lam_j - d*alpha), so linked values are preserved.
     """
     n, d_max, ring = seq.n, seq.d_max, seq.ring
     g = _shift_series(shift, d_max)
@@ -486,28 +440,39 @@ def mirror_transform(seq, multiplier=None, shift=None):
     if not f[0].is_zero():
         raise EulerDataError("multiplier series must have zero constant term")
 
-    alpha, powers = ring.var("alpha"), mirror_powers(g)
-    out = [_transform_at(n, i, alpha, lambda d, i=i: seq.value(d, i), f, g, powers)
-           for i in range(n + 1)]
-    values = {(d, i): out[i](d) for d in range(d_max + 1) for i in range(n + 1)}
+    alpha, powers = RationalFunction(ring.var("alpha")), mirror_powers(g)
+    zero, out = RationalFunction(ring.zero), []
+    for i in range(n + 1):
+        lam_i = RationalFunction(ring.var(f"lam{i}"))
+        combined = [(f[s] - lam_i * g[s]) / alpha for s in range(d_max + 1)]
+        factor = functools.cache(functools.partial(_product_factor, ring, n, i))
+        u, primed, out_i = [RationalFunction(ring.one)], [], []
+        for d in range(1, d_max + 1):
+            u.append(sum((combined[s] * u[d - s] * s for s in range(1, d + 1)
+                          if not combined[s].is_zero()), zero) * Fraction(1, d))
+        for d in range(d_max + 1):
+            primed.append(sum((powers[r][d] * seq.value(r, i) * factor(r, d) for r in range(d)
+                               if powers[r][d]), seq.value(d, i)))
+            out_i.append(sum((u[d - r] * primed[r] * factor(r, d) for r in range(d)
+                              if not u[d - r].is_zero()), primed[d]))
+        out.append(out_i)
+    values = {(d, i): out[i][d] for d in range(d_max + 1) for i in range(n + 1)}
     return RestrictionSequence(n, d_max, ring, values)
 
 
-def check_mirror_linked(table, shift):
-    """The report of check_linked(table, lagrange_map(mirror_transform(
-    table.restriction_sequence(), None, shift))), built at each binding:
-    substitution is a ring map, so ``_transform_at`` runs on the
-    substituted degree-zero slice, where every summand carries
-    lam_i - lam_j - d*alpha and is never formed.
+def check_mirror_linked(table):
+    """Linking of a table with its mirror transforms, in closed form: the
+    verdicts of check_linked(table, lagrange_map(mirror_transform(
+    table.restriction_sequence(), None, g))) for every shift g.  Every
+    summand the transform adds to P_d(lam_i) carries lam_i - lam_j -
+    d*alpha, which vanishes at the binding alpha = (lam_i - lam_j)/d;
+    there the transformed value is P_d(lam_i), and the Lagrange map's
+    degree-zero entry is (bar(Omega)/Omega) * P_d(lam_i).
     """
-    ring, g = table.ring, _shift_series(shift, table.d_max)
-    powers, f = mirror_powers(g), [RationalFunction(ring.zero)] * (table.d_max + 1)
-
     def sides(form, d, i, binding):
-        """at(d) and (bar(Omega)/Omega) * out(d) at the binding."""
-        at = functools.cache(lambda r: form(table.value(r, i, 0)).substitute(binding))
         omega = form(table.value(0, i, 0))
         scale = (bar_involution(omega) / omega).substitute(binding)
-        return at(d), scale * _transform_at(table.n, i, binding["alpha"], at, f, g, powers)(d)
+        at = form(table.value(d, i, 0)).substitute(binding)
+        return at, scale * at
 
     return _linking_report(table, sides)

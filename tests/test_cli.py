@@ -265,7 +265,7 @@ def test_compute_csv_rejects_f_series():
 def refuse_builds(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the build started")
-    for name in ("build_hypergeom_data", "build_hypergeom_series", "run_pipeline"):
+    for name in ("build_hypergeom_data", "run_pipeline"):
         monkeypatch.setattr(cli, name, refuse)
 
 

@@ -468,7 +468,7 @@ def test_checks_on_factored_tables_expand_nothing(monkeypatch):
             tbl = to_table(build_hypergeom_data(st, with_x=with_x), 3)
             for check in (check_gluing, check_reciprocity, check_degree_bound):
                 check(tbl)
-            assert check_mirror_linked(tbl, cli._linking_shift(st, 3, with_x)).all_pass
+            assert check_mirror_linked(tbl).all_pass
     assert calls == []
     tbl.entry(1, 0, 0)
     tbl.entry(1, 0, 0)
@@ -504,8 +504,8 @@ def test_vanishing_denominator_factor_is_inconclusive():
         (1, 1, "pass", "deg=0 bound=0")]
     assert [(r.d, r.i, r.r) for r in gluing.failures] == [(1, 0, 1), (2, 0, 1)]
     # linking decides on the factors what it decides on the expansions
-    linking = check_mirror_linked(factored, ScalarQSeries.q(2))
-    assert linking.to_json() == check_mirror_linked(expanded_table, ScalarQSeries.q(2)).to_json()
+    linking = check_mirror_linked(factored)
+    assert linking.to_json() == check_mirror_linked(expanded_table).to_json()
     assert [(r.d, r.i, r.r, r.witness) for r in linking.inconclusive] == [(1, 0, 1, zero)]
     with pytest.raises(algebra.SubstitutionError, match=zero):
         factored.value(1, 0, 0).substitute({"alpha": factored.ring.var("lam0")
@@ -564,80 +564,127 @@ def test_linked_mirror_transform():
     assert check_linked(tbl, lagrange_map(transformed)).all_pass
 
 
+def composite_linked(tbl, shift):
+    """The linking report of tbl against its mirror transform by shift,
+    on the composite route."""
+    return check_linked(tbl, lagrange_map(mirror_transform(tbl.restriction_sequence(), None, shift)))
+
+
 def test_linked_fails_when_transform_factor_stops_short(monkeypatch):
     # a mutated mirror transform whose product factor runs m = r+1..d-1,
-    # dropping the (lam_i - lam_j - d*alpha) factors: no result may pass,
-    # on the composite route or at each binding
-    def short_factor(ring, n, i, r, d, alpha):
-        lam_i = ring.var(f"lam{i}")
+    # dropping the (lam_i - lam_j - d*alpha) factors: no result may pass
+    def short_factor(ring, n, i, r, d):
+        lam_i, alpha = ring.var(f"lam{i}"), ring.var("alpha")
         return math.prod((lam_i - ring.var(f"lam{j}") - m * alpha
                           for j in range(n + 1) for m in range(r + 1, d)), start=ring.one)
 
     monkeypatch.setattr(eulerdata, "_product_factor", short_factor)
     tbl = to_table(build_hypergeom_data(LOCAL_P2), 3)
     _, shift = compute_normalization(build_hypergeom_series(LOCAL_P2, 3), LOCAL_P2)
-    transformed = mirror_transform(tbl.restriction_sequence(), None, shift)
-    for report in (check_linked(tbl, lagrange_map(transformed)), check_mirror_linked(tbl, shift)):
-        assert len(report.results) == 18
-        assert all(r.status == "fail" for r in report.results)
+    report = composite_linked(tbl, shift)
+    assert len(report.results) == 18
+    assert all(r.status == "fail" for r in report.results)
 
 
 # sha1 prefix of the `mirrorcalc verify linking` stdout (the report's
-# to_json(indent=2) and a newline) on the composite route of check_linked,
-# lagrange_map and mirror_transform, for P^n at --dmax d_max; the same
-# with and without --with-x, since every result passes
+# to_json(indent=2) and a newline) for P^n at --dmax d_max; the same with
+# and without --with-x, since every result passes.  --dmax 1-4 come from
+# the composite route of check_linked, lagrange_map and mirror_transform,
+# 5 and 6 from a check that ran the transform at each binding
 LINKING_DIGESTS = {
     (1, 1): "88a77b3b211f", (1, 2): "2c5785384d50", (1, 3): "7b1e3f992ae7", (1, 4): "cbc55b178966",
+    (1, 5): "3c149dce28cd", (1, 6): "654fe23ee5ab",
     (2, 1): "a28b16fc1e6c", (2, 2): "d10319bdea20", (2, 3): "f0ac9192c2a0", (2, 4): "866931687fc9",
+    (2, 5): "94b84cdf9fee", (2, 6): "c08ca19b5b45",
     (3, 1): "bf9e16c06f61", (3, 2): "bc1356b32602", (3, 3): "c28f7c1ebcd5", (3, 4): "0fe5d9b3a917",
+    (3, 5): "051296e7b03b", (3, 6): "3d717da284ce",
     (4, 1): "0ab3551a4d95", (4, 2): "bf564d077255", (4, 3): "9faee9c9403a", (4, 4): "9a5b392d52bb",
+    (4, 5): "2c295b8e83d1", (4, 6): "de581d0a39f5",
 }
 
 
 @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
 def test_mirror_linked_matches_composite(preset):
-    # the binding route gives the composite's report byte for byte: live
-    # at --dmax <= 2, and through the composite's pinned digests at 1-4
+    # the closed form gives the composite's report byte for byte: live at
+    # --dmax <= 2, with the canonical shift for the critical type and a
+    # unit one-term shift with x, and through the pinned digests at 1-6
     # (the composite takes up to 35 s per preset at --dmax 4)
     n, bundle, _ = cli.PRESETS[preset]
     st = cli.parse_bundle(bundle, n)
     for with_x in (False, True):
-        for d_max in (1, 2, 3, 4):
+        for d_max in range(1, cli.MAX_DMAX + 1):
             tbl = to_table(build_hypergeom_data(st, with_x=with_x), d_max)
-            shift = cli._linking_shift(st, d_max, with_x)
-            text = check_mirror_linked(tbl, shift).to_json(indent=2)
+            text = check_mirror_linked(tbl).to_json(indent=2)
             digest = hashlib.sha1((text + "\n").encode()).hexdigest()
             assert digest[:12] == LINKING_DIGESTS[(n, d_max)], (with_x, d_max)
             if d_max <= 2:
-                transformed = mirror_transform(tbl.restriction_sequence(), None, shift)
-                assert text == check_linked(tbl, lagrange_map(transformed)).to_json(indent=2)
+                shift = (ScalarQSeries.q(d_max) if with_x else
+                         compute_normalization(build_hypergeom_series(st, d_max), st)[1])
+                assert text == composite_linked(tbl, shift).to_json(indent=2)
 
 
-def test_mirror_linked_forms_no_summand(monkeypatch):
-    # at alpha = (lam_i - lam_j)/d every product factor with r < d holds
-    # lam_i - lam_j - d*alpha, so each one comes back zero, unexpanded
-    product_factor, seen = eulerdata._product_factor, []
+@hs.composite
+def linking_cases(draw):
+    """A splitting type on P^1..P^3 with degrees <= 4, d_max in {1, 2},
+    with_x, and a shift g with rational coefficients and g_0 = 0."""
+    st = draw(hs.builds(SplittingType, hs.integers(1, 3),
+                        hs.lists(hs.integers(1, 4), max_size=2),
+                        hs.lists(hs.integers(1, 4), max_size=2)))
+    d_max = draw(hs.integers(1, 2))
+    coeff = hs.fractions(min_value=-5, max_value=5, max_denominator=6)
+    shift = [0] + draw(hs.lists(coeff, min_size=d_max, max_size=d_max))
+    return st, d_max, draw(hs.booleans()), shift
 
-    def recording_factor(*args):
-        seen.append(product_factor(*args))
-        return seen[-1]
 
-    monkeypatch.setattr(eulerdata, "_product_factor", recording_factor)
+@settings(max_examples=25, deadline=None)
+@given(linking_cases())
+def test_mirror_linked_matches_composite_on_random_shifts(case):
+    st, d_max, with_x, shift = case
+    tbl = to_table(build_hypergeom_data(st, with_x=with_x), d_max)
+    assert check_mirror_linked(tbl).to_json() == composite_linked(tbl, shift).to_json()
+
+
+def test_mirror_linked_fails_where_omega_involves_alpha():
+    # a hand-built table whose Omega at p_1 carries lam1 + alpha, so that
+    # bar(Omega)/Omega is not 1: linking fails at i = 1 and nowhere else,
+    # as on the composite route; with no shift the witnesses agree too,
+    # while a shift leaves the composite's residues less reduced
+    tbl = to_table(build_hypergeom_data(LOCAL_P2), 2)
+    ring = tbl.ring
+    omega = {i: tbl.value(0, i, 0) for i in range(3)}
+    omega[1] = omega[1] * Factored(ring, [ring.var("lam1") + ring.var("alpha")])
+    entries = {key: tbl.value(*key) for key in _grid(2, range(3), _upto)}
+    hand_built = EulerDataTable(2, 2, ring, entries, omega)
+    report = check_mirror_linked(hand_built)
+    assert {(r.d, r.i) for r in report.failures} == {(1, 1), (2, 1)}
+    assert len(report.failures) == 4 and not report.inconclusive
+    assert report.to_json() == composite_linked(hand_built, None).to_json()
+    shifted = composite_linked(hand_built, [0, 2, 1])
+    assert [r.status for r in shifted.results] == [r.status for r in report.results]
+
+
+def test_mirror_linked_runs_no_transform(monkeypatch):
+    # the closed form needs neither the q-series powers of a shift nor a
+    # product factor of the transform
+    def refuse(*args):
+        raise AssertionError("the mirror transform ran")
+
+    monkeypatch.setattr(eulerdata, "mirror_powers", refuse)
+    monkeypatch.setattr(eulerdata, "_product_factor", refuse)
     st = SplittingType(4, (5,), ())
-    tbl = to_table(build_hypergeom_data(st, with_x=True), 4)
-    assert check_mirror_linked(tbl, compute_normalization(build_hypergeom_series(st, 4), st)[1]).all_pass
-    # one factor per r < d at each of the 20 (i, j) pairs of each d
-    assert len(seen) == 20 * (1 + 2 + 3 + 4) and all(p.is_zero() for p in seen)
-    assert not product_factor(tbl.ring, 4, 0, 0, 4, tbl.ring.var("alpha")).is_zero()
+    for with_x in (False, True):
+        tbl = to_table(build_hypergeom_data(st, with_x=with_x), 4)
+        report = check_mirror_linked(tbl)
+        assert report.all_pass and len(report.results) == 4 * 5 * 4
 
 
-def test_mirror_linked_checks_the_shift():
+def test_mirror_transform_checks_the_shift():
     tbl = to_table(build_hypergeom_data(LOCAL_P2), 3)
     with pytest.raises(EulerDataError, match="truncated below d_max"):
-        check_mirror_linked(tbl, ScalarQSeries.q(2))
+        mirror_transform(tbl.restriction_sequence(), None, ScalarQSeries.q(2))
     with pytest.raises(EulerDataError, match="zero constant term"):
-        check_mirror_linked(tbl, [1, 1])
-    assert check_mirror_linked(tbl, None).to_json() == check_linked(tbl, tbl).to_json()
+        mirror_transform(tbl.restriction_sequence(), None, [1, 1])
+    assert check_mirror_linked(tbl).to_json() == check_linked(tbl, tbl).to_json()
 
 
 def test_linked_detects_shift():
