@@ -3,9 +3,10 @@ rational functions over Q.
 
 The variable universe of a session is fixed up front: the torus weights
 lam0..lamN, the loop-rotation weight alpha, the ambient hyperplane class
-kappa, and an inert extension variable x.  Values are immutable after
-construction and all operations are pure, so they are safe to share
-between workers.
+kappa, and an inert extension variable x.  Every ``substitute`` binds
+exactly one of them, given as a one-entry ``{name: value}`` mapping.
+Values are immutable after construction and all operations are pure,
+so they are safe to share between workers.
 
 A polynomial is integers over one denominator: packed int keys (one
 fixed-width field per exponent, the total degree on top) mapped to int
@@ -28,10 +29,8 @@ and memoizes their substitutions in its ``FormTable``, which only grows.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -51,11 +50,11 @@ class AlgebraError(ValueError):
 
 
 class SubstitutionError(ZeroDivisionError):
-    """A substitution drove a denominator to zero; carries the symbol name."""
+    """A substitution drove a denominator to zero; carries the bound name."""
 
-    def __init__(self, symbol, message=None):
+    def __init__(self, symbol):
         self.symbol = symbol
-        super().__init__(message or f"substitution for '{symbol}' produced a zero denominator")
+        super().__init__(f"substitution for '{symbol}' produced a zero denominator")
 
 
 def _as_fraction(value):
@@ -148,6 +147,21 @@ def _canonical(ring, acc, den):
         ints = {k: c // g for k, c in ints.items()}
         den //= g
     return _poly(ring, ints, den)
+
+
+def _binding(ring, bindings):
+    """(index, value) of a one-entry {name: value} substitution in ring,
+    a constant value as a Polynomial; AlgebraError on any other mapping."""
+    if len(bindings) != 1:
+        raise AlgebraError(f"a substitution binds exactly one variable, not {len(bindings)}")
+    [(name, value)] = bindings.items()
+    if name not in ring.index:
+        raise AlgebraError(f"unknown variable '{name}'")
+    if isinstance(value, (int, Fraction)):
+        value = ring.const(value)
+    if not isinstance(value, Polynomial) or value.ring != ring:
+        raise AlgebraError(f"a binding must be a Polynomial or a constant of {ring}")
+    return ring.index[name], value
 
 
 class Polynomial(ExactValue):
@@ -273,48 +287,30 @@ class Polynomial(ExactValue):
     # -- substitution ---------------------------------------------------
 
     def substitute(self, bindings):
-        """Simultaneous substitution with polynomial (or constant) values.
-
-        Unbound variables pass through unchanged.  Terms are grouped by
-        the exponents of the bound variables; each group is one product
-        of cached powers of the values, shifted by the unbound rest.
-        """
+        """Substitution of a polynomial (or constant) value for one
+        variable: the terms, grouped by their exponent e of it, each group
+        with the variable dropped and times the cached power value**e."""
         ring = self.ring
-        bound = []
-        for name, val in bindings.items():
-            if name not in ring.index:
-                raise AlgebraError(f"unknown variable '{name}'")
-            if isinstance(val, (int, Fraction)):
-                val = ring.const(val)
-            if val.ring != ring:
-                raise AlgebraError("binding from a different ring")
-            bound.append((ring.shifts[ring.index[name]], [ring.one, val]))
-        if not bound:
-            return self
-        mask = sum(FIELD_MASK << shift for shift, _ in bound)
-        groups = {}  # the bound fields of a key -> the terms that share them
+        v, value = _binding(ring, bindings)
+        shift = ring.shifts[v]
+        unit = (1 << ring.top) | (1 << shift)  # the key of the variable
+        groups = {}  # exponent e -> the terms that have it
         for k, c in self.ints.items():
-            groups.setdefault(k & mask, {})[k] = c
-        products = []
-        for sel, group in groups.items():
-            exps = [(sel >> shift) & FIELD_MASK for shift, _ in bound]
-            for e, (_, powers) in zip(exps, bound):
-                while len(powers) <= e:
-                    powers.append(powers[-1] * powers[1])
-            factor = functools.reduce(operator.mul,
-                                      [powers[e] for e, (_, powers) in zip(exps, bound)])
-            products.append((factor, sel + (sum(exps) << ring.top), group))
-        den = math.lcm(*(factor.den for factor, _, _ in products))
+            groups.setdefault((k >> shift) & FIELD_MASK, {})[k] = c
+        powers = [ring.one, value]
+        while len(powers) <= max(groups, default=0):
+            powers.append(powers[-1] * value)
+        den = math.lcm(*(powers[e].den for e in groups))
         acc = {}
         get = acc.get
-        for factor, drop, group in products:
-            scale = den // factor.den
-            # each key k of the group becomes k - drop + fk
-            shifted = [(fk - drop, fc * scale) for fk, fc in factor.ints.items()]
+        for e, group in groups.items():
+            scale = den // powers[e].den
+            # each key k of the group becomes k - e * unit + pk
+            shifted = [(pk - e * unit, pc * scale) for pk, pc in powers[e].ints.items()]
             for k, c in group.items():
-                for fk, fc in shifted:
-                    key = k + fk
-                    acc[key] = get(key, 0) + c * fc
+                for pk, pc in shifted:
+                    key = k + pk
+                    acc[key] = get(key, 0) + c * pc
         return _canonical(ring, acc, self.den * den)
 
     # -- rendering ------------------------------------------------------
@@ -407,15 +403,11 @@ class RationalFunction(ExactValue):
         return NotImplemented
 
     def substitute(self, bindings):
-        """Substitute polynomials/constants into num and den.
-
-        Raises SubstitutionError when the denominator collapses to zero.
-        """
-        num = self.num.substitute(bindings)
-        den = self.den.substitute(bindings)
+        """Substitute a polynomial or constant for one variable in num and
+        den; SubstitutionError when the denominator collapses to zero."""
+        num, den = self.num.substitute(bindings), self.den.substitute(bindings)
         if den.is_zero():
-            offender = ", ".join(sorted(bindings))
-            raise SubstitutionError(offender)
+            raise SubstitutionError(*bindings)
         return RationalFunction(num, den)
 
     def alpha_degrees(self):
@@ -450,8 +442,8 @@ class FormTable:
 
     A form is a tuple of coprime ints, one per ring variable, whose
     first nonzero entry is positive; a value refers to it by its index
-    in ``forms``.  ``images`` memoizes substitutions: one map per
-    binding, from a form's index to the (g, index) of its image.
+    in ``forms``.  ``images`` memoizes substitutions: one map per binding
+    v -> L/q, keyed (v, L, q), from a form's index to its image's (g, index).
     """
 
     def __init__(self):
@@ -555,25 +547,15 @@ class Factored:
                 and _merge(self.num, other.den) == _merge(other.num, self.den))
 
     def substitute(self, bindings):
-        """Simultaneous substitution of homogeneous linear Polynomials,
-        form by form; SubstitutionError when a denominator form vanishes."""
-        ring = self.ring
-        bound = []
-        for name, val in bindings.items():
-            if name not in ring.index:
-                raise AlgebraError(f"unknown variable '{name}'")
-            if not isinstance(val, Polynomial) or val.ring != ring:
-                raise AlgebraError("factored values bind linear polynomials of their ring")
-            bound.append((ring.index[name], *_linear(val)))
-        q = math.lcm(*(b for _, _, b in bound))
-        # over the common denominator q each binding of v is the nonzero
-        # (w, b) of q * value; a form f goes to (q * f with each f[v] * v
-        # replaced by f[v] * q * value) / q = g/q * forms[i], (g, i) the
-        # normal of that numerator
-        scaled = tuple((v, tuple((w, c * (q // b)) for w, c in enumerate(ints) if c))
-                       for v, ints, b in bound)
-        table = ring.forms
-        images = table.images.setdefault((q, scaled), {})
+        """Substitution of a homogeneous linear Polynomial L/q (L integral,
+        q > 0) for one variable v, form by form: f goes to (q*f + f[v] *
+        (L - q*e_v)) / q = g/q * forms[i], (g, i) the normal of that
+        numerator; SubstitutionError when a denominator form vanishes."""
+        ring, table = self.ring, self.ring.forms
+        v, value = _binding(ring, bindings)
+        ints, q = _linear(value)
+        images = table.images.setdefault((v, tuple(ints), q), {})
+        ints[v] -= q  # L - q*e_v
         parts, gains = ({}, {}), [1, 1]
         for side in (1, 0):  # the denominator first: it decides SubstitutionError
             out, gain = parts[side], 1
@@ -581,17 +563,12 @@ class Factored:
                 image = images.get(i)
                 if image is None:
                     form = table.forms[i]
-                    ints = [c * q for c in form]
-                    for v, _ in scaled:
-                        ints[v] = 0
-                    for v, pairs in scaled:
-                        for w, b in pairs:
-                            ints[w] += form[v] * b
-                    image = images[i] = table.normal(ints)
+                    image = images[i] = table.normal([q * c + form[v] * w
+                                                      for c, w in zip(form, ints)])
                 g, j = image
                 if j is None:
                     if side:
-                        raise SubstitutionError(", ".join(sorted(bindings)))
+                        raise SubstitutionError(ring.names[v])
                     return _factored(ring, Fraction(0), {}, {})
                 out[j] = out.get(j, 0) + e
                 gain *= g if e == 1 else g ** e

@@ -97,9 +97,15 @@ def parse_bundle(text, n):
         for piece, message in _EXPECTED.items():
             if not term[piece]:
                 raise BundleParseError(message, term.start(piece))
-            if piece == "degree" and not int(term[piece]):
-                raise BundleParseError("O(0) not concavex", term.start(piece))
-        (concave if term["sign"] == "-" else convex).append(int(term["degree"]))
+            if piece == "degree":
+                try:
+                    degree = int(term[piece])
+                except ValueError:  # more digits than CPython converts
+                    raise BundleParseError("degree has too many digits",
+                                           term.start(piece)) from None
+                if not degree:
+                    raise BundleParseError("O(0) not concavex", term.start(piece))
+        (concave if term["sign"] == "-" else convex).append(degree)
         pos, plus = term.end(), term["plus"]
     if pos < len(text):
         raise BundleParseError("expected '+' between terms", pos)
@@ -430,6 +436,11 @@ def run_command(argv, out=None, err=None):
 
 
 def main():
+    # a closed stdout ends the process by SIGPIPE, as it ends cat; signal is
+    # imported here so that importing this module does not load it
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -230,17 +230,7 @@ class ScalarQSeries(ExactValue):
         return result
 
     def __str__(self):
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                parts.append(str(c))
-            elif d == 1:
-                parts.append(f"{c}*q")
-            else:
-                parts.append(f"{c}*q^{d}")
-        return " + ".join(parts) if parts else "0"
+        return str(TSeries.from_scalar(self))
 
 
 def mirror_powers(g):

@@ -5,6 +5,9 @@ import io
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -361,6 +364,31 @@ def test_integers_past_the_conversion_limit_exit_2(argv, tmp_path, monkeypatch):
     cfg.write_text(f"order = -{big}\n")
     assert run(["compute", "--preset", "local-p2", "--config", str(cfg)]) == (
         2, "", f"error: config value order = -{big[:11]}... has too many digits\n")
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_bundle_degrees_past_the_conversion_limit_are_parse_errors(sign, monkeypatch):
+    # the grammar admits ASCII digits only, so the 4300-digit limit is the
+    # one way int() fails on a degree
+    refuse_builds(monkeypatch)
+    assert run(["verify", "gluing", "--n", "1", "--bundle", f"O({sign}{'9' * 5000})"]) == (
+        2, "", f"parse error: degree has too many digits (at position {2 + len(sign)})\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_by_sigpipe():
+    # the console entry writing to a pipe whose reader has gone ends as
+    # cat does, by SIGPIPE, and reports no internal error
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(cli.__file__).resolve().parents[1]
+    try:
+        proc = subprocess.run([sys.executable, "-c", "from mirrorcalc.cli import main; main()",
+                               "list-critical"], stdout=write, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
 
 
 @pytest.mark.parametrize("argv, message", [
