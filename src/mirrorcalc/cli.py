@@ -2,17 +2,18 @@
 commands, and exact output emission in text, json or csv.
 
 Exit codes: 0 success (all checks passing), 1 check failures in
-verification mode, 2 usage or parse errors, 3 an internal error (a
-failed internal identity or any other defect).  Rationals are never
-printed as floating point; an optional --decimal column adds an exact
-decimal expansion for display.  ``compute`` runs the pipeline on every
-call: nothing is cached, and --cache is accepted, ignored and warned
-about until it is removed.
+verification mode, 2 usage or parse errors or an unwritable output, 3
+an internal error (a failed internal identity or any other defect).
+Rationals are never printed as floating point; an optional --decimal
+column adds an exact decimal expansion for display.  ``compute`` runs
+the pipeline on every call: nothing is cached, and --cache is accepted,
+ignored and warned about until it is removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import sys
@@ -373,14 +374,16 @@ def _cmd_compute(args, out, err):
     return 0
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args, out, err):
     config = load_config(args.config) if args.config else {}
     d_max = _int_option(args.dmax, config, "dmax", 4, 1, MAX_DMAX)
     fmt = _format_option(args.format, config, "json", VERIFY_FORMATS)
     st = _read_bundle(args.bundle, _integer(args.n, "--n"))
     factors = st.linear_factors(d_max)
     if factors > MAX_LINEAR_FACTORS:
-        raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {factors} linear factors; "
+        # a count past CPython's 4300-digit int-to-str limit is not printed
+        count = factors if factors <= 10 ** 20 else "more than 10^20"
+        raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {count} linear factors; "
                          f"verify is limited to <= {MAX_LINEAR_FACTORS}")
     table = to_table(build_hypergeom_data(st, with_x=args.with_x), d_max)
     check = {"gluing": check_gluing, "reciprocity": check_reciprocity,
@@ -398,7 +401,7 @@ def _cmd_verify(args, out):
     return 0 if report.all_pass else 1
 
 
-def _cmd_list_critical(args, out):
+def _cmd_list_critical(args, out, err):
     rows = [(st.n, str(st)) for st in CRITICAL_BUNDLES]
     if args.format == "json":
         out.write(json.dumps([{"n": n, "bundle": b} for n, b in rows], indent=2) + "\n")
@@ -421,18 +424,22 @@ def run_command(argv, out=None, err=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    text = io.StringIO()  # out is written only below, once the command has succeeded
     try:
-        if args.command == "compute":
-            return _cmd_compute(args, out, err)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        return _cmd_list_critical(args, out)
+        code = {"compute": _cmd_compute, "verify": _cmd_verify,
+                "list-critical": _cmd_list_critical}[args.command](args, text, err)
     except UsageError as exc:
         err.write(f"{exc.label}: {exc}\n")
         return 2
     except Exception as exc:  # a defect, not bad input: exit 3, never a traceback
         err.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
+    try:
+        print(text.getvalue(), end="", file=out, flush=True)
+    except OSError as exc:  # a full disk, say; a closed pipe ends main by SIGPIPE
+        err.write(f"error: cannot write output: {exc.strerror or exc}\n")
+        return 2
+    return code
 
 
 def main():

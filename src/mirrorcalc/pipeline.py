@@ -129,8 +129,8 @@ def g1_closed_form(st, order):
 def frobenius_basis(series, st):
     """Read the solution basis off the series: f_i is the alpha^(-i) part
     of the H^(h+i) coefficient, (-1)^i/c * sum_j (-t)^j/j! S_(h+i-j)
-    + t^i/i!, and f_0 and f_1 = f_0*t + g_1 are cross-checked against
-    their closed forms."""
+    + t^i/i!, and f_0 and f_1 = g_1 + f_0*t (the rows [g_1, f_0]) are
+    cross-checked against their closed forms."""
     if classify(st) is not PipelineCase.CASE1 or not st.is_critical:
         raise PipelineError("Frobenius basis applies to critical convex types only")
     om = omega_class(st)
@@ -147,9 +147,7 @@ def frobenius_basis(series, st):
         raise PipelineError("f_0 acquired t-dependence")
     if f0.t_coefficient(0) != f0_closed_form(st, order):
         raise PipelineError("f_0 disagrees with its closed form")
-    expected_f1 = (TSeries.from_scalar(f0.t_coefficient(0)) * TSeries.t_monomial(order)
-                   + TSeries.from_scalar(g1_closed_form(st, order)))
-    if basis[1] != expected_f1:
+    if basis[1] != TSeries.from_rows(order, [g1_closed_form(st, order), f0.t_coefficient(0)]):
         raise PipelineError("f_1 disagrees with f_0*t + g_1")
     return basis
 
@@ -305,7 +303,8 @@ def recompose_multicover(n_values):
 # t0_consistency in extract_euler_numbers, then multicover_roundtrip.
 # CASE1 adds the Frobenius route: frobenius_closed_forms in
 # frobenius_basis, scaling_match and mirror_map_match, then
-# phi_t_independent and dual_route_agreement in the prepotential route.
+# phi_t_independent (the Frobenius shape of the f_i, which makes the
+# prepotential t-free) and dual_route_agreement in the prepotential route.
 CHECKS = ("homogeneity", "alpha_purity", "canonical_form", "t_degree_bound",
           "t0_consistency", "multicover_roundtrip")
 FROBENIUS_CHECKS = ("frobenius_closed_forms", "scaling_match", "mirror_map_match",
@@ -374,17 +373,16 @@ def run_pipeline(st, order):
 
 def _mirror_conjecture_route(f_basis, st, inv_f0, shift, powers):
     """K_d from the prepotential (c/2)(f1 f2/f0^2 - f3/f0) - (c/6)T^3,
-    which must be t-free once T = t + g is subtracted off; it is
-    sum_d K_d Q^d, read off the table powers = mirror_powers(shift).
-    inv_f0 is 1/f_0, the scaling F0 that run_pipeline has matched."""
-    _, f1, f2, f3 = f_basis
-    order = shift.order
-    c = omega_class(st).scalar
-    script_f = (f1 * f2 * TSeries.from_scalar(inv_f0 * inv_f0)
-                - f3 * TSeries.from_scalar(inv_f0)) * (c / 2)
-    T = TSeries.t_monomial(order) + TSeries.from_scalar(shift)
-    phi = script_f - T ** 3 * (c / 6)
-    if phi.t_degree() > 0:
-        raise PipelineError("prepotential retains polynomial t-dependence")
-    return _solve_from_weighted_sum(phi.t_coefficient(0), powers, order,
-                                    lambda d: Fraction(1))
+    T = t + g, read off powers = mirror_powers(shift).  With a_k the t^0
+    row of f_k, the Frobenius shape f_i = sum_(j<=i) t^j/j! a_(i-j) gives
+    F1 F2 - F3 - T^3/3 = b_1 b_2 - b_3 - g^3/3 for F_i = f_i/a_0 and
+    b_k = a_k/a_0; run_pipeline has matched b_1 = g and inv_f0 = 1/a_0, so
+    the prepotential is the t-free (c/2)(g b_2 - b_3) - (c/6) g^3."""
+    order, c = shift.order, omega_class(st).scalar
+    a = [f.t_coefficient(0) for f in f_basis]
+    for i, f in enumerate(f_basis):
+        if f != TSeries.from_rows(order, [a[i - j] * Fraction(1, math.factorial(j))
+                                          for j in range(i + 1)]):
+            raise PipelineError(f"f_{i} breaks the Frobenius shape in t")
+    phi = (shift * (a[2] * inv_f0) - a[3] * inv_f0) * (c / 2) - shift * shift * shift * (c / 6)
+    return _solve_from_weighted_sum(phi, powers, order, lambda d: Fraction(1))

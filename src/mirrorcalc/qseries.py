@@ -349,14 +349,6 @@ class TSeries(ExactValue):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise SeriesError("powers must be nonnegative integers")
-        result = TSeries(self.order, {(0, 0): Fraction(1)})
-        for _ in range(k):
-            result = result * self
-        return result
-
     def t_coefficient(self, j):
         return self.rows[j] if 0 <= j < len(self.rows) else ScalarQSeries.zero(self.order)
 

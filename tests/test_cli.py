@@ -1,6 +1,7 @@
 """Command-line surface: grammar, presets, formats, determinism,
 exit codes and config handling."""
 
+import errno
 import io
 import json
 import os
@@ -391,6 +392,47 @@ def test_closed_stdout_ends_by_sigpipe():
     assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
 
 
+class FullDisk(io.StringIO):
+    """A stdout whose write, or only whose flush, fails as a full disk does."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["list-critical"],
+    ["compute", "--preset", "multicover", "--order", "2"],
+    ["verify", "gluing", "--n", "1", "--bundle", "O(-1)+O(-1)", "--dmax", "1"],
+])
+def test_unwritable_output_exits_2(argv, failing):
+    out, err = FullDisk(failing), io.StringIO()
+    assert run_command(argv, out=out, err=err) == 2
+    assert err.getvalue().endswith("error: cannot write output: No space left on device\n")
+    assert "internal error" not in err.getvalue()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_full_disk_exits_2():
+    src = Path(cli.__file__).resolve().parents[1]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", "from mirrorcalc.cli import main; main()",
+                               "list-critical"], stdout=full, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        2, b"error: cannot write output: No space left on device\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["compute", "--preset", "local-p2", "--order", "-1"], "--order must be >= 1"),
     (["compute", "--preset", "local-p2", "--decimal", "-1"], "--decimal must be >= 0"),
@@ -453,6 +495,21 @@ def test_linear_factor_cap(argv, dmax, message, source, tmp_path, monkeypatch):
     code, out, err = run(argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}; verify is limited to <= {MAX_LINEAR_FACTORS}\n"
+
+
+@pytest.mark.parametrize("degree, dmax, count", [
+    ("9" * 4300, 4, "more than 10^20"),   # 4 * (10^4300 - 1) + 1 factors
+    ("-" + "9" * 4300, 4, "more than 10^20"),
+    ("9" * 20, 1, str(10 ** 20)),           # the largest count printed
+    ("9" * 21, 1, "more than 10^20"),
+], ids=["4300-digits", "4300-digits-concave", "count-10^20", "count-past-10^20"])
+def test_linear_factor_count_is_compared_before_it_is_printed(degree, dmax, count, monkeypatch):
+    # a degree of 4300 digits still converts to an int, but its factor
+    # count has more digits than CPython converts to a str
+    refuse_builds(monkeypatch)
+    argv = ["verify", "gluing", "--n", "1", "--bundle", f"O({degree})", "--dmax", str(dmax)]
+    assert run(argv) == (2, "", f"error: O({degree}) at --dmax {dmax} gives P_dmax {count} "
+                                f"linear factors; verify is limited to <= {MAX_LINEAR_FACTORS}\n")
 
 
 def test_linear_factor_cap_admits_presets_and_readme():

@@ -11,7 +11,7 @@ import mirrorcalc
 from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType, omega_class
 from mirrorcalc.cohomseries import homogeneity_violations, integrate_pn, scale_by
 from mirrorcalc.pipeline import (PipelineCase, PipelineError, _normalized_columns,
-                                 build_hypergeom_series,
+                                 _solve_from_weighted_sum, build_hypergeom_series,
                                  canonical_alpha_degrees, classify,
                                  compute_normalization, extract_euler_numbers,
                                  f0_closed_form, frobenius_basis, g1_closed_form,
@@ -103,8 +103,10 @@ def _picard_fuchs(st, f):
     return lhs - rhs.mul_q()
 
 
-@pytest.mark.parametrize("st", [st for st in CRITICAL_BUNDLES
-                                if classify(st) is PipelineCase.CASE1], ids=str)
+CASE1_CRITICAL = [st for st in CRITICAL_BUNDLES if classify(st) is PipelineCase.CASE1]
+
+
+@pytest.mark.parametrize("st", CASE1_CRITICAL, ids=str)
 def test_picard_fuchs_annihilates_basis(st):
     basis = run_pipeline(st, 6).f_basis
     assert len(basis) == 4 and basis[3].t_degree() == 3
@@ -116,6 +118,70 @@ def test_frobenius_rejects_concave():
     series = build_hypergeom_series(LOCAL_P2, 2)
     with pytest.raises(PipelineError):
         frobenius_basis(series, LOCAL_P2)
+
+
+def reference_prepotential_route(f_basis, st, inv_f0, shift):
+    """K_d the long way: the prepotential (c/2)(f1 f2/f0^2 - f3/f0)
+    - (c/6)T^3, T = t + g, built from t-series products, must be t-free,
+    and its t^0 row is sum_d K_d Q^d."""
+    _, f1, f2, f3 = f_basis
+    order, c = shift.order, omega_class(st).scalar
+    script_f = (f1 * f2 * TSeries.from_scalar(inv_f0 * inv_f0)
+                - f3 * TSeries.from_scalar(inv_f0)) * (c / 2)
+    T = TSeries.t_monomial(order) + TSeries.from_scalar(shift)
+    phi = script_f - T * T * T * (c / 6)
+    assert phi.t_degree() == 0
+    return _solve_from_weighted_sum(phi.t_coefficient(0), mirror_powers(shift), order,
+                                    lambda d: Fraction(1))
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 12, 30])
+@pytest.mark.parametrize("st", CASE1_CRITICAL, ids=lambda st: f"P{st.n}:{st}")
+def test_closed_form_prepotential_matches_the_t_series_route(st, order):
+    result = run_pipeline(st, order)
+    assert reference_prepotential_route(result.f_basis, st, result.scaling,
+                                        result.mirror_shift) == result.K
+
+
+@pytest.mark.parametrize("row", [0, 1, 2, 3])
+def test_prepotential_route_catches_perturbed_f2(row, monkeypatch):
+    # one coefficient of f_2 changed in row 0 (then K disagrees with the
+    # integral route), in row 1 or 2, or in an added row 3 (then f_2
+    # breaks the Frobenius shape)
+    import mirrorcalc.pipeline as pipeline
+
+    basis_of = pipeline.frobenius_basis
+
+    def perturbed(series, st):
+        basis = basis_of(series, st)
+        rows = [basis[2].t_coefficient(j) for j in range(4)]
+        coeffs = list(rows[row].coeffs)
+        coeffs[3] += 1
+        rows[row] = ScalarQSeries(series.order, coeffs)
+        basis[2] = TSeries.from_rows(series.order, rows)
+        return basis
+
+    monkeypatch.setattr(pipeline, "frobenius_basis", perturbed)
+    with pytest.raises(PipelineError):
+        run_pipeline(QUINTIC, 6)
+
+
+def test_run_pipeline_multiplies_no_t_series(monkeypatch):
+    calls = []
+    mul = TSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TSeries, "__mul__", counted)
+    monkeypatch.setattr(TSeries, "__rmul__", counted)
+    for st in CRITICAL_BUNDLES:
+        run_pipeline(st, 6)
+    assert calls == []
+    TSeries.t_monomial(6) * 2
+    assert calls == [2]
+    assert not hasattr(TSeries, "__pow__")
 
 
 def closed_shift(order, sign, factor):
@@ -294,7 +360,7 @@ def test_top_columns_are_the_integral(st):
     assert list(integrated) == [-3]
     T = TSeries.t_monomial(order) + TSeries.from_scalar(shift)
     omega_part = (TSeries.from_scalar(scaling) * TSeries.t_monomial(order, 3)
-                  - T ** 3) * (-om.scalar / 6)
+                  - T * T * T) * (-om.scalar / 6)
     columns = _normalized_columns(series, om, scaling, shift)
     top = TSeries.from_scalar(columns[n]) - T * TSeries.from_scalar(columns[n - 1])
     assert integrated[-3] + omega_part == top
