@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import sys
 
@@ -163,18 +164,15 @@ def _result_document(result, bundle_text, emit):
     return doc
 
 
-def _degree_rows(result, emit, decimal, flag_words):
-    """The cells of each degree d: d, K_d and its decimal, n_d and its
-    integrality flag, spelled flag_words = (integral, not integral)."""
-    for (d, v, flag), k in zip(result.instanton, result.K):
-        row = [str(d)]
-        if "kd" in emit:
-            row.append(str(k))
-            if decimal is not None:
-                row.append(exact_decimal(k, decimal))
-        if "nd" in emit:
-            row += [str(v), flag_words[not flag]]
-        yield row
+def _degree_rows(result, emit, decimal, header, flag_words):
+    """The header, then the cells of each degree d: d, K_d and its
+    decimal, n_d and its integrality flag, spelled flag_words = (integral,
+    not integral); of these, the columns that emit and decimal ask for."""
+    keep = (True, "kd" in emit, "kd" in emit and decimal is not None, "nd" in emit, "nd" in emit)
+    rows = [header] + [[str(d), str(k), "" if decimal is None else exact_decimal(k, decimal),
+                        str(v), flag_words[not flag]]
+                       for (d, v, flag), k in zip(result.instanton, result.K)]
+    return [[cell for cell, kept in zip(row, keep) if kept] for row in rows]
 
 
 def _emit_text(result, bundle_text, emit, decimal, out):
@@ -182,16 +180,10 @@ def _emit_text(result, bundle_text, emit, decimal, out):
     out.write(f"bundle {bundle_text} on P^{st.n}  "
               f"(case {result.case.value}, order {result.order})\n")
     if "kd" in emit or "nd" in emit:
-        header = ["d"]
-        if "kd" in emit:
-            header.append("K_d")
-            if decimal is not None:
-                header.append(f"K_d ({decimal} digits)")
-        if "nd" in emit:
-            header += ["n_d", "integral"]
-        rows = list(_degree_rows(result, emit, decimal, ("yes", "NO")))
-        widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
-        for r in [header] + rows:
+        rows = _degree_rows(result, emit, decimal, ["d", "K_d", f"K_d ({decimal} digits)",
+                                                    "n_d", "integral"], ("yes", "NO"))
+        widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+        for r in rows:
             out.write("  ".join(cell.rjust(w) for cell, w in zip(r, widths)) + "\n")
     if "mirror-map" in emit:
         out.write(f"mirror map shift g: {result.mirror_shift}\n")
@@ -203,19 +195,11 @@ def _emit_text(result, bundle_text, emit, decimal, out):
 
 
 def _emit_csv(result, emit, decimal, out):
-    header = ["d"]
-    if "kd" in emit:
-        header.append("K")
-        if decimal is not None:
-            header.append("K_decimal")
-    if "nd" in emit:
-        header += ["n_d", "n_d_integral"]
-    if "mirror-map" in emit:
-        header.append("mirror_g")
-    out.write(",".join(header) + "\n")
-    for d, row in enumerate(_degree_rows(result, emit, decimal, ("true", "false")), 1):
+    rows = _degree_rows(result, emit, decimal, ["d", "K", "K_decimal", "n_d", "n_d_integral"],
+                        ("true", "false"))
+    for d, row in enumerate(rows):
         if "mirror-map" in emit:
-            row.append(str(result.mirror_shift[d]))
+            row.append(str(result.mirror_shift[d]) if d else "mirror_g")
         out.write(",".join(row) + "\n")
 
 
@@ -424,21 +408,22 @@ def run_command(argv, out=None, err=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    text = io.StringIO()  # out is written only below, once the command has succeeded
+    text, notes = io.StringIO(), io.StringIO()  # out and err, written once the command returns
     try:
         code = {"compute": _cmd_compute, "verify": _cmd_verify,
-                "list-critical": _cmd_list_critical}[args.command](args, text, err)
+                "list-critical": _cmd_list_critical}[args.command](args, text, notes)
     except UsageError as exc:
-        err.write(f"{exc.label}: {exc}\n")
+        err.write(f"{notes.getvalue()}{exc.label}: {exc}\n")
         return 2
     except Exception as exc:  # a defect, not bad input: exit 3, never a traceback
-        err.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        err.write(f"{notes.getvalue()}internal error: {type(exc).__name__}: {exc}\n")
         return 3
     try:
         print(text.getvalue(), end="", file=out, flush=True)
     except OSError as exc:  # a full disk, say; a closed pipe ends main by SIGPIPE
         err.write(f"error: cannot write output: {exc.strerror or exc}\n")
         return 2
+    err.write(notes.getvalue())
     return code
 
 
@@ -448,7 +433,13 @@ def main():
     import signal
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    try:  # a failed write leaves bytes in a buffered stdout that fail again at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:  # so drop them: point fd 1 at the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -416,19 +416,41 @@ class FullDisk(io.StringIO):
     ["verify", "gluing", "--n", "1", "--bundle", "O(-1)+O(-1)", "--dmax", "1"],
 ])
 def test_unwritable_output_exits_2(argv, failing):
+    # compute's note says values were emitted, so it is not printed either
     out, err = FullDisk(failing), io.StringIO()
     assert run_command(argv, out=out, err=err) == 2
-    assert err.getvalue().endswith("error: cannot write output: No space left on device\n")
-    assert "internal error" not in err.getvalue()
+    assert err.getvalue() == "error: cannot write output: No space left on device\n"
+
+
+def test_stderr_follows_stdout_and_precedes_an_error():
+    # on one terminal the note comes after the table, as it is written after
+    # the output; a warning is still printed before a usage error
+    both = io.StringIO()
+    argv = ["compute", "--preset", "multicover", "--order", "2", "--cache", "unused"]
+    assert run_command(argv, out=both, err=both) == 0
+    code, out, err = run(argv)
+    assert both.getvalue() == out + err
+    assert err.startswith("warning: --cache is ignored") and "\nnote: values" in err
+    assert run(argv + ["--decimal", "-1"]) == (2, "", err.splitlines(True)[0]
+                                               + "error: --decimal must be >= 0\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
-def test_full_disk_exits_2():
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["list-critical"],
+                                  ["compute", "--preset", "multicover", "--order", "2"]],
+                         ids=["list-critical", "compute"])
+def test_full_disk_exits_2(argv, buffering):
+    # buffered, the bytes that failed to write stay in stdout's buffer, and
+    # a second failure at interpreter exit would turn exit 2 into 120
     src = Path(cli.__file__).resolve().parents[1]
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-c", "from mirrorcalc.cli import main; main()",
-                               "list-critical"], stdout=full, stderr=subprocess.PIPE,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+                               *argv], stdout=full, stderr=subprocess.PIPE,
+                              env={**env, "PYTHONPATH": str(src)}, timeout=60)
     assert (proc.returncode, proc.stderr) == (
         2, b"error: cannot write output: No space left on device\n")
 
