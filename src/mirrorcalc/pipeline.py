@@ -7,10 +7,11 @@ each from the previous one; classify the bundle; normalize it into
 canonical form with a scalar rescaling F0 = c/(c + S_h) and a coordinate
 shift t -> t + g, g = -S_(h+1)/(c + S_h), both in closed form from the
 columns S_i = sum_d sigma_d[i] q^d (c H^h = omega_class(st)); build the
-normalized columns N_i once, check canonical form (N_i = 0 for i <= n-2)
-and read the K_d off the integral over P^n, N_n - (t+g) N_(n-1), with N_n
-an exact consistency assertion; and invert K_d to n_d by the cubic
-multiple-cover relation.  f_0 is inverted once, in the normalization.
+normalized columns N_h..N_n by Horner's rule in g, check canonical form
+(N_i = 0 for i <= n-2) and read the K_d off the integral over P^n,
+N_n - (t+g) N_(n-1), with N_n an exact consistency assertion; and invert
+K_d to n_d by the cubic multiple-cover relation, on ints.  f_0 is
+inverted once, in the normalization.
 """
 
 from __future__ import annotations
@@ -108,22 +109,25 @@ def build_hypergeom_series(st, order):
 
 
 def f0_closed_form(st, order):
-    """sum_d prod_a (l_a d)! / (d!)^(n+1) q^d."""
-    return ScalarQSeries(order, [Fraction(math.prod(math.factorial(l * d) for l in st.convex),
-                                          math.factorial(d) ** (st.n + 1))
-                                 for d in range(order + 1)])
+    """sum_d prod_a (l_a d)! / (d!)^(n+1) q^d, as the ints
+    (D!/d!)^(n+1) prod_a (l_a d)! over (D!)^(n+1)."""
+    top = math.factorial(order)
+    ints = [(top // math.factorial(d)) ** (st.n + 1)
+            * math.prod(math.factorial(l * d) for l in st.convex) for d in range(order + 1)]
+    return ScalarQSeries._reduced(order, ints, top ** (st.n + 1))
 
 
 def g1_closed_form(st, order):
     """sum_d prod_a (l_a d)!/(d!)^(n+1) * sum_a l_a (H[l_a d] - H[d]) q^d,
-    H[m] = sum_{k<=m} 1/k."""
+    H[m] = sum_{k<=m} 1/k, on f_0's ints and H's over L = lcm(1..l_max D)."""
     f0 = f0_closed_form(st, order)
-    H = [Fraction(0)]
-    for m in range(1, max(st.convex, default=0) * order + 1):
-        H.append(H[-1] + Fraction(1, m))
-    return ScalarQSeries(order, [Fraction(0)] + [
-        f0[d] * sum((l * (H[l * d] - H[d]) for l in st.convex), Fraction(0))
-        for d in range(1, order + 1)])
+    top = max(st.convex, default=0) * order
+    L, H = math.lcm(*range(1, top + 1)), [0]
+    for m in range(1, top + 1):
+        H.append(H[-1] + L // m)
+    return ScalarQSeries._reduced(order, [0] + [
+        f0.ints[d] * sum(l * (H[l * d] - H[d]) for l in st.convex)
+        for d in range(1, order + 1)], f0.den * L)
 
 
 def frobenius_basis(series, st):
@@ -177,23 +181,23 @@ def compute_normalization(series, st):
 
 
 def _normalized_columns(series, om, scaling, shift):
-    """{i: q-series}: the x^i coefficients of
-    F0 * e^(xg) * (c x^h + S(x)) - c x^h for min(h, 0) <= i <= n, where
-    the cell x^i sits at alpha-degree h - i (delta_d = h when critical)."""
+    """{i: q-series}: for h <= i <= n the x^i coefficient N_i of
+    F0 * e^(xg) * (c x^h + S(x)) - c x^h, at alpha-degree h - i, and for
+    0 <= i < h the raw S_i, which vanish: sigma_d carries x^P (l*x - 0
+    per convex l) and h = P - N <= P.  So N_i = 0 below h, and with
+    A_h = c + S_h, A_i = S_i above, N_(h+k) = F0 sum_(j<=k) g^j/j!
+    A_(h+k-j) - c [k = 0], by Horner's rule in g.  F0 is a unit and g(0)
+    = 0, so a nonzero S_i below h shows first at the q^d where N_i would."""
     c, h, n = om.scalar, om.h_exponent, series.n
-    lo = min(h, 0)
-    target = {i: series.column(i) * scaling for i in range(n + 1)}
-    target[h] = target.get(h, ScalarQSeries.zero(series.order)) + scaling * c
-    powers = [ScalarQSeries.one(series.order)]  # g^j / j!
-    for j in range(1, n - lo + 1):
-        powers.append(powers[-1] * shift * Fraction(1, j))
-    out = {}
-    for i in range(lo, n + 1):
-        acc = ScalarQSeries.zero(series.order) - (c if i == h else 0)
-        for j in range(i - lo + 1):
-            if i - j in target:
-                acc = acc + powers[j] * target[i - j]
-        out[i] = acc
+    out = {i: series.column(i) for i in range(h)}
+    scaled = [(series.column(h) + c) * scaling] + [series.column(i) * scaling
+                                                   for i in range(h + 1, n + 1)]
+    steps = [shift * Fraction(1, j) for j in range(1, n - h + 1)]  # g/j
+    for k in range(n - h + 1):
+        acc = scaled[0]
+        for j in range(1, k + 1):
+            acc = scaled[j] + steps[k - j] * acc
+        out[h + k] = acc - c if k == 0 else acc
     return out
 
 
@@ -214,20 +218,20 @@ def canonical_alpha_degrees(series, st, scaling, shift):
 # K_d extraction and the multiple-cover inversion
 
 
-def _solve_from_weighted_sum(target, powers, order, weight):
-    """Solve target = sum_d weight(d)*K_d*Q^d for the K_d, with
+def _solve_from_weighted_sum(target, powers, order):
+    """Solve target = sum_d d*K_d*Q^d for the K_d, with
     powers = mirror_powers(g) the table of Q^d = q^d e^(dg); the ints ys
-    over den hold weight(d)*K_d / powers[d].den, one dot product per D."""
+    over den hold d*K_d / powers[d].den, one dot product per D."""
     K, ys, den = [], [], 1
     for D in range(1, order + 1):
         dot = sum(y * powers[d].ints[D] for d, y in enumerate(ys, 1))
         val = Fraction(target.ints[D] * den - dot * target.den, target.den * den)
-        K.append(val / weight(D))
+        K.append(val / D)
         den = _append_over(ys, den, val / powers[D].den)
     return K
 
 
-def extract_euler_numbers(series, st, scaling, shift, powers):
+def extract_euler_numbers(series, st, scaling, shift, powers, prepotential=None):
     """Integrate the normalized series over P^n and match it against
     sum_d K_d (2 - d(t+g)) Q^d, Q = q e^g.  The integral is alpha^-3
     times sum_j (-t-g)^j/j! N_(n-j), N the normalized columns; canonical
@@ -235,6 +239,8 @@ def extract_euler_numbers(series, st, scaling, shift, powers):
     K_d recursively, and N_n = 2 sum_d K_d Q^d must then hold exactly.
     ``powers`` is mirror_powers(shift).  The t-degree bound N_i = 0 for
     i <= n - 2 is canonical form: every canonical_alpha_degrees <= -2.
+    A given prepotential sum_d K_d Q^d (the CASE1 dual route) must be
+    N_n / 2 exactly, which, the Q^d expansion being unique, is the same K.
 
     Returns K; any consistency failure raises PipelineError.
     """
@@ -250,11 +256,13 @@ def extract_euler_numbers(series, st, scaling, shift, powers):
     if low:
         raise PipelineError(f"integrated series has t-degree > 1 at q^{min(low)}")
 
-    K = _solve_from_weighted_sum(columns[n - 1], powers, order, Fraction)
+    K = _solve_from_weighted_sum(columns[n - 1], powers, order)
     diff = columns[n] - _combine_rows(powers, K) * 2
     bad = next((d for d, v in enumerate(diff.ints) if v), None)
     if bad is not None:
         raise PipelineError(f"t-constant block disagrees first at q^{bad}")
+    if prepotential is not None and prepotential * 2 != columns[n]:
+        raise PipelineError("prepotential route disagrees with the integral route")
     return K
 
 
@@ -269,29 +277,35 @@ def _combine_rows(powers, weights):
                                                  for column in zip(*rows)], den)
 
 
-def invert_multicover(K):
-    """n_d = K_d - sum over proper divisors via K_d = sum_{k|d} n_{d/k} k^-3.
+def _cubic_convolution(values, weights):
+    """[sum_(k|d) weights[k] values[d/k - 1] / k^3 for d = 1..D] on ints
+    over lcm(denominators) * lcm(k^3, k <= D), where every / k^3 is exact."""
+    D = len(values)
+    cubes = math.lcm(*(k ** 3 for k in range(1, D + 1)))
+    den = math.lcm(*(v.denominator for v in values)) * cubes
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    out = [0] * D
+    for k in range(1, D + 1):
+        if weights[k]:
+            for m in range(1, D // k + 1):
+                out[k * m - 1] += weights[k] * (ints[m - 1] // k ** 3)
+    return [Fraction(v, den) for v in out]
 
-    Returns (d, n_d, is_integral) triples; non-integrality is reported,
-    not rejected.
-    """
-    values = {}
-    out = []
-    for d in range(1, len(K) + 1):
-        val = K[d - 1]
-        for k in range(2, d + 1):
-            if d % k == 0:
-                val -= values[d // k] * Fraction(1, k ** 3)
-        values[d] = val
-        out.append((d, val, val.denominator == 1))
-    return out
+
+def invert_multicover(K):
+    """n_d = sum_(k|d) mu(k) K_(d/k) / k^3, inverting K_d = sum_(k|d)
+    n_(d/k) / k^3, as (d, n_d, is_integral) triples: non-integrality is
+    reported, not rejected."""
+    mu = [0, 1] + [0] * (len(K) - 1)  # sum_(k|d) mu(k) = [d = 1]
+    for i in range(1, len(K) + 1):
+        for j in range(2 * i, len(K) + 1, i):
+            mu[j] -= mu[i]
+    return [(d, v, v.denominator == 1) for d, v in enumerate(_cubic_convolution(K, mu), 1)]
 
 
 def recompose_multicover(n_values):
     """Inverse of invert_multicover, for round-trip checking."""
-    return [sum((n_values[d // k - 1][1] * Fraction(1, k ** 3)
-                 for k in range(1, d + 1) if d % k == 0), Fraction(0))
-            for d in range(1, len(n_values) + 1)]
+    return _cubic_convolution([v for _, v, _ in n_values], [1] * (len(n_values) + 1))
 
 
 # ---------------------------------------------------------------------
@@ -301,10 +315,10 @@ def recompose_multicover(n_values):
 # The names of the identities run_pipeline asserts.  In every case:
 # homogeneity, then alpha_purity, canonical_form (= t_degree_bound) and
 # t0_consistency in extract_euler_numbers, then multicover_roundtrip.
-# CASE1 adds the Frobenius route: frobenius_closed_forms in
-# frobenius_basis, scaling_match and mirror_map_match, then
-# phi_t_independent (the Frobenius shape of the f_i, which makes the
-# prepotential t-free) and dual_route_agreement in the prepotential route.
+# CASE1 adds, before the extraction, frobenius_closed_forms in
+# frobenius_basis, scaling_match, mirror_map_match and phi_t_independent
+# (the Frobenius shape of the f_i, which makes the prepotential t-free),
+# and dual_route_agreement (2 * prepotential == N_n) last in it.
 CHECKS = ("homogeneity", "alpha_purity", "canonical_form", "t_degree_bound",
           "t0_consistency", "multicover_roundtrip")
 FROBENIUS_CHECKS = ("frobenius_closed_forms", "scaling_match", "mirror_map_match",
@@ -352,37 +366,32 @@ def run_pipeline(st, order):
         raise PipelineError("series violates the block homogeneity invariant")
 
     scaling, shift = compute_normalization(series, st)
-    f_basis = None
+    f_basis = prepotential = None
     if case is PipelineCase.CASE1:
         f_basis = frobenius_basis(series, st)
         if (scaling * f_basis[0].t_coefficient(0) != 1
                 or shift != f_basis[1].t_coefficient(0) * scaling):
             raise PipelineError("normalization disagrees with the Frobenius route")
+        prepotential = _mirror_conjecture_route(f_basis, st, scaling, shift)
 
-    powers = mirror_powers(shift)
-    K = extract_euler_numbers(series, st, scaling, shift, powers)
-    if case is PipelineCase.CASE1:
-        if _mirror_conjecture_route(f_basis, st, scaling, shift, powers) != K:
-            raise PipelineError("prepotential route disagrees with the integral route")
-
+    K = extract_euler_numbers(series, st, scaling, shift, mirror_powers(shift), prepotential)
     instanton = invert_multicover(K)
     if recompose_multicover(instanton) != K:
         raise PipelineError("multiple-cover inversion does not recompose to K")
     return PipelineResult(st, order, case, K, instanton, shift, scaling, f_basis)
 
 
-def _mirror_conjecture_route(f_basis, st, inv_f0, shift, powers):
-    """K_d from the prepotential (c/2)(f1 f2/f0^2 - f3/f0) - (c/6)T^3,
-    T = t + g, read off powers = mirror_powers(shift).  With a_k the t^0
-    row of f_k, the Frobenius shape f_i = sum_(j<=i) t^j/j! a_(i-j) gives
-    F1 F2 - F3 - T^3/3 = b_1 b_2 - b_3 - g^3/3 for F_i = f_i/a_0 and
-    b_k = a_k/a_0; run_pipeline has matched b_1 = g and inv_f0 = 1/a_0, so
-    the prepotential is the t-free (c/2)(g b_2 - b_3) - (c/6) g^3."""
+def _mirror_conjecture_route(f_basis, st, inv_f0, shift):
+    """The prepotential (c/2)(f1 f2/f0^2 - f3/f0) - (c/6)T^3 = sum_d K_d Q^d,
+    T = t + g, from the Frobenius rows (not the normalized columns).  With
+    a_k the t^0 row of f_k, the Frobenius shape f_i = sum_(j<=i) t^j/j!
+    a_(i-j) gives F1 F2 - F3 - T^3/3 = b_1 b_2 - b_3 - g^3/3 for
+    F_i = f_i/a_0, b_k = a_k/a_0; run_pipeline has matched b_1 = g and
+    inv_f0 = 1/a_0, so it is the t-free (c/2)(g b_2 - b_3) - (c/6) g^3."""
     order, c = shift.order, omega_class(st).scalar
     a = [f.t_coefficient(0) for f in f_basis]
     for i, f in enumerate(f_basis):
         if f != TSeries.from_rows(order, [a[i - j] * Fraction(1, math.factorial(j))
                                           for j in range(i + 1)]):
             raise PipelineError(f"f_{i} breaks the Frobenius shape in t")
-    phi = (shift * (a[2] * inv_f0) - a[3] * inv_f0) * (c / 2) - shift * shift * shift * (c / 6)
-    return _solve_from_weighted_sum(phi, powers, order, lambda d: Fraction(1))
+    return (shift * (a[2] * inv_f0) - a[3] * inv_f0) * (c / 2) - shift * shift * shift * (c / 6)

@@ -1,7 +1,9 @@
 """Command-line surface: grammar, presets, formats, determinism,
 exit codes and config handling."""
 
+import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -9,16 +11,18 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType
 from mirrorcalc import cli
-from mirrorcalc.cli import (MAX_DECIMAL, MAX_DIMENSION, MAX_DMAX, MAX_LINEAR_FACTORS,
-                            MAX_ORDER, BundleParseError, exact_decimal, parse_bundle, run_command)
+from mirrorcalc.cli import (FORMAT_CHOICES, MAX_DECIMAL, MAX_DIMENSION, MAX_DMAX,
+                            MAX_LINEAR_FACTORS, MAX_ORDER, VERIFY_FORMATS, BundleParseError,
+                            exact_decimal, parse_bundle, run_command)
 from mirrorcalc.pipeline import PipelineError
 
 
@@ -863,3 +867,182 @@ def test_list_critical():
     assert len(out.strip().splitlines()) == 9
     code, out, _ = run(["list-critical", "--format", "csv"])
     assert out.splitlines()[0] == "n,bundle"
+
+
+# ---------------------------------------------------------------------
+# large orders, pinned
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["compute", "--preset", "quintic", "--order", "100", "--format", "json"],
+     "674cbc1f277459604a7b6dbacab4bf84bbfe39e5c1b522d1412f8b97e82e720e"),
+    (["compute", "--preset", "p4-concavex", "--order", "60"],
+     "0233bfce7e0964c834cd00e2eb3b9c22f2ce399e7a47f266de733207cbc42591"),
+], ids=["quintic-100-json", "p4-concavex-60-text"])
+def test_large_order_stdout_is_pinned(argv, digest):
+    # sha256 of stdout as the Fraction-arithmetic pipeline printed it;
+    # the benchmark runs only to order 30
+    code, out, _ = run(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------
+# the exit-code contract, on generated command lines
+
+CONFIG = object()  # stands for the path of the generated config file
+
+# Admitted inputs stay on P^n with n <= 3 and below the order cap, so that
+# each runs in well under 0.1 s.
+SMALL_PRESETS = [name for name, (n, _, _) in cli.PRESETS.items() if n <= 3]
+CRITICAL_SPECS = [("1", "O(-1)+O(-1)"), ("2", "O(-3)"), ("3", "O(2)+O(-2)")]
+# integers at 0, -1, the caps and one past them (half of the draws), past
+# the conversion limit, and non-ASCII digits
+EDGE_INTEGERS = ["0", "-1", "1", "2", "3", *NON_ASCII_DIGITS,
+                 *("9" * k for k in (4299, 4300, 4301))]
+
+
+def edge_integers(*caps):
+    return hs.one_of(hs.sampled_from([str(c + e) for c in caps for e in (1, 0)]),
+                     hs.sampled_from(EDGE_INTEGERS))
+
+
+# --n and --order take their caps (12, 100) only in the tests of their own
+INTEGER_FLAGS = {"--n": hs.one_of(hs.just(str(MAX_DIMENSION + 1)),
+                                  hs.sampled_from(EDGE_INTEGERS)),
+                 "--order": hs.one_of(hs.just(str(MAX_ORDER + 1)),
+                                      hs.sampled_from(EDGE_INTEGERS)),
+                 "--dmax": edge_integers(MAX_DMAX), "--decimal": edge_integers(MAX_DECIMAL)}
+# degrees of 1-3, 60-70 and 4299-4301 digits: a pattern of 1-3 digits
+# repeated to the length, which shrinks fast
+degree_texts = hs.tuples(hs.integers(0, 999).map(str),
+                         hs.sampled_from([1, 2, 3, 60, 65, 70, 4299, 4300, 4301])).map(
+    lambda drawn: (drawn[0] * drawn[1])[:drawn[1]])
+grammar_specs = hs.lists(hs.tuples(hs.sampled_from(["", "-"]), degree_texts),
+                         min_size=1, max_size=3).map(
+    lambda terms: "+".join(f"O({sign}{digits})" for sign, digits in terms))
+config_lines = hs.tuples(hs.sampled_from([*cli.CONFIG_KEYS, "cache", "", "# x"]),
+                         hs.sampled_from(["=", " = ", "", "=="]),
+                         hs.one_of(edge_integers(MAX_ORDER, MAX_DMAX, MAX_DECIMAL),
+                                   hs.sampled_from(["json", "csv", "kd,nd"]),
+                                   hs.text(max_size=6))).map("".join)
+configs = hs.one_of(hs.binary(max_size=40),
+                    hs.lists(config_lines, max_size=4).map(
+                        lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass")))
+FLAG_VALUES = {
+    **INTEGER_FLAGS,
+    "--bundle": hs.one_of(specs, grammar_specs),
+    "--preset": hs.sampled_from([*SMALL_PRESETS, "quartic"]),
+    "--emit": hs.lists(hs.sampled_from([*cli.EMIT_CHOICES, "kd ", "", "nope"]),
+                       max_size=3).map(",".join),
+    "--cache": hs.just("unused"),
+    "--config": hs.sampled_from([CONFIG, "/nonexistent/mirrorcalc.cfg"]),
+    "--format": hs.none(),  # drawn from the command's formats and two others
+    "--with-x": hs.none(),
+    "-h": hs.none(),
+    "--bogus": hs.none(),
+}
+COMMAND_FLAGS = {
+    "compute": ["--preset", "--n", "--bundle", "--order", "--format", "--emit", "--decimal",
+                "--cache", "--config"],
+    "verify": ["--n", "--bundle", "--dmax", "--with-x", "--format", "--config"],
+    "list-critical": ["--format"],
+    "integrate": [],
+}
+
+
+# (command, probe): the flag that takes an edge value
+PROBES = [("compute", "--order"), ("compute", "--decimal"), ("compute", "--n"),
+          ("compute", "--bundle"), ("verify", "--dmax"), ("verify", "--n"),
+          ("verify", "--bundle"), ("list-critical", None), ("integrate", None)]
+
+
+@hs.composite
+def command_lines(draw):
+    """(argv, config bytes): a command (for verify, a check) with an
+    admitted bundle (a small preset or a critical type for compute) in
+    which one probe flag takes an edge value, then up to two changes:
+    no bundle, or one more flag of this command or of any."""
+    command, probe = draw(hs.sampled_from(PROBES))
+    argv, named = [command], {}
+    if command == "verify":
+        argv.append(draw(hs.sampled_from(["gluing", "reciprocity", "linking", "degree-bound"])))
+        named = dict(zip(("--n", "--bundle"), draw(hs.sampled_from(CRITICAL_SPECS))))
+    elif command == "compute":
+        named = draw(hs.sampled_from([dict(zip(("--n", "--bundle"), pair))
+                                      for pair in CRITICAL_SPECS]
+                                     + [{"--preset": preset} for preset in SMALL_PRESETS]))
+    if probe == "--bundle":
+        named.pop("--preset", None)
+        named[probe] = draw(hs.one_of(grammar_specs, specs))
+    elif probe:
+        named[probe] = draw(FLAG_VALUES[probe])
+    noise = draw(hs.lists(hs.sampled_from(["no bundle", *COMMAND_FLAGS[command],
+                                           *sorted(FLAG_VALUES)]), max_size=2, unique=True))
+    if "no bundle" in noise:
+        named = {}  # whatever the other flags give
+    flags = [flag for flag in noise if flag in FLAG_VALUES and flag not in named]
+    for flag, value in named.items():
+        argv += [flag, value]
+    for flag in flags:
+        formats = VERIFY_FORMATS if command == "verify" else FORMAT_CHOICES
+        value = draw(hs.sampled_from([*formats, "csv", "xml"]) if flag == "--format"
+                     else FLAG_VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv, draw(configs)
+
+
+def refuse_over_caps(mp):
+    """Patch the builds so that an input past a cap which reaches one
+    raises, and that exits 3."""
+    built = []
+
+    def pipeline(st, order):
+        assert order <= MAX_ORDER and st.n <= MAX_DIMENSION, "an over-cap input ran the pipeline"
+        return run_pipeline(st, order)
+
+    def data(st, with_x=False):
+        built.append(st)
+        return build_hypergeom_data(st, with_x)
+
+    def table(ed, d_max):
+        st = built[-1]
+        assert (d_max <= MAX_DMAX and st.n <= MAX_DIMENSION
+                and st.linear_factors(d_max) <= MAX_LINEAR_FACTORS), \
+            "an over-cap input built a table"
+        return to_table(ed, d_max)
+
+    run_pipeline, to_table = cli.run_pipeline, cli.to_table
+    build_hypergeom_data = cli.build_hypergeom_data
+    mp.setattr(cli, "run_pipeline", pipeline)
+    mp.setattr(cli, "build_hypergeom_data", data)
+    mp.setattr(cli, "to_table", table)
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+# one input past each cap, always run: a 4301-digit count of linear
+# factors, 69 factors, P^13, --dmax 7 and --order 101
+@example((["verify", "gluing", "--n", "1", "--bundle", f"O({'9' * 4300})"], b""))
+@example((["verify", "reciprocity", "--n", "2", "--bundle", "O(17)"], b""))
+@example((["verify", "linking", "--n", "13", "--bundle", "O(-3)"], b""))
+@example((["verify", "degree-bound", "--n", "2", "--bundle", "O(-3)", "--dmax", "7"], b""))
+@example((["compute", "--preset", "local-p2", "--order", "101"], b""))
+def test_exit_code_contract(case):
+    argv, config = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(tmp, "mirrorcalc.cfg")
+        with open(path, "wb") as fh:
+            fh.write(config)
+        argv = [path if arg is CONFIG else arg for arg in argv]
+        refuse_over_caps(mp)
+        out, err, stray = io.StringIO(), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stray), contextlib.redirect_stderr(stray):
+            code = run_command(argv, out=out, err=err)  # argparse prints to sys.std*
+    printed = err.getvalue() + stray.getvalue()
+    assert code in (0, 1, 2), printed
+    assert "internal error" not in printed and "Traceback" not in printed
+    if code == 2:
+        assert out.getvalue() == ""
+    if code == 1:
+        assert argv[0] == "verify"

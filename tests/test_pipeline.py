@@ -6,12 +6,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import mirrorcalc
 from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType, omega_class
-from mirrorcalc.cohomseries import homogeneity_violations, integrate_pn, scale_by
+from mirrorcalc.cohomseries import CohomSeries, homogeneity_violations, integrate_pn, scale_by
 from mirrorcalc.pipeline import (PipelineCase, PipelineError, _normalized_columns,
-                                 _solve_from_weighted_sum, build_hypergeom_series,
+                                 build_hypergeom_series,
                                  canonical_alpha_degrees, classify,
                                  compute_normalization, extract_euler_numbers,
                                  f0_closed_form, frobenius_basis, g1_closed_form,
@@ -131,8 +133,10 @@ def reference_prepotential_route(f_basis, st, inv_f0, shift):
     T = TSeries.t_monomial(order) + TSeries.from_scalar(shift)
     phi = script_f - T * T * T * (c / 6)
     assert phi.t_degree() == 0
-    return _solve_from_weighted_sum(phi.t_coefficient(0), mirror_powers(shift), order,
-                                    lambda d: Fraction(1))
+    target, powers, K = phi.t_coefficient(0), mirror_powers(shift), []
+    for D in range(1, order + 1):  # powers[D] = q^D + O(q^(D+1))
+        K.append(target[D] - sum(k * powers[d][D] for d, k in enumerate(K, 1)))
+    return K
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 12, 30])
@@ -560,6 +564,226 @@ def test_instanton_numbers_integral_at_bench_depth(st):
     if st == QUINTIC:
         assert [v for _, v, _ in result.instanton[:4]] == [2875, 609250, 317206375,
                                                           242467530000]
+
+
+# ---------------------------------------------------------------------
+# the full expansion and the Fraction-arithmetic forms, kept as the
+# oracles of the Horner and integer forms the pipeline computes
+
+
+def reference_normalized_columns(series, om, scaling, shift):
+    """{i: q-series}: the x^i coefficients of
+    F0 * e^(xg) * (c x^h + S(x)) - c x^h for min(h, 0) <= i <= n, each
+    summed over every power g^j/j!."""
+    c, h, n = om.scalar, om.h_exponent, series.n
+    lo = min(h, 0)
+    target = {i: series.column(i) * scaling for i in range(n + 1)}
+    target[h] = target.get(h, ScalarQSeries.zero(series.order)) + scaling * c
+    powers = [ScalarQSeries.one(series.order)]  # g^j / j!
+    for j in range(1, n - lo + 1):
+        powers.append(powers[-1] * shift * Fraction(1, j))
+    out = {}
+    for i in range(lo, n + 1):
+        acc = ScalarQSeries.zero(series.order) - (c if i == h else 0)
+        for j in range(i - lo + 1):
+            if i - j in target:
+                acc = acc + powers[j] * target[i - j]
+        out[i] = acc
+    return out
+
+
+def reference_f0(st, order):
+    """sum_d prod_a (l_a d)! / (d!)^(n+1) q^d, one Fraction per term."""
+    return ScalarQSeries(order, [Fraction(math.prod(math.factorial(l * d) for l in st.convex),
+                                          math.factorial(d) ** (st.n + 1))
+                                 for d in range(order + 1)])
+
+
+def reference_g1(st, order):
+    """f0[d] * sum_a l_a (H[l_a d] - H[d]), H the Fraction harmonic numbers."""
+    f0 = reference_f0(st, order)
+    H = [Fraction(0)]
+    for m in range(1, max(st.convex, default=0) * order + 1):
+        H.append(H[-1] + Fraction(1, m))
+    return ScalarQSeries(order, [Fraction(0)] + [
+        f0[d] * sum((l * (H[l * d] - H[d]) for l in st.convex), Fraction(0))
+        for d in range(1, order + 1)])
+
+
+def reference_invert_multicover(K):
+    """n_d = K_d - sum over proper divisors k of n_(d/k) / k^3, in Fractions."""
+    values, out = {}, []
+    for d in range(1, len(K) + 1):
+        val = K[d - 1]
+        for k in range(2, d + 1):
+            if d % k == 0:
+                val -= values[d // k] * Fraction(1, k ** 3)
+        values[d] = val
+        out.append((d, val, val.denominator == 1))
+    return out
+
+
+def reference_recompose_multicover(n_values):
+    return [sum((n_values[d // k - 1][1] * Fraction(1, k ** 3)
+                 for k in range(1, d + 1) if d % k == 0), Fraction(0))
+            for d in range(1, len(n_values) + 1)]
+
+
+def q_power(order, k, coeff=1):
+    return ScalarQSeries(order, [0] * k + [coeff])
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 12, 30])
+@pytest.mark.parametrize("st", CRITICAL_BUNDLES, ids=lambda st: f"P{st.n}:{st}")
+def test_normalized_columns_match_the_full_expansion(st, order):
+    # with the true F0 and g, and with q^1 or q^D terms added to either
+    series = build_hypergeom_series(st, order)
+    om = omega_class(st)
+    scaling, shift = compute_normalization(series, st)
+    pairs = [(scaling, shift)]
+    for k in sorted({1, order}):
+        bump = q_power(order, k, Fraction(-7, 3))
+        pairs += [(scaling + bump, shift), (scaling, shift + bump), (scaling - bump, shift + bump)]
+    for pair in pairs:
+        assert (_normalized_columns(series, om, *pair)
+                == reference_normalized_columns(series, om, *pair))
+
+
+def test_normalized_columns_make_at_most_ten_products(monkeypatch):
+    # 4 products F0 A_i and 1 + 2 + 3 Horner steps in g per bundle
+    import mirrorcalc.qseries as qseries
+
+    calls = []
+    product = qseries._int_product
+
+    def counted(a, b):
+        calls.append(len(a))
+        return product(a, b)
+
+    monkeypatch.setattr(qseries, "_int_product", counted)
+    for st in CRITICAL_BUNDLES:
+        series = build_hypergeom_series(st, 30)
+        scaling, shift = compute_normalization(series, st)
+        calls.clear()
+        _normalized_columns(series, omega_class(st), scaling, shift)
+        assert len(calls) == 10, st
+
+
+def test_run_pipeline_solves_once_per_bundle(monkeypatch):
+    import mirrorcalc.pipeline as pipeline
+
+    calls = []
+    solve = pipeline._solve_from_weighted_sum
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(pipeline, "_solve_from_weighted_sum", counted)
+    for st in CRITICAL_BUNDLES:
+        run_pipeline(st, 6)
+    assert len(calls) == len(CRITICAL_BUNDLES)
+
+
+@pytest.mark.parametrize("st", CASE1_CRITICAL, ids=str)
+def test_closed_forms_match_the_fraction_oracle(st):
+    for order in range(61):
+        assert f0_closed_form(st, order) == reference_f0(st, order)
+        assert g1_closed_form(st, order) == reference_g1(st, order)
+
+
+def test_closed_forms_and_multicover_do_no_fraction_arithmetic(monkeypatch):
+    # Fractions are built only for the returned n_d and recomposed K_d
+    K = run_pipeline(QUINTIC, 30).K
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, method=method, name=name: calls.append(name)
+                            or method(*args))
+    f0_closed_form(QUINTIC, 30)
+    g1_closed_form(QUINTIC, 30)
+    recompose_multicover(invert_multicover(K))
+    assert calls == []
+
+
+rationals = hs.builds(Fraction, hs.integers(-2 ** 400, 2 ** 400), hs.integers(1, 2 ** 400))
+k_values = hs.lists(hs.one_of(hs.just(Fraction(0)), hs.integers(-9, 9).map(Fraction), rationals),
+                    min_size=1, max_size=40)
+
+
+@settings(max_examples=150)
+@given(k_values)
+def test_multicover_matches_the_fraction_oracle(K):
+    # Moebius inversion and the recomposition, each on K and on n
+    # values taken as given, against the Fraction recursions
+    instanton = invert_multicover(K)
+    assert instanton == reference_invert_multicover(K)
+    assert recompose_multicover(instanton) == K
+    given_n = [(d, v, v.denominator == 1) for d, v in enumerate(K, 1)]
+    assert recompose_multicover(given_n) == reference_recompose_multicover(given_n)
+
+
+RAISED_H = [st for st in CRITICAL_BUNDLES if omega_class(st).h_exponent >= 1]
+
+
+@pytest.mark.parametrize("st", RAISED_H, ids=lambda st: f"P{st.n}:{st}")
+def test_t_degree_check_catches_a_raw_column_below_h(st):
+    # q^k added to a raw column S_i, i < h, leaves N_i = F0 q^k + ... in
+    # the full expansion; the scan reports q^k, or q^j when F0 is also
+    # off at a lower q^j
+    order, h = 4, omega_class(st).h_exponent
+    series = build_hypergeom_series(st, order)
+    for i in range(h):
+        for k in range(1, order + 1):
+            columns = list(series.columns)
+            columns[i] = columns[i] + q_power(order, k)
+            broken = CohomSeries(st.n, order, columns, series.degrees)
+            scaling, shift = compute_normalization(broken, st)
+            for j in (None, 1, order):
+                wrong = scaling if j is None else scaling + q_power(order, j)
+                first = k if j is None else min(j, k)
+                with pytest.raises(PipelineError) as exc:
+                    extract_euler_numbers(broken, st, wrong, shift, mirror_powers(shift))
+                assert str(exc.value) == f"integrated series has t-degree > 1 at q^{first}"
+                degrees = canonical_alpha_degrees(broken, st, wrong, shift)
+                assert min(d for d, deg in degrees.items() if deg > -2) == first
+
+
+def perturb_prepotential(monkeypatch, k):
+    """Make frobenius_basis add q^k a_0 to the t^0 row a_3 of f_3: then
+    b_3 = a_3/a_0 and the prepotential change at q^k alone, and f_3
+    keeps its Frobenius shape."""
+    import mirrorcalc.pipeline as pipeline
+
+    basis_of = pipeline.frobenius_basis
+
+    def perturbed(series, st):
+        basis = basis_of(series, st)
+        rows = list(basis[3].rows)
+        rows[0] = rows[0] + basis[0].t_coefficient(0).shift(k)
+        basis[3] = TSeries.from_rows(series.order, rows)
+        return basis
+
+    monkeypatch.setattr(pipeline, "frobenius_basis", perturbed)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+@pytest.mark.parametrize("st", CASE1_CRITICAL, ids=str)
+def test_dual_route_catches_a_perturbed_prepotential(st, k, monkeypatch):
+    perturb_prepotential(monkeypatch, k)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(st, 6)
+    assert str(exc.value) == "prepotential route disagrees with the integral route"
+
+
+def test_dual_route_checks_the_prepotential_at_q0(monkeypatch):
+    # 2 Phi == N_n holds at q^0 too; solving Phi for K never read q^0
+    perturb_prepotential(monkeypatch, 0)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(QUINTIC, 6)
+    assert str(exc.value) == "prepotential route disagrees with the integral route"
 
 
 def test_public_names_resolve():
