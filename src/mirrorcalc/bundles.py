@@ -1,26 +1,63 @@
-"""Splitting types of concavex direct sums of line bundles on P^n."""
+"""Splitting types of concavex direct sums of line bundles on P^n, and
+the value classes of the package."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class Record:
+    """A value class whose fields are its ``__slots__``, set, compared,
+    shown and pickled in slot order, as a dataclass's fields are.  (A
+    dataclass would import ``inspect`` in every CLI process.)"""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FrozenRecord(Record):
+    """A Record whose fields cannot be assigned after ``__init__`` sets
+    them; it hashes by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class SplittingType(FrozenRecord):
     """A direct sum O(l_1)+..+O(l_P) + O(-k_1)+..+O(-k_N) on P^n.
 
     Degrees are stored as positive integers in sorted order (signs are
     implicit in convex vs concave).  The trivial bundle has P = N = 0.
     """
 
-    n: int
-    convex: tuple
-    concave: tuple
+    __slots__ = ("n", "convex", "concave")
 
-    def __post_init__(self):
-        object.__setattr__(self, "convex", tuple(sorted(self.convex)))
-        object.__setattr__(self, "concave", tuple(sorted(self.concave)))
+    def __init__(self, n, convex, concave):
+        super().__init__(n, tuple(sorted(convex)), tuple(sorted(concave)))
         if self.n < 1:
             raise ValueError("ambient dimension must be >= 1")
         if any(l < 1 for l in self.convex) or any(k < 1 for k in self.concave):
@@ -57,14 +94,13 @@ class SplittingType:
         return "+".join(parts) if parts else "O"
 
 
-@dataclass(frozen=True)
-class OmegaClass:
+class OmegaClass(FrozenRecord):
     """The invertible class prod l_a / prod(-k_b) * H^(P-N) (nonequivariant)."""
 
-    scalar: Fraction
-    h_exponent: int
+    __slots__ = ("scalar", "h_exponent")
 
-    def __post_init__(self):
+    def __init__(self, scalar, h_exponent):
+        super().__init__(scalar, h_exponent)
         if self.scalar == 0:
             raise ValueError("omega class must be invertible")
 

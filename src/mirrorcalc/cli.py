@@ -20,8 +20,6 @@ import re
 import sys
 
 from .bundles import CRITICAL_BUNDLES, SplittingType
-from .eulerdata import (build_hypergeom_data, check_degree_bound, check_gluing,
-                        check_mirror_linked, check_reciprocity, to_table)
 from .pipeline import run_pipeline, unsupported_reason
 
 EMIT_CHOICES = ("kd", "nd", "mirror-map", "f-series", "checks")
@@ -273,8 +271,16 @@ def _format_option(flag, config, default, choices):
 # commands
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
+def _build_parser(out, err):
+    class Parser(argparse.ArgumentParser):  # --help to out, a usage error to err
+        def print_help(self, file=None):
+            super().print_help(file or out)
+
+        def error(self, message):
+            err.write(f"{self.format_usage()}{self.prog}: error: {message}\n")
+            self.exit(2)
+
+    parser = Parser(
         prog="mirrorcalc",
         description="Exact Gromov-Witten and instanton numbers for "
                     "concavex line-bundle sums on projective space.")
@@ -369,6 +375,9 @@ def _cmd_verify(args, out, err):
         count = factors if factors <= 10 ** 20 else "more than 10^20"
         raise UsageError(f"{st} at --dmax {d_max} gives P_dmax {count} linear factors; "
                          f"verify is limited to <= {MAX_LINEAR_FACTORS}")
+    # imported here, so that no other command loads the verifier
+    from .eulerdata import (build_hypergeom_data, check_degree_bound, check_gluing,
+                            check_mirror_linked, check_reciprocity, to_table)
     table = to_table(build_hypergeom_data(st, with_x=args.with_x), d_max)
     check = {"gluing": check_gluing, "reciprocity": check_reciprocity,
              "linking": check_mirror_linked, "degree-bound": check_degree_bound}[args.check]
@@ -403,15 +412,13 @@ def run_command(argv, out=None, err=None):
     """Entry point used by the console script; returns the exit code."""
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
     text, notes = io.StringIO(), io.StringIO()  # out and err, written once the command returns
     try:
+        args = _build_parser(text, notes).parse_args(argv)
         code = {"compute": _cmd_compute, "verify": _cmd_verify,
                 "list-critical": _cmd_list_critical}[args.command](args, text, notes)
+    except SystemExit as exc:  # argparse after --help (0) or a usage error (2)
+        code = exc.code
     except UsageError as exc:
         err.write(f"{notes.getvalue()}{exc.label}: {exc}\n")
         return 2

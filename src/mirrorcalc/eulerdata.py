@@ -36,12 +36,11 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .algebra import (Factored, RationalFunction, SubstitutionError, bar_involution,
                       expanded, rf_equal, weight_ring)
-from .bundles import omega_class
+from .bundles import Record, omega_class
 from .qseries import ScalarQSeries, mirror_powers
 
 
@@ -228,21 +227,18 @@ class RestrictionSequence:
 # verification reports
 
 
-@dataclass
-class CheckResult:
-    d: int
-    i: int
-    r: int
-    status: str  # "pass" | "fail" | "inconclusive"
-    witness: str = ""
+class CheckResult(Record):
+    __slots__ = ("d", "i", "r", "status", "witness")  # status: "pass" | "fail" | "inconclusive"
+
+    def __init__(self, d, i, r, status, witness=""):  # one per identity: no generic loop
+        self.d, self.i, self.r, self.status, self.witness = d, i, r, status, witness
 
 
-@dataclass
-class VerificationReport:
-    check: str
-    n: int
-    d_max: int
-    results: list = field(default_factory=list)
+class VerificationReport(Record):
+    __slots__ = ("check", "n", "d_max", "results")
+
+    def __init__(self, check, n, d_max, results=None):
+        super().__init__(check, n, d_max, [] if results is None else results)
 
     @property
     def all_pass(self):
@@ -257,7 +253,10 @@ class VerificationReport:
         return [r for r in self.results if r.status == "inconclusive"]
 
     def to_dict(self):
-        return {**asdict(self), "all_pass": self.all_pass}
+        results = [{"d": r.d, "i": r.i, "r": r.r, "status": r.status, "witness": r.witness}
+                   for r in self.results]
+        return {"check": self.check, "n": self.n, "d_max": self.d_max, "results": results,
+                "all_pass": self.all_pass}
 
     def to_json(self, indent=None):
         return json.dumps(self.to_dict(), indent=indent)

@@ -19,11 +19,10 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import NEG_INF
-from .bundles import SplittingType, omega_class
+from .bundles import Record, omega_class
 from .cohomseries import CohomSeries, homogeneity_violations
 from .qseries import ScalarQSeries, TSeries, _append_over, mirror_powers
 
@@ -325,16 +324,13 @@ FROBENIUS_CHECKS = ("frobenius_closed_forms", "scaling_match", "mirror_map_match
                     "phi_t_independent", "dual_route_agreement")
 
 
-@dataclass
-class PipelineResult:
-    splitting: SplittingType
-    order: int
-    case: PipelineCase
-    K: list
-    instanton: list  # (d, value, is_integral)
-    mirror_shift: ScalarQSeries
-    scaling: ScalarQSeries
-    f_basis: list | None
+class PipelineResult(Record):
+    # instanton: (d, value, is_integral) per degree; f_basis: a list, or None
+    __slots__ = ("splitting", "order", "case", "K", "instanton", "mirror_shift", "scaling",
+                 "f_basis")
+
+    def __init__(self, splitting, order, case, K, instanton, mirror_shift, scaling, f_basis):
+        super().__init__(splitting, order, case, K, instanton, mirror_shift, scaling, f_basis)
 
     @property
     def checks(self):

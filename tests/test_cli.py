@@ -1,7 +1,6 @@
 """Command-line surface: grammar, presets, formats, determinism,
 exit codes and config handling."""
 
-import contextlib
 import errno
 import hashlib
 import io
@@ -19,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType
-from mirrorcalc import cli
+from mirrorcalc import cli, eulerdata
 from mirrorcalc.cli import (FORMAT_CHOICES, MAX_DECIMAL, MAX_DIMENSION, MAX_DMAX,
                             MAX_LINEAR_FACTORS, MAX_ORDER, VERIFY_FORMATS, BundleParseError,
                             exact_decimal, parse_bundle, run_command)
@@ -273,8 +272,8 @@ def test_compute_csv_rejects_f_series():
 def refuse_builds(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the build started")
-    for name in ("build_hypergeom_data", "run_pipeline"):
-        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(eulerdata, "build_hypergeom_data", refuse)
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
 
 
 @pytest.mark.parametrize("argv", [
@@ -442,8 +441,9 @@ def test_stderr_follows_stdout_and_precedes_an_error():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["list-critical"],
-                                  ["compute", "--preset", "multicover", "--order", "2"]],
-                         ids=["list-critical", "compute"])
+                                  ["compute", "--preset", "multicover", "--order", "2"],
+                                  ["compute", "--help"]],
+                         ids=["list-critical", "compute", "help"])
 def test_full_disk_exits_2(argv, buffering):
     # buffered, the bytes that failed to write stay in stdout's buffer, and
     # a second failure at interpreter exit would turn exit 2 into 120
@@ -636,15 +636,15 @@ def fail_inside(exc):
 
 
 @pytest.mark.parametrize("argv, target, exc", [
-    (["compute", "--preset", "local-p2"], "run_pipeline",
+    (["compute", "--preset", "local-p2"], "mirrorcalc.cli.run_pipeline",
      PipelineError("t-constant block disagrees first at q^3")),
-    (["compute", "--preset", "quintic", "--format", "json"], "run_pipeline",
+    (["compute", "--preset", "quintic", "--format", "json"], "mirrorcalc.cli.run_pipeline",
      ZeroDivisionError("Fraction(1, 0)")),
-    (["verify", "gluing", "--n", "2", "--bundle", "O(-3)", "--dmax", "2"], "check_gluing",
-     KeyError((2, 0))),
+    (["verify", "gluing", "--n", "2", "--bundle", "O(-3)", "--dmax", "2"],
+     "mirrorcalc.eulerdata.check_gluing", KeyError((2, 0))),
 ], ids=["pipeline-identity", "compute-defect", "verify-defect"])
 def test_internal_errors_exit_3(argv, target, exc, monkeypatch):
-    monkeypatch.setattr(cli, target, fail_inside(exc))
+    monkeypatch.setattr(target, fail_inside(exc))
     code, out, err = run(argv)
     assert code == 3 and out == ""
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
@@ -722,9 +722,26 @@ def test_config_file_defaults(tmp_path):
     assert json.loads(out)["order"] == 2
 
 
-def test_cache_flag_is_hidden_from_help(capsys):
-    assert run(["compute", "--help"])[0] == 0
-    usage = capsys.readouterr().out
+@pytest.mark.parametrize("argv, code, stream, start", [
+    (["compute", "--bogus"], 2, "err", "usage: mirrorcalc [-h]"),
+    (["verify", "gluing"], 2, "err", "usage: mirrorcalc verify [-h]"),
+    ([], 2, "err", "usage: mirrorcalc [-h]"),
+    (["--help"], 0, "out", "usage: mirrorcalc [-h]"),
+    (["list-critical", "--help"], 0, "out", "usage: mirrorcalc list-critical [-h]"),
+])
+def test_argparse_writes_to_the_given_streams(argv, code, stream, start, capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(argv, out=out, err=err) == code
+    text, other = (out, err) if stream == "out" else (err, out)
+    assert text.getvalue().startswith(start) and other.getvalue() == ""
+    if code == 2:
+        assert re.search(r"\nmirrorcalc( \S+)?: error: .+\n\Z", text.getvalue())
+    assert capsys.readouterr() == ("", "")  # nothing on the process's own streams
+
+
+def test_cache_flag_is_hidden_from_help():
+    code, usage, err = run(["compute", "--help"])
+    assert code == 0 and err == ""
     assert "--decimal" in usage and "--cache" not in usage
 
 
@@ -1012,11 +1029,11 @@ def refuse_over_caps(mp):
             "an over-cap input built a table"
         return to_table(ed, d_max)
 
-    run_pipeline, to_table = cli.run_pipeline, cli.to_table
-    build_hypergeom_data = cli.build_hypergeom_data
+    run_pipeline, to_table = cli.run_pipeline, eulerdata.to_table
+    build_hypergeom_data = eulerdata.build_hypergeom_data
     mp.setattr(cli, "run_pipeline", pipeline)
-    mp.setattr(cli, "build_hypergeom_data", data)
-    mp.setattr(cli, "to_table", table)
+    mp.setattr(eulerdata, "build_hypergeom_data", data)
+    mp.setattr(eulerdata, "to_table", table)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1036,10 +1053,9 @@ def test_exit_code_contract(case):
             fh.write(config)
         argv = [path if arg is CONFIG else arg for arg in argv]
         refuse_over_caps(mp)
-        out, err, stray = io.StringIO(), io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stray), contextlib.redirect_stderr(stray):
-            code = run_command(argv, out=out, err=err)  # argparse prints to sys.std*
-    printed = err.getvalue() + stray.getvalue()
+        out, err = io.StringIO(), io.StringIO()
+        code = run_command(argv, out=out, err=err)
+    printed = err.getvalue()
     assert code in (0, 1, 2), printed
     assert "internal error" not in printed and "Traceback" not in printed
     if code == 2:
