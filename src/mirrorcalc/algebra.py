@@ -34,9 +34,8 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 
-from .qseries import ExactValue, _over_common_denominator
+from .qseries import NEG_INF, ExactValue, _over_common_denominator
 
-NEG_INF = float("-inf")  # degree of the zero polynomial
 # bits per exponent field; the top bit of each is a guard, so every
 # exponent and the total degree stay <= MAX_DEGREE and no key wraps
 FIELD_BITS = 16
@@ -221,13 +220,6 @@ class Polynomial(ExactValue):
         content = Fraction(math.gcd(*self.ints.values()), self.den)
         return content if self.ints[max(self.ints)] > 0 else -content
 
-    def degree(self, name):
-        """Degree in one variable; NEG_INF for the zero polynomial."""
-        if not self.ints:
-            return NEG_INF
-        shift = self.ring.shifts[self.ring.index[name]]
-        return max((k >> shift) & FIELD_MASK for k in self.ints)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -411,8 +403,11 @@ class RationalFunction(ExactValue):
         return RationalFunction(num, den)
 
     def alpha_degrees(self):
-        """The alpha-degrees of the numerator and the denominator."""
-        return alpha_degree(self.num), alpha_degree(self.den)
+        """The alpha-degrees of the numerator and the denominator, read
+        off the alpha field of their keys; NEG_INF for a zero numerator."""
+        shift = self.ring.shifts[self.ring.index["alpha"]]
+        return tuple(max(((k >> shift) & FIELD_MASK for k in p.ints), default=NEG_INF)
+                     for p in (self.num, self.den))
 
     def __str__(self):
         if self.den == self.ring.one:
@@ -625,11 +620,6 @@ def bar_involution(p):
         raise AlgebraError("ring has no alpha variable")
     shift = p.ring.shifts[ia]
     return _poly(p.ring, {k: -c if k >> shift & 1 else c for k, c in p.ints.items()}, p.den)
-
-
-def alpha_degree(p):
-    """Maximal alpha-exponent of a polynomial; NEG_INF for zero."""
-    return p.degree("alpha")
 
 
 def rf_equal(f, g):

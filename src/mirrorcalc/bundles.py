@@ -85,6 +85,14 @@ class SplittingType(FrozenRecord):
         """The number of linear factors of P_d: sum(l*d + 1) + sum(k*d - 1)."""
         return d * self.total + self.rank_convex - self.rank_concave
 
+    def factors(self, d, since=0):
+        """The (a, b) of each linear factor a*kappa + b*alpha of P_d that
+        P_since lacks: l*kappa - m*alpha for m = 0..l*d per convex l, then
+        -k*kappa + m*alpha for m = 1..k*d-1 per concave k, m ascending.
+        d >= 1; P_0 is 1, so since = 0 gives every factor of P_d."""
+        return ([(l, -m) for l in self.convex for m in range(l * since + (since > 0), l * d + 1)]
+                + [(-k, m) for k in self.concave for m in range(max(1, k * since), k * d)])
+
     def block_degree(self, d):
         """Homogeneity degree of the q^d block of the associated series."""
         return self.linear_factors(d) - (self.n + 1) * d

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
@@ -354,6 +353,7 @@ def _cmd_compute(args, out, err):
 
     result = run_pipeline(st, order)
     if fmt == "json":
+        import json  # only the JSON writers load json
         out.write(json.dumps(_result_document(result, bundle_text, emit), indent=2) + "\n")
     elif fmt == "csv":
         _emit_csv(result, emit, decimal, out)
@@ -397,6 +397,7 @@ def _cmd_verify(args, out, err):
 def _cmd_list_critical(args, out, err):
     rows = [(st.n, str(st)) for st in CRITICAL_BUNDLES]
     if args.format == "json":
+        import json
         out.write(json.dumps([{"n": n, "bundle": b} for n, b in rows], indent=2) + "\n")
     elif args.format == "csv":
         out.write("n,bundle\n")

@@ -84,19 +84,17 @@ class EulerDataClosed:
 def build_hypergeom_data(st, with_x=False):
     """The hypergeometric Euler data attached to a splitting type.
 
-    P_d is the product of (l*kappa - m*alpha) over m = 0..l*d for each
-    convex degree l and of (-k*kappa + m*alpha) over m = 1..k*d-1 for
-    each concave degree k; with_x adds the inert x to every linear
-    factor.  The trivial bundle gives the constant 1.
+    P_d is the product of the linear factors a*kappa + b*alpha of
+    st.factors(d), the one source of them: (l*kappa - m*alpha) over
+    m = 0..l*d for each convex degree l and (-k*kappa + m*alpha) over
+    m = 1..k*d-1 for each concave degree k; with_x adds the inert x to
+    every linear factor.  The trivial bundle gives the constant 1.
     """
     def rule(d, ring):
         kappa = ring.var("kappa")
         alpha = ring.var("alpha")
         x = ring.var("x") if with_x else ring.zero
-        return Factored(ring, [x + l * kappa - m * alpha
-                               for l in st.convex for m in range(l * d + 1)]
-                        + [x - k * kappa + m * alpha
-                           for k in st.concave for m in range(1, k * d)])
+        return Factored(ring, [x + a * kappa + b * alpha for a, b in st.factors(d)])
 
     def omega_restriction(i, ring):
         lam = ring.var(f"lam{i}")

@@ -21,10 +21,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .algebra import NEG_INF
 from .bundles import Record, omega_class
 from .cohomseries import CohomSeries, homogeneity_violations
-from .qseries import ScalarQSeries, TSeries, _append_over, mirror_powers
+from .qseries import NEG_INF, ScalarQSeries, TSeries, _append_over, mirror_powers
 
 
 class PipelineError(RuntimeError):
@@ -65,18 +64,12 @@ def classify(st):
 # series construction
 
 
-def _sigma_factors(st, d):
-    """The linear factors a*x + b of sigma_d that sigma_(d-1) lacks:
-    sigma_d has l*x - m for m = 0..l*d per convex l and -k*x + m for
-    m = 1..k*d-1 per concave k, over (x - m)^(n+1) for m = 1..d."""
-    return ([(l, -m) for l in st.convex for m in range(l * (d - 1) + (d > 1), l * d + 1)]
-            + [(-k, m) for k in st.concave for m in range(max(1, k * (d - 1)), k * d)])
-
-
 def build_hypergeom_series(st, order):
     """The cohomology-valued series e^(-Ht/alpha) * (Omega + sum of
     q^d Sigma_d) in the nonequivariant limit.  Each sigma_d is one int
-    vector over one denominator: sigma_(d-1) times its new factors over
+    vector over one denominator: sigma_(d-1) times the factors a*x + b
+    of P_d that P_(d-1) lacks (st.factors(d, d - 1), the one source of
+    P_d's factors a*kappa + b*alpha, at kappa = H = x*alpha), over
     (x - d)^(n+1), whose inverse mod x^(n+1) is
     (-1)^(n+1) * sum_k C(n+k, k) d^(n-k) x^k / d^(2n+1); every factor
     carries one alpha, so the recorded alpha-degree is the factor count."""
@@ -86,7 +79,7 @@ def build_hypergeom_series(st, order):
     sigma, den, degree = [1] + [0] * n, 1, 0
     rows, degrees = [([0] * (n + 1), 1)], [st.block_degree(0)]
     for d in range(1, order + 1):
-        factors = _sigma_factors(st, d)
+        factors = st.factors(d, d - 1)
         for a, b in factors:
             sigma = [b * sigma[0]] + [b * sigma[i] + a * sigma[i - 1] for i in range(1, n + 1)]
         inv = [(-1) ** (n + 1) * math.comb(n + k, k) * d ** (n - k) for k in range(n + 1)]
@@ -132,27 +125,25 @@ def g1_closed_form(st, order):
 def frobenius_basis(series, st):
     """Read the solution basis off the series: f_i is the alpha^(-i) part
     of the H^(h+i) coefficient, (-1)^i/c * sum_j (-t)^j/j! S_(h+i-j)
-    + t^i/i!, and f_0 and f_1 = g_1 + f_0*t (the rows [g_1, f_0]) are
+    + t^i/i!.  f_0 is t-free exactly when every S_i below h vanishes, and
+    then f_i = sum_(j<=i) t^j/j! a_(i-j) with a_k = (-1)^k S_(h+k)/c
+    + [k = 0], the t^0 row of f_k; a_0 = f_0 and a_1 = g_1 are
     cross-checked against their closed forms."""
     if classify(st) is not PipelineCase.CASE1 or not st.is_critical:
         raise PipelineError("Frobenius basis applies to critical convex types only")
     om = omega_class(st)
     c, h = om.scalar, om.h_exponent
     order = series.order
-    basis = []
-    for i in range(4):
-        rows = [series.column(h + i - j) * (Fraction((-1) ** (i + j), math.factorial(j)) / c)
-                for j in range(h + i + 1)]
-        rows[i] = rows[i] + Fraction(1, math.factorial(i))  # the omega summand's q^0 part
-        basis.append(TSeries.from_rows(order, rows))
-    f0 = basis[0]
-    if f0.t_degree() > 0:
+    if any(any(series.column(i).ints) for i in range(h)):
         raise PipelineError("f_0 acquired t-dependence")
-    if f0.t_coefficient(0) != f0_closed_form(st, order):
+    a = [series.column(h + k) * (Fraction((-1) ** k) / c) for k in range(4)]
+    a[0] = a[0] + 1  # the omega summand's q^0 part
+    if a[0] != f0_closed_form(st, order):
         raise PipelineError("f_0 disagrees with its closed form")
-    if basis[1] != TSeries.from_rows(order, [g1_closed_form(st, order), f0.t_coefficient(0)]):
+    if a[1] != g1_closed_form(st, order):
         raise PipelineError("f_1 disagrees with f_0*t + g_1")
-    return basis
+    return [TSeries.from_rows(order, [a[i - j] * Fraction(1, math.factorial(j))
+                                      for j in range(i + 1)]) for i in range(4)]
 
 
 # ---------------------------------------------------------------------

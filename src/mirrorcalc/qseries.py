@@ -16,6 +16,8 @@ import math
 import operator
 from fractions import Fraction
 
+NEG_INF = float("-inf")  # the degree of zero, in every layer
+
 
 class SeriesError(ValueError):
     pass

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mirrorcalc.algebra import (MAX_DEGREE, NEG_INF, AlgebraError, Factored, Polynomial,
-                                RationalFunction, SubstitutionError, alpha_degree,
-                                bar_involution, rf_equal, weight_ring)
+                                RationalFunction, SubstitutionError, bar_involution, rf_equal,
+                                weight_ring)
 from mirrorcalc.qseries import ExactValue, ScalarQSeries, TSeries
 
 R = weight_ring(2)
@@ -73,10 +73,15 @@ def test_bar_involution_on_monomials():
         assert bar_involution(bar_involution(m)) == m
 
 
+def alpha_degree(p):
+    return RationalFunction(p).alpha_degrees()[0]
+
+
 def test_alpha_degree():
     assert alpha_degree(LAM0 ** 2 * ALPHA ** 3 + ALPHA) == 3
     assert alpha_degree(LAM0 * LAM1) == 0
     assert alpha_degree(R.zero) == NEG_INF
+    assert RationalFunction(LAM0, ALPHA ** 2 + LAM1).alpha_degrees() == (0, 2)
 
 
 def test_alpha_degree_concave_factor_product():

@@ -1,6 +1,7 @@
 """Splitting types: derived quantities, criticality, the critical list,
 and properties over random types: the spelling parses back, classify is
-total, and run_pipeline supports exactly the critical types."""
+total, run_pipeline supports exactly the critical types, and P_d's
+linear factors come in the count and order the Euler data needs."""
 
 from fractions import Fraction
 
@@ -79,3 +80,21 @@ def test_classify_is_total(st):
 @given(with_critical)
 def test_supported_exactly_when_critical(st):
     assert (unsupported_reason(st) is None) == st.is_critical
+
+
+small_degrees = hs.lists(hs.integers(1, 6), max_size=4)
+
+
+@given(hs.builds(SplittingType, hs.integers(1, 6), small_degrees, small_degrees),
+       hs.integers(1, 6))
+def test_factors_count_increments_and_order(st, d):
+    factors = st.factors(d)
+    assert len(factors) == st.linear_factors(d)
+    # each increment lists every summand, so they concatenate to P_d's
+    # factors up to order
+    increments = [f for k in range(1, d + 1) for f in st.factors(k, k - 1)]
+    assert sorted(increments) == sorted(factors)
+    assert st.factors(d, d) == []
+    # the ranges as the hypergeometric Euler data spelled them, in order
+    assert factors == ([(l, -m) for l in st.convex for m in range(l * d + 1)]
+                       + [(-k, m) for k in st.concave for m in range(1, k * d)])

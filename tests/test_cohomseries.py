@@ -12,7 +12,7 @@ import pytest
 from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType
 from mirrorcalc.cohomseries import (CohomSeries, homogeneity_violations,
                                     integrate_pn, scale_by)
-from mirrorcalc.pipeline import _sigma_factors, build_hypergeom_series
+from mirrorcalc.pipeline import build_hypergeom_series
 from mirrorcalc.qseries import ScalarQSeries, SeriesError, TSeries, mirror_powers
 
 
@@ -39,7 +39,7 @@ def oracle_cells(st, order):
     times its new factors, divided n+1 times by x - d."""
     sigma, cells = one(st.n), [[Fraction(0)] * (st.n + 1)]
     for d in range(1, order + 1):
-        for a, b in _sigma_factors(st, d):
+        for a, b in st.factors(d, d - 1):
             sigma = _times_linear(sigma, a, b)
         for _ in range(st.n + 1):
             sigma = _divide_linear(sigma, d)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mirrorcalc import algebra, cli, eulerdata
-from mirrorcalc.algebra import (Factored, RationalFunction, alpha_degree, bar_involution,
+from mirrorcalc.algebra import (NEG_INF, Factored, RationalFunction, bar_involution,
                                 expanded, rf_equal)
 from mirrorcalc.bundles import OmegaClass, SplittingType, omega_class
 from mirrorcalc.eulerdata import (EulerDataClosed, EulerDataError, EulerDataTable,
@@ -393,6 +393,12 @@ def oracle_reciprocity(tbl):
                                       at(r, j, j, i, r) * at(d - r, i, j, i, r)),
                      lambda: f"item (iii): j={j}", f"item (iii): j={j}: ")
     return report
+
+
+def alpha_degree(p):
+    """The largest alpha exponent of a polynomial's terms; NEG_INF for 0."""
+    ia = p.ring.index["alpha"]
+    return max((e[ia] for e in p.terms), default=NEG_INF)
 
 
 def oracle_degree_bound(tbl):

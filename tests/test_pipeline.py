@@ -122,6 +122,38 @@ def test_frobenius_rejects_concave():
         frobenius_basis(series, LOCAL_P2)
 
 
+@pytest.mark.parametrize("offset, message", [
+    (-1, "f_0 acquired t-dependence"),
+    (0, "f_0 disagrees with its closed form"),
+    (1, "f_1 disagrees with f_0*t + g_1"),
+], ids=["below-h", "h", "h+1"])
+def test_frobenius_basis_names_the_broken_row(offset, message):
+    # q^2 added to the quintic's column S_(h+offset)
+    order, h = 4, omega_class(QUINTIC).h_exponent
+    series = build_hypergeom_series(QUINTIC, order)
+    columns = list(series.columns)
+    columns[h + offset] = columns[h + offset] + q_power(order, 2)
+    broken = CohomSeries(QUINTIC.n, order, columns, series.degrees)
+    with pytest.raises(PipelineError) as exc:
+        frobenius_basis(broken, QUINTIC)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("which", ["scaling", "shift"])
+def test_run_pipeline_matches_the_normalization_with_the_frobenius_route(which, monkeypatch):
+    import mirrorcalc.pipeline as pipeline
+
+    def bumped(series, st):
+        scaling, shift = compute_normalization(series, st)
+        bump = q_power(series.order, 2)
+        return (scaling + bump, shift) if which == "scaling" else (scaling, shift + bump)
+
+    monkeypatch.setattr(pipeline, "compute_normalization", bumped)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(QUINTIC, 4)
+    assert str(exc.value) == "normalization disagrees with the Frobenius route"
+
+
 def reference_prepotential_route(f_basis, st, inv_f0, shift):
     """K_d the long way: the prepotential (c/2)(f1 f2/f0^2 - f3/f0)
     - (c/6)T^3, T = t + g, built from t-series products, must be t-free,
@@ -286,15 +318,13 @@ def test_canonical_check_catches_wrong_normalization():
 def test_homogeneity_catches_wrong_factor_range(monkeypatch):
     # the recorded alpha-degree counts the factors actually multiplied,
     # so a range that stops one short breaks delta_d
-    import mirrorcalc.pipeline as pipeline
-
-    def short_range(st, d):
-        return ([(l, -m) for l in st.convex for m in range(l * (d - 1) + (d > 1), l * d)]
-                + [(-k, m) for k in st.concave for m in range(max(1, k * (d - 1)), k * d)])
+    def short_range(st, d, since=0):
+        return ([(l, -m) for l in st.convex for m in range(l * since + (since > 0), l * d)]
+                + [(-k, m) for k in st.concave for m in range(max(1, k * since), k * d)])
 
     for st in (QUINTIC, P3_CONCAVEX):
         assert homogeneity_violations(build_hypergeom_series(st, 3), st) == []
-        monkeypatch.setattr(pipeline, "_sigma_factors", short_range)
+        monkeypatch.setattr(SplittingType, "factors", short_range)
         violations = homogeneity_violations(build_hypergeom_series(st, 3), st)
         assert [d for d, _ in violations] == [1, 2, 3], st
         monkeypatch.undo()

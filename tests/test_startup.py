@@ -1,6 +1,7 @@
 """What a mirrorcalc process imports: the package and the CLI load no
-module they do not use (no dataclasses, no inspect, and the verifier
-only for verify), and the package's lazy exports behave as eager ones."""
+module they do not use (no dataclasses, no inspect, the verifier and its
+algebra only for verify, json only for a JSON writer), and the package's
+lazy exports and submodules behave as eager ones."""
 
 import io
 import json
@@ -14,12 +15,14 @@ import pytest
 import mirrorcalc
 
 SRC = Path(mirrorcalc.__file__).resolve().parents[1]
-HEAVY = ("dataclasses", "inspect", "mirrorcalc.eulerdata")
+HEAVY = ("dataclasses", "inspect", "json", "mirrorcalc.algebra", "mirrorcalc.eulerdata")
 
 
 def modules_after(code):
-    """The names in sys.modules of a fresh interpreter after code runs."""
-    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    """The names in sys.modules of a fresh interpreter after code runs,
+    taken before json is imported to print them."""
+    code += ("\nimport sys\nloaded = sorted(sys.modules)"
+             "\nimport json\nprint(json.dumps(loaded))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -46,6 +49,15 @@ def test_cli_paths_load_neither_dataclasses_nor_the_verifier(code):
     assert [name for name in HEAVY if name in loaded] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("list-critical", "--format", "json"),
+    ("compute", "--preset", "quintic", "--format", "json"),
+], ids=["list-critical", "compute"])
+def test_json_format_loads_json(argv):
+    loaded = modules_after(command(*argv))
+    assert "json" in loaded and "mirrorcalc.algebra" not in loaded
+
+
 def test_verify_loads_the_verifier_without_dataclasses():
     loaded = modules_after(command("verify", "gluing", "--n", "2", "--bundle", "O(-3)",
                                    "--dmax", "2"))
@@ -66,6 +78,16 @@ def test_lazy_exports():
         mirrorcalc.no_such_name
     with pytest.raises(ImportError):
         exec("from mirrorcalc import no_such_name", {})
+
+
+def test_submodules_resolve_as_attributes():
+    # in a fresh interpreter, where no submodule is bound to the package yet
+    loaded = modules_after("import sys, mirrorcalc\n"
+                           "assert set(mirrorcalc._EXPORTS) <= set(dir(mirrorcalc))\n"
+                           "for name in mirrorcalc._EXPORTS:\n"
+                           "    module = getattr(mirrorcalc, name)\n"
+                           "    assert module is sys.modules[f'mirrorcalc.{name}'], name")
+    assert {f"mirrorcalc.{name}" for name in mirrorcalc._EXPORTS} <= loaded
 
 
 def test_exports_are_read_from_the_defining_module(monkeypatch):
