@@ -27,8 +27,8 @@ VERIFY_FORMATS = ("text", "json")
 CONFIG_KEYS = ("order", "format", "emit", "dmax", "decimal")
 DEFAULT_EMIT = ("kd", "nd", "mirror-map", "checks")
 # largest --order of compute and --dmax of verify, from a flag or a
-# config; compute --preset quintic takes 0.55 s at --order 100 (run_pipeline
-# 5.4 s at 200), verify linking on the quintic 0.16 s at --dmax 6, 0.21 s at 8
+# config; compute --preset quintic takes 0.16 s at --order 100 (run_pipeline
+# 1.3 s at 200), verify linking on the quintic 0.16 s at --dmax 6, 0.21 s at 8
 MAX_ORDER = 100
 MAX_DMAX = 6
 # largest --decimal of compute, from a flag or a config; K_d has <= 324 integer

@@ -6,7 +6,7 @@ coefficients, stored as integers over one denominator (as FLINT's
 fmpq_poly does; coeffs is the derived Fraction view); binary operations
 require matching orders so that no silent precision loss can occur.
 Every series product, scalar or t-graded, runs through
-ScalarQSeries.__mul__: one big-integer product by Kronecker substitution.
+ScalarQSeries.__mul__: a truncated product of the stored integers.
 """
 
 from __future__ import annotations
@@ -40,15 +40,11 @@ def _over_common_denominator(coeffs):
 
 def _int_product(a, b):
     """The first len(a) coefficients of the product of the int
-    polynomials a and b (len(b) == len(a)), by Kronecker substitution:
-    evaluate both at 2^w, multiply once (CPython's Karatsuba), and read
-    the signed w-bit slots back.  A leading run of zeros (the q-adic
-    valuation) is split off first, so a product of q^i- and q^j-led
-    series costs one product of length len(a) - i - j.
-
-    With w = 8 * width, each output slot is bounded by
-    need * max|a| * max|b| < 2^(w-2), so biasing every slot by 2^(w-1)
-    keeps it inside [0, 2^w) and the slots unpack without carries.
+    polynomials a and b (len(b) == len(a)): coefficient k is the dot
+    product of a[:k+1] with b[:k+1] reversed, so only the coefficients
+    returned are computed.  A leading run of zeros (the q-adic valuation)
+    is split off first, so a product of q^i- and q^j-led series costs one
+    truncated product of length len(a) - i - j.
     """
     count = len(a)
     va = next((i for i, c in enumerate(a) if c), count)
@@ -56,23 +52,9 @@ def _int_product(a, b):
     need = count - va - vb
     if need <= 0:
         return [0] * count
-    a, b = a[va:va + need], b[vb:vb + need]
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + need.bit_length() + 2)
-    width = (bits + 7) // 8  # slot width in bytes
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * need, "little")
-    low = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * need)) - 1)
-    raw = low.to_bytes(width * need, "little")
-    half = 1 << (8 * width - 1)
-    return [0] * (va + vb) + [int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
+    a, rb = a[va:va + need], b[vb:vb + need][::-1]
+    return [0] * (va + vb) + [sum(map(operator.mul, a, rb[need - 1 - k:]))
                               for k in range(need)]
-
-
-def _pack(ints, width):
-    """sum ints[k] * 2^(8*width*k), every |ints[k]| < 2^(8*width)."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in ints)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in ints)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _append_over(nums, den, value):

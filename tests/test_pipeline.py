@@ -11,6 +11,7 @@ from hypothesis import strategies as hs
 
 import mirrorcalc
 from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType, omega_class
+from mirrorcalc.cli import MAX_ORDER
 from mirrorcalc.cohomseries import CohomSeries, homogeneity_violations, integrate_pn, scale_by
 from mirrorcalc.pipeline import (PipelineCase, PipelineError, _normalized_columns,
                                  build_hypergeom_series,
@@ -594,6 +595,17 @@ def test_instanton_numbers_integral_at_bench_depth(st):
     if st == QUINTIC:
         assert [v for _, v, _ in result.instanton[:4]] == [2875, 609250, 317206375,
                                                           242467530000]
+
+
+def test_instanton_numbers_integral_at_the_order_cap():
+    # the quintic at the --order cap carries the widest coefficients of any
+    # admitted input (K_d of up to 324 integer digits)
+    result = run_pipeline(QUINTIC, MAX_ORDER)
+    assert all(result.checks.values())
+    assert [d for d, _, _ in result.instanton] == list(range(1, MAX_ORDER + 1))
+    assert [d for d, _, integral in result.instanton if not integral] == []
+    assert max(len(str(abs(int(k)))) for k in result.K) == 324
+    assert [v for _, v, _ in result.instanton[:4]] == [2875, 609250, 317206375, 242467530000]
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scalar q-series: exp, inversion, composition, reversion; the integer
 arithmetic against Fraction-list oracles (the schoolbook product, the
-inverse and exp recurrences); the canonical (ints, den) form; the
+inverse and exp recurrences) and the integer product kernel against the
+double-loop convolution; the canonical (ints, den) form; the
 mirror-coordinate powers."""
 
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorcalc.qseries import (ScalarQSeries, SeriesError, TSeries,
+from mirrorcalc.qseries import (ScalarQSeries, SeriesError, TSeries, _int_product,
                                 mirror_powers, qseries_reversion)
 
 
@@ -21,6 +22,16 @@ def schoolbook(a, b):
     out = [Fraction(0)] * (a.order + 1)
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs[: a.order + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def oracle_int_product(a, b):
+    """The convolution of two int sequences by the double loop, truncated
+    to len(a)."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: len(a) - i]):
             out[i + j] += x * y
     return out
 
@@ -95,6 +106,42 @@ def tseries_pairs(draw):
     keys = st.tuples(st.integers(0, order), st.integers(0, 4))
     terms = st.dictionaries(keys, rationals, max_size=12)
     return TSeries(order, draw(terms)), TSeries(order, draw(terms))
+
+
+# integers of mixed signs up to about 2000 bits, and zeros
+kernel_ints = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(1 << 64), 1 << 64),
+                        st.integers(-(1 << 2000), 1 << 2000))
+
+
+@st.composite
+def int_pairs(draw):
+    """Two int sequences of one length in 1..40, each led by a run of zeros
+    of any length up to the whole sequence, as lists or as tuples."""
+    count = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from([list, tuple]))
+
+    def operand():
+        lead = draw(st.integers(0, count))
+        return kind([0] * lead + draw(st.lists(kernel_ints, min_size=count - lead,
+                                               max_size=count - lead)))
+
+    return operand(), operand()
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_pairs())
+def test_int_product_matches_the_double_loop(pair):
+    a, b = pair
+    assert _int_product(a, b) == oracle_int_product(a, b)
+    assert _int_product(a, b) == _int_product(b, a)
+
+
+@pytest.mark.parametrize("count, va, vb", [(1, 1, 0), (1, 0, 1), (1, 1, 1), (5, 2, 3),
+                                           (5, 5, 5), (40, 39, 1), (40, 20, 25), (40, 0, 40)])
+def test_int_product_of_valuations_past_the_length_is_zero(count, va, vb):
+    a = [0] * va + [-(1 << 2000) + 7] * (count - va)
+    b = [0] * vb + [3 ** 1200] * (count - vb)
+    assert _int_product(a, b) == _int_product(b, a) == [0] * count
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,8 +219,9 @@ def test_scalar_product_edge_cases():
 @pytest.mark.parametrize("count, bits_a, bits_b", [(31, 5, 6), (3, 7, 7), (100, 64, 63),
                                                    (12, 1000, 1001)])
 def test_scalar_product_fills_its_slots(count, bits_a, bits_b):
-    # every coefficient at its largest magnitude, so the middle slot holds
-    # count * max|a| * max|b|, the bound the slot width is sized for
+    # every coefficient at its largest magnitude and of one sign per
+    # operand, so each product coefficient k is (k + 1) * max|a| * max|b|:
+    # no cancellation, and the top one is the largest sum the product forms
     for sign_a, sign_b in ((1, 1), (-1, 1), (-1, -1)):
         a = ScalarQSeries(count - 1, [sign_a * ((1 << bits_a) - 1)] * count)
         b = ScalarQSeries(count - 1, [sign_b * ((1 << bits_b) - 1)] * count)
