@@ -259,8 +259,8 @@ def _int_option(flag, config, key, default, low, high=None):
 
 def _format_option(flag, config, default, choices):
     """The flag value, else the config value, else the default, which
-    must be one of choices."""
-    fmt = flag or config.get("format") or default
+    must be one of choices; an empty value is none of them."""
+    fmt = flag if flag is not None else config.get("format", default)
     if fmt not in choices:
         raise UsageError(f"config value format = {fmt!r} is not one of " + ", ".join(choices))
     return fmt
@@ -336,8 +336,10 @@ def _cmd_compute(args, out, err):
         n, bundle_text, default_order = _integer(args.n, "--n"), args.bundle, 10
     order = _int_option(args.order, config, "order", default_order, 1, MAX_ORDER)
     fmt = _format_option(args.format, config, "text", FORMAT_CHOICES)
-    emit_text = args.emit or config.get("emit") or ",".join(DEFAULT_EMIT)
+    emit_text = args.emit if args.emit is not None else config.get("emit", ",".join(DEFAULT_EMIT))
     emit = tuple(tok.strip() for tok in emit_text.split(",") if tok.strip())
+    if not emit:
+        raise UsageError(f"emit {emit_text!r} names none of " + ", ".join(EMIT_CHOICES))
     for tok in emit:
         if tok not in EMIT_CHOICES:
             raise UsageError(f"unknown emit item '{tok}'")

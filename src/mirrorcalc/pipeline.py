@@ -221,13 +221,13 @@ def _solve_from_weighted_sum(target, powers, order):
     return K
 
 
-def extract_euler_numbers(series, st, scaling, shift, powers, prepotential=None):
+def extract_euler_numbers(series, st, scaling, shift, prepotential=None):
     """Integrate the normalized series over P^n and match it against
     sum_d K_d (2 - d(t+g)) Q^d, Q = q e^g.  The integral is alpha^-3
     times sum_j (-t-g)^j/j! N_(n-j), N the normalized columns; canonical
     form leaves N_n - (t+g) N_(n-1).  N_(n-1) = sum_d d K_d Q^d fixes the
-    K_d recursively, and N_n = 2 sum_d K_d Q^d must then hold exactly.
-    ``powers`` is mirror_powers(shift).  The t-degree bound N_i = 0 for
+    K_d recursively, and N_n = 2 sum_d K_d Q^d must then hold exactly; the
+    Q^d are mirror_powers(shift).  The t-degree bound N_i = 0 for
     i <= n - 2 is canonical form: every canonical_alpha_degrees <= -2.
     A given prepotential sum_d K_d Q^d (the CASE1 dual route) must be
     N_n / 2 exactly, which, the Q^d expansion being unique, is the same K.
@@ -246,6 +246,7 @@ def extract_euler_numbers(series, st, scaling, shift, powers, prepotential=None)
     if low:
         raise PipelineError(f"integrated series has t-degree > 1 at q^{min(low)}")
 
+    powers = mirror_powers(shift)
     K = _solve_from_weighted_sum(columns[n - 1], powers, order)
     diff = columns[n] - _combine_rows(powers, K) * 2
     bad = next((d for d, v in enumerate(diff.ints) if v), None)
@@ -305,10 +306,10 @@ def recompose_multicover(n_values):
 # The names of the identities run_pipeline asserts.  In every case:
 # homogeneity, then alpha_purity, canonical_form (= t_degree_bound) and
 # t0_consistency in extract_euler_numbers, then multicover_roundtrip.
-# CASE1 adds, before the extraction, frobenius_closed_forms in
-# frobenius_basis, scaling_match, mirror_map_match and phi_t_independent
-# (the Frobenius shape of the f_i, which makes the prepotential t-free),
-# and dual_route_agreement (2 * prepotential == N_n) last in it.
+# CASE1 adds phi_t_independent (S_i = 0 below h, so the f_i have the Frobenius
+# shape and the prepotential is t-free) and frobenius_closed_forms, both in
+# frobenius_basis, then scaling_match and mirror_map_match on the rows a_k,
+# and dual_route_agreement (2 * prepotential == N_n) last in the extraction.
 CHECKS = ("homogeneity", "alpha_purity", "canonical_form", "t_degree_bound",
           "t0_consistency", "multicover_roundtrip")
 FROBENIUS_CHECKS = ("frobenius_closed_forms", "scaling_match", "mirror_map_match",
@@ -356,29 +357,23 @@ def run_pipeline(st, order):
     f_basis = prepotential = None
     if case is PipelineCase.CASE1:
         f_basis = frobenius_basis(series, st)
-        if (scaling * f_basis[0].t_coefficient(0) != 1
-                or shift != f_basis[1].t_coefficient(0) * scaling):
+        a = [f.t_coefficient(0) for f in f_basis]
+        if scaling * a[0] != 1 or shift != a[1] * scaling:
             raise PipelineError("normalization disagrees with the Frobenius route")
-        prepotential = _mirror_conjecture_route(f_basis, st, scaling, shift)
+        prepotential = _mirror_conjecture_route(a, st, scaling, shift)
 
-    K = extract_euler_numbers(series, st, scaling, shift, mirror_powers(shift), prepotential)
+    K = extract_euler_numbers(series, st, scaling, shift, prepotential)
     instanton = invert_multicover(K)
     if recompose_multicover(instanton) != K:
         raise PipelineError("multiple-cover inversion does not recompose to K")
     return PipelineResult(st, order, case, K, instanton, shift, scaling, f_basis)
 
 
-def _mirror_conjecture_route(f_basis, st, inv_f0, shift):
+def _mirror_conjecture_route(a, st, inv_f0, shift):
     """The prepotential (c/2)(f1 f2/f0^2 - f3/f0) - (c/6)T^3 = sum_d K_d Q^d,
-    T = t + g, from the Frobenius rows (not the normalized columns).  With
-    a_k the t^0 row of f_k, the Frobenius shape f_i = sum_(j<=i) t^j/j!
-    a_(i-j) gives F1 F2 - F3 - T^3/3 = b_1 b_2 - b_3 - g^3/3 for
-    F_i = f_i/a_0, b_k = a_k/a_0; run_pipeline has matched b_1 = g and
-    inv_f0 = 1/a_0, so it is the t-free (c/2)(g b_2 - b_3) - (c/6) g^3."""
-    order, c = shift.order, omega_class(st).scalar
-    a = [f.t_coefficient(0) for f in f_basis]
-    for i, f in enumerate(f_basis):
-        if f != TSeries.from_rows(order, [a[i - j] * Fraction(1, math.factorial(j))
-                                          for j in range(i + 1)]):
-            raise PipelineError(f"f_{i} breaks the Frobenius shape in t")
+    T = t + g, from a_k, the t^0 row of f_k (not the normalized columns).
+    frobenius_basis builds f_i = sum_(j<=i) t^j/j! a_(i-j), so F1 F2 - F3 -
+    T^3/3 = b_1 b_2 - b_3 - g^3/3 for F_i = f_i/a_0, b_k = a_k/a_0; with
+    b_1 = g and inv_f0 = 1/a_0 matched, it is (c/2)(g b_2 - b_3) - (c/6) g^3."""
+    c = omega_class(st).scalar
     return (shift * (a[2] * inv_f0) - a[3] * inv_f0) * (c / 2) - shift * shift * shift * (c / 6)

@@ -804,6 +804,36 @@ def test_verify_config_format(tmp_path, monkeypatch):
     assert err == "error: config value format = 'csv' is not one of text, json\n"
 
 
+COMPUTE = ["compute", "--preset", "multicover", "--order", "2"]
+VERIFY = ["verify", "gluing", "--n", "1", "--bundle", "O(-1)+O(-1)", "--dmax", "1"]
+NO_EMIT = "names none of kd, nd, mirror-map, f-series, checks"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (COMPUTE + ["--emit="], None, f"emit '' {NO_EMIT}"),
+    (COMPUTE + ["--emit=,"], None, f"emit ',' {NO_EMIT}"),
+    (COMPUTE + ["--emit", " , ", "--format", "csv"], None, f"emit ' , ' {NO_EMIT}"),
+    (COMPUTE, "emit = ,\n", f"emit ',' {NO_EMIT}"),
+    (COMPUTE, "emit =\n", f"emit '' {NO_EMIT}"),
+    (COMPUTE + ["--format", "csv"], "emit = ,\n", f"emit ',' {NO_EMIT}"),
+    (COMPUTE, "format =\n", "config value format = '' is not one of text, json, csv"),
+    (COMPUTE + ["--emit", "kd"], "format = \n",
+     "config value format = '' is not one of text, json, csv"),
+    (VERIFY, "format =\n", "config value format = '' is not one of text, json"),
+], ids=["flag", "flag-comma", "flag-blank-csv", "config-comma", "config", "config-comma-csv",
+        "format-config", "format-config-emit", "verify-format-config"])
+def test_empty_selection_exits_2(tmp_path, monkeypatch, argv, config, message):
+    # an emit value that names no section, or an empty format from a
+    # config, is a usage error: not the default, not a bare header
+    refuse_builds(monkeypatch)
+    monkeypatch.setattr(cli, "run_pipeline", lambda *a: pytest.fail("the pipeline ran"))
+    if config is not None:
+        cfg = tmp_path / "empty.conf"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--preset", "multicover"],
     ["verify", "gluing", "--n", "2", "--bundle", "O(-3)"],

@@ -12,6 +12,9 @@ class, i.e. the coefficient of x1^n x2^(n-1) after multiplying by
 
 from fractions import Fraction
 
+from hypothesis import example, given
+from hypothesis import strategies as hs
+
 from mirrorcalc.bundles import CRITICAL_BUNDLES
 from mirrorcalc.pipeline import PipelineCase, classify, run_pipeline
 
@@ -46,9 +49,10 @@ def test_quintic_line_count_is_classical():
     assert line_count(CRITICAL_BUNDLES[3]) == 2875
 
 
-def test_whole_critical_list_runs_clean():
-    for st in CRITICAL_BUNDLES:
-        result = run_pipeline(st, 4)
-        assert all(result.checks.values()), (st, result.checks)
-        assert all(flag for _, _, flag in result.instanton), st
-        assert all(isinstance(k, Fraction) for k in result.K)
+@given(st=hs.sampled_from(CRITICAL_BUNDLES), order=hs.integers(1, 40))
+@example(st=CRITICAL_BUNDLES[-1], order=40)
+def test_whole_critical_list_runs_clean(st, order):
+    result = run_pipeline(st, order)
+    assert all(result.checks.values()), (st, result.checks)
+    assert all(v.denominator == 1 and flag for _, v, flag in result.instanton), st
+    assert all(isinstance(k, Fraction) for k in result.K)
