@@ -23,8 +23,8 @@ A product of homogeneous linear forms can stay unexpanded as a
 ``Factored`` value: a rational constant and the forms, on which
 products, quotients, the bar involution, linear substitutions,
 alpha-degrees and equality act directly, expanding it only beside a
-RationalFunction.  Each ring interns the forms of its Factored values
-and memoizes their substitutions in its ``FormTable``, which only grows.
+RationalFunction.  Each ring interns the forms of its Factored values and
+memoizes their substitutions and swaps in its ``FormTable``, which only grows.
 """
 
 from __future__ import annotations
@@ -437,8 +437,9 @@ class FormTable:
 
     A form is a tuple of coprime ints, one per ring variable, whose
     first nonzero entry is positive; a value refers to it by its index
-    in ``forms``.  ``images`` memoizes substitutions: one map per binding
-    v -> L/q, keyed (v, L, q), from a form's index to its image's (g, index).
+    in ``forms``.  ``images`` memoizes substitutions and swaps: one map
+    per binding v -> L/q, keyed (v, L, q), or swap a <-> b, keyed (a, b),
+    from a form's index to its image's (g, index).
     """
 
     def __init__(self):
@@ -620,6 +621,31 @@ def bar_involution(p):
         raise AlgebraError("ring has no alpha variable")
     shift = p.ring.shifts[ia]
     return _poly(p.ring, {k: -c if k >> shift & 1 else c for k, c in p.ints.items()}, p.den)
+
+
+def transposition(p, a, b):
+    """The ring automorphism lam_a <-> lam_b: two fields of each key, or
+    two ints of each form (memoized, signs into the constant), swapped;
+    a RationalFunction is rebuilt, since its leading sign may change."""
+    ring = p.ring
+    va, vb = ring.index[f"lam{a}"], ring.index[f"lam{b}"]
+    if isinstance(p, RationalFunction):
+        return RationalFunction(transposition(p.num, a, b), transposition(p.den, a, b))
+    if isinstance(p, Polynomial):
+        sa, sb = ring.shifts[va], ring.shifts[vb]
+        both = (1 << sa) | (1 << sb)
+        return _poly(ring, {k ^ ((k >> sa ^ k >> sb) & FIELD_MASK) * both: c
+                            for k, c in p.ints.items()}, p.den)
+    table, sign, parts = ring.forms, 1, ({}, {})
+    images = table.images.setdefault((va, vb), {})
+    swap = [vb if u == va else va if u == vb else u for u in range(ring.nvars)]
+    for out, side in zip(parts, (p.num, p.den)):
+        for i, e in side.items():
+            if i not in images:
+                images[i] = table.normal([table.forms[i][u] for u in swap])
+            g, j = images[i]  # g = +-1: the swapped ints stay coprime
+            out[j], sign = e, sign * g ** e
+    return _factored(ring, p.const * sign, *parts)
 
 
 def rf_equal(f, g):

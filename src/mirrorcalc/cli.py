@@ -36,14 +36,13 @@ MAX_DMAX = 6
 MAX_DECIMAL = 1000
 # largest number sum(l*dmax + 1) + sum(k*dmax - 1) of linear factors of
 # P_dmax in verify, with or without --with-x.  Every check acts on the
-# factors.  Fresh-process runs on P^12 of O(-11) at --dmax 6 (65 factors)
-# take 0.2-0.3 s for gluing, 0.9-1.2 s for reciprocity, 0.2 s for the
-# degree bound and 0.5-0.6 s for linking, with and without --with-x.
+# factors.  Fresh-process runs of each check on P^12 at --dmax 6, O(-11)
+# (65 factors) and O(4)+O(1) with --with-x, take 0.09-0.24 s.
 # The presets need at most 31.  It also bounds every bundle degree of
 # verify; compute admits only the critical types, whose degrees are all <= 5.
 MAX_LINEAR_FACTORS = 65
 # largest --n of every command; it admits every critical type (n <= 7),
-# and at the factor cap on P^12 no check takes 1.5 s (README, limits)
+# and at the factor cap on P^12 no check takes 0.3 s (README, limits)
 MAX_DIMENSION = 12
 
 # preset name -> (n, bundle text, default order)
@@ -266,6 +265,18 @@ def _format_option(flag, config, default, choices):
     return fmt
 
 
+def _emit_option(flag, config):
+    """The sections the flag, else the config, else DEFAULT_EMIT names."""
+    emit_text = flag if flag is not None else config.get("emit", ",".join(DEFAULT_EMIT))
+    emit = tuple(tok.strip() for tok in emit_text.split(",") if tok.strip())
+    if not emit:
+        raise UsageError(f"emit {emit_text!r} names none of " + ", ".join(EMIT_CHOICES))
+    for tok in emit:
+        if tok not in EMIT_CHOICES:
+            raise UsageError(f"unknown emit item '{tok}'")
+    return emit
+
+
 # ---------------------------------------------------------------------
 # commands
 
@@ -336,13 +347,7 @@ def _cmd_compute(args, out, err):
         n, bundle_text, default_order = _integer(args.n, "--n"), args.bundle, 10
     order = _int_option(args.order, config, "order", default_order, 1, MAX_ORDER)
     fmt = _format_option(args.format, config, "text", FORMAT_CHOICES)
-    emit_text = args.emit if args.emit is not None else config.get("emit", ",".join(DEFAULT_EMIT))
-    emit = tuple(tok.strip() for tok in emit_text.split(",") if tok.strip())
-    if not emit:
-        raise UsageError(f"emit {emit_text!r} names none of " + ", ".join(EMIT_CHOICES))
-    for tok in emit:
-        if tok not in EMIT_CHOICES:
-            raise UsageError(f"unknown emit item '{tok}'")
+    emit = _emit_option(args.emit, config)
     if fmt == "csv" and "f-series" in emit:
         raise UsageError("csv carries the per-degree columns only; "
                          "use --format text or json for f-series")
@@ -370,6 +375,10 @@ def _cmd_verify(args, out, err):
     config = load_config(args.config) if args.config else {}
     d_max = _int_option(args.dmax, config, "dmax", 4, 1, MAX_DMAX)
     fmt = _format_option(args.format, config, "json", VERIFY_FORMATS)
+    # one config file serves both commands: check compute's keys as compute does
+    _int_option(None, config, "order", None, 1, MAX_ORDER)
+    _emit_option(None, config)
+    _int_option(None, config, "decimal", None, 0, MAX_DECIMAL)
     st = _read_bundle(args.bundle, _integer(args.n, "--n"))
     factors = st.linear_factors(d_max)
     if factors > MAX_LINEAR_FACTORS:

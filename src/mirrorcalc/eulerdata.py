@@ -22,11 +22,16 @@ through the same checks unexpanded.
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
 records each identity through ``_verdict``: "pass", "fail" with a
 witness, or "inconclusive" when a substitution hits a vanishing
-denominator.  ``mirror_transform`` runs over the variable alpha.  Every
-summand it adds to P_d(lam_i) carries lam_i - lam_j - d*alpha, so
-``check_mirror_linked`` decides linking in closed form: at the binding
-alpha = (lam_i - lam_j)/d it compares P_d(lam_i) with
-(bar(Omega)/Omega) * P_d(lam_i), and runs no transform.
+denominator.  Reciprocity and linking decide by orbit: if the values
+read at p_k are those at p_0 under lam_0 <-> lam_k, and those at p_0
+are fixed by each lam_1 <-> lam_k (point symmetry), a permutation of
+the lam with 0 -> i, 1 -> j is a ring automorphism that carries each
+identity at (0, 1), binding included, to the one at (i, j), so if those
+at (0, 1) pass, all do.  ``mirror_transform`` runs over the variable
+alpha.  Every summand it adds to P_d(lam_i) carries lam_i - lam_j -
+d*alpha, so ``check_mirror_linked`` decides linking in closed form: at
+alpha = (lam_i - lam_j)/d it compares P_d(lam_i) with (bar(Omega)/Omega)
+* P_d(lam_i), and runs no transform.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import operator
 from fractions import Fraction
 
 from .algebra import (Factored, RationalFunction, SubstitutionError, bar_involution,
-                      expanded, rf_equal, weight_ring)
+                      expanded, rf_equal, transposition, weight_ring)
 from .bundles import Record, omega_class
 from .qseries import ScalarQSeries, mirror_powers
 
@@ -299,6 +304,26 @@ def _alpha_binding(ring, j, i, d):
     return (ring.var(f"lam{j}") - ring.var(f"lam{i}")) * Fraction(1, d)
 
 
+def _decide(report, identities, reads):
+    """Append the verdict of each (key, holds, witness, prefix) that
+    identities(firsts, seconds) yields for i in firsts, j in seconds: by
+    orbit, all pass if those at i = 0, j = 1 do and reads is point-symmetric
+    by structure (uncancelled denominators decide what is inconclusive)."""
+    def same(u, v):
+        return (type(u) is type(v) and u.num == v.num and u.den == v.den
+                and (not isinstance(u, Factored) or (u.ring is v.ring and u.const == v.const)))
+
+    points, reps = range(report.n + 1), VerificationReport(report.check, report.n, report.d_max)
+    for identity in identities(points[:1], points[1:2]):
+        _verdict(reps, *identity)
+    swaps = [(0, k, reads(k)) for k in points[1:]] + [(1, k, reads(0)) for k in points[2:]]
+    orbit = all(r.status == "pass" for r in reps.results) and all(
+        all(map(same, (transposition(v, a, k) for v in reads(0)), vs)) for a, k, vs in swaps)
+    for key, holds, *rest in identities(points, points):
+        _verdict(report, key, (lambda: True) if orbit else holds, *rest)
+    return report
+
+
 def check_reciprocity(tbl):
     """The three consequences of gluing:
 
@@ -309,52 +334,52 @@ def check_reciprocity(tbl):
           alpha=(lam_j-lam_i)/r, r = 1..d.
 
     Items (ii) and (iii) substitute each degree-zero restriction, and
-    Omega, once per alpha-binding and then multiply the substituted
-    factors; item (ii) and item (iii) at r = d share a binding and so
-    share those values.  This is exact: substitution is a ring map, and
-    a product's denominator vanishes exactly when one factor's does.  A
-    substitution that hits a vanishing denominator marks the item
-    inconclusive, not failed.
+    Omega, once per alpha-binding and multiply the results: exact, as
+    substitution is a ring map and a product's denominator vanishes
+    exactly when a factor's does, which makes the item inconclusive.
+    Decided by orbit, on Omega, Q_d and Q_d(lam_i + d*alpha) at each p_i.
     """
-    report = VerificationReport("reciprocity", tbl.n, tbl.d_max)
-    ring = tbl.ring
-    points = range(tbl.n + 1)
-    binding = functools.cache(lambda j, i, r: {"alpha": _alpha_binding(ring, j, i, r)})
+    bar = functools.cache(lambda d, i: bar_involution(tbl.value(d, i, 0)))
 
     @functools.cache
     def at(d, k, j, i, r):
         """value(d, k, 0) at alpha = (lam_j - lam_i)/r."""
-        return tbl.value(d, k, 0).substitute(binding(j, i, r))
+        return tbl.value(d, k, 0).substitute({"alpha": _alpha_binding(tbl.ring, j, i, r)})
 
-    for d, i in _grid(tbl.d_max, points):
-        lhs, rhs = tbl.value(d, i, d), bar_involution(tbl.value(d, i, 0))
-        _verdict(report, (d, i, d), lambda: rf_equal(lhs, rhs),
-                 lambda: f"item (i): lhs={lhs}; rhs={rhs}")
-    for d, i, j in _grid(tbl.d_max, points, points):
-        if j != i:
-            _verdict(report, (d, i, j), lambda: rf_equal(at(d, j, j, i, d), at(d, i, i, j, d)),
-                     lambda: f"item (ii): j={j}", "item (ii): ")
-    for d, r, i, j in _grid(tbl.d_max, lambda d: range(1, d + 1), points, points):
-        if j != i:
-            _verdict(report, (d, i, r),
-                     lambda: rf_equal(at(0, i, j, i, r) * at(d, j, j, i, r),
-                                      at(r, j, j, i, r) * at(d - r, i, j, i, r)),
-                     lambda: f"item (iii): j={j}", f"item (iii): j={j}: ")
-    return report
+    def identities(firsts, seconds):
+        for d, i in _grid(tbl.d_max, firsts):
+            yield ((d, i, d), lambda: rf_equal(tbl.value(d, i, d), bar(d, i)),
+                   lambda: f"item (i): lhs={tbl.value(d, i, d)}; rhs={bar(d, i)}", "")
+        for d, i, j in _grid(tbl.d_max, firsts, seconds):
+            if j != i:
+                yield ((d, i, j), lambda: rf_equal(at(d, j, j, i, d), at(d, i, i, j, d)),
+                       lambda: f"item (ii): j={j}", "item (ii): ")
+        for d, r, i, j in _grid(tbl.d_max, lambda d: range(1, d + 1), firsts, seconds):
+            if j != i:
+                yield ((d, i, r), lambda: rf_equal(at(0, i, j, i, r) * at(d, j, j, i, r),
+                                                   at(r, j, j, i, r) * at(d - r, i, j, i, r)),
+                       lambda: f"item (iii): j={j}", f"item (iii): j={j}: ")
+
+    return _decide(VerificationReport("reciprocity", tbl.n, tbl.d_max), identities,
+                   lambda k: [tbl.value(d, k, r) for d in _upto(tbl.d_max) for r in (0, d)])
 
 
-def _linking_report(tbl, sides):
+def _linking_report(tbl, value, sides):
     """Record, for every d and i != j, whether the two sides
     sides(form, d, i, binding) agree, binding alpha = (lam_i - lam_j)/d:
-    decided on the table values as given (form the identity), witnessed
-    by their difference on the expanded values (form ``expanded``)."""
-    report = VerificationReport("linking", tbl.n, tbl.d_max)
-    for d, i, j in _grid(tbl.d_max, range(tbl.n + 1), range(tbl.n + 1)):
-        if j != i:
-            binding = {"alpha": _alpha_binding(tbl.ring, i, j, d)}
-            _verdict(report, (d, i, j), lambda: rf_equal(*sides(lambda v: v, d, i, binding)),
-                     lambda: f"j={j}: residue={operator.sub(*sides(expanded, d, i, binding))}")
-    return report
+    decided by orbit on value(d, i), what sides reads, as given (form the
+    identity), witnessed by their difference expanded (form ``expanded``)."""
+    def at(form, d, i, j):
+        return sides(form, d, i, {"alpha": _alpha_binding(tbl.ring, i, j, d)})
+
+    def identities(firsts, seconds):
+        for d, i, j in _grid(tbl.d_max, firsts, seconds):
+            if j != i:
+                yield ((d, i, j), lambda: rf_equal(*at(lambda v: v, d, i, j)),
+                       lambda: f"j={j}: residue={operator.sub(*at(expanded, d, i, j))}", "")
+
+    return _decide(VerificationReport("linking", tbl.n, tbl.d_max), identities,
+                   lambda i: [value(d, i) for d in _upto(tbl.d_max)])
 
 
 def check_linked(table_a, table_b):
@@ -364,7 +389,7 @@ def check_linked(table_a, table_b):
         raise EulerDataError("tables are not compatible")
     diff = functools.cache(lambda d, i: table_a.entry(d, i, 0) - table_b.entry(d, i, 0))
     zero = RationalFunction(table_a.ring.zero)
-    return _linking_report(table_a, lambda _, d, i, binding: (diff(d, i).substitute(binding), zero))
+    return _linking_report(table_a, diff, lambda _, d, i, b: (diff(d, i).substitute(b), zero))
 
 
 def check_degree_bound(tbl):
@@ -472,4 +497,4 @@ def check_mirror_linked(table):
         at = form(table.value(d, i, 0)).substitute(binding)
         return at, scale * at
 
-    return _linking_report(table, sides)
+    return _linking_report(table, lambda d, i: table.value(d, i, 0), sides)

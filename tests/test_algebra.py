@@ -3,6 +3,7 @@ cross-multiplication equality, the ring laws on random inputs, the
 packed kernel against a tuple-key Fraction oracle, and factored values
 against their expansions."""
 
+import functools
 import operator
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as hs
 
 from mirrorcalc.algebra import (MAX_DEGREE, NEG_INF, AlgebraError, Factored, Polynomial,
                                 RationalFunction, SubstitutionError, bar_involution, rf_equal,
-                                weight_ring)
+                                transposition, weight_ring)
 from mirrorcalc.qseries import ExactValue, ScalarQSeries, TSeries
 
 R = weight_ring(2)
@@ -326,6 +327,21 @@ def test_substitute_matches_oracle(a, bindings):
 
 
 @settings(max_examples=100)
+@given(oracles, hs.sampled_from([(0, 1), (1, 0), (0, 2), (1, 2)]))
+def test_transposition_matches_oracle(a, pair):
+    # lam_a <-> lam_b swaps two exponent fields of every key, the total
+    # degree and the other fields untouched
+    i, j = pair
+
+    def swapped(exp):
+        exp = list(exp)
+        exp[i], exp[j] = exp[j], exp[i]
+        return tuple(exp)
+
+    assert_matches(transposition(Polynomial(R, a), i, j), {swapped(e): c for e, c in a.items()})
+
+
+@settings(max_examples=100)
 @given(oracles)
 def test_bar_involution_matches_oracle(a):
     assert_matches(bar_involution(Polynomial(R, a)), oracle_bar(a, R))
@@ -396,6 +412,29 @@ def test_factored_operations_match_their_expansions(a, b, name, value):
             a.substitute({name: value})
     else:
         assert same(a.substitute({name: value}), expected)
+
+
+@settings(max_examples=100)
+@given(factored, factored)
+def test_transposition_is_an_automorphism_of_factored_values(a, b):
+    # lam0 <-> lam1 on a factored value expands to what it gives on the
+    # expansion, byte for byte; it is an involution on the stored
+    # structure, and commutes with products and the bar involution
+    swap = functools.partial(transposition, a=0, b=1)
+    assert same(swap(a), swap(a.expand()))
+    assert (swap(swap(a)).const, swap(swap(a)).num, swap(swap(a)).den) == (a.const, a.num, a.den)
+    twice = swap(swap(a.expand()))
+    assert (twice.num, twice.den) == (a.expand().num, a.expand().den)
+    assert swap(a * b) == swap(a) * swap(b)
+    assert swap(bar_involution(a)) == bar_involution(swap(a))
+
+
+def test_transposition_renormalizes_a_rational_function():
+    # the swap turns the denominator's leading term negative, and the
+    # rebuilt value carries the sign in its numerator
+    value = transposition(RationalFunction(R.one, LAM0 - LAM1), 0, 1)
+    assert str(value) == "(-1) / (lam0 - lam1)"
+    assert transposition(Factored(R, [], [LAM0 - LAM1]), 0, 1).const == -1
 
 
 def test_factored_rejects_what_it_cannot_hold():

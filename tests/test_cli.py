@@ -834,6 +834,39 @@ def test_empty_selection_exits_2(tmp_path, monkeypatch, argv, config, message):
     assert run(argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("config, message", [
+    ("order = abc\n", "config value order = 'abc' is not an integer"),
+    ("order = 0\n", "--order must be >= 1"),
+    (f"order = {MAX_ORDER + 1}\n", f"--order is limited to <= {MAX_ORDER}"),
+    ("decimal = -5\n", "--decimal must be >= 0"),
+    (f"decimal = {MAX_DECIMAL + 1}\n", f"--decimal is limited to <= {MAX_DECIMAL}"),
+    ("emit = nope\n", "unknown emit item 'nope'"),
+    ("emit = kd,nope\n", "unknown emit item 'nope'"),
+    ("emit = ,\n", f"emit ',' {NO_EMIT}"),
+], ids=["order", "order-low", "order-high", "decimal", "decimal-high", "emit", "emit-second",
+        "emit-empty"])
+def test_verify_checks_the_config_keys_of_compute(tmp_path, monkeypatch, config, message):
+    # one config file serves both commands: a value compute refuses makes
+    # verify exit 2 with compute's message, before any table is built
+    refuse_builds(monkeypatch)
+    cfg = tmp_path / "compute.conf"
+    cfg.write_text(config)
+    for argv in (["verify", "gluing", "--n", "2", "--bundle", "O(-3)", "--dmax", "1"],
+                 ["compute", "--preset", "local-p2"]):
+        assert run(argv + ["--config", str(cfg)]) == (2, "", f"error: {message}\n"), argv[0]
+
+
+def test_verify_accepts_the_config_keys_of_compute(tmp_path):
+    # well-formed values of the keys only compute reads change nothing
+    # that verify prints
+    argv = ["verify", "gluing", "--n", "2", "--bundle", "O(-3)", "--dmax", "1"]
+    cfg = tmp_path / "compute.conf"
+    cfg.write_text("order = 7\ndecimal = 0\nemit = kd, nd ,checks\nformat = text\n")
+    code, out, err = run(argv + ["--config", str(cfg)])
+    assert (code, out, err) == run(argv + ["--format", "text"])
+    assert code == 0 and out.startswith("gluing: n=2 d_max=1 all_pass=True")
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--preset", "multicover"],
     ["verify", "gluing", "--n", "2", "--bundle", "O(-3)"],

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -840,3 +841,163 @@ def test_mirror_transform_multiplier():
         correction = (RationalFunction(c, alpha) * seq.values[(0, i)]
                       * RationalFunction(prod))
         assert rf_equal(out.values[(1, i)], seq.values[(1, i)] + correction)
+
+
+# ---------------------------------------------------------------------
+# decided by orbit: reciprocity and linking decide the identities at
+# i = 0, j = 1 and carry them to every pair of a point-symmetric table
+
+
+def per_pair(check, *tables):
+    """The report of check on the per-pair route: with every transposition
+    unequal to its source, no table is point-symmetric."""
+    with mock.patch.object(eulerdata, "transposition", lambda value, a, b: None):
+        return check(*tables)
+
+
+def ratio_of_forms(draw, ring, names, point=None):
+    """A Factored ratio of 0-2 nonzero linear forms over 0-2, in names,
+    with small integer coefficients; given a point k, half of the forms
+    are lam_k - lam_b - m*alpha, which the binding alpha = (lam_k -
+    lam_b)/m sends to zero."""
+    def form():
+        if point is not None and draw(hs.booleans()):
+            b = draw(hs.sampled_from([i for i in range(ring.nvars - 3) if i != point]))
+            return (ring.var(f"lam{point}") - ring.var(f"lam{b}")
+                    - draw(hs.integers(1, 2)) * ring.var("alpha"))
+        return draw(hs.lists(hs.integers(-2, 2), min_size=len(names), max_size=len(names))
+                    .map(lambda cs: sum((c * ring.var(v) for c, v in zip(cs, names)), ring.zero))
+                    .filter(lambda p: not p.is_zero()))
+
+    return Factored(ring, [form() for _ in range(draw(hs.integers(0, 2)))],
+                    [form() for _ in range(draw(hs.integers(0, 2)))])
+
+
+def perturbed(tbl, key, ratio):
+    """tbl with the value at key = (d, i, r), Omega at d = 0, times ratio."""
+    entries = {k: tbl.value(*k) for k in _grid(tbl.d_max, range(tbl.n + 1), _upto)}
+    omega = {i: tbl.value(0, i, 0) for i in range(tbl.n + 1)}
+    d, i, r = key
+    values, at = (omega, i) if d == 0 else (entries, key)
+    values[at] = values[at] * (ratio if isinstance(values[at], Factored) else expanded(ratio))
+    return EulerDataTable(tbl.n, tbl.d_max, tbl.ring, entries, omega)
+
+
+@hs.composite
+def orbit_cases(draw):
+    """(table, checks to run on it) for a random concavex type on
+    P^1..P^4, with or without x, and one of four tables: as built; one
+    value at a point k != 0 times a random ratio of linear forms; built
+    from a rule off by such a ratio at one degree, so point-symmetric and
+    wrong at every point; and a Lagrange table of a mirror transform with
+    one degree-zero entry perturbed."""
+    degrees = hs.lists(hs.integers(1, 3), max_size=2)
+    st = draw(hs.builds(SplittingType, hs.integers(1, 4), degrees, degrees))
+    with_x, kind = draw(hs.booleans()), draw(hs.sampled_from(["built", "entry", "rule",
+                                                              "lagrange"]))
+    top = 2 if kind == "lagrange" else 3
+    d_max = draw(hs.integers(1, max([1] + [d for d in range(1, top + 1)
+                                           if st.linear_factors(d) <= 16])))
+    data = build_hypergeom_data(st, with_x=with_x)
+    names = [f"lam{i}" for i in range(st.n + 1)] + ["alpha"] + ["x"] * with_x
+    if kind == "rule":
+        wrong, rule = draw(hs.integers(1, d_max)), data._rule
+        data = EulerDataClosed(st.n, lambda d, ring: rule(d, ring) * (
+            ratio if d == wrong else Factored(ring)), data._omega_restriction)
+        ratio = ratio_of_forms(draw, data.ring, ["kappa", "alpha"] + ["x"] * with_x)
+    tbl = to_table(data, d_max)
+    checks = [check_reciprocity, check_mirror_linked]
+    if kind == "entry":
+        d, k = draw(hs.integers(0, d_max)), draw(hs.integers(1, st.n))
+        key = (d, k, draw(hs.one_of(hs.just(0), hs.integers(0, d))))
+        tbl = perturbed(tbl, key, ratio_of_forms(draw, tbl.ring, names, k))
+    elif kind == "lagrange":
+        coeff = hs.fractions(min_value=-3, max_value=3, max_denominator=4)
+        shift = [0] + draw(hs.lists(coeff, min_size=d_max, max_size=d_max))
+        lagrange = lagrange_map(mirror_transform(tbl.restriction_sequence(), None, shift))
+        d, i = draw(hs.integers(1, d_max)), draw(hs.integers(0, st.n))
+        lagrange = perturbed(lagrange, (d, i, 0), ratio_of_forms(draw, tbl.ring, names, i))
+        checks.append(functools.partial(check_linked, tbl))
+        tbl = lagrange
+    return tbl, checks
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbit_cases())
+def test_orbit_route_matches_the_per_pair_route(case):
+    # reciprocity, mirror linking and (on Lagrange tables) the composite
+    # linking give the per-pair route's JSON; reciprocity the oracle's too
+    tbl, checks = case
+    orbit = [check(tbl).to_json() for check in checks]
+    assert orbit == [per_pair(check, tbl).to_json() for check in checks]
+    assert orbit[0] == oracle_reciprocity(tbl).to_json()
+
+
+def symmetric_but_for_the_stabilizer():
+    """LOCAL_P2 at d_max = 2 with every value at p_i, Omega included,
+    times f_i, the image of f_0 = lam0*lam1 under lam_0 <-> lam_i: each
+    p_k holds the p_0 values under lam_0 <-> lam_k, but lam_1 <-> lam_2
+    moves f_0, so a permutation with 0 -> 0 and 1 -> 2 is no symmetry."""
+    tbl = to_table(build_hypergeom_data(LOCAL_P2), 2)
+    ring = tbl.ring
+    lam = [ring.var(f"lam{i}") for i in range(3)]
+    f = {0: Factored(ring, [lam[0], lam[1]]), 1: Factored(ring, [lam[1], lam[0]]),
+         2: Factored(ring, [lam[2], lam[1]])}
+    entries = {key: tbl.value(*key) * f[key[1]] for key in _grid(2, range(3), _upto)}
+    omega = {i: tbl.value(0, i, 0) * f[i] for i in range(3)}
+    return EulerDataTable(2, 2, ring, entries, omega)
+
+
+def test_orbit_route_needs_the_stabilizer_of_p0():
+    # item (ii) compares f_j with f_i: equal at i, j = 0, 1, where every
+    # representative passes, and unequal wherever 2 is one of them
+    report = check_reciprocity(symmetric_but_for_the_stabilizer())
+    assert report.to_json() == per_pair(check_reciprocity,
+                                        symmetric_but_for_the_stabilizer()).to_json()
+    failed = {(r.d, r.i, r.r) for r in report.failures if r.witness.startswith("item (ii)")}
+    assert failed == {(d, i, j) for d in (1, 2) for i in range(3) for j in range(3)
+                      if i != j and 2 in (i, j)}
+
+
+@pytest.mark.parametrize("key, ratio", [
+    ((2, 4, 0), "den"), ((2, 4, 2), "num"), ((0, 4, 0), "alpha"), ((1, 1, 1), "den"),
+], ids=["denominator-at-p_n", "numerator-at-p_n", "omega-at-p_n", "denominator-at-p_1"])
+def test_orbit_route_sees_one_changed_value(key, ratio):
+    # one value at p_k != 0 times a form, in its numerator or only in its
+    # denominator, or Omega at p_n times lam4 + alpha: the table is no
+    # longer point-symmetric, and the per-pair route reports what fails
+    tbl = to_table(build_hypergeom_data(SplittingType(4, (5,), ())), 2)
+    ring = tbl.ring
+    form = ring.var("lam4") + ring.var("alpha") if ratio == "alpha" else \
+        ring.var("lam0") - 3 * ring.var("alpha")
+    changed = perturbed(tbl, key, Factored(ring, *([], [form]) if ratio == "den" else ([form],)))
+    for check in (check_reciprocity, check_mirror_linked):
+        report = check(changed)
+        assert report.to_json() == per_pair(check, changed).to_json()
+    assert not check_reciprocity(changed).all_pass
+
+
+def test_orbit_route_substitutes_a_tenth_as_often(monkeypatch):
+    # the per-pair route makes 6630 and 2808 Factored substitutions on
+    # O(-11) on P^12 at d_max 6, and the composite route 80 Polynomial
+    # ones on the quintic at d_max 2; a silent fall-back fails here
+    counts = {}
+    for cls in (Factored, algebra.Polynomial):
+        def counted(self, bindings, cls=cls, substitute=cls.substitute):
+            counts[cls] = counts.get(cls, 0) + 1
+            return substitute(self, bindings)
+        monkeypatch.setattr(cls, "substitute", counted)
+
+    def substitutions(cls, check, *tables):
+        counts.clear()
+        assert check(*tables).all_pass
+        return counts.get(cls, 0)
+
+    tbl = to_table(build_hypergeom_data(SplittingType(12, (), (11,))), 6)
+    assert substitutions(Factored, check_reciprocity, tbl) <= 663
+    assert substitutions(Factored, check_mirror_linked, tbl) <= 280
+    quintic = SplittingType(4, (5,), ())
+    tbl = to_table(build_hypergeom_data(quintic), 2)
+    _, shift = compute_normalization(build_hypergeom_series(quintic, 2), quintic)
+    lagrange = lagrange_map(mirror_transform(tbl.restriction_sequence(), None, shift))
+    assert substitutions(algebra.Polynomial, check_linked, tbl, lagrange) <= 8
