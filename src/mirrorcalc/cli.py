@@ -44,6 +44,8 @@ MAX_LINEAR_FACTORS = 65
 # largest --n of every command; it admits every critical type (n <= 7),
 # and at the factor cap on P^12 no check takes 0.3 s (README, limits)
 MAX_DIMENSION = 12
+# key -> (lowest, largest) value of each integer flag and config key
+BOUNDS = {"order": (1, MAX_ORDER), "dmax": (1, MAX_DMAX), "decimal": (0, MAX_DECIMAL)}
 
 # preset name -> (n, bundle text, default order)
 PRESETS = {
@@ -203,8 +205,10 @@ def _emit_csv(result, emit, decimal, out):
 # config file
 
 
-def load_config(path):
-    """Simple key=value defaults, keys from CONFIG_KEYS; '#' starts a comment."""
+def load_config(path, formats):
+    """key=value defaults, '#' starting a comment, each line checked as its
+    flag is: keys from CONFIG_KEYS, ints within BOUNDS, emit a tuple, and
+    format one of formats, those of the command that reads the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -224,7 +228,7 @@ def load_config(path):
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key '{key}' "
                              f"(known: {', '.join(CONFIG_KEYS)})")
-        values[key] = value.strip()
+        values[key] = _parse(key, value.strip(), f"config value {key} =", formats)
     return values
 
 
@@ -240,41 +244,37 @@ def _integer(text, label):
         raise UsageError(f"{label} {text[:12]}... has too many digits") from None
 
 
-def _int_option(flag, config, key, default, low, high=None):
-    """The flag value, else the config value, which must lie in
-    [low, high], else the default."""
-    if flag is not None:
-        value = _integer(flag, f"--{key}")
-    elif key in config:
-        value = _integer(config[key], f"config value {key} =")
-    else:
-        return default
+def _parse(key, text, label, formats):
+    """The value of key that text spells, label naming it: one of formats,
+    a tuple of EMIT_CHOICES, or an int within BOUNDS; empty text is none."""
+    if key == "format":
+        if text not in formats:
+            raise UsageError(f"{label} {text!r} is not one of " + ", ".join(formats))
+        return text
+    if key == "emit":
+        emit = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+        if not emit:
+            raise UsageError(f"emit {text!r} names none of " + ", ".join(EMIT_CHOICES))
+        for tok in emit:
+            if tok not in EMIT_CHOICES:
+                raise UsageError(f"unknown emit item '{tok}'")
+        return emit
+    value = _integer(text, label)
+    low, high = BOUNDS[key]
     if value < low:
         raise UsageError(f"--{key} must be >= {low}")
-    if high is not None and value > high:
+    if value > high:
         raise UsageError(f"--{key} is limited to <= {high}")
     return value
 
 
-def _format_option(flag, config, default, choices):
-    """The flag value, else the config value, else the default, which
-    must be one of choices; an empty value is none of them."""
-    fmt = flag if flag is not None else config.get("format", default)
-    if fmt not in choices:
-        raise UsageError(f"config value format = {fmt!r} is not one of " + ", ".join(choices))
-    return fmt
-
-
-def _emit_option(flag, config):
-    """The sections the flag, else the config, else DEFAULT_EMIT names."""
-    emit_text = flag if flag is not None else config.get("emit", ",".join(DEFAULT_EMIT))
-    emit = tuple(tok.strip() for tok in emit_text.split(",") if tok.strip())
-    if not emit:
-        raise UsageError(f"emit {emit_text!r} names none of " + ", ".join(EMIT_CHOICES))
-    for tok in emit:
-        if tok not in EMIT_CHOICES:
-            raise UsageError(f"unknown emit item '{tok}'")
-    return emit
+def _option(args, config, key, default):
+    """The flag of key parsed (argparse has limited --format to the
+    command's formats), else the config value, else the default."""
+    flag = getattr(args, key)
+    if flag is None:
+        return config.get(key, default)
+    return _parse(key, flag, f"--{key}", FORMAT_CHOICES)
 
 
 # ---------------------------------------------------------------------
@@ -336,22 +336,22 @@ def _read_bundle(text, n):
 def _cmd_compute(args, out, err):
     if args.cache is not None:
         err.write("warning: --cache is ignored: mirrorcalc no longer caches results\n")
-    config = load_config(args.config) if args.config else {}
+    config = load_config(args.config, FORMAT_CHOICES) if args.config is not None else {}
     if args.preset:
-        if args.bundle or args.n is not None:
+        if args.bundle is not None or args.n is not None:
             raise UsageError("--preset conflicts with --n/--bundle")
         n, bundle_text, default_order = PRESETS[args.preset]
     else:
         if args.bundle is None or args.n is None:
             raise UsageError("need --preset or both --n and --bundle")
         n, bundle_text, default_order = _integer(args.n, "--n"), args.bundle, 10
-    order = _int_option(args.order, config, "order", default_order, 1, MAX_ORDER)
-    fmt = _format_option(args.format, config, "text", FORMAT_CHOICES)
-    emit = _emit_option(args.emit, config)
+    order = _option(args, config, "order", default_order)
+    fmt = _option(args, config, "format", "text")
+    emit = _option(args, config, "emit", DEFAULT_EMIT)
     if fmt == "csv" and "f-series" in emit:
         raise UsageError("csv carries the per-degree columns only; "
                          "use --format text or json for f-series")
-    decimal = _int_option(args.decimal, config, "decimal", None, 0, MAX_DECIMAL)
+    decimal = _option(args, config, "decimal", None)
 
     st = _read_bundle(bundle_text, n)
     reason = unsupported_reason(st)
@@ -372,13 +372,9 @@ def _cmd_compute(args, out, err):
 
 
 def _cmd_verify(args, out, err):
-    config = load_config(args.config) if args.config else {}
-    d_max = _int_option(args.dmax, config, "dmax", 4, 1, MAX_DMAX)
-    fmt = _format_option(args.format, config, "json", VERIFY_FORMATS)
-    # one config file serves both commands: check compute's keys as compute does
-    _int_option(None, config, "order", None, 1, MAX_ORDER)
-    _emit_option(None, config)
-    _int_option(None, config, "decimal", None, 0, MAX_DECIMAL)
+    config = load_config(args.config, VERIFY_FORMATS) if args.config is not None else {}
+    d_max = _option(args, config, "dmax", 4)
+    fmt = _option(args, config, "format", "json")
     st = _read_bundle(args.bundle, _integer(args.n, "--n"))
     factors = st.linear_factors(d_max)
     if factors > MAX_LINEAR_FACTORS:

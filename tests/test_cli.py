@@ -843,11 +843,15 @@ def test_empty_selection_exits_2(tmp_path, monkeypatch, argv, config, message):
     ("emit = nope\n", "unknown emit item 'nope'"),
     ("emit = kd,nope\n", "unknown emit item 'nope'"),
     ("emit = ,\n", f"emit ',' {NO_EMIT}"),
+    ("dmax = abc\n", "config value dmax = 'abc' is not an integer"),
+    ("dmax = 0\n", "--dmax must be >= 1"),
+    (f"dmax = {MAX_DMAX + 1}\n", f"--dmax is limited to <= {MAX_DMAX}"),
 ], ids=["order", "order-low", "order-high", "decimal", "decimal-high", "emit", "emit-second",
-        "emit-empty"])
+        "emit-empty", "dmax", "dmax-low", "dmax-high"])
 def test_verify_checks_the_config_keys_of_compute(tmp_path, monkeypatch, config, message):
-    # one config file serves both commands: a value compute refuses makes
-    # verify exit 2 with compute's message, before any table is built
+    # one config file serves both commands, and each checks every value of
+    # it when it reads it: a bad value makes either exit 2 with the same
+    # message, whether or not the command reads that key, before any build
     refuse_builds(monkeypatch)
     cfg = tmp_path / "compute.conf"
     cfg.write_text(config)
@@ -867,14 +871,53 @@ def test_verify_accepts_the_config_keys_of_compute(tmp_path):
     assert code == 0 and out.startswith("gluing: n=2 d_max=1 all_pass=True")
 
 
-@pytest.mark.parametrize("argv", [
-    ["compute", "--preset", "multicover"],
-    ["verify", "gluing", "--n", "2", "--bundle", "O(-3)"],
-], ids=["compute", "verify"])
-def test_missing_config_exits_2(tmp_path, argv):
-    code, out, err = run(argv + ["--config", str(tmp_path / "missing.conf")])
+@pytest.mark.parametrize("argv, name", [
+    (["compute", "--preset", "multicover"], "missing.conf"),
+    (["verify", "gluing", "--n", "2", "--bundle", "O(-3)"], "missing.conf"),
+    (["compute", "--preset", "multicover"], ""),
+    (["verify", "gluing", "--n", "2", "--bundle", "O(-3)"], ""),
+], ids=["compute", "verify", "compute-empty-path", "verify-empty-path"])
+def test_missing_config_exits_2(tmp_path, argv, name):
+    # an empty --config is a path like any other, not the absence of one
+    code, out, err = run(argv + ["--config", name and str(tmp_path / name)])
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read config") and "Traceback" not in err
+    if not name:
+        assert err == "error: cannot read config : No such file or directory\n"
+
+
+@pytest.mark.parametrize("config, fault", [
+    ("format = xml\norder = abc\n", "config value format = 'xml' is not one of text, json"),
+    ("order = abc\nformat = xml\n", "config value order = 'abc' is not an integer"),
+    ("dmax = 0\nemit = nope\norder = 0\n", "--dmax must be >= 1"),
+    ("emit = nope\ndmax = 0\n", "unknown emit item 'nope'"),
+    ("order = abc\norder = 2\n", "config value order = 'abc' is not an integer"),
+], ids=["format-order", "order-format", "dmax-emit-order", "emit-dmax", "order-twice"])
+@pytest.mark.parametrize("argv", [
+    ["compute", "--preset", "local-p2", "--order", "abc"],
+    ["compute", "--preset", "local-p2", "--n", "2"],
+    ["compute", "--preset", "local-p2", "--format", "json"],
+    ["verify", "gluing", "--n", "2", "--bundle", "O(-3)", "--dmax", "9"],
+    ["verify", "gluing", "--n", "2", "--bundle", "O(-3)", "--format", "text"],
+], ids=["bad-flag", "conflict", "good-flag", "verify-bad-flag", "verify-good-flag"])
+def test_a_config_names_its_first_bad_value(tmp_path, monkeypatch, argv, config, fault):
+    # the file is checked line by line when it is read, before any flag; a
+    # later line or a flag, good or bad, does not excuse a bad value
+    refuse_builds(monkeypatch)
+    cfg = tmp_path / "two.conf"
+    cfg.write_text(config)
+    code, out, err = run(argv + ["--config", str(cfg)])
+    assert (code, out) == (2, "") and err.startswith(f"error: {fault}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", [["--n", "4"], ["--bundle", "O(5)"], ["--bundle", ""]],
+                         ids=["n", "bundle", "empty-bundle"])
+def test_preset_conflicts_with_n_and_bundle(monkeypatch, flag):
+    # an empty --bundle is given, so it conflicts as any other does
+    refuse_builds(monkeypatch)
+    assert run(["compute", "--preset", "quintic", "--order", "1"] + flag) == (
+        2, "", "error: --preset conflicts with --n/--bundle\n")
 
 
 @pytest.mark.parametrize("argv", [
