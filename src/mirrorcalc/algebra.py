@@ -23,8 +23,9 @@ A product of homogeneous linear forms can stay unexpanded as a
 ``Factored`` value: a rational constant and the forms, on which
 products, quotients, the bar involution, linear substitutions,
 alpha-degrees and equality act directly, expanding it only beside a
-RationalFunction.  Each ring interns the forms of its Factored values and
-memoizes their substitutions and swaps in its ``FormTable``, which only grows.
+RationalFunction.  The ring owns all of that state: it interns the forms
+in ``forms`` and memoizes their substitutions and swaps in ``images``,
+and both only grow.
 """
 
 from __future__ import annotations
@@ -71,7 +72,12 @@ class PolyRing:
     field, then var 0 down to the last var, FIELD_BITS each.  Integer
     order on keys is the graded lexicographic order on exponent tuples,
     the canonical term order.  Substitutions may not introduce symbols
-    outside the ring.
+    outside the ring.  The ring interns the linear forms of its Factored
+    values: a form is a tuple of coprime ints, one per variable, with a
+    positive first nonzero entry, at its index in ``forms``
+    (``form_index`` inverts it).  ``images`` memoizes, per binding
+    v -> L/q, keyed (v, L, q), or swap a <-> b, keyed (a, b), a form's
+    index -> its image's (g, index).
     """
 
     def __init__(self, names):
@@ -88,7 +94,7 @@ class PolyRing:
         self.limit = (MAX_DEGREE + 1) << self.top
         self.zero = _poly(self, {}, 1)
         self.one = _poly(self, {0: 1}, 1)
-        self.forms = FormTable()
+        self.forms, self.form_index, self.images = [], {}, {}
 
     def pack(self, exp):
         """The key of an exponent tuple; AlgebraError outside the fields."""
@@ -111,6 +117,23 @@ class PolyRing:
         value = _as_fraction(value)
         return _canonical(self, {0: value.numerator}, value.denominator)
 
+    def normal(self, ints):
+        """(g, i) with ints = g * forms[i]; (0, None) for zero."""
+        g = math.gcd(*ints)
+        if not g:
+            return 0, None
+        for c in ints:
+            if c:
+                break
+        if c < 0:
+            g = -g
+        form = tuple([c // g for c in ints]) if g != 1 else tuple(ints)
+        i = self.form_index.get(form)
+        if i is None:
+            i = self.form_index[form] = len(self.forms)
+            self.forms.append(form)
+        return g, i
+
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
 
@@ -130,7 +153,7 @@ def weight_ring(n):
 def _poly(ring, ints, den):
     """A Polynomial from ints and den already in canonical form."""
     p = object.__new__(Polynomial)
-    p.ring, p.ints, p.den, p._terms = ring, ints, den, None
+    p.ring, p.ints, p.den = ring, ints, den
     return p
 
 
@@ -173,21 +196,18 @@ class Polynomial(ExactValue):
     ``terms`` is the read-only view back.  Instances are immutable.
     """
 
-    __slots__ = ("ring", "ints", "den", "_terms")
+    __slots__ = ("ring", "ints", "den")
 
     def __init__(self, ring, terms):
         ints, den = _over_common_denominator([_as_fraction(c) for c in terms.values()])
-        self.ring, self.den, self._terms = ring, den, None
+        self.ring, self.den = ring, den
         self.ints = {ring.pack(e): c for e, c in zip(terms, ints) if c}
 
     @property
     def terms(self):
-        """Exponent tuple -> nonzero Fraction, derived once on first use."""
-        if self._terms is None:
-            unpack, den = self.ring.unpack, self.den
-            self._terms = MappingProxyType({unpack(k): Fraction(c, den)
-                                            for k, c in self.ints.items()})
-        return self._terms
+        """Exponent tuple -> nonzero Fraction, a read-only view built on each access."""
+        unpack, den = self.ring.unpack, self.den
+        return MappingProxyType({unpack(k): Fraction(c, den) for k, c in self.ints.items()})
 
     # -- constructors / coercion ------------------------------------
 
@@ -432,37 +452,6 @@ def _linear(p):
     return ints, p.den
 
 
-class FormTable:
-    """The linear forms of one ring's Factored values, interned.
-
-    A form is a tuple of coprime ints, one per ring variable, whose
-    first nonzero entry is positive; a value refers to it by its index
-    in ``forms``.  ``images`` memoizes substitutions and swaps: one map
-    per binding v -> L/q, keyed (v, L, q), or swap a <-> b, keyed (a, b),
-    from a form's index to its image's (g, index).
-    """
-
-    def __init__(self):
-        self.forms, self.index, self.images = [], {}, {}
-
-    def normal(self, ints):
-        """(g, i) with ints = g * forms[i]; (0, None) for zero."""
-        g = math.gcd(*ints)
-        if not g:
-            return 0, None
-        for c in ints:
-            if c:
-                break
-        if c < 0:
-            g = -g
-        form = tuple([c // g for c in ints]) if g != 1 else tuple(ints)
-        i = self.index.get(form)
-        if i is None:
-            i = self.index[form] = len(self.forms)
-            self.forms.append(form)
-        return g, i
-
-
 def _factored(ring, const, num, den):
     """A Factored value from its parts, already in canonical form."""
     f = object.__new__(Factored)
@@ -484,8 +473,8 @@ def _merge(a, b):
 
 class Factored:
     """const * prod(f ** e for f in num) / prod(f ** e for f in den),
-    every f a homogeneous linear form, interned in the ring's
-    ``FormTable`` and mapped to its exponent.
+    every f a homogeneous linear form, kept as its index in the ring's
+    ``forms`` (``ring.normal`` interns it) mapped to its exponent.
 
     ``Factored(ring, num, den, const)`` takes the forms as linear
     Polynomials.  Numerator and denominator are kept apart, uncancelled,
@@ -504,7 +493,7 @@ class Factored:
         for side, polys in enumerate((num, den)):
             for p in polys:
                 ints, q = _linear(p)
-                g, i = ring.forms.normal(ints)  # p = g/q * forms[i]
+                g, i = ring.normal(ints)  # p = g/q * forms[i]
                 if i is None and side:
                     raise ZeroDivisionError("zero linear form in a denominator")
                 scale[side] *= g
@@ -547,10 +536,10 @@ class Factored:
         q > 0) for one variable v, form by form: f goes to (q*f + f[v] *
         (L - q*e_v)) / q = g/q * forms[i], (g, i) the normal of that
         numerator; SubstitutionError when a denominator form vanishes."""
-        ring, table = self.ring, self.ring.forms
+        ring = self.ring
         v, value = _binding(ring, bindings)
         ints, q = _linear(value)
-        images = table.images.setdefault((v, tuple(ints), q), {})
+        images = ring.images.setdefault((v, tuple(ints), q), {})
         ints[v] -= q  # L - q*e_v
         parts, gains = ({}, {}), [1, 1]
         for side in (1, 0):  # the denominator first: it decides SubstitutionError
@@ -558,9 +547,9 @@ class Factored:
             for i, e in (self.den if side else self.num).items():
                 image = images.get(i)
                 if image is None:
-                    form = table.forms[i]
-                    image = images[i] = table.normal([q * c + form[v] * w
-                                                      for c, w in zip(form, ints)])
+                    form = ring.forms[i]
+                    image = images[i] = ring.normal([q * c + form[v] * w
+                                                     for c, w in zip(form, ints)])
                 g, j = image
                 if j is None:
                     if side:
@@ -577,7 +566,7 @@ class Factored:
         """The alpha-degrees of the numerator and the denominator."""
         if not self.const:
             return NEG_INF, 0
-        ia, forms = self.ring.index["alpha"], self.ring.forms.forms
+        ia, forms = self.ring.index["alpha"], self.ring.forms
         return tuple(sum(e for i, e in side.items() if forms[i][ia])
                      for side in (self.num, self.den))
 
@@ -588,7 +577,7 @@ class Factored:
             keys = [(1 << ring.top) | (1 << shift) for shift in ring.shifts]
 
             def power(i, e):
-                form = ring.forms.forms[i]
+                form = ring.forms[i]
                 return _poly(ring, {k: c for k, c in zip(keys, form) if c}, 1) ** e
 
             self._expanded = RationalFunction(
@@ -636,13 +625,13 @@ def transposition(p, a, b):
         both = (1 << sa) | (1 << sb)
         return _poly(ring, {k ^ ((k >> sa ^ k >> sb) & FIELD_MASK) * both: c
                             for k, c in p.ints.items()}, p.den)
-    table, sign, parts = ring.forms, 1, ({}, {})
-    images = table.images.setdefault((va, vb), {})
+    sign, parts = 1, ({}, {})
+    images = ring.images.setdefault((va, vb), {})
     swap = [vb if u == va else va if u == vb else u for u in range(ring.nvars)]
     for out, side in zip(parts, (p.num, p.den)):
         for i, e in side.items():
             if i not in images:
-                images[i] = table.normal([table.forms[i][u] for u in swap])
+                images[i] = ring.normal([ring.forms[i][u] for u in swap])
             g, j = images[i]  # g = +-1: the swapped ints stay coprime
             out[j], sign = e, sign * g ** e
     return _factored(ring, p.const * sign, *parts)

@@ -9,15 +9,15 @@ the values of P_d at the fixed-point weights kappa = lam_i + r*alpha.
 An invertible class Omega supplies the d = 0 entry, and "bar" on
 restrictions flips the sign of alpha only.
 
-``to_table`` keeps every restriction, and every Omega restriction, as a
-``Factored`` value: a constant times linear forms.  Gluing, reciprocity,
-linking and the degree bound multiply, bar, substitute and compare the
-forms and expand nothing; a value is expanded, once, only where a
-RationalFunction is needed: ``entries``, ``entry`` (and so
-``restriction_sequence`` and ``check_linked``) and a printed witness,
-which is the one the same operations give on the expanded values.  A
-table of RationalFunctions, such as ``lagrange_map`` builds, goes
-through the same checks unexpanded.
+``to_table`` builds each P_d once and keeps every restriction, and every
+Omega restriction, as a ``Factored`` value: a constant times linear
+forms.  Gluing, reciprocity, linking and the degree bound multiply, bar,
+substitute and compare the forms and expand nothing; a value is expanded,
+once, only where a RationalFunction is needed: ``entries``, ``entry``
+(and so ``restriction_sequence`` and ``check_linked``) and a printed
+witness: the values a check decided, expanded, which print as the same
+operations give them on expanded values.  A table of RationalFunctions,
+such as ``lagrange_map`` builds, goes through the same checks unexpanded.
 
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
 records each identity through ``_verdict``: "pass", "fail" with a
@@ -61,9 +61,9 @@ class EulerDataClosed:
     """A sequence d -> P_d given in closed form, plus its invertible class.
 
     ``rule(d, ring)`` must return P_d as a Factored product of linear
-    forms in kappa, alpha (and x for x-extended data);
-    ``omega_restriction(i, ring)`` gives the Factored restriction of the
-    invertible class at the i-th fixed point.
+    forms in kappa, alpha (and x for x-extended data), which ``factors``
+    builds on each call; ``omega_restriction(i, ring)`` gives the
+    Factored restriction of the invertible class at the i-th fixed point.
     """
 
     def __init__(self, n, rule, omega_restriction):
@@ -71,14 +71,11 @@ class EulerDataClosed:
         self.ring = weight_ring(n)
         self._rule = rule
         self._omega_restriction = omega_restriction
-        self._cache = {}
 
     def factors(self, d):
         if d < 1:
             raise EulerDataError("closed-form data is indexed by d >= 1")
-        if d not in self._cache:
-            self._cache[d] = self._rule(d, self.ring)
-        return self._cache[d]
+        return self._rule(d, self.ring)
 
     def omega_restriction(self, i):
         if not 0 <= i <= self.n:
@@ -151,7 +148,8 @@ def to_table(ed, d_max):
     if d_max < 1:
         raise EulerDataError("d_max must be >= 1")
     weight = functools.cache(functools.partial(_weight, ed.ring))
-    entries = {(d, i, r): ed.factors(d).substitute(weight(i, r))
+    factors = {d: ed.factors(d) for d in range(1, d_max + 1)}
+    entries = {(d, i, r): factors[d].substitute(weight(i, r))
                for d, i, r in _grid(d_max, range(ed.n + 1), _upto)}
     omega = {i: ed.omega_restriction(i) for i in range(ed.n + 1)}
     return EulerDataTable(ed.n, d_max, ed.ring, entries, omega)
@@ -339,8 +337,6 @@ def check_reciprocity(tbl):
     exactly when a factor's does, which makes the item inconclusive.
     Decided by orbit, on Omega, Q_d and Q_d(lam_i + d*alpha) at each p_i.
     """
-    bar = functools.cache(lambda d, i: bar_involution(tbl.value(d, i, 0)))
-
     @functools.cache
     def at(d, k, j, i, r):
         """value(d, k, 0) at alpha = (lam_j - lam_i)/r."""
@@ -348,8 +344,10 @@ def check_reciprocity(tbl):
 
     def identities(firsts, seconds):
         for d, i in _grid(tbl.d_max, firsts):
-            yield ((d, i, d), lambda: rf_equal(tbl.value(d, i, d), bar(d, i)),
-                   lambda: f"item (i): lhs={tbl.value(d, i, d)}; rhs={bar(d, i)}", "")
+            yield ((d, i, d),
+                   lambda: rf_equal(tbl.value(d, i, d), bar_involution(tbl.value(d, i, 0))),
+                   lambda: (f"item (i): lhs={tbl.value(d, i, d)}; "
+                            f"rhs={bar_involution(tbl.value(d, i, 0))}"), "")
         for d, i, j in _grid(tbl.d_max, firsts, seconds):
             if j != i:
                 yield ((d, i, j), lambda: rf_equal(at(d, j, j, i, d), at(d, i, i, j, d)),
@@ -366,17 +364,17 @@ def check_reciprocity(tbl):
 
 def _linking_report(tbl, value, sides):
     """Record, for every d and i != j, whether the two sides
-    sides(form, d, i, binding) agree, binding alpha = (lam_i - lam_j)/d:
-    decided by orbit on value(d, i), what sides reads, as given (form the
-    identity), witnessed by their difference expanded (form ``expanded``)."""
-    def at(form, d, i, j):
-        return sides(form, d, i, {"alpha": _alpha_binding(tbl.ring, i, j, d)})
+    sides(d, i, binding) agree, binding alpha = (lam_i - lam_j)/d:
+    decided by orbit on value(d, i), what sides reads, and witnessed by
+    the difference of the decided sides, expanded."""
+    def at(d, i, j):
+        return sides(d, i, {"alpha": _alpha_binding(tbl.ring, i, j, d)})
 
     def identities(firsts, seconds):
         for d, i, j in _grid(tbl.d_max, firsts, seconds):
             if j != i:
-                yield ((d, i, j), lambda: rf_equal(*at(lambda v: v, d, i, j)),
-                       lambda: f"j={j}: residue={operator.sub(*at(expanded, d, i, j))}", "")
+                yield ((d, i, j), lambda: rf_equal(*at(d, i, j)),
+                       lambda: f"j={j}: residue={operator.sub(*map(expanded, at(d, i, j)))}", "")
 
     return _decide(VerificationReport("linking", tbl.n, tbl.d_max), identities,
                    lambda i: [value(d, i) for d in _upto(tbl.d_max)])
@@ -389,7 +387,7 @@ def check_linked(table_a, table_b):
         raise EulerDataError("tables are not compatible")
     diff = functools.cache(lambda d, i: table_a.entry(d, i, 0) - table_b.entry(d, i, 0))
     zero = RationalFunction(table_a.ring.zero)
-    return _linking_report(table_a, diff, lambda _, d, i, b: (diff(d, i).substitute(b), zero))
+    return _linking_report(table_a, diff, lambda d, i, b: (diff(d, i).substitute(b), zero))
 
 
 def check_degree_bound(tbl):
@@ -491,10 +489,10 @@ def check_mirror_linked(table):
     there the transformed value is P_d(lam_i), and the Lagrange map's
     degree-zero entry is (bar(Omega)/Omega) * P_d(lam_i).
     """
-    def sides(form, d, i, binding):
-        omega = form(table.value(0, i, 0))
+    def sides(d, i, binding):
+        omega = table.value(0, i, 0)
         scale = (bar_involution(omega) / omega).substitute(binding)
-        at = form(table.value(d, i, 0)).substitute(binding)
+        at = table.value(d, i, 0).substitute(binding)
         return at, scale * at
 
     return _linking_report(table, lambda d, i: table.value(d, i, 0), sides)

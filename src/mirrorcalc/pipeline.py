@@ -208,12 +208,12 @@ def canonical_alpha_degrees(series, st, scaling, shift):
 # K_d extraction and the multiple-cover inversion
 
 
-def _solve_from_weighted_sum(target, powers, order):
-    """Solve target = sum_d d*K_d*Q^d for the K_d, with
+def _solve_from_weighted_sum(target, powers):
+    """Solve target = sum_d d*K_d*Q^d for the K_d to target's order, with
     powers = mirror_powers(g) the table of Q^d = q^d e^(dg); the ints ys
     over den hold d*K_d / powers[d].den, one dot product per D."""
     K, ys, den = [], [], 1
-    for D in range(1, order + 1):
+    for D in range(1, target.order + 1):
         dot = sum(y * powers[d].ints[D] for d, y in enumerate(ys, 1))
         val = Fraction(target.ints[D] * den - dot * target.den, target.den * den)
         K.append(val / D)
@@ -236,7 +236,7 @@ def extract_euler_numbers(series, st, scaling, shift, prepotential=None):
     """
     if not st.is_critical:
         raise PipelineError("K_d extraction requires a critical splitting type")
-    order, n = series.order, series.n
+    n = series.n
     alpha_powers = sorted({deg - n for deg in series.degrees[1:]})
     if alpha_powers != [-3]:
         raise PipelineError(f"integral is not a pure alpha^-3 series: powers {alpha_powers}")
@@ -247,7 +247,7 @@ def extract_euler_numbers(series, st, scaling, shift, prepotential=None):
         raise PipelineError(f"integrated series has t-degree > 1 at q^{min(low)}")
 
     powers = mirror_powers(shift)
-    K = _solve_from_weighted_sum(columns[n - 1], powers, order)
+    K = _solve_from_weighted_sum(columns[n - 1], powers)
     diff = columns[n] - _combine_rows(powers, K) * 2
     bad = next((d for d, v in enumerate(diff.ints) if v), None)
     if bad is not None:

@@ -132,6 +132,19 @@ def test_to_table_multicover_d1():
                         RationalFunction(tbl.ring.one, lam * lam))
 
 
+@pytest.mark.parametrize("with_x", (False, True))
+def test_to_table_builds_each_p_d_once(with_x):
+    # the data holds no P_d, so to_table holds its own: one rule call per
+    # degree, where one per restriction would make (n+1)(d+1) of them
+    data = build_hypergeom_data(SplittingType(4, (5,), ()), with_x=with_x)
+    calls, rule = [], data._rule
+    counted = EulerDataClosed(data.n, lambda d, ring: calls.append(d) or rule(d, ring),
+                              data._omega_restriction)
+    tbl = to_table(counted, 3)
+    assert calls == [1, 2, 3]
+    assert tables_equal(tbl, to_table(data, 3))
+
+
 def test_to_table_trivial_bundle():
     tbl = to_table(build_hypergeom_data(SplittingType(1, (), ())), 2)
     one = RationalFunction(tbl.ring.one)
@@ -654,20 +667,22 @@ def test_mirror_linked_matches_composite_on_random_shifts(case):
 def test_mirror_linked_fails_where_omega_involves_alpha():
     # a hand-built table whose Omega at p_1 carries lam1 + alpha, so that
     # bar(Omega)/Omega is not 1: linking fails at i = 1 and nowhere else,
-    # as on the composite route; with no shift the witnesses agree too,
-    # while a shift leaves the composite's residues less reduced
-    tbl = to_table(build_hypergeom_data(LOCAL_P2), 2)
-    ring = tbl.ring
-    omega = {i: tbl.value(0, i, 0) for i in range(3)}
-    omega[1] = omega[1] * Factored(ring, [ring.var("lam1") + ring.var("alpha")])
-    entries = {key: tbl.value(*key) for key in _grid(2, range(3), _upto)}
-    hand_built = EulerDataTable(2, 2, ring, entries, omega)
-    report = check_mirror_linked(hand_built)
-    assert {(r.d, r.i) for r in report.failures} == {(1, 1), (2, 1)}
-    assert len(report.failures) == 4 and not report.inconclusive
-    assert report.to_json() == composite_linked(hand_built, None).to_json()
-    shifted = composite_linked(hand_built, [0, 2, 1])
-    assert [r.status for r in shifted.results] == [r.status for r in report.results]
+    # as on the composite route, with and without x; with no shift the
+    # witnesses agree too, while a shift leaves the composite's residues
+    # less reduced
+    for with_x in (False, True):
+        tbl = to_table(build_hypergeom_data(LOCAL_P2, with_x=with_x), 2)
+        ring = tbl.ring
+        omega = {i: tbl.value(0, i, 0) for i in range(3)}
+        omega[1] = omega[1] * Factored(ring, [ring.var("lam1") + ring.var("alpha")])
+        entries = {key: tbl.value(*key) for key in _grid(2, range(3), _upto)}
+        hand_built = EulerDataTable(2, 2, ring, entries, omega)
+        report = check_mirror_linked(hand_built)
+        assert {(r.d, r.i) for r in report.failures} == {(1, 1), (2, 1)}
+        assert len(report.failures) == 4 and not report.inconclusive
+        assert report.to_json() == composite_linked(hand_built, None).to_json()
+        shifted = composite_linked(hand_built, [0, 2, 1])
+        assert [r.status for r in shifted.results] == [r.status for r in report.results]
 
 
 def test_mirror_linked_runs_no_transform(monkeypatch):
