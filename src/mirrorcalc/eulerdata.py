@@ -27,11 +27,13 @@ read at p_k are those at p_0 under lam_0 <-> lam_k, and those at p_0
 are fixed by each lam_1 <-> lam_k (point symmetry), a permutation of
 the lam with 0 -> i, 1 -> j is a ring automorphism that carries each
 identity at (0, 1), binding included, to the one at (i, j), so if those
-at (0, 1) pass, all do.  ``mirror_transform`` runs over the variable
-alpha.  Every summand it adds to P_d(lam_i) carries lam_i - lam_j -
-d*alpha, so ``check_mirror_linked`` decides linking in closed form: at
-alpha = (lam_i - lam_j)/d it compares P_d(lam_i) with (bar(Omega)/Omega)
-* P_d(lam_i), and runs no transform.
+at (0, 1) pass, all do.  ``mirror_transform`` and ``lagrange_map`` build
+by orbit too: at p_0, then swapped to each p_k, on point-symmetric input,
+and at every p_i on any other.  The transform runs over alpha.  Every
+summand it adds to P_d(lam_i) carries lam_i - lam_j - d*alpha, so
+``check_mirror_linked`` decides linking in closed form: at alpha =
+(lam_i - lam_j)/d it compares P_d(lam_i) with (bar(Omega)/Omega) *
+P_d(lam_i), and runs no transform.
 """
 
 from __future__ import annotations
@@ -302,21 +304,36 @@ def _alpha_binding(ring, j, i, d):
     return (ring.var(f"lam{j}") - ring.var(f"lam{i}")) * Fraction(1, d)
 
 
-def _decide(report, identities, reads):
-    """Append the verdict of each (key, holds, witness, prefix) that
-    identities(firsts, seconds) yields for i in firsts, j in seconds: by
-    orbit, all pass if those at i = 0, j = 1 do and reads is point-symmetric
-    by structure (uncancelled denominators decide what is inconclusive)."""
+def _point_symmetric(n, reads):
+    """Whether reads(k) is reads(0) under lam_0 <-> lam_k at each p_k, and
+    reads(0) is fixed by each lam_1 <-> lam_k, in stored form."""
     def same(u, v):
         return (type(u) is type(v) and u.num == v.num and u.den == v.den
                 and (not isinstance(u, Factored) or (u.ring is v.ring and u.const == v.const)))
 
+    base = reads(0)
+    swaps = [(0, k, reads(k)) for k in range(1, n + 1)] + [(1, k, base) for k in range(2, n + 1)]
+    return all(all(map(same, (transposition(v, a, k) for v in base), vs)) for a, k, vs in swaps)
+
+
+def _per_point(n, reads, build):
+    """build(i), a dict of values, at each p_i; by orbit if reads is
+    point-symmetric: build(0), and at p_k its image under lam_0 <-> lam_k."""
+    if not _point_symmetric(n, reads):
+        return [build(i) for i in range(n + 1)]
+    at_0 = build(0)
+    return [at_0] + [{e: transposition(v, 0, k) for e, v in at_0.items()} for k in range(1, n + 1)]
+
+
+def _decide(report, identities, reads):
+    """Append the verdict of each (key, holds, witness, prefix) that
+    identities(firsts, seconds) yields for i in firsts, j in seconds: by
+    orbit, all pass if those at i = 0, j = 1 do and reads is point-symmetric
+    (uncancelled denominators decide what is inconclusive)."""
     points, reps = range(report.n + 1), VerificationReport(report.check, report.n, report.d_max)
     for identity in identities(points[:1], points[1:2]):
         _verdict(reps, *identity)
-    swaps = [(0, k, reads(k)) for k in points[1:]] + [(1, k, reads(0)) for k in points[2:]]
-    orbit = all(r.status == "pass" for r in reps.results) and all(
-        all(map(same, (transposition(v, a, k) for v in reads(0)), vs)) for a, k, vs in swaps)
+    orbit = all(r.status == "pass" for r in reps.results) and _point_symmetric(report.n, reads)
     for key, holds, *rest in identities(points, points):
         _verdict(report, key, (lambda: True) if orbit else holds, *rest)
     return report
@@ -413,11 +430,16 @@ def check_degree_bound(tbl):
 
 def lagrange_map(seq):
     """Rebuild a full table from a degree-zero restriction sequence:
-    entry(d, i, r) = Omega(lam_i)^-1 * bar(B_r(lam_i)) * B_{d-r}(lam_i)."""
-    one = RationalFunction(seq.ring.one)
-    omega_inv = {i: one / seq.value(0, i) for i in range(seq.n + 1)}
-    entries = {(d, i, r): omega_inv[i] * bar_involution(seq.value(r, i)) * seq.value(d - r, i)
-               for d, i, r in _grid(seq.d_max, range(seq.n + 1), _upto)}
+    entry(d, i, r) = Omega(lam_i)^-1 * bar(B_r(lam_i)) * B_{d-r}(lam_i),
+    built once per orbit: at p_0 only if the B_d are point-symmetric, else
+    at every p_i."""
+    def at(i):
+        omega_inv = RationalFunction(seq.ring.one) / seq.value(0, i)
+        return {(d, r): omega_inv * bar_involution(seq.value(r, i)) * seq.value(d - r, i)
+                for d, r in _grid(seq.d_max, _upto)}
+
+    tables = _per_point(seq.n, lambda i: [seq.value(d, i) for d in _upto(seq.d_max)], at)
+    entries = {(d, i, r): tables[i][d, r] for d, i, r in _grid(seq.d_max, range(seq.n + 1), _upto)}
     omega = {i: seq.value(0, i) for i in range(seq.n + 1)}
     return EulerDataTable(seq.n, seq.d_max, seq.ring, entries, omega)
 
@@ -452,7 +474,8 @@ def mirror_transform(seq, multiplier=None, shift=None):
     u = e^(f/alpha - lam_i*g/alpha) gives the transformed value.  Every
     summand that either recursion adds to B_d(lam_i) carries the factor
     prod_j (lam_i - lam_j - d*alpha), so linked values are preserved.
-    """
+    Built once per orbit: at p_0 only if the B_d and f are point-symmetric
+    (g is scalar), else at every p_i."""
     n, d_max, ring = seq.n, seq.d_max, seq.ring
     g = _shift_series(shift, d_max)
     f = [RationalFunction.promote(ring, c) for c in multiplier or ()][: d_max + 1]
@@ -461,21 +484,23 @@ def mirror_transform(seq, multiplier=None, shift=None):
         raise EulerDataError("multiplier series must have zero constant term")
 
     alpha, powers = RationalFunction(ring.var("alpha")), mirror_powers(g)
-    zero, out = RationalFunction(ring.zero), []
-    for i in range(n + 1):
-        lam_i = RationalFunction(ring.var(f"lam{i}"))
+
+    def at(i):
+        lam_i, zero = RationalFunction(ring.var(f"lam{i}")), RationalFunction(ring.zero)
         combined = [(f[s] - lam_i * g[s]) / alpha for s in range(d_max + 1)]
         factor = functools.cache(functools.partial(_product_factor, ring, n, i))
-        u, primed, out_i = [RationalFunction(ring.one)], [], []
+        u, primed, out_i = [RationalFunction(ring.one)], [], {}
         for d in range(1, d_max + 1):
             u.append(sum((combined[s] * u[d - s] * s for s in range(1, d + 1)
                           if not combined[s].is_zero()), zero) * Fraction(1, d))
         for d in range(d_max + 1):
             primed.append(sum((powers[r][d] * seq.value(r, i) * factor(r, d) for r in range(d)
                                if powers[r][d]), seq.value(d, i)))
-            out_i.append(sum((u[d - r] * primed[r] * factor(r, d) for r in range(d)
-                              if not u[d - r].is_zero()), primed[d]))
-        out.append(out_i)
+            out_i[d] = sum((u[d - r] * primed[r] * factor(r, d) for r in range(d)
+                            if not u[d - r].is_zero()), primed[d])
+        return out_i
+
+    out = _per_point(n, lambda i: [seq.value(d, i) for d in _upto(d_max)] + f, at)
     values = {(d, i): out[i][d] for d in range(d_max + 1) for i in range(n + 1)}
     return RestrictionSequence(n, d_max, ring, values)
 

@@ -626,9 +626,10 @@ LINKING_DIGESTS = {
 @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
 def test_mirror_linked_matches_composite(preset):
     # the closed form gives the composite's report byte for byte: live at
-    # --dmax <= 2, with the canonical shift for the critical type and a
+    # --dmax <= 3, with the canonical shift for the critical type and a
     # unit one-term shift with x, and through the pinned digests at 1-6
-    # (the composite takes up to 35 s per preset at --dmax 4)
+    # (at --dmax 4 the composite takes up to 6.3 s per preset, p4-concavex
+    # with and without x, on a 2-vCPU VM)
     n, bundle, _ = cli.PRESETS[preset]
     st = cli.parse_bundle(bundle, n)
     for with_x in (False, True):
@@ -637,7 +638,7 @@ def test_mirror_linked_matches_composite(preset):
             text = check_mirror_linked(tbl).to_json(indent=2)
             digest = hashlib.sha1((text + "\n").encode()).hexdigest()
             assert digest[:12] == LINKING_DIGESTS[(n, d_max)], (with_x, d_max)
-            if d_max <= 2:
+            if d_max <= 3:
                 shift = (ScalarQSeries.q(d_max) if with_x else
                          compute_normalization(build_hypergeom_series(st, d_max), st)[1])
                 assert text == composite_linked(tbl, shift).to_json(indent=2)
@@ -864,8 +865,8 @@ def test_mirror_transform_multiplier():
 
 
 def per_pair(check, *tables):
-    """The report of check on the per-pair route: with every transposition
-    unequal to its source, no table is point-symmetric."""
+    """check(*tables) on the per-pair (per-point) route: with every
+    transposition unequal to its source, no input is point-symmetric."""
     with mock.patch.object(eulerdata, "transposition", lambda value, a, b: None):
         return check(*tables)
 
@@ -1016,3 +1017,74 @@ def test_orbit_route_substitutes_a_tenth_as_often(monkeypatch):
     _, shift = compute_normalization(build_hypergeom_series(quintic, 2), quintic)
     lagrange = lagrange_map(mirror_transform(tbl.restriction_sequence(), None, shift))
     assert substitutions(algebra.Polynomial, check_linked, tbl, lagrange) <= 8
+
+
+# ---------------------------------------------------------------------
+# built by orbit: the mirror transform and the Lagrange map compute at
+# p_0 and swap lam_0 <-> lam_k for p_k on point-symmetric input
+
+
+def stored(value):
+    """A RationalFunction as stored: its polynomials' ints and denominators."""
+    return value.num.ints, value.num.den, value.den.ints, value.den.den
+
+
+@hs.composite
+def transform_cases(draw):
+    """(sequence, multiplier, shift) for a random concavex type on P^1..P^4,
+    with or without x: the restriction sequence as built, or with one value
+    at a point k != 0 times a random ratio of linear forms; a multiplier
+    that is zero, symmetric in the lam, or dependent on lam_0; and a random
+    shift with rational coefficients."""
+    degrees = hs.lists(hs.integers(1, 3), max_size=2)
+    st = draw(hs.builds(SplittingType, hs.integers(1, 4), degrees, degrees))
+    with_x = draw(hs.booleans())
+    d_max = draw(hs.integers(1, max([1] + [d for d in (1, 2) if st.linear_factors(d) <= 16])))
+    seq = to_table(build_hypergeom_data(st, with_x=with_x), d_max).restriction_sequence()
+    ring = seq.ring
+    if draw(hs.booleans()):
+        d, k = draw(hs.integers(0, d_max)), draw(hs.integers(1, st.n))
+        names = [f"lam{i}" for i in range(st.n + 1)] + ["alpha"] + ["x"] * with_x
+        seq.values[(d, k)] = seq.values[(d, k)] * expanded(ratio_of_forms(draw, ring, names))
+    coeff = hs.sampled_from([-2, -1, Fraction(-1, 3), Fraction(1, 2), 1, 3])
+    lam = [ring.var(f"lam{i}") for i in range(st.n + 1)]
+    moving = draw(hs.sampled_from([None, sum(lam, ring.zero), lam[0]]))
+    multiplier = None if moving is None else [0] + [
+        draw(coeff) * moving + draw(coeff) * ring.var("alpha") for _ in range(d_max)]
+    shift = [0] + draw(hs.lists(coeff | hs.just(0), min_size=d_max, max_size=d_max))
+    return seq, multiplier, shift
+
+
+@settings(max_examples=25, deadline=None)
+@given(transform_cases())
+def test_orbit_transform_and_lagrange_match_the_per_point_route(case):
+    # every transformed value, and every entry of the Lagrange tables of
+    # the sequence and of its transform, is stored as the per-point route
+    # stores it, not only equal as a rational function
+    seq, multiplier, shift = case
+
+    def forms(seq):
+        out = mirror_transform(seq, multiplier, shift)
+        return ({key: stored(v) for key, v in out.values.items()},
+                [{key: stored(t.value(*key)) for key in _grid(t.d_max, range(t.n + 1), _upto)}
+                 for t in (lagrange_map(seq), lagrange_map(out))])
+
+    assert forms(seq) == per_pair(forms, seq)
+
+
+def test_orbit_transform_builds_one_point(monkeypatch):
+    # on the quintic at d_max 2 with the normalization shift, the per-point
+    # route builds 15 product factors, 3 at each p_i; the orbit route
+    # builds those at p_0 only, so a silent fall-back fails here
+    calls = []
+    product_factor = eulerdata._product_factor
+    monkeypatch.setattr(eulerdata, "_product_factor",
+                        lambda *args: calls.append(args) or product_factor(*args))
+    quintic = SplittingType(4, (5,), ())
+    seq = to_table(build_hypergeom_data(quintic), 2).restriction_sequence()
+    _, shift = compute_normalization(build_hypergeom_series(quintic, 2), quintic)
+    per_pair(mirror_transform, seq, None, shift)
+    assert len(calls) == 15
+    calls.clear()
+    mirror_transform(seq, None, shift)
+    assert len(calls) <= 3
