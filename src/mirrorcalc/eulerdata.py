@@ -9,15 +9,16 @@ the values of P_d at the fixed-point weights kappa = lam_i + r*alpha.
 An invertible class Omega supplies the d = 0 entry, and "bar" on
 restrictions flips the sign of alpha only.
 
-``to_table`` builds each P_d once and keeps every restriction, and every
-Omega restriction, as a ``Factored`` value: a constant times linear
-forms.  Gluing, reciprocity, linking and the degree bound multiply, bar,
-substitute and compare the forms and expand nothing; a value is expanded,
-once, only where a RationalFunction is needed: ``entries``, ``entry``
-(and so ``restriction_sequence`` and ``check_linked``) and a printed
-witness: the values a check decided, expanded, which print as the same
-operations give them on expanded values.  A table of RationalFunctions,
-such as ``lagrange_map`` builds, goes through the same checks unexpanded.
+``to_table`` builds each P_d once and keeps each restriction (made on
+first read where swapped from p_0, below) and each Omega restriction as
+a ``Factored`` value: a constant times linear forms.  Gluing,
+reciprocity, linking and the degree bound multiply, bar, substitute and
+compare the forms and expand nothing; a value is expanded, once, only
+where a RationalFunction is needed: ``entries``, ``entry`` (and so
+``restriction_sequence`` and ``check_linked``) and a printed witness:
+the values a check decided, expanded, which print as the same operations
+give them on expanded values.  A table of RationalFunctions, such as
+``lagrange_map`` builds, goes through the same checks unexpanded.
 
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
 records each identity through ``_verdict``: "pass", "fail" with a
@@ -27,13 +28,13 @@ read at p_k are those at p_0 under lam_0 <-> lam_k, and those at p_0
 are fixed by each lam_1 <-> lam_k (point symmetry), a permutation of
 the lam with 0 -> i, 1 -> j is a ring automorphism that carries each
 identity at (0, 1), binding included, to the one at (i, j), so if those
-at (0, 1) pass, all do.  ``mirror_transform`` and ``lagrange_map`` build
-by orbit too: at p_0, then swapped to each p_k, on point-symmetric input,
-and at every p_i on any other.  The transform runs over alpha.  Every
-summand it adds to P_d(lam_i) carries lam_i - lam_j - d*alpha, so
-``check_mirror_linked`` decides linking in closed form: at alpha =
-(lam_i - lam_j)/d it compares P_d(lam_i) with (bar(Omega)/Omega) *
-P_d(lam_i), and runs no transform.
+at (0, 1) pass, all do.  ``mirror_transform``, ``lagrange_map`` and
+``to_table`` build by orbit too: at p_0, then swapped to each p_k, on
+point-symmetric input or a lam-free rule, else at every p_i.  The
+transform runs over alpha.  Every summand it adds to P_d(lam_i) carries
+lam_i - lam_j - d*alpha, so ``check_mirror_linked`` decides linking in
+closed form: at alpha = (lam_i - lam_j)/d it compares P_d(lam_i) with
+(bar(Omega)/Omega) * P_d(lam_i), and runs no transform.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import itertools
 import json
 import math
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .algebra import (Factored, RationalFunction, SubstitutionError, bar_involution,
@@ -146,19 +148,48 @@ def _grid(d_max, *axes):
 
 
 def to_table(ed, d_max):
-    """The full grid of restrictions up to degree d_max, factored."""
+    """All restrictions up to degree d_max, factored; by orbit on a lam-free rule."""
     if d_max < 1:
         raise EulerDataError("d_max must be >= 1")
     weight = functools.cache(functools.partial(_weight, ed.ring))
     factors = {d: ed.factors(d) for d in range(1, d_max + 1)}
-    entries = {(d, i, r): factors[d].substitute(weight(i, r))
-               for d, i, r in _grid(d_max, range(ed.n + 1), _upto)}
-    omega = {i: ed.omega_restriction(i) for i in range(ed.n + 1)}
-    return EulerDataTable(ed.n, d_max, ed.ring, entries, omega)
+    lam_free = not any(any(ed.ring.forms[f][:ed.n + 1]) for p in factors.values()
+                       for f in itertools.chain(p.num, p.den))
+    value = _per_point(ed.n, lam_free, lambda i: {(d, r): factors[d].substitute(weight(i, r))
+                                                  for d, r in _grid(d_max, _upto)})
+    return _table(ed.n, d_max, ed.ring, value, ed.omega_restriction)
 
 
 # ---------------------------------------------------------------------
 # restriction tables
+
+
+class _OnRead(Mapping):
+    """key -> build(key) over the keys of ``keys``, each made on first read."""
+
+    def __init__(self, keys, build):
+        self._values, self._build = dict.fromkeys(keys), build
+
+    def __getitem__(self, key):
+        value = self._values[key]
+        if value is None:
+            value = self._values[key] = self._build(key)
+        return value
+
+    def __contains__(self, key):
+        return key in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
+def _table(n, d_max, ring, value, omega):
+    """Entries value(i, (d, r)), each made on its first read; Omega omega(i)."""
+    entries = _OnRead(_grid(d_max, range(n + 1), _upto), lambda k: value(k[1], (k[0], k[2])))
+    return EulerDataTable(n, d_max, ring, entries, {i: omega(i) for i in range(n + 1)})
 
 
 class EulerDataTable:
@@ -166,9 +197,9 @@ class EulerDataTable:
 
     entries[(d, i, r)] is the value at the weight lam_i + r*alpha;
     omega_restrictions[i] is the (nonzero) restriction of the class
-    standing in degree zero.  Each is given as a RationalFunction or a
-    Factored value; ``value`` returns it as given, and ``entry``,
-    ``entries`` and ``omega_restrictions`` expanded.
+    standing in degree zero, each a RationalFunction or a Factored value,
+    which a mapping may make on first read; ``value`` returns it as
+    given, and ``entry``, ``entries`` and ``omega_restrictions`` expanded.
     """
 
     def __init__(self, n, d_max, ring, entries, omega_restrictions):
@@ -191,6 +222,9 @@ class EulerDataTable:
     @functools.cached_property
     def omega_restrictions(self):
         return {i: expanded(v) for i, v in self._omega.items()}
+
+    def __getstate__(self):  # entries made first: making one can add forms to the ring
+        return {**self.__dict__, "_entries": dict(self._entries)}
 
     def value(self, d, i, r):
         """The value at (d, i, r) as given; Omega at d = 0."""
@@ -316,13 +350,14 @@ def _point_symmetric(n, reads):
     return all(all(map(same, (transposition(v, a, k) for v in base), vs)) for a, k, vs in swaps)
 
 
-def _per_point(n, reads, build):
-    """build(i), a dict of values, at each p_i; by orbit if reads is
-    point-symmetric: build(0), and at p_k its image under lam_0 <-> lam_k."""
-    if not _point_symmetric(n, reads):
-        return [build(i) for i in range(n + 1)]
+def _per_point(n, symmetric, build):
+    """value(i, e) = build(i)[e], build(i) a mapping of values at p_i; by
+    orbit if symmetric: build(0) only, at p_k swapped by lam_0 <-> lam_k."""
+    if not symmetric:
+        points = [build(i) for i in range(n + 1)]
+        return lambda i, e: points[i][e]
     at_0 = build(0)
-    return [at_0] + [{e: transposition(v, 0, k) for e, v in at_0.items()} for k in range(1, n + 1)]
+    return lambda i, e: transposition(at_0[e], 0, i) if i else at_0[e]
 
 
 def _decide(report, identities, reads):
@@ -431,17 +466,16 @@ def check_degree_bound(tbl):
 def lagrange_map(seq):
     """Rebuild a full table from a degree-zero restriction sequence:
     entry(d, i, r) = Omega(lam_i)^-1 * bar(B_r(lam_i)) * B_{d-r}(lam_i),
-    built once per orbit: at p_0 only if the B_d are point-symmetric, else
-    at every p_i."""
+    each made on its first read, and by orbit: at p_0, and at p_k by
+    lam_0 <-> lam_k, if the B_d are point-symmetric, else at every p_i."""
     def at(i):
         omega_inv = RationalFunction(seq.ring.one) / seq.value(0, i)
-        return {(d, r): omega_inv * bar_involution(seq.value(r, i)) * seq.value(d - r, i)
-                for d, r in _grid(seq.d_max, _upto)}
+        return _OnRead(_grid(seq.d_max, _upto), lambda e: (
+            omega_inv * bar_involution(seq.value(e[1], i)) * seq.value(e[0] - e[1], i)))
 
-    tables = _per_point(seq.n, lambda i: [seq.value(d, i) for d in _upto(seq.d_max)], at)
-    entries = {(d, i, r): tables[i][d, r] for d, i, r in _grid(seq.d_max, range(seq.n + 1), _upto)}
-    omega = {i: seq.value(0, i) for i in range(seq.n + 1)}
-    return EulerDataTable(seq.n, seq.d_max, seq.ring, entries, omega)
+    symmetric = _point_symmetric(seq.n, lambda i: [seq.value(d, i) for d in _upto(seq.d_max)])
+    return _table(seq.n, seq.d_max, seq.ring, _per_point(seq.n, symmetric, at),
+                  functools.partial(seq.value, 0))
 
 
 def _product_factor(ring, n, i, r, d):
@@ -500,8 +534,9 @@ def mirror_transform(seq, multiplier=None, shift=None):
                             if not u[d - r].is_zero()), primed[d])
         return out_i
 
-    out = _per_point(n, lambda i: [seq.value(d, i) for d in _upto(d_max)] + f, at)
-    values = {(d, i): out[i][d] for d in range(d_max + 1) for i in range(n + 1)}
+    symmetric = _point_symmetric(n, lambda i: [seq.value(d, i) for d in _upto(d_max)] + f)
+    out = _per_point(n, symmetric, at)
+    values = {(d, i): out(i, d) for d in range(d_max + 1) for i in range(n + 1)}
     return RestrictionSequence(n, d_max, ring, values)
 
 

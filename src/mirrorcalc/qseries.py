@@ -253,10 +253,10 @@ class TSeries(ExactValue):
     """A q-series whose coefficients are polynomials in t.
 
     rows[j] is the ScalarQSeries coefficient of t^j, with no trailing
-    zero row, so every product runs through ScalarQSeries.__mul__; terms
-    is the derived view (d, j) -> nonzero coefficient of t^j q^d.  These
-    house objects like the solution basis of the hypergeometric
-    equation, where q = e^t and t also appears polynomially.
+    zero row; terms is the derived view (d, j) -> nonzero coefficient of
+    t^j q^d.  These house objects like the solution basis of the
+    hypergeometric equation, where q = e^t and t also appears
+    polynomially; the library multiplies them by rationals only.
     """
 
     __slots__ = ("order", "rows")
@@ -324,12 +324,7 @@ class TSeries(ExactValue):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return TSeries.from_rows(self.order, [row * other for row in self.rows])
-        other = self._coerce(other)
-        out = [ScalarQSeries.zero(self.order)] * (len(self.rows) + len(other.rows) - 1)
-        for j1, a in enumerate(self.rows):
-            for j2, b in enumerate(other.rows):
-                out[j1 + j2] = out[j1 + j2] + a * b
-        return TSeries.from_rows(self.order, out)
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -3,8 +3,11 @@ reciprocity identities, linking, degree bounds, the Lagrange map, and
 the mirror-group action on restriction sequences."""
 
 import functools
+import gc
 import hashlib
 import math
+import pickle
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -866,7 +869,13 @@ def test_mirror_transform_multiplier():
 
 def per_pair(check, *tables):
     """check(*tables) on the per-pair (per-point) route: with every
-    transposition unequal to its source, no input is point-symmetric."""
+    transposition unequal to its source, no input is point-symmetric.
+    Every entry of a table is made first, since a swap made under the
+    patch would be None."""
+    for tbl in tables:
+        if isinstance(tbl, EulerDataTable):
+            for key in _grid(tbl.d_max, range(tbl.n + 1), _upto):
+                tbl.value(*key)
     with mock.patch.object(eulerdata, "transposition", lambda value, a, b: None):
         return check(*tables)
 
@@ -1088,3 +1097,144 @@ def test_orbit_transform_builds_one_point(monkeypatch):
     calls.clear()
     mirror_transform(seq, None, shift)
     assert len(calls) <= 3
+
+
+# ---------------------------------------------------------------------
+# restriction tables by orbit and on read: to_table substitutes a P_d
+# free of the lam at p_0 and swaps lam_0 <-> lam_k for p_k, and a table
+# makes each swapped entry, and each Lagrange entry, on its first read
+
+QUINTIC = SplittingType(4, (5,), ())
+
+
+def factored_form(value):
+    """A Factored value as stored: its constant and its forms' exponents."""
+    return value.const, value.num, value.den
+
+
+def per_point_table(data, d_max):
+    """{(d, i, r): P_d substituted at lam_i + r*alpha}, in data's ring."""
+    ring = data.ring
+    return {(d, i, r): data.factors(d).substitute(
+                {"kappa": ring.var(f"lam{i}") + r * ring.var("alpha")})
+            for d, i, r in _grid(d_max, range(data.n + 1), _upto)}
+
+
+@hs.composite
+def concavex_tables(draw):
+    """(data, d_max) for a random concavex type on P^1..P^6, with or
+    without x, at a d_max <= 3 where P_dmax has at most 20 factors."""
+    degrees = hs.lists(hs.integers(1, 3), max_size=2)
+    st = draw(hs.builds(SplittingType, hs.integers(1, 6), degrees, degrees))
+    d_max = draw(hs.integers(1, max([1] + [d for d in (1, 2, 3) if st.linear_factors(d) <= 20])))
+    return build_hypergeom_data(st, with_x=draw(hs.booleans())), d_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(concavex_tables())
+def test_orbit_table_is_stored_as_per_point_substitution(case):
+    # every entry, swapped from p_0, is stored as the substitution at its
+    # own point stores it, in the same ring; and only p_0 is substituted
+    data, d_max = case
+    with mock.patch.object(Factored, "substitute", autospec=True,
+                           side_effect=Factored.substitute) as substitute:
+        tbl = to_table(data, d_max)
+    assert substitute.call_count == sum(d + 1 for d in range(1, d_max + 1))
+    oracle = per_point_table(data, d_max)
+    assert {key: factored_form(tbl.value(*key)) for key in oracle} == \
+        {key: factored_form(value) for key, value in oracle.items()}
+
+
+def test_rule_with_a_lam_is_substituted_at_every_point():
+    # kappa + lam1 at p_1 is 2*lam1 + r*alpha, and the swap of p_0's
+    # lam0 + lam1 + r*alpha is not: such a rule swaps nothing
+    data = build_hypergeom_data(LOCAL_P2, with_x=True)
+    rule = data._rule
+    with_lam = EulerDataClosed(2, lambda d, ring: rule(d, ring) * Factored(
+        ring, [ring.var("kappa") + ring.var("lam1")]), data._omega_restriction)
+    with mock.patch.object(eulerdata, "transposition", side_effect=AssertionError) as swap:
+        tbl = to_table(with_lam, 3)
+        values = {key: factored_form(tbl.value(*key)) for key in _grid(3, range(3), _upto)}
+    assert not swap.called
+    assert values == {key: factored_form(v) for key, v in per_point_table(with_lam, 3).items()}
+
+
+def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
+    # the quintic at d_max 4: the 14 substitutions at p_0, where one per
+    # entry makes 70, and no swap until an entry is read; the degree-zero
+    # slice then swaps its 16 entries at p_1..p_4, and nothing else
+    substituted, swapped = [], []
+    substitute, transposition = Factored.substitute, eulerdata.transposition
+    monkeypatch.setattr(Factored, "substitute",
+                        lambda self, b: substituted.append(b) or substitute(self, b))
+    monkeypatch.setattr(eulerdata, "transposition",
+                        lambda value, a, b: swapped.append(b) or transposition(value, a, b))
+    tbl = to_table(build_hypergeom_data(QUINTIC), 4)
+    assert (len(substituted), len(swapped)) == (14, 0)
+    tbl.restriction_sequence()
+    assert (len(substituted), sorted(swapped)) == (14, sorted([1, 2, 3, 4] * 4))
+    assert len(tbl.entries) == 70 and len(swapped) == 14 * 4
+
+
+def test_composite_linking_builds_lagrange_entries_at_r0_only(monkeypatch):
+    # entry (d, i, r) of a Lagrange table bars B_r(lam_i): check_linked
+    # and the degree-zero slice of a fresh table read r = 0 only, so they
+    # bar nothing but the B_0(lam_i)
+    tbl = to_table(build_hypergeom_data(QUINTIC), 3)
+    _, shift = compute_normalization(build_hypergeom_series(QUINTIC, 3), QUINTIC)
+    seq = mirror_transform(tbl.restriction_sequence(), None, shift)
+    degree_zero = [seq.value(0, i) for i in range(5)]
+    barred = []
+    monkeypatch.setattr(eulerdata, "bar_involution",
+                        lambda value: barred.append(value) or bar_involution(value))
+    for run in (lambda: check_linked(tbl, lagrange_map(seq)).all_pass,
+                lambda: lagrange_map(seq).restriction_sequence()):
+        barred.clear()
+        assert run()
+        assert barred and all(any(v is b for b in degree_zero) for v in barred)
+    barred.clear()
+    assert len(lagrange_map(seq).entries) == 5 * (2 + 3 + 4) and len(barred) == 2 + 3 + 4
+
+
+def test_to_table_raises_where_it_did():
+    # a denominator form kappa - lam0 vanishes at p_0, r = 0: to_table
+    # raises, and no check meets it later; a mapping without a grid key
+    # is refused when the table is made
+    def rule(d, ring):
+        return Factored(ring, [ring.var("alpha")], [ring.var("kappa") - ring.var("lam0")])
+
+    data = EulerDataClosed(2, rule, lambda i, ring: Factored(ring, [ring.var(f"lam{i}")]))
+    with pytest.raises(algebra.SubstitutionError, match="'kappa'"):
+        to_table(data, 2)
+    tbl = to_table(build_hypergeom_data(LOCAL_P2), 2)
+    entries = {key: tbl.value(*key) for key in _grid(2, range(3), _upto) if key != (2, 1, 1)}
+    with pytest.raises(EulerDataError, match=r"^incomplete table: missing entry \(2, 1, 1\)$"):
+        EulerDataTable(2, 2, tbl.ring, entries, {i: tbl.value(0, i, 0) for i in range(3)})
+
+
+def test_tables_keep_no_parent_alive():
+    # a Lagrange table holds its sequence, not the table that gave it, and
+    # reference counting alone frees both tables once a check is done
+    tbl = to_table(build_hypergeom_data(QUINTIC), 2)
+    lagrange = lagrange_map(tbl.restriction_sequence())
+    refs = [weakref.ref(tbl), weakref.ref(lagrange)]
+    gc.disable()
+    try:
+        assert check_linked(tbl, lagrange).all_pass
+        del tbl
+        assert refs[0]() is None
+        del lagrange
+        assert refs[1]() is None
+    finally:
+        gc.enable()
+
+
+def test_tables_pickle_with_every_entry_made():
+    # a pickled table carries every entry, made before the ring that a
+    # swap can add forms to is pickled: the twins decide as the tables do
+    tbl = to_table(build_hypergeom_data(QUINTIC, with_x=True), 2)
+    lagrange = lagrange_map(tbl.restriction_sequence())
+    twin, lagrange_twin = pickle.loads(pickle.dumps((tbl, lagrange)))
+    for check in (check_gluing, check_reciprocity, check_mirror_linked):
+        assert check(twin).to_json() == check(tbl).to_json()
+    assert check_linked(twin, lagrange_twin).to_json() == check_linked(tbl, lagrange).to_json()

@@ -21,6 +21,7 @@ from mirrorcalc.pipeline import (PipelineCase, PipelineError, _normalized_column
                                  invert_multicover, recompose_multicover,
                                  run_pipeline)
 from mirrorcalc.qseries import ScalarQSeries, TSeries, mirror_powers
+from test_qseries import tseries_product
 
 MULTICOVER = SplittingType(1, (), (1, 1))
 LOCAL_P2 = SplittingType(2, (), (3,))
@@ -163,10 +164,10 @@ def reference_prepotential_route(f_basis, st, inv_f0, shift):
     and its t^0 row is sum_d K_d Q^d."""
     _, f1, f2, f3 = f_basis
     order, c = shift.order, omega_class(st).scalar
-    script_f = (f1 * f2 * TSeries.from_scalar(inv_f0 * inv_f0)
-                - f3 * TSeries.from_scalar(inv_f0)) * (c / 2)
+    script_f = (tseries_product(f1, f2, TSeries.from_scalar(inv_f0 * inv_f0))
+                - tseries_product(f3, TSeries.from_scalar(inv_f0))) * (c / 2)
     T = TSeries.t_monomial(order) + TSeries.from_scalar(shift)
-    phi = script_f - T * T * T * (c / 6)
+    phi = script_f - tseries_product(T, T, T) * (c / 6)
     assert phi.t_degree() == 0
     target, powers, K = phi.t_coefficient(0), mirror_powers(shift), []
     for D in range(1, order + 1):  # powers[D] = q^D + O(q^(D+1))
@@ -403,10 +404,10 @@ def test_top_columns_are_the_integral(st):
     integrated = integrate_pn(scale_by(series, scaling))
     assert list(integrated) == [-3]
     T = TSeries.t_monomial(order) + TSeries.from_scalar(shift)
-    omega_part = (TSeries.from_scalar(scaling) * TSeries.t_monomial(order, 3)
-                  - T * T * T) * (-om.scalar / 6)
+    omega_part = (tseries_product(TSeries.from_scalar(scaling), TSeries.t_monomial(order, 3))
+                  - tseries_product(T, T, T)) * (-om.scalar / 6)
     columns = _normalized_columns(series, om, scaling, shift)
-    top = TSeries.from_scalar(columns[n]) - T * TSeries.from_scalar(columns[n - 1])
+    top = TSeries.from_scalar(columns[n]) - tseries_product(T, TSeries.from_scalar(columns[n - 1]))
     assert integrated[-3] + omega_part == top
 
 
