@@ -13,7 +13,8 @@ fixed-width field per exponent, the total degree on top) mapped to int
 coefficients, over one positive denominator.  Adding two keys adds the
 exponents, so a product is dict accumulation on int sums (the packed
 exponents of Monagan and Pearce, CASC 2007), and integer order on keys
-is graded-lex order.
+is graded-lex order.  The ring packs the key of each variable once, in
+``units``.
 
 Rational functions are stored as unreduced pairs; only the integer
 content of the denominator is normalized (no multivariate gcd), and
@@ -21,14 +22,12 @@ equality is decided by cross-multiplication.
 
 A product of homogeneous linear forms can stay unexpanded as a
 ``Factored`` value: a rational constant and the forms, on which
-products, quotients, the bar involution, linear substitutions,
-alpha-degrees and equality act directly, expanding it only beside a
-RationalFunction.  The ring owns all of that state: it interns the forms
-in ``forms`` and memoizes their substitutions and swaps in ``images``,
-and both only grow.
+products, quotients, alpha-degrees, equality and linear changes of
+variables (substitutions, the bar, swaps) act directly, expanding it
+only beside a RationalFunction.  The ring interns the forms in ``forms``
+and memoizes their images in ``images``, one map per change of
+variables keyed by it, and both only grow.
 """
-
-from __future__ import annotations
 
 import itertools
 import math
@@ -69,15 +68,15 @@ class PolyRing:
     """A polynomial ring Q[names] with a fixed, ordered variable set.
 
     A monomial is packed into one int: the total degree in the top
-    field, then var 0 down to the last var, FIELD_BITS each.  Integer
-    order on keys is the graded lexicographic order on exponent tuples,
-    the canonical term order.  Substitutions may not introduce symbols
-    outside the ring.  The ring interns the linear forms of its Factored
-    values: a form is a tuple of coprime ints, one per variable, with a
-    positive first nonzero entry, at its index in ``forms``
-    (``form_index`` inverts it).  ``images`` memoizes, per binding
-    v -> L/q, keyed (v, L, q), or swap a <-> b, keyed (a, b), a form's
-    index -> its image's (g, index).
+    field, then var 0 down to the last var, FIELD_BITS each; ``units``
+    holds the key of each variable.  Integer order on keys is the graded
+    lexicographic order on exponent tuples, the canonical term order.
+    The ring interns the linear forms of its Factored values: a form is a
+    tuple of coprime ints, one per variable, with a positive first nonzero
+    entry, at its index in ``forms`` (``form_index`` inverts it).
+    ``images`` memoizes a form's index -> its image's (g, index) per change
+    of variables, keyed (q, ((u, L), ...)) for u -> L/q, L as (index, int)
+    pairs: a key names its map, so no two maps share one.
     """
 
     def __init__(self, names):
@@ -92,6 +91,7 @@ class PolyRing:
         # the first key whose total degree sets its field's guard bit; the
         # total bounds every exponent, so this one test guards all fields
         self.limit = (MAX_DEGREE + 1) << self.top
+        self.units = tuple((1 << self.top) | (1 << shift) for shift in self.shifts)
         self.zero = _poly(self, {}, 1)
         self.one = _poly(self, {0: 1}, 1)
         self.forms, self.form_index, self.images = [], {}, {}
@@ -111,7 +111,7 @@ class PolyRing:
     def var(self, name):
         if name not in self.index:
             raise AlgebraError(f"unknown variable '{name}'")
-        return _poly(self, {(1 << self.top) | (1 << self.shifts[self.index[name]]): 1}, 1)
+        return _poly(self, {self.units[self.index[name]]: 1}, 1)
 
     def const(self, value):
         value = _as_fraction(value)
@@ -304,8 +304,7 @@ class Polynomial(ExactValue):
         with the variable dropped and times the cached power value**e."""
         ring = self.ring
         v, value = _binding(ring, bindings)
-        shift = ring.shifts[v]
-        unit = (1 << ring.top) | (1 << shift)  # the key of the variable
+        shift, unit = ring.shifts[v], ring.units[v]
         groups = {}  # exponent e -> the terms that have it
         for k, c in self.ints.items():
             groups.setdefault((k >> shift) & FIELD_MASK, {})[k] = c
@@ -441,14 +440,9 @@ class RationalFunction(ExactValue):
 def _linear(p):
     """A homogeneous linear Polynomial as (ints, den): one int per ring
     variable, over the denominator of p."""
-    ring = p.ring
-    ints = [0] * ring.nvars
-    for k, c in p.ints.items():
-        low = k - (1 << ring.top)
-        field = (low.bit_length() - 1) // FIELD_BITS
-        if low != 1 << (FIELD_BITS * field) or field >= ring.nvars:
-            raise AlgebraError(f"{p} is not a homogeneous linear form")
-        ints[ring.nvars - 1 - field] = c
+    ints = [p.ints.get(k, 0) for k in p.ring.units]
+    if len(p.ints) != len(ints) - ints.count(0):
+        raise AlgebraError(f"{p} is not a homogeneous linear form")
     return ints, p.den
 
 
@@ -533,34 +527,10 @@ class Factored:
 
     def substitute(self, bindings):
         """Substitution of a homogeneous linear Polynomial L/q (L integral,
-        q > 0) for one variable v, form by form: f goes to (q*f + f[v] *
-        (L - q*e_v)) / q = g/q * forms[i], (g, i) the normal of that
-        numerator; SubstitutionError when a denominator form vanishes."""
-        ring = self.ring
-        v, value = _binding(ring, bindings)
+        q > 0) for one variable v: the form map v -> L/q (``_map_forms``)."""
+        v, value = _binding(self.ring, bindings)
         ints, q = _linear(value)
-        images = ring.images.setdefault((v, tuple(ints), q), {})
-        ints[v] -= q  # L - q*e_v
-        parts, gains = ({}, {}), [1, 1]
-        for side in (1, 0):  # the denominator first: it decides SubstitutionError
-            out, gain = parts[side], 1
-            for i, e in (self.den if side else self.num).items():
-                image = images.get(i)
-                if image is None:
-                    form = ring.forms[i]
-                    image = images[i] = ring.normal([q * c + form[v] * w
-                                                     for c, w in zip(form, ints)])
-                g, j = image
-                if j is None:
-                    if side:
-                        raise SubstitutionError(ring.names[v])
-                    return _factored(ring, Fraction(0), {}, {})
-                out[j] = out.get(j, 0) + e
-                gain *= g if e == 1 else g ** e
-            gains[side] = gain
-        const = Fraction(self.const.numerator * gains[0] * q ** sum(self.den.values()),
-                         self.const.denominator * gains[1] * q ** sum(self.num.values()))
-        return _factored(ring, const, *parts)
+        return _map_forms(self, q, ((v, tuple((w, c) for w, c in enumerate(ints) if c)),))
 
     def alpha_degrees(self):
         """The alpha-degrees of the numerator and the denominator."""
@@ -574,11 +544,9 @@ class Factored:
         """The RationalFunction, built on first use."""
         if self._expanded is None:
             ring = self.ring
-            keys = [(1 << ring.top) | (1 << shift) for shift in ring.shifts]
 
             def power(i, e):
-                form = ring.forms[i]
-                return _poly(ring, {k: c for k, c in zip(keys, form) if c}, 1) ** e
+                return _poly(ring, {k: c for k, c in zip(ring.units, ring.forms[i]) if c}, 1) ** e
 
             self._expanded = RationalFunction(
                 math.prod(itertools.starmap(power, self.num.items()), start=ring.const(self.const)),
@@ -587,6 +555,39 @@ class Factored:
 
     def __str__(self):
         return str(self.expand())
+
+
+def _map_forms(p, q, moves):
+    """p under the change of variables (q, moves): each u of moves, (u, L)
+    pairs with L an integral form as (index, int) pairs, goes to L/q, and
+    a form f to (q*f + sum f[u] * (L - q*e_u)) / q = g/q * forms[j], (g, j)
+    the normal of that numerator, memoized in ``ring.images[q, moves]``.
+    The denominator goes first: a vanishing form raises SubstitutionError
+    there, naming the first u of moves, and gives zero in the numerator."""
+    ring, parts = p.ring, ({}, {})
+    images = ring.images.setdefault((q, moves), {})
+    scale = [p.const.numerator * q ** sum(p.den.values()),
+             p.const.denominator * q ** sum(p.num.values())]
+    for side in (1, 0):
+        out = parts[side]
+        for i, e in (p.den if side else p.num).items():
+            image = images.get(i)
+            if image is None:
+                form = ring.forms[i]
+                ints = [q * c for c in form] if q != 1 else list(form)
+                for u, target in moves:
+                    ints[u] -= q * form[u]
+                    for w, c in target:
+                        ints[w] += form[u] * c
+                image = images[i] = ring.normal(ints)
+            g, j = image
+            if j is None:
+                if side:
+                    raise SubstitutionError(ring.names[moves[0][0]])
+                return _factored(ring, Fraction(0), {}, {})
+            out[j] = out.get(j, 0) + e
+            scale[side] *= g if e == 1 else g ** e
+    return _factored(ring, Fraction(*scale), *parts)
 
 
 def expanded(value):
@@ -601,21 +602,21 @@ def bar_involution(p):
     """The involution alpha -> -alpha, every other variable fixed; on
     fixed-point restrictions, which are kappa-free, this is the bar
     involution.  Applying it twice is the identity."""
-    if isinstance(p, Factored):
-        return p.substitute({"alpha": -p.ring.var("alpha")})
     if isinstance(p, RationalFunction):
         return RationalFunction(bar_involution(p.num), bar_involution(p.den))
     ia = p.ring.index.get("alpha")
     if ia is None:
         raise AlgebraError("ring has no alpha variable")
+    if isinstance(p, Factored):  # the key of substitute({"alpha": -alpha}), with no binding
+        return _map_forms(p, 1, ((ia, ((ia, -1),)),))
     shift = p.ring.shifts[ia]
     return _poly(p.ring, {k: -c if k >> shift & 1 else c for k, c in p.ints.items()}, p.den)
 
 
 def transposition(p, a, b):
     """The ring automorphism lam_a <-> lam_b: two fields of each key, or
-    two ints of each form (memoized, signs into the constant), swapped;
-    a RationalFunction is rebuilt, since its leading sign may change."""
+    two ints of each form (the form map), swapped; a RationalFunction is
+    rebuilt, since its leading sign may change."""
     ring = p.ring
     va, vb = ring.index[f"lam{a}"], ring.index[f"lam{b}"]
     if isinstance(p, RationalFunction):
@@ -625,16 +626,7 @@ def transposition(p, a, b):
         both = (1 << sa) | (1 << sb)
         return _poly(ring, {k ^ ((k >> sa ^ k >> sb) & FIELD_MASK) * both: c
                             for k, c in p.ints.items()}, p.den)
-    sign, parts = 1, ({}, {})
-    images = ring.images.setdefault((va, vb), {})
-    swap = [vb if u == va else va if u == vb else u for u in range(ring.nvars)]
-    for out, side in zip(parts, (p.num, p.den)):
-        for i, e in side.items():
-            if i not in images:
-                images[i] = ring.normal([ring.forms[i][u] for u in swap])
-            g, j = images[i]  # g = +-1: the swapped ints stay coprime
-            out[j], sign = e, sign * g ** e
-    return _factored(ring, p.const * sign, *parts)
+    return _map_forms(p, 1, ((va, ((vb, 1),)), (vb, ((va, 1),))))
 
 
 def rf_equal(f, g):

@@ -1,8 +1,6 @@
 """Splitting types of concavex direct sums of line bundles on P^n, and
 the value classes of the package."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

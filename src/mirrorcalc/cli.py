@@ -10,8 +10,6 @@ the pipeline on every call: nothing is cached, and --cache is accepted,
 ignored and warned about until it is removed.
 """
 
-from __future__ import annotations
-
 import argparse
 import io
 import os

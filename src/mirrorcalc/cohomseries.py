@@ -16,8 +16,6 @@ pipeline's K_d extraction reads the same integral off the top
 normalized columns N_(n-1), N_n instead.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

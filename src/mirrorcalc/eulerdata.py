@@ -37,8 +37,6 @@ closed form: at alpha = (lam_i - lam_j)/d it compares P_d(lam_i) with
 (bar(Omega)/Omega) * P_d(lam_i), and runs no transform.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import json

@@ -14,8 +14,6 @@ K_d to n_d by the cubic multiple-cover relation, on ints.  f_0 is
 inverted once, in the normalization.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import operator

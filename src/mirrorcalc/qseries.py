@@ -9,8 +9,6 @@ Every series product, scalar or t-graded, runs through
 ScalarQSeries.__mul__: a truncated product of the stored integers.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

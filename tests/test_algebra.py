@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from mirrorcalc.algebra import (MAX_DEGREE, NEG_INF, AlgebraError, Factored, Polynomial,
@@ -392,15 +392,21 @@ def same(f, rf):
 
 @settings(max_examples=150)
 @given(factored, factored, hs.sampled_from(("lam0", "alpha", "x")), forms)
+@example(Factored(R, [LAM0 - LAM1], [LAM0 - LAM1]), Factored(R), "lam0", LAM1)  # 0/0 raises
 def test_factored_operations_match_their_expansions(a, b, name, value):
     # products, quotients, the bar involution and substitutions of
     # factored values expand to exactly what the same operations give on
     # the expansions, uncancelled; equality and alpha-degrees agree with
-    # them too, and a factored value meets a RationalFunction expanded
+    # them too, and a factored value meets a RationalFunction expanded;
+    # the bar, which flips the alpha int of each form without a binding,
+    # keeps the stored form that substituting -alpha gives, and undoes itself
     ea, eb = a.expand(), b.expand()
     assert same(a * b, ea * eb) and same(a / b, ea / eb)
     assert str(ea * b) == str(ea * eb)
     assert same(bar_involution(a), bar_involution(ea))
+    stored = operator.attrgetter("const", "num", "den")
+    assert stored(bar_involution(a)) == stored(a.substitute({"alpha": -ALPHA}))
+    assert stored(bar_involution(bar_involution(a))) == stored(a)
     assert rf_equal(a, b) == rf_equal(ea, eb) == rf_equal(a, eb) == rf_equal(ea, b)
     assert rf_equal(a, ea) and rf_equal(ea, a)
     assert rf_equal(a * b, b * a) and rf_equal(bar_involution(bar_involution(a)), a)

@@ -1,5 +1,6 @@
 """The complete critical list end to end, with an independent
-enumerative oracle for the convex cases.
+enumerative oracle for the convex cases and the published instanton
+numbers as anchors.
 
 For a generic complete intersection of degrees (l_1..l_P) cut out in
 P^n by a critical convex sum, the degree-1 number counts its lines.
@@ -12,10 +13,11 @@ class, i.e. the coefficient of x1^n x2^(n-1) after multiplying by
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hs
 
-from mirrorcalc.bundles import CRITICAL_BUNDLES
+from mirrorcalc.bundles import CRITICAL_BUNDLES, SplittingType
 from mirrorcalc.pipeline import PipelineCase, classify, run_pipeline
 
 
@@ -47,6 +49,27 @@ def test_line_counts_match_degree_one():
 
 def test_quintic_line_count_is_classical():
     assert line_count(CRITICAL_BUNDLES[3]) == 2875
+
+
+# Published genus-zero instanton numbers n_1, n_2, ...: the complete
+# intersections in P^5, P^6 and P^7 from Libgober-Teitelbaum
+# (alg-geom/9301001) and Hosono-Klemm-Theisen-Yau (hep-th/9406055), and
+# local P^2 from Chiang-Klemm-Yau-Zaslow (hep-th/9903053).  The values
+# were recalled without network access, not read from the papers.  The
+# line counts above already pin n_1 of the complete intersections.
+PUBLISHED = [
+    (SplittingType(5, (3, 3), ()), [1053, 52812, 6424326]),
+    (SplittingType(5, (2, 4), ()), [1280, 92288, 15655168]),
+    (SplittingType(6, (2, 2, 3), ()), [720, 22428, 1611504]),
+    (SplittingType(7, (2, 2, 2, 2), ()), [512, 9728, 416256]),
+    (SplittingType(2, (), (3,)), [3, -6, 27, -192, 1695]),
+]
+
+
+@pytest.mark.parametrize("st, numbers", PUBLISHED, ids=[f"P{st.n}:{st}" for st, _ in PUBLISHED])
+def test_published_instanton_numbers(st, numbers):
+    result = run_pipeline(st, len(numbers))
+    assert result.instanton == [(d, n, True) for d, n in enumerate(numbers, 1)]
 
 
 @given(st=hs.sampled_from(CRITICAL_BUNDLES), order=hs.integers(1, 40))

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import mirrorcalc
@@ -356,31 +356,43 @@ def _times_denominators(block, n, d):
     return block
 
 
-def test_series_blocks_match_symbolic_restrictions():
+def critical_examples(test):
+    """The 9 critical bundles at d <= 4, as explicit examples."""
+    for st in CRITICAL_BUNDLES:
+        test = example(st=st, order=4)(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None)
+@given(st=hs.builds(SplittingType, hs.integers(1, 6), hs.lists(hs.integers(1, 4), max_size=3),
+                    hs.lists(hs.integers(1, 4), max_size=2)),
+       order=hs.integers(1, 4))
+@critical_examples
+def test_series_blocks_match_symbolic_restrictions(st, order):
     # bridge between the symbolic table layer and the series layer: the
     # q^d block times prod (H - m*alpha)^(n+1) must equal the restriction
     # polynomial (lam_i renamed to H, truncated by nilpotency); that
-    # product is a unit, so this pins the block itself.  The domain, all 9
-    # critical bundles at d <= 4, is enumerated exhaustively.
+    # product is a unit, so this pins the block itself.  The series builds
+    # each block from the last (SplittingType.factors with since = d - 1),
+    # the table each P_d whole, on any splitting type, critical or not.
     from mirrorcalc.eulerdata import build_hypergeom_data, to_table
 
-    for st in CRITICAL_BUNDLES:
-        n, order = st.n, 4
-        data = build_hypergeom_data(st)
-        ring = data.ring
-        tbl = to_table(data, order)
-        lam_idx = ring.index["lam0"]
-        alpha_idx = ring.index["alpha"]
-        series = build_hypergeom_series(st, order)
-        for d in range(1, order + 1):
-            block = {(i, series.degrees[d] - i): c
-                     for i, c in enumerate(series.cells[d]) if c}
-            expected = {}
-            for exp, coeff in tbl.entry(d, 0, 0).num.terms.items():
-                i, k = exp[lam_idx], exp[alpha_idx]
-                if i <= n:
-                    expected[(i, k)] = coeff
-            assert _times_denominators(block, n, d) == expected, (st, d)
+    n = st.n
+    data = build_hypergeom_data(st)
+    ring = data.ring
+    tbl = to_table(data, order)
+    lam_idx = ring.index["lam0"]
+    alpha_idx = ring.index["alpha"]
+    series = build_hypergeom_series(st, order)
+    for d in range(1, order + 1):
+        block = {(i, series.degrees[d] - i): c
+                 for i, c in enumerate(series.cells[d]) if c}
+        expected = {}
+        for exp, coeff in tbl.entry(d, 0, 0).num.terms.items():
+            i, k = exp[lam_idx], exp[alpha_idx]
+            if i <= n:
+                expected[(i, k)] = coeff
+        assert _times_denominators(block, n, d) == expected, (st, d)
 
 
 def test_extract_multicover():
