@@ -529,8 +529,11 @@ class Factored:
         """Substitution of a homogeneous linear Polynomial L/q (L integral,
         q > 0) for one variable v: the form map v -> L/q (``_map_forms``)."""
         v, value = _binding(self.ring, bindings)
-        ints, q = _linear(value)
-        return _map_forms(self, q, ((v, tuple((w, c) for w, c in enumerate(ints) if c)),))
+        try:
+            target = sorted((self.ring.units.index(k), c) for k, c in value.ints.items())
+        except ValueError:
+            raise AlgebraError(f"{value} is not a homogeneous linear form") from None
+        return _map_forms(self, value.den, ((v, tuple(target)),))
 
     def alpha_degrees(self):
         """The alpha-degrees of the numerator and the denominator."""

@@ -30,7 +30,9 @@ the lam with 0 -> i, 1 -> j is a ring automorphism that carries each
 identity at (0, 1), binding included, to the one at (i, j), so if those
 at (0, 1) pass, all do.  ``mirror_transform``, ``lagrange_map`` and
 ``to_table`` build by orbit too: at p_0, then swapped to each p_k, on
-point-symmetric input or a lam-free rule, else at every p_i.  The
+point-symmetric input or a lam-free rule, else at every p_i, and such
+a table records that it is point-symmetric, which checks read; on a
+table from the constructor, each check tests what it reads.  The
 transform runs over alpha.  Every summand it adds to P_d(lam_i) carries
 lam_i - lam_j - d*alpha, so ``check_mirror_linked`` decides linking in
 closed form: at alpha = (lam_i - lam_j)/d it compares P_d(lam_i) with
@@ -146,7 +148,8 @@ def _grid(d_max, *axes):
 
 
 def to_table(ed, d_max):
-    """All restrictions up to degree d_max, factored; by orbit on a lam-free rule."""
+    """All restrictions up to degree d_max, factored; by orbit on a lam-free
+    rule, and then point-symmetric if Omega is, decided on first need."""
     if d_max < 1:
         raise EulerDataError("d_max must be >= 1")
     weight = functools.cache(functools.partial(_weight, ed.ring))
@@ -155,7 +158,9 @@ def to_table(ed, d_max):
                        for f in itertools.chain(p.num, p.den))
     value = _per_point(ed.n, lam_free, lambda i: {(d, r): factors[d].substitute(weight(i, r))
                                                   for d, r in _grid(d_max, _upto)})
-    return _table(ed.n, d_max, ed.ring, value, ed.omega_restriction)
+    omega = {i: ed.omega_restriction(i) for i in range(ed.n + 1)}
+    return _table(ed.n, d_max, ed.ring, value, omega,
+                  lam_free and (lambda: _point_symmetric(ed.n, lambda k: [omega[k]])))
 
 
 # ---------------------------------------------------------------------
@@ -184,10 +189,14 @@ class _OnRead(Mapping):
         return len(self._values)
 
 
-def _table(n, d_max, ring, value, omega):
-    """Entries value(i, (d, r)), each made on its first read; Omega omega(i)."""
+def _table(n, d_max, ring, value, omega, symmetric):
+    """Entries value(i, (d, r)), each made on its first read, and Omega
+    omega[i]; its record symmetric, if any, a thunk run at most once:
+    whether all its values are point-symmetric."""
     entries = _OnRead(_grid(d_max, range(n + 1), _upto), lambda k: value(k[1], (k[0], k[2])))
-    return EulerDataTable(n, d_max, ring, entries, {i: omega(i) for i in range(n + 1)})
+    tbl = EulerDataTable(n, d_max, ring, entries, omega)
+    tbl._symmetric = symmetric and functools.cache(symmetric)
+    return tbl
 
 
 class EulerDataTable:
@@ -199,6 +208,8 @@ class EulerDataTable:
     which a mapping may make on first read; ``value`` returns it as
     given, and ``entry``, ``entries`` and ``omega_restrictions`` expanded.
     """
+
+    _symmetric = None  # no record: each check decides symmetry (``_table``)
 
     def __init__(self, n, d_max, ring, entries, omega_restrictions):
         self.n = n
@@ -221,8 +232,8 @@ class EulerDataTable:
     def omega_restrictions(self):
         return {i: expanded(v) for i, v in self._omega.items()}
 
-    def __getstate__(self):  # entries made first: making one can add forms to the ring
-        return {**self.__dict__, "_entries": dict(self._entries)}
+    def __getstate__(self):  # entries made first (one can add forms to the ring), no record
+        return {**self.__dict__, "_entries": dict(self._entries), "_symmetric": None}
 
     def value(self, d, i, r):
         """The value at (d, i, r) as given; Omega at d = 0."""
@@ -358,15 +369,18 @@ def _per_point(n, symmetric, build):
     return lambda i, e: transposition(at_0[e], 0, i) if i else at_0[e]
 
 
-def _decide(report, identities, reads):
+def _decide(report, identities, tables, reads):
     """Append the verdict of each (key, holds, witness, prefix) that
     identities(firsts, seconds) yields for i in firsts, j in seconds: by
-    orbit, all pass if those at i = 0, j = 1 do and reads is point-symmetric
+    orbit, all pass if those at i = 0, j = 1 do and the records of tables,
+    if each holds one, or else reads(k) at each p_k, are point-symmetric
     (uncancelled denominators decide what is inconclusive)."""
     points, reps = range(report.n + 1), VerificationReport(report.check, report.n, report.d_max)
     for identity in identities(points[:1], points[1:2]):
         _verdict(reps, *identity)
-    orbit = all(r.status == "pass" for r in reps.results) and _point_symmetric(report.n, reads)
+    records = [tbl._symmetric for tbl in tables]
+    orbit = all(r.status == "pass" for r in reps.results) and (
+        all(record() for record in records) if all(records) else _point_symmetric(report.n, reads))
     for key, holds, *rest in identities(points, points):
         _verdict(report, key, (lambda: True) if orbit else holds, *rest)
     return report
@@ -385,7 +399,8 @@ def check_reciprocity(tbl):
     Omega, once per alpha-binding and multiply the results: exact, as
     substitution is a ring map and a product's denominator vanishes
     exactly when a factor's does, which makes the item inconclusive.
-    Decided by orbit, on Omega, Q_d and Q_d(lam_i + d*alpha) at each p_i.
+    Decided by orbit, on the table's record or on Omega, Q_d and
+    Q_d(lam_i + d*alpha) at each p_i.
     """
     @functools.cache
     def at(d, k, j, i, r):
@@ -408,15 +423,15 @@ def check_reciprocity(tbl):
                                                    at(r, j, j, i, r) * at(d - r, i, j, i, r)),
                        lambda: f"item (iii): j={j}", f"item (iii): j={j}: ")
 
-    return _decide(VerificationReport("reciprocity", tbl.n, tbl.d_max), identities,
+    return _decide(VerificationReport("reciprocity", tbl.n, tbl.d_max), identities, [tbl],
                    lambda k: [tbl.value(d, k, r) for d in _upto(tbl.d_max) for r in (0, d)])
 
 
-def _linking_report(tbl, value, sides):
+def _linking_report(sides, reads, tbl, *others):
     """Record, for every d and i != j, whether the two sides
     sides(d, i, binding) agree, binding alpha = (lam_i - lam_j)/d:
-    decided by orbit on value(d, i), what sides reads, and witnessed by
-    the difference of the decided sides, expanded."""
+    decided by orbit on the tables' records or reads(i), what sides reads,
+    and witnessed by the difference of the decided sides, expanded."""
     def at(d, i, j):
         return sides(d, i, {"alpha": _alpha_binding(tbl.ring, i, j, d)})
 
@@ -427,17 +442,20 @@ def _linking_report(tbl, value, sides):
                        lambda: f"j={j}: residue={operator.sub(*map(expanded, at(d, i, j)))}", "")
 
     return _decide(VerificationReport("linking", tbl.n, tbl.d_max), identities,
-                   lambda i: [value(d, i) for d in _upto(tbl.d_max)])
+                   [tbl, *others], reads)
 
 
 def check_linked(table_a, table_b):
     """Both degree-zero restrictions agree at alpha = (lam_i - lam_j)/d:
-    their expanded difference, substituted, against zero."""
+    their expanded difference, substituted, against zero; read at p_0 only
+    if both tables hold a record, as the difference at p_k is then that at
+    p_0 swapped, a RationalFunction being stored normalized."""
     if table_a.n != table_b.n or table_a.d_max != table_b.d_max:
         raise EulerDataError("tables are not compatible")
     diff = functools.cache(lambda d, i: table_a.entry(d, i, 0) - table_b.entry(d, i, 0))
     zero = RationalFunction(table_a.ring.zero)
-    return _linking_report(table_a, diff, lambda d, i, b: (diff(d, i).substitute(b), zero))
+    return _linking_report(lambda d, i, b: (diff(d, i).substitute(b), zero),
+                           lambda i: [diff(d, i) for d in _upto(table_a.d_max)], table_a, table_b)
 
 
 def check_degree_bound(tbl):
@@ -465,7 +483,8 @@ def lagrange_map(seq):
     """Rebuild a full table from a degree-zero restriction sequence:
     entry(d, i, r) = Omega(lam_i)^-1 * bar(B_r(lam_i)) * B_{d-r}(lam_i),
     each made on its first read, and by orbit: at p_0, and at p_k by
-    lam_0 <-> lam_k, if the B_d are point-symmetric, else at every p_i."""
+    lam_0 <-> lam_k, if the B_d are point-symmetric, else at every p_i.
+    The table records that decision, which covers Omega = B_0."""
     def at(i):
         omega_inv = RationalFunction(seq.ring.one) / seq.value(0, i)
         return _OnRead(_grid(seq.d_max, _upto), lambda e: (
@@ -473,7 +492,7 @@ def lagrange_map(seq):
 
     symmetric = _point_symmetric(seq.n, lambda i: [seq.value(d, i) for d in _upto(seq.d_max)])
     return _table(seq.n, seq.d_max, seq.ring, _per_point(seq.n, symmetric, at),
-                  functools.partial(seq.value, 0))
+                  {i: seq.value(0, i) for i in range(seq.n + 1)}, symmetric and (lambda: True))
 
 
 def _product_factor(ring, n, i, r, d):
@@ -553,4 +572,5 @@ def check_mirror_linked(table):
         at = table.value(d, i, 0).substitute(binding)
         return at, scale * at
 
-    return _linking_report(table, lambda d, i: table.value(d, i, 0), sides)
+    return _linking_report(sides, lambda i: [table.value(d, i, 0) for d in _upto(table.d_max)],
+                           table)

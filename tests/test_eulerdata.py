@@ -711,6 +711,7 @@ def test_mirror_transform_checks_the_shift():
     with pytest.raises(EulerDataError, match="zero constant term"):
         mirror_transform(tbl.restriction_sequence(), None, [1, 1])
     assert check_mirror_linked(tbl).to_json() == check_linked(tbl, tbl).to_json()
+    assert check_linked(tbl, tbl).to_json() == per_pair(check_linked, tbl, tbl).to_json()
 
 
 def test_linked_detects_shift():
@@ -867,15 +868,21 @@ def test_mirror_transform_multiplier():
 # i = 0, j = 1 and carry them to every pair of a point-symmetric table
 
 
+def rebuilt(tbl):
+    """tbl through the EulerDataTable constructor: every entry made, and
+    no symmetry record, so each check decides symmetry on what it reads."""
+    keys = _grid(tbl.d_max, range(tbl.n + 1), _upto)
+    return EulerDataTable(tbl.n, tbl.d_max, tbl.ring, {key: tbl.value(*key) for key in keys},
+                          {i: tbl.value(0, i, 0) for i in range(tbl.n + 1)})
+
+
 def per_pair(check, *tables):
-    """check(*tables) on the per-pair (per-point) route: with every
-    transposition unequal to its source, no input is point-symmetric.
-    Every entry of a table is made first, since a swap made under the
-    patch would be None."""
-    for tbl in tables:
-        if isinstance(tbl, EulerDataTable):
-            for key in _grid(tbl.d_max, range(tbl.n + 1), _upto):
-                tbl.value(*key)
+    """check(*tables) on the per-pair (per-point) route: each table
+    rebuilt, so that none holds a record of its symmetry and every entry
+    is made before the patch (a swap made under it would be None), and
+    with every transposition unequal to its source, no input is
+    point-symmetric."""
+    tables = [rebuilt(t) if isinstance(t, EulerDataTable) else t for t in tables]
     with mock.patch.object(eulerdata, "transposition", lambda value, a, b: None):
         return check(*tables)
 
@@ -1238,3 +1245,82 @@ def test_tables_pickle_with_every_entry_made():
     for check in (check_gluing, check_reciprocity, check_mirror_linked):
         assert check(twin).to_json() == check(tbl).to_json()
     assert check_linked(twin, lagrange_twin).to_json() == check_linked(tbl, lagrange).to_json()
+
+
+# ---------------------------------------------------------------------
+# symmetry decided where a table is built: to_table on a lam-free rule
+# and lagrange_map on point-symmetric input record it, and checks read
+# the record; a table from the constructor is decided per check
+
+
+@pytest.mark.parametrize("omega", ["lam_i*(lam0 + alpha)", "lam_i*(lam_i + i*alpha)"])
+def test_to_table_decides_an_omega_that_is_not_symmetric(omega):
+    # a lam-free rule with an Omega that is not point-symmetric: the
+    # second passes linking at i = 0, j = 1 and fails it at i = 1 and 2,
+    # so a table that trusted its Omega would report that every pair passes
+    def omega_restriction(i, ring):
+        lam, alpha = ring.var(f"lam{i}"), ring.var("alpha")
+        other = ring.var("lam0") + alpha if omega.startswith("lam_i*(lam0") else lam + i * alpha
+        return Factored(ring, [lam, other])
+
+    data = EulerDataClosed(2, build_hypergeom_data(LOCAL_P2)._rule, omega_restriction)
+    tbl = to_table(data, 2)
+    reports = [check(tbl) for check in (check_reciprocity, check_mirror_linked)]
+    assert [r.to_json() for r in reports] == \
+        [per_pair(check, tbl).to_json() for check in (check_reciprocity, check_mirror_linked)]
+    assert {r.i for r in reports[1].failures} == ({0, 1, 2} if "lam0" in omega else {1, 2})
+
+
+def test_rule_with_a_lam_is_decided_per_check():
+    # a form lam1 - lam2 - alpha under P_d, which the binding alpha =
+    # lam1 - lam2 of d = 1, i = 1, j = 2 sends to zero: linking is inconclusive
+    # there and passes at i = 0, j = 1, so a table that recorded such a
+    # rule as point-symmetric would report that every pair passes
+    data = build_hypergeom_data(LOCAL_P2)
+    rule = data._rule
+    with_lam = EulerDataClosed(2, lambda d, ring: rule(d, ring) / Factored(
+        ring, [ring.var("lam1") - ring.var("lam2") - ring.var("alpha")]), data._omega_restriction)
+    tbl = to_table(with_lam, 2)
+    for check in (check_reciprocity, check_mirror_linked):
+        assert check(tbl).to_json() == per_pair(check, tbl).to_json()
+    assert {(r.d, r.i, r.r) for r in check_mirror_linked(tbl).inconclusive} == {(1, 1, 2)}
+
+
+def test_composite_linking_reads_p0_only(monkeypatch):
+    # the quintic at d_max 2 with the normalization shift: both tables
+    # hold a record, so check_linked reads and subtracts at p_0 only, one
+    # difference per d, and makes no entry at p_1..p_4; its only swaps,
+    # 4 + 3, decide tbl's Omega; the per-pair route reads and subtracts
+    # at every point, d = 0 included
+    _, shift = compute_normalization(build_hypergeom_series(QUINTIC, 2), QUINTIC)
+    lagrange = lagrange_map(mirror_transform(
+        to_table(build_hypergeom_data(QUINTIC), 2).restriction_sequence(), None, shift))
+    tbl = to_table(build_hypergeom_data(QUINTIC), 2)
+    read, swapped, subtracted = [], [], []
+    entry, transposition = EulerDataTable.entry, eulerdata.transposition
+    sub = RationalFunction.__sub__
+    monkeypatch.setattr(EulerDataTable, "entry",
+                        lambda self, d, i, r: read.append(i) or entry(self, d, i, r))
+    monkeypatch.setattr(eulerdata, "transposition",
+                        lambda value, a, b: swapped.append(b) or transposition(value, a, b))
+    monkeypatch.setattr(RationalFunction, "__sub__",
+                        lambda self, other: subtracted.append(1) or sub(self, other))
+    report = check_linked(tbl, lagrange)
+    assert report.all_pass and len(report.results) == 2 * 5 * 4
+    assert (set(read), sorted(swapped), len(subtracted)) == ({0}, [1, 2, 2, 3, 3, 4, 4], 2)
+    read.clear()
+    subtracted.clear()
+    assert per_pair(check_linked, tbl, lagrange).to_json() == report.to_json()
+    assert (set(read), len(subtracted)) == (set(range(5)), 15)
+
+
+def test_linking_takes_the_orbit_only_when_both_tables_hold_a_record():
+    # a to_table table, which holds a record, against its copy from the
+    # constructor with one value at p_2 changed: they agree at p_0 and
+    # p_1, where every representative passes, and disagree at p_2
+    tbl = to_table(build_hypergeom_data(LOCAL_P2), 2)
+    changed = perturbed(tbl, (1, 2, 0), Factored(tbl.ring, [tbl.ring.var("lam0")]))
+    for pair in ((tbl, changed), (changed, tbl)):
+        report = check_linked(*pair)
+        assert report.to_json() == per_pair(check_linked, *pair).to_json()
+        assert {(r.d, r.i) for r in report.failures} == {(1, 2)}
