@@ -29,14 +29,14 @@ are fixed by each lam_1 <-> lam_k (point symmetry), a permutation of
 the lam with 0 -> i, 1 -> j is a ring automorphism that carries each
 identity at (0, 1), binding included, to the one at (i, j), so if those
 at (0, 1) pass, all do.  ``mirror_transform``, ``lagrange_map`` and
-``to_table`` build by orbit too: at p_0, then swapped to each p_k, on
-point-symmetric input or a lam-free rule, else at every p_i, and such
-a table records that it is point-symmetric, which checks read; on a
-table from the constructor, each check tests what it reads.  The
-transform runs over alpha.  Every summand it adds to P_d(lam_i) carries
-lam_i - lam_j - d*alpha, so ``check_mirror_linked`` decides linking in
-closed form: at alpha = (lam_i - lam_j)/d it compares P_d(lam_i) with
-(bar(Omega)/Omega) * P_d(lam_i), and runs no transform.
+``to_table`` build by orbit too: at p_0, swapped to each p_k on read, on
+point-symmetric input or a lam-free rule, else at every p_i; such a table
+or sequence records its point symmetry for the checks, the transform and
+the Lagrange map to read, and one from a constructor has no record and is
+tested where read.  The transform runs over alpha.  Every summand it adds
+to P_d(lam_i) carries lam_i - lam_j - d*alpha, so ``check_mirror_linked``
+decides linking in closed form: at alpha = (lam_i - lam_j)/d it compares
+P_d(lam_i) with (bar(Omega)/Omega) * P_d(lam_i), and runs no transform.
 """
 
 import functools
@@ -243,18 +243,21 @@ class EulerDataTable:
         return expanded(self.value(d, i, r))
 
     def restriction_sequence(self):
-        """The degree-zero slice d -> entry(d, i, 0), including d = 0."""
-        values = {(d, i): self.entry(d, i, 0)
-                  for d, i in itertools.product(range(self.d_max + 1), range(self.n + 1))}
-        return RestrictionSequence(self.n, self.d_max, self.ring, values)
+        """The slice d -> entry(d, i, 0), d = 0 included, made on read, and the record."""
+        entries, omega = self._entries, self._omega
+        return _sequence(self, lambda d, i: expanded(entries[(d, i, 0)] if d else omega[i]),
+                         self._symmetric)
 
 
 class RestrictionSequence:
     """A sequence B_d given only through its n+1 fixed-point restrictions.
 
     values[(d, i)] for 0 <= d <= d_max; the d = 0 entry is the invertible
-    class and must be nonzero at every fixed point.
+    class and must be nonzero at every fixed point.  The constructor keeps
+    values as given, and no record; the library's are read-only, made on read.
     """
+
+    _symmetric = None  # no record: each transform and Lagrange map tests (``_sequence``)
 
     def __init__(self, n, d_max, ring, values):
         self.n = n
@@ -265,8 +268,25 @@ class RestrictionSequence:
             if values[(0, i)].is_zero():
                 raise EulerDataError(f"degree-zero restriction at p_{i} is zero")
 
+    def __getstate__(self):  # values made first, no record, as for tables
+        return {**self.__dict__, "values": dict(self.values), "_symmetric": None}
+
     def value(self, d, i):
         return self.values[(d, i)]
+
+    def _is_symmetric(self):  # whether the B_d are: on the record, if any, else tested
+        return self._symmetric() if self._symmetric else _point_symmetric(
+            self.n, lambda i: [self.value(d, i) for d in _upto(self.d_max)])
+
+
+def _sequence(like, value, symmetric):
+    """The n, d_max and ring of like, values value(d, i), each made on its
+    first read (nonzero at d = 0, as like's), and the record symmetric."""
+    seq, keys = object.__new__(RestrictionSequence), itertools.product(
+        _upto(like.d_max), range(like.n + 1))
+    vars(seq).update(n=like.n, d_max=like.d_max, ring=like.ring, _symmetric=symmetric,
+                     values=_OnRead(keys, lambda k: value(*k)))
+    return seq
 
 
 # ---------------------------------------------------------------------
@@ -483,14 +503,15 @@ def lagrange_map(seq):
     """Rebuild a full table from a degree-zero restriction sequence:
     entry(d, i, r) = Omega(lam_i)^-1 * bar(B_r(lam_i)) * B_{d-r}(lam_i),
     each made on its first read, and by orbit: at p_0, and at p_k by
-    lam_0 <-> lam_k, if the B_d are point-symmetric, else at every p_i.
-    The table records that decision, which covers Omega = B_0."""
+    lam_0 <-> lam_k, if the B_d are point-symmetric (on the sequence's
+    record, if any), else at every p_i.  The table records that decision,
+    which covers Omega = B_0."""
     def at(i):
         omega_inv = RationalFunction(seq.ring.one) / seq.value(0, i)
         return _OnRead(_grid(seq.d_max, _upto), lambda e: (
             omega_inv * bar_involution(seq.value(e[1], i)) * seq.value(e[0] - e[1], i)))
 
-    symmetric = _point_symmetric(seq.n, lambda i: [seq.value(d, i) for d in _upto(seq.d_max)])
+    symmetric = seq._is_symmetric()
     return _table(seq.n, seq.d_max, seq.ring, _per_point(seq.n, symmetric, at),
                   {i: seq.value(0, i) for i in range(seq.n + 1)}, symmetric and (lambda: True))
 
@@ -525,8 +546,8 @@ def mirror_transform(seq, multiplier=None, shift=None):
     u = e^(f/alpha - lam_i*g/alpha) gives the transformed value.  Every
     summand that either recursion adds to B_d(lam_i) carries the factor
     prod_j (lam_i - lam_j - d*alpha), so linked values are preserved.
-    Built once per orbit: at p_0 only if the B_d and f are point-symmetric
-    (g is scalar), else at every p_i."""
+    Built once per orbit, at p_0 and swapped to p_k on read, if the B_d (on
+    the record, if any) and f are point-symmetric (g is scalar); else at every p_i."""
     n, d_max, ring = seq.n, seq.d_max, seq.ring
     g = _shift_series(shift, d_max)
     f = [RationalFunction.promote(ring, c) for c in multiplier or ()][: d_max + 1]
@@ -551,10 +572,9 @@ def mirror_transform(seq, multiplier=None, shift=None):
                             if not u[d - r].is_zero()), primed[d])
         return out_i
 
-    symmetric = _point_symmetric(n, lambda i: [seq.value(d, i) for d in _upto(d_max)] + f)
+    symmetric = seq._is_symmetric() and _point_symmetric(n, lambda i: f)
     out = _per_point(n, symmetric, at)
-    values = {(d, i): out(i, d) for d in range(d_max + 1) for i in range(n + 1)}
-    return RestrictionSequence(n, d_max, ring, values)
+    return _sequence(seq, lambda d, i: out(i, d), symmetric and (lambda: True))
 
 
 def check_mirror_linked(table):

@@ -20,7 +20,8 @@ from mirrorcalc.algebra import (NEG_INF, Factored, RationalFunction, bar_involut
                                 expanded, rf_equal)
 from mirrorcalc.bundles import OmegaClass, SplittingType, omega_class
 from mirrorcalc.eulerdata import (EulerDataClosed, EulerDataError, EulerDataTable,
-                                  VerificationReport, _alpha_binding, _grid, _upto,
+                                  RestrictionSequence, VerificationReport,
+                                  _alpha_binding, _grid, _upto,
                                   _verdict, build_hypergeom_data, check_degree_bound,
                                   check_gluing, check_linked, check_mirror_linked,
                                   check_reciprocity,
@@ -869,8 +870,11 @@ def test_mirror_transform_multiplier():
 
 
 def rebuilt(tbl):
-    """tbl through the EulerDataTable constructor: every entry made, and
-    no symmetry record, so each check decides symmetry on what it reads."""
+    """tbl through the EulerDataTable, or RestrictionSequence, constructor:
+    every value made, and no symmetry record, so each check, transform or
+    Lagrange map decides symmetry on what it reads."""
+    if isinstance(tbl, RestrictionSequence):
+        return RestrictionSequence(tbl.n, tbl.d_max, tbl.ring, dict(tbl.values))
     keys = _grid(tbl.d_max, range(tbl.n + 1), _upto)
     return EulerDataTable(tbl.n, tbl.d_max, tbl.ring, {key: tbl.value(*key) for key in keys},
                           {i: tbl.value(0, i, 0) for i in range(tbl.n + 1)})
@@ -878,11 +882,12 @@ def rebuilt(tbl):
 
 def per_pair(check, *tables):
     """check(*tables) on the per-pair (per-point) route: each table
-    rebuilt, so that none holds a record of its symmetry and every entry
-    is made before the patch (a swap made under it would be None), and
-    with every transposition unequal to its source, no input is
-    point-symmetric."""
-    tables = [rebuilt(t) if isinstance(t, EulerDataTable) else t for t in tables]
+    rebuilt, and each sequence, so that none holds a record of its
+    symmetry and every value is made before the patch (a swap made under
+    it would be None), and with every transposition unequal to its
+    source, no input is point-symmetric."""
+    tables = [rebuilt(t) if isinstance(t, (EulerDataTable, RestrictionSequence)) else t
+              for t in tables]
     with mock.patch.object(eulerdata, "transposition", lambda value, a, b: None):
         return check(*tables)
 
@@ -1061,7 +1066,9 @@ def transform_cases(draw):
     if draw(hs.booleans()):
         d, k = draw(hs.integers(0, d_max)), draw(hs.integers(1, st.n))
         names = [f"lam{i}" for i in range(st.n + 1)] + ["alpha"] + ["x"] * with_x
-        seq.values[(d, k)] = seq.values[(d, k)] * expanded(ratio_of_forms(draw, ring, names))
+        ratio = expanded(ratio_of_forms(draw, ring, names))
+        seq = RestrictionSequence(st.n, d_max, ring,
+                                  {**seq.values, (d, k): seq.value(d, k) * ratio})
     coeff = hs.sampled_from([-2, -1, Fraction(-1, 3), Fraction(1, 2), 1, 3])
     lam = [ring.var(f"lam{i}") for i in range(st.n + 1)]
     moving = draw(hs.sampled_from([None, sum(lam, ring.zero), lam[0]]))
@@ -1169,7 +1176,8 @@ def test_rule_with_a_lam_is_substituted_at_every_point():
 def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
     # the quintic at d_max 4: the 14 substitutions at p_0, where one per
     # entry makes 70, and no swap until an entry is read; the degree-zero
-    # slice then swaps its 16 entries at p_1..p_4, and nothing else
+    # slice swaps nothing until it is read, and then its 16 entries at
+    # p_1..p_4, and nothing else
     substituted, swapped = [], []
     substitute, transposition = Factored.substitute, eulerdata.transposition
     monkeypatch.setattr(Factored, "substitute",
@@ -1178,7 +1186,9 @@ def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
                         lambda value, a, b: swapped.append(b) or transposition(value, a, b))
     tbl = to_table(build_hypergeom_data(QUINTIC), 4)
     assert (len(substituted), len(swapped)) == (14, 0)
-    tbl.restriction_sequence()
+    seq = tbl.restriction_sequence()
+    assert (len(substituted), len(swapped)) == (14, 0)
+    assert len(dict(seq.values)) == 5 * 5
     assert (len(substituted), sorted(swapped)) == (14, sorted([1, 2, 3, 4] * 4))
     assert len(tbl.entries) == 70 and len(swapped) == 14 * 4
 
@@ -1186,7 +1196,7 @@ def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
 def test_composite_linking_builds_lagrange_entries_at_r0_only(monkeypatch):
     # entry (d, i, r) of a Lagrange table bars B_r(lam_i): check_linked
     # and the degree-zero slice of a fresh table read r = 0 only, so they
-    # bar nothing but the B_0(lam_i)
+    # bar nothing but the B_0(lam_i), and the slice nothing until it is read
     tbl = to_table(build_hypergeom_data(QUINTIC), 3)
     _, shift = compute_normalization(build_hypergeom_series(QUINTIC, 3), QUINTIC)
     seq = mirror_transform(tbl.restriction_sequence(), None, shift)
@@ -1195,11 +1205,13 @@ def test_composite_linking_builds_lagrange_entries_at_r0_only(monkeypatch):
     monkeypatch.setattr(eulerdata, "bar_involution",
                         lambda value: barred.append(value) or bar_involution(value))
     for run in (lambda: check_linked(tbl, lagrange_map(seq)).all_pass,
-                lambda: lagrange_map(seq).restriction_sequence()):
+                lambda: dict(lagrange_map(seq).restriction_sequence().values)):
         barred.clear()
         assert run()
         assert barred and all(any(v is b for b in degree_zero) for v in barred)
     barred.clear()
+    lagrange_map(seq).restriction_sequence()
+    assert not barred
     assert len(lagrange_map(seq).entries) == 5 * (2 + 3 + 4) and len(barred) == 2 + 3 + 4
 
 
@@ -1221,7 +1233,8 @@ def test_to_table_raises_where_it_did():
 
 def test_tables_keep_no_parent_alive():
     # a Lagrange table holds its sequence, not the table that gave it, and
-    # reference counting alone frees both tables once a check is done
+    # reference counting alone frees both tables once a check is done; a
+    # degree-zero slice, and its transform, hold no table either
     tbl = to_table(build_hypergeom_data(QUINTIC), 2)
     lagrange = lagrange_map(tbl.restriction_sequence())
     refs = [weakref.ref(tbl), weakref.ref(lagrange)]
@@ -1230,8 +1243,11 @@ def test_tables_keep_no_parent_alive():
         assert check_linked(tbl, lagrange).all_pass
         del tbl
         assert refs[0]() is None
+        seq = lagrange.restriction_sequence()
+        out = mirror_transform(seq, None, [0, 1, 2])
         del lagrange
         assert refs[1]() is None
+        assert len(dict(seq.values)) == len(dict(out.values)) == 3 * 5
     finally:
         gc.enable()
 
@@ -1245,6 +1261,23 @@ def test_tables_pickle_with_every_entry_made():
     for check in (check_gluing, check_reciprocity, check_mirror_linked):
         assert check(twin).to_json() == check(tbl).to_json()
     assert check_linked(twin, lagrange_twin).to_json() == check_linked(tbl, lagrange).to_json()
+
+
+def test_sequences_pickle_with_every_value_made():
+    # a library-built sequence pickles as a plain one: every value made,
+    # and no record, so its twin is tested where the sequence is trusted
+    _, shift = compute_normalization(build_hypergeom_series(QUINTIC, 2), QUINTIC)
+    tbl = to_table(build_hypergeom_data(QUINTIC, with_x=True), 2)
+    seq = mirror_transform(tbl.restriction_sequence(), None, shift)
+    twin = pickle.loads(pickle.dumps(seq))
+    assert seq._symmetric and twin._symmetric is None and type(twin.values) is dict
+    with pytest.raises(TypeError):
+        seq.values[(1, 0)] = twin.value(1, 0)
+    assert RestrictionSequence(4, 2, seq.ring, twin.values).values is twin.values
+    assert {key: stored(v) for key, v in twin.values.items()} == \
+        {key: stored(v) for key, v in seq.values.items()}
+    assert check_linked(tbl, lagrange_map(twin)).to_json() == \
+        check_linked(tbl, lagrange_map(seq)).to_json()
 
 
 # ---------------------------------------------------------------------
@@ -1312,6 +1345,29 @@ def test_composite_linking_reads_p0_only(monkeypatch):
     subtracted.clear()
     assert per_pair(check_linked, tbl, lagrange).to_json() == report.to_json()
     assert (set(read), len(subtracted)) == (set(range(5)), 15)
+
+
+def test_recorded_sequences_are_neither_tested_nor_swapped(monkeypatch):
+    # the quintic at d_max 2 with the normalization shift: the degree-zero
+    # slice hands on its table's record, so mirror_transform tests only
+    # f = 0 and swaps only the table's Factored Omega, 4 + 3, to run that
+    # record; it makes no value at p_1..p_4 until it is read, once each,
+    # and lagrange_map on its recorded output swaps nothing
+    _, shift = compute_normalization(build_hypergeom_series(QUINTIC, 2), QUINTIC)
+    seq = to_table(build_hypergeom_data(QUINTIC), 2).restriction_sequence()
+    swapped, transposition = [], eulerdata.transposition
+    monkeypatch.setattr(eulerdata, "transposition",
+                        lambda value, a, b: swapped.append((value, b)) or transposition(value, a, b))
+    out = mirror_transform(seq, None, shift)
+    assert all(isinstance(v, Factored) for v, _ in swapped if not v.is_zero())
+    assert sorted(b for v, b in swapped if not v.is_zero()) == [1, 2, 2, 3, 3, 4, 4]
+    swapped.clear()
+    degree_zero = [out.value(0, k) for k in range(5)]
+    assert all(out.value(0, k) is v for k, v in enumerate(degree_zero))
+    assert sorted(b for _, b in swapped) == [1, 2, 3, 4]
+    swapped.clear()
+    lagrange = lagrange_map(out)
+    assert swapped == [] and lagrange._symmetric()
 
 
 def test_linking_takes_the_orbit_only_when_both_tables_hold_a_record():
