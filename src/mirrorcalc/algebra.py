@@ -446,6 +446,24 @@ def _linear(p):
     return ints, p.den
 
 
+def _int_parts(ring, num, den=(), const=1):
+    """(const, num, den) of the Factored value const * prod(num) / prod(den),
+    each form given as (ints, q): one int per ring variable, over q > 0."""
+    const = _as_fraction(const)
+    scale, parts = [const.numerator, const.denominator], ({}, {})
+    for side, forms in enumerate((num, den)):
+        for ints, q in forms:
+            g, i = ring.normal(ints)  # ints/q = g/q * forms[i]
+            if i is None and side:
+                raise ZeroDivisionError("zero linear form in a denominator")
+            scale[side] *= g
+            scale[1 - side] *= q
+            if i is not None:
+                parts[side][i] = parts[side].get(i, 0) + 1
+    const = Fraction(*scale)
+    return (const, *parts) if const else (const, {}, {})
+
+
 def _factored(ring, const, num, den):
     """A Factored value from its parts, already in canonical form."""
     f = object.__new__(Factored)
@@ -482,20 +500,9 @@ class Factored:
     __slots__ = ("ring", "const", "num", "den", "_expanded")
 
     def __init__(self, ring, num=(), den=(), const=1):
-        const = _as_fraction(const)
-        scale, parts = [const.numerator, const.denominator], ({}, {})
-        for side, polys in enumerate((num, den)):
-            for p in polys:
-                ints, q = _linear(p)
-                g, i = ring.normal(ints)  # p = g/q * forms[i]
-                if i is None and side:
-                    raise ZeroDivisionError("zero linear form in a denominator")
-                scale[side] *= g
-                scale[1 - side] *= q
-                if i is not None:
-                    parts[side][i] = parts[side].get(i, 0) + 1
-        self.ring, self.const, self._expanded = ring, Fraction(*scale), None
-        self.num, self.den = parts if self.const else ({}, {})
+        self.ring, self._expanded = ring, None
+        self.const, self.num, self.den = _int_parts(ring, map(_linear, num), map(_linear, den),
+                                                    const)
 
     def is_zero(self):
         return not self.const

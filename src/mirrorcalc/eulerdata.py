@@ -23,14 +23,15 @@ give them on expanded values.  A table of RationalFunctions, such as
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
 records each identity through ``_verdict``: "pass", "fail" with a
 witness, or "inconclusive" when a substitution hits a vanishing
-denominator.  Reciprocity and linking decide by orbit: if the values
-read at p_k are those at p_0 under lam_0 <-> lam_k, and those at p_0
-are fixed by each lam_1 <-> lam_k (point symmetry), a permutation of
-the lam with 0 -> i, 1 -> j is a ring automorphism that carries each
-identity at (0, 1), binding included, to the one at (i, j), so if those
-at (0, 1) pass, all do.  ``mirror_transform``, ``lagrange_map`` and
-``to_table`` build by orbit too: at p_0, swapped to each p_k on read, on
-point-symmetric input or a lam-free rule, else at every p_i; such a table
+denominator.  Gluing, reciprocity and linking decide by orbit: if the
+values read at p_k are those at p_0 under lam_0 <-> lam_k, and those at
+p_0 are fixed by each lam_1 <-> lam_k (point symmetry), a permutation of
+the lam with 0 -> i, 1 -> j is a ring automorphism that commutes with the
+bar and carries each identity at (0, 1), binding included, to the one at
+(i, j), and gluing's at p_0 to the one at p_i, so if those pass, all
+do.  ``mirror_transform``, ``lagrange_map`` and ``to_table`` build by
+orbit too: at p_0, swapped to each p_k on read, on point-symmetric input
+or a lam-free rule, else at every p_i; such a table
 or sequence records its point symmetry for the checks, the transform and
 the Lagrange map to read, and one from a constructor has no record and is
 tested where read.  The transform runs over alpha.  Every summand it adds
@@ -47,8 +48,8 @@ import operator
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .algebra import (Factored, RationalFunction, SubstitutionError, bar_involution,
-                      expanded, rf_equal, transposition, weight_ring)
+from .algebra import (Factored, RationalFunction, SubstitutionError, _factored, _int_parts,
+                      bar_involution, expanded, rf_equal, transposition, weight_ring)
 from .bundles import Record, omega_class
 from .qseries import ScalarQSeries, mirror_powers
 
@@ -94,13 +95,13 @@ def build_hypergeom_data(st, with_x=False):
     st.factors(d), the one source of them: (l*kappa - m*alpha) over
     m = 0..l*d for each convex degree l and (-k*kappa + m*alpha) over
     m = 1..k*d-1 for each concave degree k; with_x adds the inert x to
-    every linear factor.  The trivial bundle gives the constant 1.
+    every linear factor, each built as its ints with no Polynomial
+    arithmetic.  The trivial bundle gives the constant 1.
     """
-    def rule(d, ring):
-        kappa = ring.var("kappa")
-        alpha = ring.var("alpha")
-        x = ring.var("x") if with_x else ring.zero
-        return Factored(ring, [x + a * kappa + b * alpha for a, b in st.factors(d)])
+    def rule(d, ring):  # x + a*kappa + b*alpha in weight_ring's order: the lam, alpha, kappa, x
+        lams = [0] * (ring.nvars - 3)
+        return _factored(ring, *_int_parts(ring, ((lams + [b, a, int(with_x)], 1)
+                                                  for a, b in st.factors(d))))
 
     def omega_restriction(i, ring):
         lam = ring.var(f"lam{i}")
@@ -352,14 +353,23 @@ def _verdict(report, key, holds, witness, prefix="", note=""):
 
 def check_gluing(tbl):
     """Omega(lam_i) * Q_d(lam_i + r*alpha) = bar(Q_r(lam_i)) * Q_{d-r}(lam_i)
-    for every d <= d_max, 0 <= r <= d, 0 <= i <= n, with Q_0 the class."""
-    report = VerificationReport("gluing", tbl.n, tbl.d_max)
-    for d, i, r in _grid(tbl.d_max, range(tbl.n + 1), _upto):
-        lhs = tbl.value(0, i, 0) * tbl.value(d, i, r)
-        rhs = bar_involution(tbl.value(r, i, 0)) * tbl.value(d - r, i, 0)
-        _verdict(report, (d, i, r), lambda: rf_equal(lhs, rhs),
-                 lambda: f"lhs={lhs}; rhs={rhs}")
-    return report
+    for every d <= d_max, 0 <= r <= d, 0 <= i <= n, with Q_0 the class.
+    The identity at p_k reads p_k only: on point-symmetric values it is the
+    one at p_0 under lam_0 <-> lam_k, a ring map that commutes with the bar.
+    Decided by orbit, on the table's record or on every value at each p_i;
+    each side is built on first need, so that route makes none at p_1..p_n."""
+    @functools.cache
+    def sides(d, i, r):
+        return (tbl.value(0, i, 0) * tbl.value(d, i, r),
+                bar_involution(tbl.value(r, i, 0)) * tbl.value(d - r, i, 0))
+
+    def identities(firsts, seconds):
+        for d, i, r in _grid(tbl.d_max, firsts, _upto):
+            yield ((d, i, r), lambda: rf_equal(*sides(d, i, r)),
+                   lambda: "lhs={}; rhs={}".format(*sides(d, i, r)), "")
+
+    return _decide(VerificationReport("gluing", tbl.n, tbl.d_max), identities, [tbl],
+                   lambda k: [tbl.value(d, k, r) for d in _upto(tbl.d_max) for r in _upto(d)])
 
 
 def _alpha_binding(ring, j, i, d):
@@ -391,10 +401,10 @@ def _per_point(n, symmetric, build):
 
 def _decide(report, identities, tables, reads):
     """Append the verdict of each (key, holds, witness, prefix) that
-    identities(firsts, seconds) yields for i in firsts, j in seconds: by
-    orbit, all pass if those at i = 0, j = 1 do and the records of tables,
-    if each holds one, or else reads(k) at each p_k, are point-symmetric
-    (uncancelled denominators decide what is inconclusive)."""
+    identities(firsts, seconds) yields for i in firsts, j in seconds (if
+    any j): by orbit, all pass if those at i = 0, j = 1 do and the records
+    of tables, if each holds one, or else reads(k) at each p_k, are
+    point-symmetric (uncancelled denominators decide what is inconclusive)."""
     points, reps = range(report.n + 1), VerificationReport(report.check, report.n, report.d_max)
     for identity in identities(points[:1], points[1:2]):
         _verdict(reps, *identity)
@@ -422,10 +432,11 @@ def check_reciprocity(tbl):
     Decided by orbit, on the table's record or on Omega, Q_d and
     Q_d(lam_i + d*alpha) at each p_i.
     """
+    binding = functools.cache(functools.partial(_alpha_binding, tbl.ring))
     @functools.cache
     def at(d, k, j, i, r):
         """value(d, k, 0) at alpha = (lam_j - lam_i)/r."""
-        return tbl.value(d, k, 0).substitute({"alpha": _alpha_binding(tbl.ring, j, i, r)})
+        return tbl.value(d, k, 0).substitute({"alpha": binding(j, i, r)})
 
     def identities(firsts, seconds):
         for d, i in _grid(tbl.d_max, firsts):

@@ -943,7 +943,7 @@ def orbit_cases(draw):
             ratio if d == wrong else Factored(ring)), data._omega_restriction)
         ratio = ratio_of_forms(draw, data.ring, ["kappa", "alpha"] + ["x"] * with_x)
     tbl = to_table(data, d_max)
-    checks = [check_reciprocity, check_mirror_linked]
+    checks = [check_reciprocity, check_gluing, check_mirror_linked]
     if kind == "entry":
         d, k = draw(hs.integers(0, d_max)), draw(hs.integers(1, st.n))
         key = (d, k, draw(hs.one_of(hs.just(0), hs.integers(0, d))))
@@ -962,12 +962,13 @@ def orbit_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(orbit_cases())
 def test_orbit_route_matches_the_per_pair_route(case):
-    # reciprocity, mirror linking and (on Lagrange tables) the composite
-    # linking give the per-pair route's JSON; reciprocity the oracle's too
+    # reciprocity, gluing, mirror linking and (on Lagrange tables) the
+    # composite linking give the per-pair route's JSON; reciprocity and
+    # gluing the oracle's too
     tbl, checks = case
     orbit = [check(tbl).to_json() for check in checks]
     assert orbit == [per_pair(check, tbl).to_json() for check in checks]
-    assert orbit[0] == oracle_reciprocity(tbl).to_json()
+    assert orbit[:2] == [oracle_reciprocity(tbl).to_json(), oracle_gluing(tbl).to_json()]
 
 
 def symmetric_but_for_the_stabilizer():
@@ -1008,7 +1009,7 @@ def test_orbit_route_sees_one_changed_value(key, ratio):
     form = ring.var("lam4") + ring.var("alpha") if ratio == "alpha" else \
         ring.var("lam0") - 3 * ring.var("alpha")
     changed = perturbed(tbl, key, Factored(ring, *([], [form]) if ratio == "den" else ([form],)))
-    for check in (check_reciprocity, check_mirror_linked):
+    for check in (check_reciprocity, check_gluing, check_mirror_linked):
         report = check(changed)
         assert report.to_json() == per_pair(check, changed).to_json()
     assert not check_reciprocity(changed).all_pass
@@ -1380,3 +1381,61 @@ def test_linking_takes_the_orbit_only_when_both_tables_hold_a_record():
         report = check_linked(*pair)
         assert report.to_json() == per_pair(check_linked, *pair).to_json()
         assert {(r.d, r.i) for r in report.failures} == {(1, 2)}
+
+
+# ---------------------------------------------------------------------
+# P_d built from its ints, and gluing decided by orbit: the identity at
+# p_k is the one at p_0 under lam_0 <-> lam_k
+
+
+def polynomial_rule(st, with_x):
+    """build_hypergeom_data's rule built with Polynomial arithmetic: each
+    factor x + a*kappa + b*alpha a linear Polynomial, read back as ints."""
+    def rule(d, ring):
+        kappa, alpha = ring.var("kappa"), ring.var("alpha")
+        x = ring.var("x") if with_x else ring.zero
+        return Factored(ring, [x + a * kappa + b * alpha for a, b in st.factors(d)])
+
+    return rule
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.builds(SplittingType, hs.integers(1, 6), hs.lists(hs.integers(1, 5), max_size=2),
+                 hs.lists(hs.integers(1, 5), max_size=2)), hs.booleans(), hs.integers(1, 4))
+def test_rule_is_stored_as_the_polynomial_rule(st, with_x, d_max):
+    # each P_d, built from its ints, has the constant and the forms that
+    # the Polynomial-built rule gives it, in the same ring
+    data = build_hypergeom_data(st, with_x=with_x)
+    oracle = polynomial_rule(st, with_x)
+    for d in range(1, d_max + 1):
+        assert factored_form(data.factors(d)) == factored_form(oracle(d, data.ring))
+
+
+@pytest.mark.parametrize("with_x", (False, True))
+def test_rule_builds_no_polynomial(monkeypatch, with_x):
+    # P_d takes no Polynomial product or sum, each of its factors once
+    def refuse(*args):
+        raise AssertionError("Polynomial arithmetic")
+
+    st = SplittingType(4, (2, 2), (1,))
+    data = build_hypergeom_data(st, with_x=with_x)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(algebra.Polynomial, name, refuse)
+    assert [sum(data.factors(d).num.values()) for d in (1, 2, 3)] == \
+        [st.linear_factors(d) for d in (1, 2, 3)]
+
+
+def test_gluing_on_a_recorded_table_makes_no_entry_off_p0(monkeypatch):
+    # the quintic at d_max 4: gluing decides at p_0 and reads the table's
+    # record, whose only swaps, 4 + 3, are of Omega; it swaps no entry, so
+    # makes none at p_1..p_4: reading them afterwards swaps all 56
+    tbl = to_table(build_hypergeom_data(QUINTIC), 4)
+    swapped, transposition = [], eulerdata.transposition
+    monkeypatch.setattr(eulerdata, "transposition",
+                        lambda value, a, b: swapped.append((value, b)) or transposition(value, a, b))
+    report = check_gluing(tbl)
+    assert report.all_pass and len(report.results) == 5 * (2 + 3 + 4 + 5)
+    assert all(v is tbl.value(0, 0, 0) for v, _ in swapped)
+    assert sorted(b for _, b in swapped) == [1, 2, 2, 3, 3, 4, 4]
+    swapped.clear()
+    assert len(tbl.entries) == 70 and len(swapped) == 4 * 14
