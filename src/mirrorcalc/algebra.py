@@ -25,8 +25,8 @@ A product of homogeneous linear forms can stay unexpanded as a
 products, quotients, alpha-degrees, equality and linear changes of
 variables (substitutions, the bar, swaps) act directly, expanding it
 only beside a RationalFunction.  The ring interns the forms in ``forms``
-and memoizes their images in ``images``, one map per change of
-variables keyed by it, and both only grow.
+and memoizes their images in ``images``, one map per change of variables
+keyed by its move of ints (``_moved`` takes one as is); both only grow.
 """
 
 import itertools
@@ -75,8 +75,8 @@ class PolyRing:
     tuple of coprime ints, one per variable, with a positive first nonzero
     entry, at its index in ``forms`` (``form_index`` inverts it).
     ``images`` memoizes a form's index -> its image's (g, index) per change
-    of variables, keyed (q, ((u, L), ...)) for u -> L/q, L as (index, int)
-    pairs: a key names its map, so no two maps share one.
+    of variables, keyed by its move (q, ((u, L), ...)): u -> L/q, L (index,
+    int) pairs by index, no zero, in lowest terms; a binding has its move's key.
     """
 
     def __init__(self, names):
@@ -135,7 +135,7 @@ class PolyRing:
         return g, i
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.names == other.names
+        return self is other or isinstance(other, PolyRing) and self.names == other.names
 
     def __hash__(self):
         return hash(self.names)
@@ -533,14 +533,10 @@ class Factored:
                 and _merge(self.num, other.den) == _merge(other.num, self.den))
 
     def substitute(self, bindings):
-        """Substitution of a homogeneous linear Polynomial L/q (L integral,
-        q > 0) for one variable v: the form map v -> L/q (``_map_forms``)."""
+        """Substitution of a homogeneous linear Polynomial for one variable: its move."""
         v, value = _binding(self.ring, bindings)
-        try:
-            target = sorted((self.ring.units.index(k), c) for k, c in value.ints.items())
-        except ValueError:
-            raise AlgebraError(f"{value} is not a homogeneous linear form") from None
-        return _map_forms(self, value.den, ((v, tuple(target)),))
+        ints, q = _linear(value)
+        return _map_forms(self, q, ((v, tuple((w, c) for w, c in enumerate(ints) if c)),))
 
     def alpha_degrees(self):
         """The alpha-degrees of the numerator and the denominator."""
@@ -600,6 +596,15 @@ def _map_forms(p, q, moves):
     return _factored(ring, Fraction(*scale), *parts)
 
 
+def _moved(value, move):
+    """value under the move (q, ((v, L),)), v -> L/q, as ``images`` keys it:
+    Factored by ``_map_forms``, else by ``substitute`` with the Polynomial L/q."""
+    if isinstance(value, Factored):
+        return _map_forms(value, *move)
+    (q, ((v, target),)), ring = move, value.ring
+    return value.substitute({ring.names[v]: _poly(ring, {ring.units[w]: c for w, c in target}, q)})
+
+
 def expanded(value):
     """A RationalFunction as is, a Factored value expanded."""
     return value.expand() if isinstance(value, Factored) else value
@@ -617,7 +622,7 @@ def bar_involution(p):
     ia = p.ring.index.get("alpha")
     if ia is None:
         raise AlgebraError("ring has no alpha variable")
-    if isinstance(p, Factored):  # the key of substitute({"alpha": -alpha}), with no binding
+    if isinstance(p, Factored):  # the move alpha -> -alpha
         return _map_forms(p, 1, ((ia, ((ia, -1),)),))
     shift = p.ring.shifts[ia]
     return _poly(p.ring, {k: -c if k >> shift & 1 else c for k, c in p.ints.items()}, p.den)

@@ -12,13 +12,14 @@ restrictions flips the sign of alpha only.
 ``to_table`` builds each P_d once and keeps each restriction (made on
 first read where swapped from p_0, below) and each Omega restriction as
 a ``Factored`` value: a constant times linear forms.  Gluing,
-reciprocity, linking and the degree bound multiply, bar, substitute and
-compare the forms and expand nothing; a value is expanded, once, only
-where a RationalFunction is needed: ``entries``, ``entry`` (and so
-``restriction_sequence`` and ``check_linked``) and a printed witness:
-the values a check decided, expanded, which print as the same operations
-give them on expanded values.  A table of RationalFunctions, such as
-``lagrange_map`` builds, goes through the same checks unexpanded.
+reciprocity, linking and the degree bound multiply, bar, substitute (by
+int moves) and compare the forms and expand nothing; a value is
+expanded, once, only where a RationalFunction is needed: ``entries``,
+``entry`` (and so ``restriction_sequence`` and ``check_linked``) and a
+printed witness: the values a check decided, expanded, which print as
+the same operations give them on expanded values.  A table of
+RationalFunctions, such as ``lagrange_map`` builds, goes through the
+same checks unexpanded.
 
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
 records each identity through ``_verdict``: "pass", "fail" with a
@@ -49,7 +50,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .algebra import (Factored, RationalFunction, SubstitutionError, _factored, _int_parts,
-                      bar_involution, expanded, rf_equal, transposition, weight_ring)
+                      _moved, bar_involution, expanded, rf_equal, transposition, weight_ring)
 from .bundles import Record, omega_class
 from .qseries import ScalarQSeries, mirror_powers
 
@@ -95,8 +96,8 @@ def build_hypergeom_data(st, with_x=False):
     st.factors(d), the one source of them: (l*kappa - m*alpha) over
     m = 0..l*d for each convex degree l and (-k*kappa + m*alpha) over
     m = 1..k*d-1 for each concave degree k; with_x adds the inert x to
-    every linear factor, each built as its ints with no Polynomial
-    arithmetic.  The trivial bundle gives the constant 1.
+    every linear factor.  The forms of P_d and Omega are built as their
+    ints, with no Polynomial arithmetic.  The trivial bundle gives 1.
     """
     def rule(d, ring):  # x + a*kappa + b*alpha in weight_ring's order: the lam, alpha, kappa, x
         lams = [0] * (ring.nvars - 3)
@@ -104,13 +105,12 @@ def build_hypergeom_data(st, with_x=False):
                                                   for a, b in st.factors(d))))
 
     def omega_restriction(i, ring):
-        lam = ring.var(f"lam{i}")
+        lam = f"lam{i}"
         if with_x:
-            x = ring.var("x")
-            return Factored(ring, [x + l * lam for l in st.convex],
-                            [x - k * lam for k in st.concave])
+            return _product(ring, [{"x": 1, lam: l} for l in st.convex],
+                            [{"x": 1, lam: -k} for k in st.concave])
         om = omega_class(st)
-        return Factored(ring, [lam] * om.h_exponent, [lam] * -om.h_exponent, om.scalar)
+        return _product(ring, [{lam: 1}] * om.h_exponent, [{lam: 1}] * -om.h_exponent, om.scalar)
 
     return EulerDataClosed(st.n, rule, omega_restriction)
 
@@ -120,18 +120,20 @@ def endpoint_weights_data(n):
     weight products at the two ends of an orbit; its class restricts to
     lam_i^2."""
     def rule(d, ring):
-        kappa = ring.var("kappa")
-        return Factored(ring, [kappa, kappa - d * ring.var("alpha")])
+        return _product(ring, [{"kappa": 1}, {"kappa": 1, "alpha": -d}])
 
-    def omega_restriction(i, ring):
-        return Factored(ring, [ring.var(f"lam{i}")] * 2)
+    return EulerDataClosed(n, rule, lambda i, ring: _product(ring, [{f"lam{i}": 1}] * 2))
 
-    return EulerDataClosed(n, rule, omega_restriction)
+
+def _product(ring, num, den=(), const=1):
+    """const * prod(num) / prod(den), each form {name: int}, built as its ints."""
+    forms = [[([f.get(nm, 0) for nm in ring.names], 1) for f in side] for side in (num, den)]
+    return _factored(ring, *_int_parts(ring, *forms, const))
 
 
 def _weight(ring, i, r):
-    """The binding kappa = lam_i + r*alpha of a fixed-point restriction."""
-    return {"kappa": ring.var(f"lam{i}") + r * ring.var("alpha")}
+    """The move (``algebra._moved``) of kappa -> lam_i + r*alpha: lam_i is variable i."""
+    return 1, ((ring.index["kappa"], ((i, 1), (ring.index["alpha"], r)) if r else ((i, 1),)),)
 
 
 def _upto(d):
@@ -153,11 +155,10 @@ def to_table(ed, d_max):
     rule, and then point-symmetric if Omega is, decided on first need."""
     if d_max < 1:
         raise EulerDataError("d_max must be >= 1")
-    weight = functools.cache(functools.partial(_weight, ed.ring))
     factors = {d: ed.factors(d) for d in range(1, d_max + 1)}
     lam_free = not any(any(ed.ring.forms[f][:ed.n + 1]) for p in factors.values()
                        for f in itertools.chain(p.num, p.den))
-    value = _per_point(ed.n, lam_free, lambda i: {(d, r): factors[d].substitute(weight(i, r))
+    value = _per_point(ed.n, lam_free, lambda i: {(d, r): _moved(factors[d], _weight(ed.ring, i, r))
                                                   for d, r in _grid(d_max, _upto)})
     omega = {i: ed.omega_restriction(i) for i in range(ed.n + 1)}
     return _table(ed.n, d_max, ed.ring, value, omega,
@@ -373,8 +374,8 @@ def check_gluing(tbl):
 
 
 def _alpha_binding(ring, j, i, d):
-    """The polynomial (lam_j - lam_i)/d used as a special alpha value."""
-    return (ring.var(f"lam{j}") - ring.var(f"lam{i}")) * Fraction(1, d)
+    """The move of alpha -> (lam_j - lam_i)/d, j != i, q = d: a special alpha value."""
+    return d, ((ring.index["alpha"], ((j, 1), (i, -1)) if j < i else ((i, -1), (j, 1))),)
 
 
 def _point_symmetric(n, reads):
@@ -432,11 +433,10 @@ def check_reciprocity(tbl):
     Decided by orbit, on the table's record or on Omega, Q_d and
     Q_d(lam_i + d*alpha) at each p_i.
     """
-    binding = functools.cache(functools.partial(_alpha_binding, tbl.ring))
     @functools.cache
     def at(d, k, j, i, r):
         """value(d, k, 0) at alpha = (lam_j - lam_i)/r."""
-        return tbl.value(d, k, 0).substitute({"alpha": binding(j, i, r)})
+        return _moved(tbl.value(d, k, 0), _alpha_binding(tbl.ring, j, i, r))
 
     def identities(firsts, seconds):
         for d, i in _grid(tbl.d_max, firsts):
@@ -460,11 +460,11 @@ def check_reciprocity(tbl):
 
 def _linking_report(sides, reads, tbl, *others):
     """Record, for every d and i != j, whether the two sides
-    sides(d, i, binding) agree, binding alpha = (lam_i - lam_j)/d:
+    sides(d, i, move) agree, move alpha -> (lam_i - lam_j)/d:
     decided by orbit on the tables' records or reads(i), what sides reads,
     and witnessed by the difference of the decided sides, expanded."""
     def at(d, i, j):
-        return sides(d, i, {"alpha": _alpha_binding(tbl.ring, i, j, d)})
+        return sides(d, i, _alpha_binding(tbl.ring, i, j, d))
 
     def identities(firsts, seconds):
         for d, i, j in _grid(tbl.d_max, firsts, seconds):
@@ -485,7 +485,7 @@ def check_linked(table_a, table_b):
         raise EulerDataError("tables are not compatible")
     diff = functools.cache(lambda d, i: table_a.entry(d, i, 0) - table_b.entry(d, i, 0))
     zero = RationalFunction(table_a.ring.zero)
-    return _linking_report(lambda d, i, b: (diff(d, i).substitute(b), zero),
+    return _linking_report(lambda d, i, move: (_moved(diff(d, i), move), zero),
                            lambda i: [diff(d, i) for d in _upto(table_a.d_max)], table_a, table_b)
 
 
@@ -597,10 +597,10 @@ def check_mirror_linked(table):
     there the transformed value is P_d(lam_i), and the Lagrange map's
     degree-zero entry is (bar(Omega)/Omega) * P_d(lam_i).
     """
-    def sides(d, i, binding):
+    def sides(d, i, move):
         omega = table.value(0, i, 0)
-        scale = (bar_involution(omega) / omega).substitute(binding)
-        at = table.value(d, i, 0).substitute(binding)
+        scale = _moved(bar_involution(omega) / omega, move)
+        at = _moved(table.value(d, i, 0), move)
         return at, scale * at
 
     return _linking_report(sides, lambda i: [table.value(d, i, 0) for d in _upto(table.d_max)],

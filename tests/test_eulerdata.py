@@ -21,8 +21,8 @@ from mirrorcalc.algebra import (NEG_INF, Factored, RationalFunction, bar_involut
 from mirrorcalc.bundles import OmegaClass, SplittingType, omega_class
 from mirrorcalc.eulerdata import (EulerDataClosed, EulerDataError, EulerDataTable,
                                   RestrictionSequence, VerificationReport,
-                                  _alpha_binding, _grid, _upto,
-                                  _verdict, build_hypergeom_data, check_degree_bound,
+                                  _alpha_binding, _grid, _upto, _verdict, _weight,
+                                  build_hypergeom_data, check_degree_bound,
                                   check_gluing, check_linked, check_mirror_linked,
                                   check_reciprocity,
                                   endpoint_weights_data, lagrange_map,
@@ -394,7 +394,7 @@ def oracle_reciprocity(tbl):
 
     @functools.cache
     def at(d, k, j, i, r):
-        return tbl.entry(d, k, 0).substitute({"alpha": _alpha_binding(ring, j, i, r)})
+        return tbl.entry(d, k, 0).substitute({"alpha": polynomial_alpha(ring, j, i, r)})
 
     for d, i in _grid(tbl.d_max, points):
         lhs, rhs = tbl.entry(d, i, d), bar_involution(tbl.entry(d, i, 0))
@@ -1020,11 +1020,14 @@ def test_orbit_route_substitutes_a_tenth_as_often(monkeypatch):
     # O(-11) on P^12 at d_max 6, and the composite route 80 Polynomial
     # ones on the quintic at d_max 2; a silent fall-back fails here
     counts = {}
-    for cls in (Factored, algebra.Polynomial):
-        def counted(self, bindings, cls=cls, substitute=cls.substitute):
-            counts[cls] = counts.get(cls, 0) + 1
-            return substitute(self, bindings)
-        monkeypatch.setattr(cls, "substitute", counted)
+    moved, substitute = eulerdata._moved, algebra.Polynomial.substitute
+
+    def counted(value, binding, call):
+        counts[type(value)] = counts.get(type(value), 0) + 1
+        return call(value, binding)
+
+    monkeypatch.setattr(eulerdata, "_moved", lambda value, move: counted(value, move, moved))
+    monkeypatch.setattr(algebra.Polynomial, "substitute", lambda p, b: counted(p, b, substitute))
 
     def substitutions(cls, check, *tables):
         counts.clear()
@@ -1032,13 +1035,13 @@ def test_orbit_route_substitutes_a_tenth_as_often(monkeypatch):
         return counts.get(cls, 0)
 
     tbl = to_table(build_hypergeom_data(SplittingType(12, (), (11,))), 6)
-    assert substitutions(Factored, check_reciprocity, tbl) <= 663
-    assert substitutions(Factored, check_mirror_linked, tbl) <= 280
+    assert 0 < substitutions(Factored, check_reciprocity, tbl) <= 663
+    assert 0 < substitutions(Factored, check_mirror_linked, tbl) <= 280
     quintic = SplittingType(4, (5,), ())
     tbl = to_table(build_hypergeom_data(quintic), 2)
     _, shift = compute_normalization(build_hypergeom_series(quintic, 2), quintic)
     lagrange = lagrange_map(mirror_transform(tbl.restriction_sequence(), None, shift))
-    assert substitutions(algebra.Polynomial, check_linked, tbl, lagrange) <= 8
+    assert 0 < substitutions(algebra.Polynomial, check_linked, tbl, lagrange) <= 8
 
 
 # ---------------------------------------------------------------------
@@ -1151,8 +1154,7 @@ def test_orbit_table_is_stored_as_per_point_substitution(case):
     # every entry, swapped from p_0, is stored as the substitution at its
     # own point stores it, in the same ring; and only p_0 is substituted
     data, d_max = case
-    with mock.patch.object(Factored, "substitute", autospec=True,
-                           side_effect=Factored.substitute) as substitute:
+    with mock.patch.object(eulerdata, "_moved", side_effect=eulerdata._moved) as substitute:
         tbl = to_table(data, d_max)
     assert substitute.call_count == sum(d + 1 for d in range(1, d_max + 1))
     oracle = per_point_table(data, d_max)
@@ -1180,9 +1182,9 @@ def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
     # slice swaps nothing until it is read, and then its 16 entries at
     # p_1..p_4, and nothing else
     substituted, swapped = [], []
-    substitute, transposition = Factored.substitute, eulerdata.transposition
-    monkeypatch.setattr(Factored, "substitute",
-                        lambda self, b: substituted.append(b) or substitute(self, b))
+    substitute, transposition = eulerdata._moved, eulerdata.transposition
+    monkeypatch.setattr(eulerdata, "_moved",
+                        lambda value, move: substituted.append(move) or substitute(value, move))
     monkeypatch.setattr(eulerdata, "transposition",
                         lambda value, a, b: swapped.append(b) or transposition(value, a, b))
     tbl = to_table(build_hypergeom_data(QUINTIC), 4)
@@ -1413,7 +1415,9 @@ def test_rule_is_stored_as_the_polynomial_rule(st, with_x, d_max):
 
 @pytest.mark.parametrize("with_x", (False, True))
 def test_rule_builds_no_polynomial(monkeypatch, with_x):
-    # P_d takes no Polynomial product or sum, each of its factors once
+    # P_d takes no Polynomial product or sum, each of its factors once; and
+    # to_table and the four checks that verify runs, on the 5 presets at
+    # d_max 3, spell no Polynomial: no variable, and no sum or product
     def refuse(*args):
         raise AssertionError("Polynomial arithmetic")
 
@@ -1421,8 +1425,117 @@ def test_rule_builds_no_polynomial(monkeypatch, with_x):
     data = build_hypergeom_data(st, with_x=with_x)
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(algebra.Polynomial, name, refuse)
+    monkeypatch.setattr(algebra.PolyRing, "var", refuse)
     assert [sum(data.factors(d).num.values()) for d in (1, 2, 3)] == \
         [st.linear_factors(d) for d in (1, 2, 3)]
+    for n, bundle, _ in cli.PRESETS.values():
+        tbl = to_table(build_hypergeom_data(cli.parse_bundle(bundle, n), with_x=with_x), 3)
+        for check in (check_gluing, check_reciprocity, check_mirror_linked, check_degree_bound):
+            assert check(tbl).to_json()
+
+
+# the Omega restrictions, the endpoint data and the moves as they were
+# spelled with Polynomial arithmetic before each was built as its ints
+
+
+def polynomial_omega(st, with_x):
+    """build_hypergeom_data's Omega restriction, built from linear Polynomials."""
+    def omega(i, ring):
+        lam = ring.var(f"lam{i}")
+        if with_x:
+            x = ring.var("x")
+            return Factored(ring, [x + l * lam for l in st.convex],
+                            [x - k * lam for k in st.concave])
+        om = omega_class(st)
+        return Factored(ring, [lam] * om.h_exponent, [lam] * -om.h_exponent, om.scalar)
+
+    return omega
+
+
+def polynomial_endpoint_rule(d, ring):
+    kappa = ring.var("kappa")
+    return Factored(ring, [kappa, kappa - d * ring.var("alpha")])
+
+
+def polynomial_endpoint_omega(i, ring):
+    return Factored(ring, [ring.var(f"lam{i}")] * 2)
+
+
+def polynomial_weight(ring, i, r):
+    """The value lam_i + r*alpha that kappa takes at a fixed-point weight."""
+    return ring.var(f"lam{i}") + r * ring.var("alpha")
+
+
+def polynomial_alpha(ring, j, i, d):
+    """The special alpha value (lam_j - lam_i)/d."""
+    return (ring.var(f"lam{j}") - ring.var(f"lam{i}")) * Fraction(1, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.builds(SplittingType, hs.integers(1, 6), hs.lists(hs.integers(1, 5), max_size=2),
+                 hs.lists(hs.integers(1, 5), max_size=2)), hs.booleans(), hs.integers(1, 6))
+def test_omega_and_endpoint_data_are_stored_as_the_polynomial_ones(st, with_x, d):
+    # each Omega restriction of both builders, and the endpoint rule, built
+    # from its ints, has the constant and the forms of the Polynomial-built
+    # one, in the same ring
+    data, endpoint = build_hypergeom_data(st, with_x=with_x), endpoint_weights_data(st.n)
+    omega = polynomial_omega(st, with_x)
+    for i in range(st.n + 1):
+        assert factored_form(data.omega_restriction(i)) == factored_form(omega(i, data.ring))
+        assert factored_form(endpoint.omega_restriction(i)) == \
+            factored_form(polynomial_endpoint_omega(i, endpoint.ring))
+    assert factored_form(endpoint.factors(d)) == \
+        factored_form(polynomial_endpoint_rule(d, endpoint.ring))
+
+
+@hs.composite
+def moved_cases(draw):
+    """(n, forms, binding): the ints of 1-3 numerator and 0-2 nonzero
+    denominator forms on P^1..P^6, small entries, and the kappa or the
+    alpha binding at random points, r = 0..4 and d = 1..4; half the time
+    with one more denominator form that the binding sends to zero."""
+    n = draw(hs.integers(1, 6))
+    ints = hs.lists(hs.integers(-3, 3), min_size=n + 4, max_size=n + 4)
+    num = draw(hs.lists(ints, min_size=1, max_size=3))
+    den = draw(hs.lists(ints.filter(any), max_size=2))
+    i, j = draw(hs.lists(hs.integers(0, n), min_size=2, max_size=2, unique=True))
+    pole = [0] * (n + 4)  # lam0..lam<n>, alpha, kappa, x
+    if draw(hs.booleans()):
+        r = draw(hs.integers(0, 4))
+        pole[i], pole[n + 1], pole[n + 2] = -1, -r, 1  # kappa - lam_i - r*alpha
+        binding = ("kappa", _weight, polynomial_weight, (i, r))
+    else:
+        d = draw(hs.integers(1, 4))
+        pole[i], pole[j], pole[n + 1] = 1, -1, d  # d*alpha - lam_j + lam_i
+        binding = ("alpha", _alpha_binding, polynomial_alpha, (j, i, d))
+    return n, (num, den + [pole] * draw(hs.booleans())), binding
+
+
+@settings(max_examples=80, deadline=None)
+@given(moved_cases())
+def test_moves_share_the_images_of_the_polynomial_bindings(case):
+    # a value under each move, and under substitute({name: polynomial}) in
+    # a twin ring: the same images keys, forms and value, Factored or
+    # expanded, or the same SubstitutionError
+    n, (num, den), (name, move, polynomial, args) = case
+
+    def apply(substitute):
+        ring = algebra.weight_ring(n)
+        value = algebra._factored(ring, *algebra._int_parts(
+            ring, [(f, 1) for f in num], [(f, 1) for f in den]))
+        out = []
+        for v in (value, value.expand()):
+            try:
+                out.append(substitute(ring, v))
+            except algebra.SubstitutionError as exc:
+                out.append(exc.symbol)
+        factored, rf = out
+        return (list(ring.images), ring.forms,
+                factored if isinstance(factored, str) else factored_form(factored),
+                rf if isinstance(rf, str) else stored(rf))
+
+    assert apply(lambda ring, v: algebra._moved(v, move(ring, *args))) == \
+        apply(lambda ring, v: v.substitute({name: polynomial(ring, *args)}))
 
 
 def test_gluing_on_a_recorded_table_makes_no_entry_off_p0(monkeypatch):

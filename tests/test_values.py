@@ -6,6 +6,8 @@ verification report's JSON, pinned byte for byte."""
 
 import copy
 import hashlib
+import io
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ import pytest
 
 from mirrorcalc import eulerdata
 from mirrorcalc.bundles import OmegaClass, SplittingType
-from mirrorcalc.cli import PRESETS, parse_bundle
+from mirrorcalc.cli import PRESETS, parse_bundle, run_command
 from mirrorcalc.eulerdata import CheckResult, VerificationReport
 from mirrorcalc.pipeline import PipelineCase, PipelineResult, run_pipeline
 from mirrorcalc.qseries import ScalarQSeries
@@ -175,3 +177,22 @@ def test_report_json_is_pinned(preset, with_x):
                   "check_degree_bound"):
         text = getattr(eulerdata, check)(table).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[preset, with_x, check]
+
+
+def test_verify_sweep_is_pinned():
+    # every check on every preset at --dmax 1..6, with and without x, in
+    # text and json: one sha256 over argv, stdout, stderr and exit code of
+    # the 480 runs, recorded before the verifier's bindings became int moves
+    digest, codes = hashlib.sha256(), []
+    for check, preset, d_max, with_x, fmt in itertools.product(
+            ("gluing", "reciprocity", "linking", "degree-bound"), sorted(PRESETS), range(1, 7),
+            (False, True), ("text", "json")):
+        n, bundle, _ = PRESETS[preset]
+        argv = ["verify", check, "--n", str(n), "--bundle", bundle, "--dmax", str(d_max),
+                "--format", fmt] + ["--with-x"] * with_x
+        out, err = io.StringIO(), io.StringIO()
+        code = run_command(argv, out, err)
+        digest.update(repr((argv, out.getvalue(), err.getvalue(), code)).encode())
+        codes.append(code)
+    assert (codes.count(0), codes.count(1)) == (384, 96)
+    assert digest.hexdigest() == "1a66c7d6ec016ccfdd30191262c3d66bf288d9b5d2e868f05f5797ec874a9eb5"
