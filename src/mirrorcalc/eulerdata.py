@@ -131,9 +131,14 @@ def _product(ring, num, den=(), const=1):
     return _factored(ring, *_int_parts(ring, *forms, const))
 
 
+def _move(ring, v, form, q=1):
+    """The move (``algebra._moved``) of v -> form/q, form {name: int} coprime to q."""
+    return q, ((ring.index[v], tuple(sorted((ring.index[u], c) for u, c in form.items() if c))),)
+
+
 def _weight(ring, i, r):
-    """The move (``algebra._moved``) of kappa -> lam_i + r*alpha: lam_i is variable i."""
-    return 1, ((ring.index["kappa"], ((i, 1), (ring.index["alpha"], r)) if r else ((i, 1),)),)
+    """The move of kappa -> lam_i + r*alpha."""
+    return _move(ring, "kappa", {f"lam{i}": 1, "alpha": r})
 
 
 def _upto(d):
@@ -155,10 +160,11 @@ def to_table(ed, d_max):
     rule, and then point-symmetric if Omega is, decided on first need."""
     if d_max < 1:
         raise EulerDataError("d_max must be >= 1")
+    weight = functools.cache(functools.partial(_weight, ed.ring))
     factors = {d: ed.factors(d) for d in range(1, d_max + 1)}
     lam_free = not any(any(ed.ring.forms[f][:ed.n + 1]) for p in factors.values()
                        for f in itertools.chain(p.num, p.den))
-    value = _per_point(ed.n, lam_free, lambda i: {(d, r): _moved(factors[d], _weight(ed.ring, i, r))
+    value = _per_point(ed.n, lam_free, lambda i: {(d, r): _moved(factors[d], weight(i, r))
                                                   for d, r in _grid(d_max, _upto)})
     omega = {i: ed.omega_restriction(i) for i in range(ed.n + 1)}
     return _table(ed.n, d_max, ed.ring, value, omega,
@@ -374,8 +380,8 @@ def check_gluing(tbl):
 
 
 def _alpha_binding(ring, j, i, d):
-    """The move of alpha -> (lam_j - lam_i)/d, j != i, q = d: a special alpha value."""
-    return d, ((ring.index["alpha"], ((j, 1), (i, -1)) if j < i else ((i, -1), (j, 1))),)
+    """The move of alpha -> (lam_j - lam_i)/d, j != i: a special alpha value."""
+    return _move(ring, "alpha", {f"lam{j}": 1, f"lam{i}": -1}, d)
 
 
 def _point_symmetric(n, reads):
@@ -433,10 +439,11 @@ def check_reciprocity(tbl):
     Decided by orbit, on the table's record or on Omega, Q_d and
     Q_d(lam_i + d*alpha) at each p_i.
     """
+    binding = functools.cache(functools.partial(_alpha_binding, tbl.ring))
     @functools.cache
     def at(d, k, j, i, r):
         """value(d, k, 0) at alpha = (lam_j - lam_i)/r."""
-        return _moved(tbl.value(d, k, 0), _alpha_binding(tbl.ring, j, i, r))
+        return _moved(tbl.value(d, k, 0), binding(j, i, r))
 
     def identities(firsts, seconds):
         for d, i in _grid(tbl.d_max, firsts):

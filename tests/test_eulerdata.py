@@ -1538,6 +1538,37 @@ def test_moves_share_the_images_of_the_polynomial_bindings(case):
         apply(lambda ring, v: v.substitute({name: polynomial(ring, *args)}))
 
 
+def permuted(tbl):
+    """tbl in a ring that lists alpha first and the lam's in reverse: each
+    Factored value rebuilt from its forms, each variable moved by name."""
+    names = ("alpha", *(f"lam{i}" for i in reversed(range(tbl.n + 1))), "kappa", "x")
+    ring = algebra.PolyRing(names)
+
+    def form(f):
+        return sum((c * ring.var(v) for v, c in zip(tbl.ring.names, tbl.ring.forms[f]) if c),
+                   ring.zero)
+
+    def moved(value):
+        return Factored(ring, [form(f) for f, e in value.num.items() for _ in range(e)],
+                        [form(f) for f, e in value.den.items() for _ in range(e)], value.const)
+    keys = _grid(tbl.d_max, range(tbl.n + 1), _upto)
+    return EulerDataTable(tbl.n, tbl.d_max, ring, {key: moved(tbl.value(*key)) for key in keys},
+                          {i: moved(tbl.value(0, i, 0)) for i in range(tbl.n + 1)})
+
+
+@pytest.mark.parametrize("with_x", [False, True])
+def test_checks_read_each_variable_by_name(with_x):
+    # a table whose ring does not list lam0..lam<n> first, alpha next: the
+    # moves look each variable up by name, so every check's report on the
+    # 5 CLI presets at d_max 3 is the one on the same table in weight_ring
+    for preset, (n, bundle, _) in sorted(cli.PRESETS.items()):
+        tbl = to_table(build_hypergeom_data(cli.parse_bundle(bundle, n), with_x=with_x), 3)
+        other = permuted(tbl)
+        assert other.ring.names[:2] == ("alpha", f"lam{n}")
+        for check in (check_gluing, check_reciprocity, check_mirror_linked, check_degree_bound):
+            assert check(other).to_json() == check(tbl).to_json(), (preset, check)
+        assert check_linked(other, other).all_pass
+
 def test_gluing_on_a_recorded_table_makes_no_entry_off_p0(monkeypatch):
     # the quintic at d_max 4: gluing decides at p_0 and reads the table's
     # record, whose only swaps, 4 + 3, are of Omega; it swaps no entry, so
