@@ -9,35 +9,35 @@ the values of P_d at the fixed-point weights kappa = lam_i + r*alpha.
 An invertible class Omega supplies the d = 0 entry, and "bar" on
 restrictions flips the sign of alpha only.
 
-``to_table`` builds each P_d once and keeps each restriction (made on
-first read where swapped from p_0, below) and each Omega restriction as
-a ``Factored`` value: a constant times linear forms.  Gluing,
-reciprocity, linking and the degree bound multiply, bar, substitute (by
-int moves) and compare the forms and expand nothing; a value is
-expanded, once, only where a RationalFunction is needed: ``entries``,
-``entry`` (and so ``restriction_sequence`` and ``check_linked``) and a
-printed witness: the values a check decided, expanded, which print as
-the same operations give them on expanded values.  A table of
-RationalFunctions, such as ``lagrange_map`` builds, goes through the
+``to_table`` builds each P_d once and keeps each restriction (on a
+lam-free rule made on first read, at p_0 and swapped from it, below) and
+each Omega restriction as a ``Factored`` value: a constant times linear
+forms.  The checks multiply, bar, substitute (by int moves) and compare
+the forms and expand nothing; a value is expanded, once, only where a
+RationalFunction is needed: ``entries``, ``entry`` (and so
+``restriction_sequence`` and ``check_linked``) and a printed witness,
+which prints as the same operations give it on expanded values.  A table
+of RationalFunctions, such as ``lagrange_map`` builds, goes through the
 same checks unexpanded.
 
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
-records each identity through ``_verdict``: "pass", "fail" with a
-witness, or "inconclusive" when a substitution hits a vanishing
-denominator.  Gluing, reciprocity and linking decide by orbit: if the
-values read at p_k are those at p_0 under lam_0 <-> lam_k, and those at
-p_0 are fixed by each lam_1 <-> lam_k (point symmetry), a permutation of
-the lam with 0 -> i, 1 -> j is a ring automorphism that commutes with the
-bar and carries each identity at (0, 1), binding included, to the one at
-(i, j), and gluing's at p_0 to the one at p_i, so if those pass, all
-do.  ``mirror_transform``, ``lagrange_map`` and ``to_table`` build by
-orbit too: at p_0, swapped to each p_k on read, on point-symmetric input
-or a lam-free rule, else at every p_i; such a table
-or sequence records its point symmetry for the checks, the transform and
-the Lagrange map to read, and one from a constructor has no record and is
-tested where read.  The transform runs over alpha.  Every summand it adds
-to P_d(lam_i) carries lam_i - lam_j - d*alpha, so ``check_mirror_linked``
-decides linking in closed form: at alpha = (lam_i - lam_j)/d it compares
+records "pass", "fail" with a witness, or "inconclusive" when a
+substitution hits a vanishing denominator.  Gluing, reciprocity and
+linking decide by orbit: if the values read at p_k are those at p_0
+under lam_0 <-> lam_k, and those at p_0 are fixed by each lam_1 <->
+lam_k (point symmetry), a permutation of the lam with 0 -> i, 1 -> j is
+a ring automorphism that commutes with the bar and carries each identity
+at (0, 1), binding included, to the one at (i, j), and gluing's at p_0
+to the one at p_i, so if those pass, all do, with no work; on a table's
+record the degree bound gives p_k p_0's verdict.
+``mirror_transform``, ``lagrange_map`` and ``to_table`` build by orbit
+too: at p_0, swapped to each p_k on read, on point-symmetric input or a
+lam-free rule, else at every p_i; such a table or sequence records its
+point symmetry for the checks, the transform and the Lagrange map to
+read, and one from a constructor has no record and is tested where read.
+The transform runs over alpha.  Every summand it adds to P_d(lam_i)
+carries lam_i - lam_j - d*alpha, so ``check_mirror_linked`` decides
+linking in closed form: at alpha = (lam_i - lam_j)/d it compares
 P_d(lam_i) with (bar(Omega)/Omega) * P_d(lam_i), and runs no transform.
 """
 
@@ -156,16 +156,20 @@ def _grid(d_max, *axes):
 
 
 def to_table(ed, d_max):
-    """All restrictions up to degree d_max, factored; by orbit on a lam-free
-    rule, and then point-symmetric if Omega is, decided on first need."""
+    """All restrictions up to degree d_max, factored.  By orbit on a lam-free rule:
+    each p_0 entry substituted on first read, which cannot raise (a*kappa + b*alpha + c*x
+    goes to a*lam_i + (a*r + b)*alpha + c*x), point-symmetric if Omega is (decided on
+    first need); a rule with a lam is substituted at every p_i here, where it raises."""
     if d_max < 1:
         raise EulerDataError("d_max must be >= 1")
     weight = functools.cache(functools.partial(_weight, ed.ring))
     factors = {d: ed.factors(d) for d in range(1, d_max + 1)}
     lam_free = not any(any(ed.ring.forms[f][:ed.n + 1]) for p in factors.values()
                        for f in itertools.chain(p.num, p.den))
-    value = _per_point(ed.n, lam_free, lambda i: {(d, r): _moved(factors[d], weight(i, r))
-                                                  for d, r in _grid(d_max, _upto)})
+    def at(i):
+        values = _OnRead(_grid(d_max, _upto), lambda e: _moved(factors[e[0]], weight(i, e[1])))
+        return values if lam_free else dict(values)
+    value = _per_point(ed.n, lam_free, at)
     omega = {i: ed.omega_restriction(i) for i in range(ed.n + 1)}
     return _table(ed.n, d_max, ed.ring, value, omega,
                   lam_free and (lambda: _point_symmetric(ed.n, lambda k: [omega[k]])))
@@ -333,7 +337,16 @@ class VerificationReport(Record):
                 "all_pass": self.all_pass}
 
     def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
+        """json.dumps(self.to_dict(), indent=indent); by int indent, one template per result."""
+        if not isinstance(indent, int):
+            return json.dumps(self.to_dict())
+        q, (p1, p2, p3) = json.encoder.encode_basestring_ascii, ("\n" + " " * indent * k
+                                                                   for k in (1, 2, 3))
+        row = f'{p2}{{{p3}"d": %d,{p3}"i": %d,{p3}"r": %d,{p3}"status": %s,{p3}"witness": %s{p2}}}'
+        rows = ",".join([row % (r.d, r.i, r.r, q(r.status), q(r.witness)) for r in self.results])
+        return (f'{{{p1}"check": {q(self.check)},{p1}"n": {self.n},{p1}"d_max": {self.d_max},'
+                f'{p1}"results": {f"[{rows}{p1}]" if rows else "[]"},'
+                f'{p1}"all_pass": {"true" if self.all_pass else "false"}\n}}')
 
 
 def _verdict(report, key, holds, witness, prefix="", note=""):
@@ -370,10 +383,10 @@ def check_gluing(tbl):
         return (tbl.value(0, i, 0) * tbl.value(d, i, r),
                 bar_involution(tbl.value(r, i, 0)) * tbl.value(d - r, i, 0))
 
-    def identities(firsts, seconds):
+    def identities(firsts, seconds, work):
         for d, i, r in _grid(tbl.d_max, firsts, _upto):
-            yield ((d, i, r), lambda: rf_equal(*sides(d, i, r)),
-                   lambda: "lhs={}; rhs={}".format(*sides(d, i, r)), "")
+            yield (d, i, r), work and (lambda: rf_equal(*sides(d, i, r)),
+                                       lambda: "lhs={}; rhs={}".format(*sides(d, i, r)), "")
 
     return _decide(VerificationReport("gluing", tbl.n, tbl.d_max), identities, [tbl],
                    lambda k: [tbl.value(d, k, r) for d in _upto(tbl.d_max) for r in _upto(d)])
@@ -407,19 +420,21 @@ def _per_point(n, symmetric, build):
 
 
 def _decide(report, identities, tables, reads):
-    """Append the verdict of each (key, holds, witness, prefix) that
-    identities(firsts, seconds) yields for i in firsts, j in seconds (if
-    any j): by orbit, all pass if those at i = 0, j = 1 do and the records
-    of tables, if each holds one, or else reads(k) at each p_k, are
-    point-symmetric (uncancelled denominators decide what is inconclusive)."""
+    """Append the verdict of each (key, work and (holds, witness, prefix))
+    that identities(firsts, seconds, work) yields for i in firsts, j in
+    seconds (if any j): by orbit, each key a pass and no work made, if those
+    at i = 0, j = 1 pass and the records of tables, if each holds one, or
+    else reads(k) at each p_k, are point-symmetric; else by its work."""
     points, reps = range(report.n + 1), VerificationReport(report.check, report.n, report.d_max)
-    for identity in identities(points[:1], points[1:2]):
-        _verdict(reps, *identity)
+    for key, work in identities(points[:1], points[1:2], True):
+        _verdict(reps, key, *work)
     records = [tbl._symmetric for tbl in tables]
-    orbit = all(r.status == "pass" for r in reps.results) and (
-        all(record() for record in records) if all(records) else _point_symmetric(report.n, reads))
-    for key, holds, *rest in identities(points, points):
-        _verdict(report, key, (lambda: True) if orbit else holds, *rest)
+    if all(r.status == "pass" for r in reps.results) and (
+        all(record() for record in records) if all(records) else _point_symmetric(report.n, reads)):
+        report.results += [CheckResult(*k, "pass") for k, _ in identities(points, points, False)]
+    else:
+        for key, work in identities(points, points, True):
+            _verdict(report, key, *work)
     return report
 
 
@@ -445,21 +460,22 @@ def check_reciprocity(tbl):
         """value(d, k, 0) at alpha = (lam_j - lam_i)/r."""
         return _moved(tbl.value(d, k, 0), binding(j, i, r))
 
-    def identities(firsts, seconds):
+    def identities(firsts, seconds, work):
         for d, i in _grid(tbl.d_max, firsts):
-            yield ((d, i, d),
-                   lambda: rf_equal(tbl.value(d, i, d), bar_involution(tbl.value(d, i, 0))),
-                   lambda: (f"item (i): lhs={tbl.value(d, i, d)}; "
-                            f"rhs={bar_involution(tbl.value(d, i, 0))}"), "")
+            yield (d, i, d), work and (
+                lambda: rf_equal(tbl.value(d, i, d), bar_involution(tbl.value(d, i, 0))),
+                lambda: (f"item (i): lhs={tbl.value(d, i, d)}; "
+                         f"rhs={bar_involution(tbl.value(d, i, 0))}"), "")
         for d, i, j in _grid(tbl.d_max, firsts, seconds):
             if j != i:
-                yield ((d, i, j), lambda: rf_equal(at(d, j, j, i, d), at(d, i, i, j, d)),
-                       lambda: f"item (ii): j={j}", "item (ii): ")
+                yield (d, i, j), work and (lambda: rf_equal(at(d, j, j, i, d), at(d, i, i, j, d)),
+                                           lambda: f"item (ii): j={j}", "item (ii): ")
         for d, r, i, j in _grid(tbl.d_max, lambda d: range(1, d + 1), firsts, seconds):
             if j != i:
-                yield ((d, i, r), lambda: rf_equal(at(0, i, j, i, r) * at(d, j, j, i, r),
-                                                   at(r, j, j, i, r) * at(d - r, i, j, i, r)),
-                       lambda: f"item (iii): j={j}", f"item (iii): j={j}: ")
+                yield (d, i, r), work and (
+                    lambda: rf_equal(at(0, i, j, i, r) * at(d, j, j, i, r),
+                                     at(r, j, j, i, r) * at(d - r, i, j, i, r)),
+                    lambda: f"item (iii): j={j}", f"item (iii): j={j}: ")
 
     return _decide(VerificationReport("reciprocity", tbl.n, tbl.d_max), identities, [tbl],
                    lambda k: [tbl.value(d, k, r) for d in _upto(tbl.d_max) for r in (0, d)])
@@ -473,11 +489,12 @@ def _linking_report(sides, reads, tbl, *others):
     def at(d, i, j):
         return sides(d, i, _alpha_binding(tbl.ring, i, j, d))
 
-    def identities(firsts, seconds):
+    def identities(firsts, seconds, work):
         for d, i, j in _grid(tbl.d_max, firsts, seconds):
             if j != i:
-                yield ((d, i, j), lambda: rf_equal(*at(d, i, j)),
-                       lambda: f"j={j}: residue={operator.sub(*map(expanded, at(d, i, j)))}", "")
+                yield (d, i, j), work and (
+                    lambda: rf_equal(*at(d, i, j)),
+                    lambda: f"j={j}: residue={operator.sub(*map(expanded, at(d, i, j)))}", "")
 
     return _decide(VerificationReport("linking", tbl.n, tbl.d_max), identities,
                    [tbl, *others], reads)
@@ -497,18 +514,21 @@ def check_linked(table_a, table_b):
 
 
 def check_degree_bound(tbl):
-    """alpha-degree of each degree-zero restriction against (n+1)d - 2."""
+    """alpha-degree of each degree-zero restriction against (n+1)d - 2, p_0's at each p_k on the
+    record (lam_0 <-> lam_k fixes alpha-degrees) but for an alpha denominator, printed per point."""
     report = VerificationReport("degree-bound", tbl.n, tbl.d_max)
+    orbit = tbl._symmetric and tbl._symmetric()
     for d, i in _grid(tbl.d_max, range(tbl.n + 1)):
-        value = tbl.value(d, i, 0)
-        bound = (tbl.n + 1) * d - 2
-        deg, den_deg = value.alpha_degrees()
-        if value.is_zero():
-            ok, text = True, "deg=-inf"
-        elif den_deg > 0:
-            ok, text = None, f"denominator involves alpha: {expanded(value).den}"
-        else:
-            ok, text = deg <= bound, f"deg={deg} bound={bound}"
+        if not (i and orbit and ok is not None):  # ok, text: those of p_0 at this d
+            value = tbl.value(d, i, 0)
+            bound = (tbl.n + 1) * d - 2
+            deg, den_deg = value.alpha_degrees()
+            if value.is_zero():
+                ok, text = True, "deg=-inf"
+            elif den_deg > 0:
+                ok, text = None, f"denominator involves alpha: {expanded(value).den}"
+            else:
+                ok, text = deg <= bound, f"deg={deg} bound={bound}"
         _verdict(report, (d, i, 0), lambda: ok, lambda: text, note=text)
     return report
 

@@ -5,6 +5,7 @@ the mirror-group action on restriction sequences."""
 import functools
 import gc
 import hashlib
+import json
 import math
 import pickle
 import weakref
@@ -12,14 +13,14 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from mirrorcalc import algebra, cli, eulerdata
 from mirrorcalc.algebra import (NEG_INF, Factored, RationalFunction, bar_involution,
                                 expanded, rf_equal)
 from mirrorcalc.bundles import OmegaClass, SplittingType, omega_class
-from mirrorcalc.eulerdata import (EulerDataClosed, EulerDataError, EulerDataTable,
+from mirrorcalc.eulerdata import (CheckResult, EulerDataClosed, EulerDataError, EulerDataTable,
                                   RestrictionSequence, VerificationReport,
                                   _alpha_binding, _grid, _upto, _verdict, _weight,
                                   build_hypergeom_data, check_degree_bound,
@@ -328,6 +329,32 @@ def test_report_pins_failures_and_inconclusive(check, expected):
               "linked": lambda: check_linked(corrupted, tbl),
               "degree_bound": lambda: check_degree_bound(corrupted)}[check]()
     assert report.to_json() == expected
+
+
+STATUSES = ["pass", "fail", "inconclusive"]
+
+
+@hs.composite
+def reports(draw):
+    """A report of 0-6 results of any status, with witnesses of any text,
+    quotes, backslashes, control characters and non-ASCII text among them."""
+    witness = hs.text() | hs.sampled_from(['"', "\\", "\x00\t\n\x1f\x7f", "é ☃ 😀 \u2028"])
+    key = hs.integers(-10**6, 10**6)
+    results = hs.lists(hs.builds(CheckResult, key, key, key, hs.sampled_from(STATUSES), witness),
+                       max_size=6)
+    return VerificationReport(draw(hs.sampled_from(["gluing", "degree-bound"]) | hs.text()),
+                              draw(key), draw(key), draw(results))
+
+
+@settings(max_examples=100, deadline=None)
+@example(VerificationReport("linking", 1, 2))
+@example(VerificationReport("gluing", 12, 6, [CheckResult(1, 0, r, status, witness) for r, (
+    status, witness) in enumerate(zip(STATUSES, ['"q" \\ b', "\x00\x1f\n\t", "é ☃ 😀"]))]))
+@given(reports())
+def test_indented_json_is_json_dumps(report):
+    # the template writer of to_json(indent=2) gives json.dumps' text
+    assert report.to_json(indent=2) == json.dumps(report.to_dict(), indent=2)
+    assert report.to_json() == json.dumps(report.to_dict())
 
 
 def test_gluing_with_x_extension():
@@ -752,6 +779,40 @@ def test_degree_bound_local_p2_fails():
         assert r.status == "fail" and f"deg={3 * r.d - 1}" in r.witness
 
 
+def test_degree_bound_prints_the_alpha_denominator_of_each_point():
+    # a lam-free rule whose P_1 has the denominator kappa + alpha: the
+    # table holds a record, and the degree bound, which decides at p_0 for
+    # each p_k, reads P_1 at each p_i to print the denominator there
+    def rule(d, ring):
+        kappa = ring.var("kappa")
+        return Factored(ring, [kappa] * d, [kappa + ring.var("alpha")] * (d == 1))
+
+    data = EulerDataClosed(2, rule, lambda i, ring: Factored(ring, [ring.var(f"lam{i}")]))
+    tbl = to_table(data, 2)
+    assert tbl._symmetric()
+    report = check_degree_bound(tbl)
+    assert [(r.d, r.i, r.status, r.witness) for r in report.results] == [
+        (1, i, "inconclusive", f"denominator involves alpha: lam{i} + alpha") for i in range(3)
+    ] + [(2, i, "pass", "deg=0 bound=4") for i in range(3)]
+    assert report.to_json() == check_degree_bound(rebuilt(tbl)).to_json()
+
+
+@pytest.mark.parametrize("with_x", [False, True])
+def test_degree_bound_on_a_recorded_table_makes_no_entry_off_p0(monkeypatch, with_x):
+    # the quintic at d_max 4: the degree bound decides at p_0 and reads the
+    # table's record, whose only swaps, 4 + 3, are of Omega; it swaps no
+    # entry, and gives the report of the table through the constructor
+    tbl = to_table(build_hypergeom_data(QUINTIC, with_x=with_x), 4)
+    swapped, transposition = [], eulerdata.transposition
+    monkeypatch.setattr(eulerdata, "transposition",
+                        lambda value, a, b: swapped.append((value, b)) or transposition(value, a, b))
+    report = check_degree_bound(tbl)
+    assert all(v is tbl.value(0, 0, 0) for v, _ in swapped)
+    assert sorted(b for _, b in swapped) == [1, 2, 2, 3, 3, 4, 4]
+    monkeypatch.undo()
+    assert report.to_json() == check_degree_bound(rebuilt(tbl)).to_json()
+
+
 # ---------------------------------------------------------------------
 # the Lagrange map
 
@@ -1152,11 +1213,17 @@ def concavex_tables(draw):
 @given(concavex_tables())
 def test_orbit_table_is_stored_as_per_point_substitution(case):
     # every entry, swapped from p_0, is stored as the substitution at its
-    # own point stores it, in the same ring; and only p_0 is substituted
+    # own point stores it, in the same ring; and only p_0 is substituted,
+    # each entry on its first read and once
     data, d_max = case
     with mock.patch.object(eulerdata, "_moved", side_effect=eulerdata._moved) as substitute:
         tbl = to_table(data, d_max)
-    assert substitute.call_count == sum(d + 1 for d in range(1, d_max + 1))
+        assert not substitute.called
+        for _ in range(2):
+            for d, r in _grid(d_max, _upto):
+                tbl.value(d, 0, r)
+    calls = [(id(value), move) for (value, move), _ in substitute.call_args_list]
+    assert len(calls) == len(set(calls)) == sum(d + 1 for d in range(1, d_max + 1))
     oracle = per_point_table(data, d_max)
     assert {key: factored_form(tbl.value(*key)) for key in oracle} == \
         {key: factored_form(value) for key, value in oracle.items()}
@@ -1177,10 +1244,11 @@ def test_rule_with_a_lam_is_substituted_at_every_point():
 
 
 def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
-    # the quintic at d_max 4: the 14 substitutions at p_0, where one per
-    # entry makes 70, and no swap until an entry is read; the degree-zero
-    # slice swaps nothing until it is read, and then its 16 entries at
-    # p_1..p_4, and nothing else
+    # the quintic at d_max 4: no substitution and no swap until an entry
+    # is read; the degree-zero slice neither substitutes nor swaps until it
+    # is read, and then its 4 entries at p_0 and their 16 swaps to
+    # p_1..p_4; every entry makes the 14 substitutions at p_0, where one
+    # per entry makes 70
     substituted, swapped = [], []
     substitute, transposition = eulerdata._moved, eulerdata.transposition
     monkeypatch.setattr(eulerdata, "_moved",
@@ -1188,12 +1256,12 @@ def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
     monkeypatch.setattr(eulerdata, "transposition",
                         lambda value, a, b: swapped.append(b) or transposition(value, a, b))
     tbl = to_table(build_hypergeom_data(QUINTIC), 4)
-    assert (len(substituted), len(swapped)) == (14, 0)
+    assert (len(substituted), len(swapped)) == (0, 0)
     seq = tbl.restriction_sequence()
-    assert (len(substituted), len(swapped)) == (14, 0)
+    assert (len(substituted), len(swapped)) == (0, 0)
     assert len(dict(seq.values)) == 5 * 5
-    assert (len(substituted), sorted(swapped)) == (14, sorted([1, 2, 3, 4] * 4))
-    assert len(tbl.entries) == 70 and len(swapped) == 14 * 4
+    assert (len(substituted), sorted(swapped)) == (4, sorted([1, 2, 3, 4] * 4))
+    assert len(tbl.entries) == 70 and (len(substituted), len(swapped)) == (14, 14 * 4)
 
 
 def test_composite_linking_builds_lagrange_entries_at_r0_only(monkeypatch):
