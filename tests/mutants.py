@@ -9,7 +9,7 @@ Run as a script, it makes each mutant in turn on a copy of src/ in a
 temporary directory, runs the mutant's tests there in a subprocess, and
 names every test that passed; it exits 1 if any did:
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 """
 
 import os
@@ -102,11 +102,9 @@ def survivors(mutant):
     return [test for test in mutant.tests if test not in failed]
 
 
-def main(names):
+def main():
     alive = 0
     for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
         passed = survivors(mutant)
         alive += bool(passed)
         print(f"{'SURVIVED' if passed else 'killed'}: {mutant.name}"
@@ -115,4 +113,4 @@ def main(names):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
