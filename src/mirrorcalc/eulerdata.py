@@ -337,16 +337,7 @@ class VerificationReport(Record):
                 "all_pass": self.all_pass}
 
     def to_json(self, indent=None):
-        """json.dumps(self.to_dict(), indent=indent); by int indent, one template per result."""
-        if not isinstance(indent, int):
-            return json.dumps(self.to_dict())
-        q, (p1, p2, p3) = json.encoder.encode_basestring_ascii, ("\n" + " " * indent * k
-                                                                   for k in (1, 2, 3))
-        row = f'{p2}{{{p3}"d": %d,{p3}"i": %d,{p3}"r": %d,{p3}"status": %s,{p3}"witness": %s{p2}}}'
-        rows = ",".join([row % (r.d, r.i, r.r, q(r.status), q(r.witness)) for r in self.results])
-        return (f'{{{p1}"check": {q(self.check)},{p1}"n": {self.n},{p1}"d_max": {self.d_max},'
-                f'{p1}"results": {f"[{rows}{p1}]" if rows else "[]"},'
-                f'{p1}"all_pass": {"true" if self.all_pass else "false"}\n}}')
+        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _verdict(report, key, holds, witness, prefix="", note=""):
@@ -514,21 +505,26 @@ def check_linked(table_a, table_b):
 
 
 def check_degree_bound(tbl):
-    """alpha-degree of each degree-zero restriction against (n+1)d - 2, p_0's at each p_k on the
-    record (lam_0 <-> lam_k fixes alpha-degrees) but for an alpha denominator, printed per point."""
+    """alpha-degree of each degree-zero restriction against (n+1)d - 2.  On a table whose
+    record holds, each p_k takes p_0's verdict and text (lam_0 <-> lam_k fixes is_zero and
+    alpha-degrees), but for a denominator that involves alpha, which prints per point."""
+    def decided(d, i):
+        value = tbl.value(d, i, 0)
+        bound = (tbl.n + 1) * d - 2
+        deg, den_deg = value.alpha_degrees()
+        if value.is_zero():
+            return True, "deg=-inf"
+        if den_deg > 0:
+            return None, f"denominator involves alpha: {expanded(value).den}"
+        return deg <= bound, f"deg={deg} bound={bound}"
+
     report = VerificationReport("degree-bound", tbl.n, tbl.d_max)
     orbit = tbl._symmetric and tbl._symmetric()
-    for d, i in _grid(tbl.d_max, range(tbl.n + 1)):
-        if not (i and orbit and ok is not None):  # ok, text: those of p_0 at this d
-            value = tbl.value(d, i, 0)
-            bound = (tbl.n + 1) * d - 2
-            deg, den_deg = value.alpha_degrees()
-            if value.is_zero():
-                ok, text = True, "deg=-inf"
-            elif den_deg > 0:
-                ok, text = None, f"denominator involves alpha: {expanded(value).den}"
-            else:
-                ok, text = deg <= bound, f"deg={deg} bound={bound}"
+    for d, i in _grid(tbl.d_max, range(tbl.n + 1)):  # each d from p_0 on
+        if i == 0:
+            ok, text = p0 = decided(d, 0)
+        else:
+            ok, text = p0 if orbit and p0[0] is not None else decided(d, i)
         _verdict(report, (d, i, 0), lambda: ok, lambda: text, note=text)
     return report
 

@@ -40,7 +40,7 @@ MUTANTS = [
            "tbl._symmetric and tbl._symmetric()", "True",
            (EULER + "test_report_pins_failures_and_inconclusive[degree_bound]",)),
     Mutant("degree bound prints p_0's alpha denominator at p_k", "eulerdata.py",
-           "i and orbit and ok is not None", "i and orbit",
+           "orbit and p0[0] is not None", "orbit",
            (EULER + "test_degree_bound_prints_the_alpha_denominator_of_each_point",)),
     Mutant("to_table substitutes a rule with a lam on read", "eulerdata.py",
            "return values if lam_free else dict(values)", "return values",
@@ -54,9 +54,6 @@ MUTANTS = [
            "for k, _ in identities(points, points[1:], False)]",
            ("tests/test_values.py::test_report_json_is_pinned[False-quintic]",
             "tests/test_values.py::test_verify_sweep_is_pinned")),
-    Mutant("indented JSON with its strings unescaped", "eulerdata.py",
-           "q(r.status), q(r.witness)", "q(r.status), f'\"{r.witness}\"'",
-           (EULER + "test_indented_json_is_json_dumps",)),
     # int moves
     Mutant("_weight drops r*alpha", "eulerdata.py",
            '{f"lam{i}": 1, "alpha": r}', '{f"lam{i}": 1}',

@@ -5,7 +5,6 @@ the mirror-group action on restriction sequences."""
 import functools
 import gc
 import hashlib
-import json
 import math
 import pickle
 import weakref
@@ -13,14 +12,14 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mirrorcalc import algebra, cli, eulerdata
 from mirrorcalc.algebra import (NEG_INF, Factored, RationalFunction, bar_involution,
                                 expanded, rf_equal)
 from mirrorcalc.bundles import OmegaClass, SplittingType, omega_class
-from mirrorcalc.eulerdata import (CheckResult, EulerDataClosed, EulerDataError, EulerDataTable,
+from mirrorcalc.eulerdata import (EulerDataClosed, EulerDataError, EulerDataTable,
                                   RestrictionSequence, VerificationReport,
                                   _alpha_binding, _grid, _upto, _verdict, _weight,
                                   build_hypergeom_data, check_degree_bound,
@@ -329,32 +328,6 @@ def test_report_pins_failures_and_inconclusive(check, expected):
               "linked": lambda: check_linked(corrupted, tbl),
               "degree_bound": lambda: check_degree_bound(corrupted)}[check]()
     assert report.to_json() == expected
-
-
-STATUSES = ["pass", "fail", "inconclusive"]
-
-
-@hs.composite
-def reports(draw):
-    """A report of 0-6 results of any status, with witnesses of any text,
-    quotes, backslashes, control characters and non-ASCII text among them."""
-    witness = hs.text() | hs.sampled_from(['"', "\\", "\x00\t\n\x1f\x7f", "é ☃ 😀 \u2028"])
-    key = hs.integers(-10**6, 10**6)
-    results = hs.lists(hs.builds(CheckResult, key, key, key, hs.sampled_from(STATUSES), witness),
-                       max_size=6)
-    return VerificationReport(draw(hs.sampled_from(["gluing", "degree-bound"]) | hs.text()),
-                              draw(key), draw(key), draw(results))
-
-
-@settings(max_examples=100, deadline=None)
-@example(VerificationReport("linking", 1, 2))
-@example(VerificationReport("gluing", 12, 6, [CheckResult(1, 0, r, status, witness) for r, (
-    status, witness) in enumerate(zip(STATUSES, ['"q" \\ b', "\x00\x1f\n\t", "é ☃ 😀"]))]))
-@given(reports())
-def test_indented_json_is_json_dumps(report):
-    # the template writer of to_json(indent=2) gives json.dumps' text
-    assert report.to_json(indent=2) == json.dumps(report.to_dict(), indent=2)
-    assert report.to_json() == json.dumps(report.to_dict())
 
 
 def test_gluing_with_x_extension():
