@@ -23,18 +23,19 @@ same checks unexpanded.
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
 records "pass", "fail" with a witness, or "inconclusive" when a
 substitution hits a vanishing denominator.  Gluing, reciprocity and
-linking decide by orbit: if the values read at p_k are those at p_0
-under lam_0 <-> lam_k, and those at p_0 are fixed by each lam_1 <->
-lam_k (point symmetry), a permutation of the lam with 0 -> i, 1 -> j is
-a ring automorphism that commutes with the bar and carries each identity
-at (0, 1), binding included, to the one at (i, j), and gluing's at p_0
-to the one at p_i, so if those pass, all do, with no work; on a table's
-record the degree bound gives p_k p_0's verdict.
-``mirror_transform``, ``lagrange_map`` and ``to_table`` build by orbit
-too: at p_0, swapped to each p_k on read, on point-symmetric input or a
-lam-free rule, else at every p_i; such a table or sequence records its
-point symmetry for the checks, the transform and the Lagrange map to
-read, and one from a constructor has no record and is tested where read.
+linking decide by orbit: if the values at p_k are those at p_0 under
+lam_0 <-> lam_k, and those at p_0 are fixed by each lam_1 <-> lam_k
+(point symmetry), a permutation of the lam with 0 -> i, 1 -> j is a ring
+automorphism that commutes with the bar and carries each identity at
+(0, 1), binding included, to the one at (i, j), and gluing's at p_0 to
+the one at p_i, so if those pass, all do, with no work; the degree bound
+gives p_k p_0's verdict.  Point symmetry is one bool record, set where a
+table or sequence is built: ``to_table`` decides it by Omega on a
+lam-free rule, ``mirror_transform`` by its multiplier on recorded input,
+and ``lagrange_map`` and ``restriction_sequence`` pass it on.  The checks
+read it, and the transform and the Lagrange map build by it, at p_0 and
+swapped to each p_k on read, as ``to_table`` does on a lam-free rule.  A
+table or sequence from a constructor holds none: decided point by point.
 The transform runs over alpha.  Every summand it adds to P_d(lam_i)
 carries lam_i - lam_j - d*alpha, so ``check_mirror_linked`` decides
 linking in closed form: at alpha = (lam_i - lam_j)/d it compares
@@ -158,8 +159,8 @@ def _grid(d_max, *axes):
 def to_table(ed, d_max):
     """All restrictions up to degree d_max, factored.  By orbit on a lam-free rule:
     each p_0 entry substituted on first read, which cannot raise (a*kappa + b*alpha + c*x
-    goes to a*lam_i + (a*r + b)*alpha + c*x), point-symmetric if Omega is (decided on
-    first need); a rule with a lam is substituted at every p_i here, where it raises."""
+    goes to a*lam_i + (a*r + b)*alpha + c*x), and recorded point-symmetric if Omega is,
+    decided here; a rule with a lam is substituted at every p_i here, where it raises."""
     if d_max < 1:
         raise EulerDataError("d_max must be >= 1")
     weight = functools.cache(functools.partial(_weight, ed.ring))
@@ -172,7 +173,7 @@ def to_table(ed, d_max):
     value = _per_point(ed.n, lam_free, at)
     omega = {i: ed.omega_restriction(i) for i in range(ed.n + 1)}
     return _table(ed.n, d_max, ed.ring, value, omega,
-                  lam_free and (lambda: _point_symmetric(ed.n, lambda k: [omega[k]])))
+                  lam_free and _point_symmetric([[w] for w in omega.values()]))
 
 
 # ---------------------------------------------------------------------
@@ -202,12 +203,12 @@ class _OnRead(Mapping):
 
 
 def _table(n, d_max, ring, value, omega, symmetric):
-    """Entries value(i, (d, r)), each made on its first read, and Omega
-    omega[i]; its record symmetric, if any, a thunk run at most once:
-    whether all its values are point-symmetric."""
+    """Entries value(i, (d, r)), each made on its first read, Omega
+    omega[i], and the record symmetric: whether all its values are
+    point-symmetric, which only the builder decides."""
     entries = _OnRead(_grid(d_max, range(n + 1), _upto), lambda k: value(k[1], (k[0], k[2])))
     tbl = EulerDataTable(n, d_max, ring, entries, omega)
-    tbl._symmetric = symmetric and functools.cache(symmetric)
+    tbl._symmetric = symmetric
     return tbl
 
 
@@ -221,7 +222,7 @@ class EulerDataTable:
     given, and ``entry``, ``entries`` and ``omega_restrictions`` expanded.
     """
 
-    _symmetric = None  # no record: each check decides symmetry (``_table``)
+    _symmetric = False  # no record: each check decides point by point (``_table``)
 
     def __init__(self, n, d_max, ring, entries, omega_restrictions):
         self.n = n
@@ -245,7 +246,7 @@ class EulerDataTable:
         return {i: expanded(v) for i, v in self._omega.items()}
 
     def __getstate__(self):  # entries made first (one can add forms to the ring), no record
-        return {**self.__dict__, "_entries": dict(self._entries), "_symmetric": None}
+        return {**self.__dict__, "_entries": dict(self._entries), "_symmetric": False}
 
     def value(self, d, i, r):
         """The value at (d, i, r) as given; Omega at d = 0."""
@@ -269,7 +270,7 @@ class RestrictionSequence:
     values as given, and no record; the library's are read-only, made on read.
     """
 
-    _symmetric = None  # no record: each transform and Lagrange map tests (``_sequence``)
+    _symmetric = False  # no record: transformed and mapped point by point (``_sequence``)
 
     def __init__(self, n, d_max, ring, values):
         self.n = n
@@ -281,14 +282,10 @@ class RestrictionSequence:
                 raise EulerDataError(f"degree-zero restriction at p_{i} is zero")
 
     def __getstate__(self):  # values made first, no record, as for tables
-        return {**self.__dict__, "values": dict(self.values), "_symmetric": None}
+        return {**self.__dict__, "values": dict(self.values), "_symmetric": False}
 
     def value(self, d, i):
         return self.values[(d, i)]
-
-    def _is_symmetric(self):  # whether the B_d are: on the record, if any, else tested
-        return self._symmetric() if self._symmetric else _point_symmetric(
-            self.n, lambda i: [self.value(d, i) for d in _upto(self.d_max)])
 
 
 def _sequence(like, value, symmetric):
@@ -367,8 +364,8 @@ def check_gluing(tbl):
     for every d <= d_max, 0 <= r <= d, 0 <= i <= n, with Q_0 the class.
     The identity at p_k reads p_k only: on point-symmetric values it is the
     one at p_0 under lam_0 <-> lam_k, a ring map that commutes with the bar.
-    Decided by orbit, on the table's record or on every value at each p_i;
-    each side is built on first need, so that route makes none at p_1..p_n."""
+    Decided by orbit on the table's record; each side is built on first
+    need, so that route makes none at p_1..p_n."""
     @functools.cache
     def sides(d, i, r):
         return (tbl.value(0, i, 0) * tbl.value(d, i, r),
@@ -379,8 +376,7 @@ def check_gluing(tbl):
             yield (d, i, r), work and (lambda: rf_equal(*sides(d, i, r)),
                                        lambda: "lhs={}; rhs={}".format(*sides(d, i, r)), "")
 
-    return _decide(VerificationReport("gluing", tbl.n, tbl.d_max), identities, [tbl],
-                   lambda k: [tbl.value(d, k, r) for d in _upto(tbl.d_max) for r in _upto(d)])
+    return _decide(VerificationReport("gluing", tbl.n, tbl.d_max), identities, [tbl])
 
 
 def _alpha_binding(ring, j, i, d):
@@ -388,15 +384,15 @@ def _alpha_binding(ring, j, i, d):
     return _move(ring, "alpha", {f"lam{j}": 1, f"lam{i}": -1}, d)
 
 
-def _point_symmetric(n, reads):
-    """Whether reads(k) is reads(0) under lam_0 <-> lam_k at each p_k, and
-    reads(0) is fixed by each lam_1 <-> lam_k, in stored form."""
+def _point_symmetric(points):
+    """Whether the values points[k] at each p_k are points[0] under lam_0 <->
+    lam_k, and points[0] are fixed by each lam_1 <-> lam_k, in stored form."""
     def same(u, v):
         return (type(u) is type(v) and u.num == v.num and u.den == v.den
                 and (not isinstance(u, Factored) or (u.ring is v.ring and u.const == v.const)))
 
-    base = reads(0)
-    swaps = [(0, k, reads(k)) for k in range(1, n + 1)] + [(1, k, base) for k in range(2, n + 1)]
+    base, rest = points[0], range(1, len(points))
+    swaps = [(0, k, points[k]) for k in rest] + [(1, k, base) for k in rest[1:]]
     return all(all(map(same, (transposition(v, a, k) for v in base), vs)) for a, k, vs in swaps)
 
 
@@ -410,18 +406,15 @@ def _per_point(n, symmetric, build):
     return lambda i, e: transposition(at_0[e], 0, i) if i else at_0[e]
 
 
-def _decide(report, identities, tables, reads):
+def _decide(report, identities, tables):
     """Append the verdict of each (key, work and (holds, witness, prefix))
     that identities(firsts, seconds, work) yields for i in firsts, j in
     seconds (if any j): by orbit, each key a pass and no work made, if those
-    at i = 0, j = 1 pass and the records of tables, if each holds one, or
-    else reads(k) at each p_k, are point-symmetric; else by its work."""
+    at i = 0, j = 1 pass and all tables record point symmetry; else by its work."""
     points, reps = range(report.n + 1), VerificationReport(report.check, report.n, report.d_max)
     for key, work in identities(points[:1], points[1:2], True):
         _verdict(reps, key, *work)
-    records = [tbl._symmetric for tbl in tables]
-    if all(r.status == "pass" for r in reps.results) and (
-        all(record() for record in records) if all(records) else _point_symmetric(report.n, reads)):
+    if all(r.status == "pass" for r in reps.results) and all(tbl._symmetric for tbl in tables):
         report.results += [CheckResult(*k, "pass") for k, _ in identities(points, points, False)]
     else:
         for key, work in identities(points, points, True):
@@ -442,8 +435,7 @@ def check_reciprocity(tbl):
     Omega, once per alpha-binding and multiply the results: exact, as
     substitution is a ring map and a product's denominator vanishes
     exactly when a factor's does, which makes the item inconclusive.
-    Decided by orbit, on the table's record or on Omega, Q_d and
-    Q_d(lam_i + d*alpha) at each p_i.
+    Decided by orbit on the table's record.
     """
     binding = functools.cache(functools.partial(_alpha_binding, tbl.ring))
     @functools.cache
@@ -468,15 +460,14 @@ def check_reciprocity(tbl):
                                      at(r, j, j, i, r) * at(d - r, i, j, i, r)),
                     lambda: f"item (iii): j={j}", f"item (iii): j={j}: ")
 
-    return _decide(VerificationReport("reciprocity", tbl.n, tbl.d_max), identities, [tbl],
-                   lambda k: [tbl.value(d, k, r) for d in _upto(tbl.d_max) for r in (0, d)])
+    return _decide(VerificationReport("reciprocity", tbl.n, tbl.d_max), identities, [tbl])
 
 
-def _linking_report(sides, reads, tbl, *others):
+def _linking_report(sides, tbl, *others):
     """Record, for every d and i != j, whether the two sides
     sides(d, i, move) agree, move alpha -> (lam_i - lam_j)/d:
-    decided by orbit on the tables' records or reads(i), what sides reads,
-    and witnessed by the difference of the decided sides, expanded."""
+    decided by orbit on the records of tbl and others, and witnessed
+    by the difference of the decided sides, expanded."""
     def at(d, i, j):
         return sides(d, i, _alpha_binding(tbl.ring, i, j, d))
 
@@ -487,8 +478,7 @@ def _linking_report(sides, reads, tbl, *others):
                     lambda: rf_equal(*at(d, i, j)),
                     lambda: f"j={j}: residue={operator.sub(*map(expanded, at(d, i, j)))}", "")
 
-    return _decide(VerificationReport("linking", tbl.n, tbl.d_max), identities,
-                   [tbl, *others], reads)
+    return _decide(VerificationReport("linking", tbl.n, tbl.d_max), identities, [tbl, *others])
 
 
 def check_linked(table_a, table_b):
@@ -500,8 +490,7 @@ def check_linked(table_a, table_b):
         raise EulerDataError("tables are not compatible")
     diff = functools.cache(lambda d, i: table_a.entry(d, i, 0) - table_b.entry(d, i, 0))
     zero = RationalFunction(table_a.ring.zero)
-    return _linking_report(lambda d, i, move: (_moved(diff(d, i), move), zero),
-                           lambda i: [diff(d, i) for d in _upto(table_a.d_max)], table_a, table_b)
+    return _linking_report(lambda d, i, move: (_moved(diff(d, i), move), zero), table_a, table_b)
 
 
 def check_degree_bound(tbl):
@@ -519,12 +508,11 @@ def check_degree_bound(tbl):
         return deg <= bound, f"deg={deg} bound={bound}"
 
     report = VerificationReport("degree-bound", tbl.n, tbl.d_max)
-    orbit = tbl._symmetric and tbl._symmetric()
     for d, i in _grid(tbl.d_max, range(tbl.n + 1)):  # each d from p_0 on
         if i == 0:
             ok, text = p0 = decided(d, 0)
         else:
-            ok, text = p0 if orbit and p0[0] is not None else decided(d, i)
+            ok, text = p0 if tbl._symmetric and p0[0] is not None else decided(d, i)
         _verdict(report, (d, i, 0), lambda: ok, lambda: text, note=text)
     return report
 
@@ -537,17 +525,17 @@ def lagrange_map(seq):
     """Rebuild a full table from a degree-zero restriction sequence:
     entry(d, i, r) = Omega(lam_i)^-1 * bar(B_r(lam_i)) * B_{d-r}(lam_i),
     each made on its first read, and by orbit: at p_0, and at p_k by
-    lam_0 <-> lam_k, if the B_d are point-symmetric (on the sequence's
-    record, if any), else at every p_i.  The table records that decision,
+    lam_0 <-> lam_k, if the sequence records that the B_d are
+    point-symmetric, else at every p_i.  The table takes that record,
     which covers Omega = B_0."""
     def at(i):
         omega_inv = RationalFunction(seq.ring.one) / seq.value(0, i)
         return _OnRead(_grid(seq.d_max, _upto), lambda e: (
             omega_inv * bar_involution(seq.value(e[1], i)) * seq.value(e[0] - e[1], i)))
 
-    symmetric = seq._is_symmetric()
+    symmetric = seq._symmetric
     return _table(seq.n, seq.d_max, seq.ring, _per_point(seq.n, symmetric, at),
-                  {i: seq.value(0, i) for i in range(seq.n + 1)}, symmetric and (lambda: True))
+                  {i: seq.value(0, i) for i in range(seq.n + 1)}, symmetric)
 
 
 def _product_factor(ring, n, i, r, d):
@@ -580,8 +568,8 @@ def mirror_transform(seq, multiplier=None, shift=None):
     u = e^(f/alpha - lam_i*g/alpha) gives the transformed value.  Every
     summand that either recursion adds to B_d(lam_i) carries the factor
     prod_j (lam_i - lam_j - d*alpha), so linked values are preserved.
-    Built once per orbit, at p_0 and swapped to p_k on read, if the B_d (on
-    the record, if any) and f are point-symmetric (g is scalar); else at every p_i."""
+    Built once per orbit, at p_0 and swapped to p_k on read, if the B_d are recorded
+    point-symmetric and f is (g is scalar), and so recorded; else at every p_i."""
     n, d_max, ring = seq.n, seq.d_max, seq.ring
     g = _shift_series(shift, d_max)
     f = [RationalFunction.promote(ring, c) for c in multiplier or ()][: d_max + 1]
@@ -606,9 +594,9 @@ def mirror_transform(seq, multiplier=None, shift=None):
                             if not u[d - r].is_zero()), primed[d])
         return out_i
 
-    symmetric = seq._is_symmetric() and _point_symmetric(n, lambda i: f)
+    symmetric = seq._symmetric and _point_symmetric([f] * (n + 1))
     out = _per_point(n, symmetric, at)
-    return _sequence(seq, lambda d, i: out(i, d), symmetric and (lambda: True))
+    return _sequence(seq, lambda d, i: out(i, d), symmetric)
 
 
 def check_mirror_linked(table):
@@ -626,5 +614,4 @@ def check_mirror_linked(table):
         at = _moved(table.value(d, i, 0), move)
         return at, scale * at
 
-    return _linking_report(sides, lambda i: [table.value(d, i, 0) for d in _upto(table.d_max)],
-                           table)
+    return _linking_report(sides, table)

@@ -13,7 +13,6 @@ names every test that passed; it exits 1 if any did:
 """
 
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -37,16 +36,16 @@ EULER = "tests/test_eulerdata.py::"
 MUTANTS = [
     # verdicts by orbit, and entries made on read
     Mutant("degree bound by orbit on a table with no record", "eulerdata.py",
-           "tbl._symmetric and tbl._symmetric()", "True",
+           "if tbl._symmetric and p0[0]", "if p0[0]",
            (EULER + "test_report_pins_failures_and_inconclusive[degree_bound]",)),
     Mutant("degree bound prints p_0's alpha denominator at p_k", "eulerdata.py",
-           "orbit and p0[0] is not None", "orbit",
+           "tbl._symmetric and p0[0] is not None", "tbl._symmetric",
            (EULER + "test_degree_bound_prints_the_alpha_denominator_of_each_point",)),
     Mutant("to_table substitutes a rule with a lam on read", "eulerdata.py",
            "return values if lam_free else dict(values)", "return values",
            (EULER + "test_to_table_raises_where_it_did",)),
     Mutant("bulk passes without deciding the representatives", "eulerdata.py",
-           'if all(r.status == "pass" for r in reps.results) and (', "if (",
+           'if all(r.status == "pass" for r in reps.results) and all(', "if all(",
            (EULER + "test_mutated_data_fails_gluing_and_reciprocity[drop-st0-2]",
             EULER + "test_mutated_data_fails_gluing_and_reciprocity[shift-st2-1]")),
     Mutant("bulk passes under keys the per-point route does not make", "eulerdata.py",
@@ -54,6 +53,24 @@ MUTANTS = [
            "for k, _ in identities(points, points[1:], False)]",
            ("tests/test_values.py::test_report_json_is_pinned[False-quintic]",
             "tests/test_values.py::test_verify_sweep_is_pinned")),
+    # the symmetry record: a bool that only the builders decide
+    Mutant("bulk passes on tables that hold no record", "eulerdata.py",
+           "all(tbl._symmetric for tbl in tables)", "True",
+           (EULER + "test_orbit_route_sees_one_changed_value[denominator-at-p_n]",
+            EULER + "test_orbit_route_needs_the_stabilizer_of_p0")),
+    Mutant("linking by orbit when either table holds a record", "eulerdata.py",
+           "all(tbl._symmetric for tbl in tables)", "any(tbl._symmetric for tbl in tables)",
+           (EULER + "test_linking_takes_the_orbit_only_when_both_tables_hold_a_record",)),
+    Mutant("to_table records a lam-free rule without testing Omega", "eulerdata.py",
+           "lam_free and _point_symmetric([[w] for w in omega.values()])", "lam_free",
+           (EULER + "test_to_table_decides_an_omega_that_is_not_symmetric"
+                    "[lam_i*(lam_i + i*alpha)]",)),
+    Mutant("mirror_transform skips its multiplier test", "eulerdata.py",
+           "seq._symmetric and _point_symmetric([f] * (n + 1))", "seq._symmetric",
+           (EULER + "test_orbit_transform_and_lagrange_match_the_per_point_route",)),
+    Mutant("lagrange_map records any sequence", "eulerdata.py",
+           "symmetric = seq._symmetric\n", "symmetric = True\n",
+           (EULER + "test_orbit_transform_and_lagrange_match_the_per_point_route",)),
     # int moves
     Mutant("_weight drops r*alpha", "eulerdata.py",
            '{f"lam{i}": 1, "alpha": r}', '{f"lam{i}": 1}',
@@ -81,6 +98,16 @@ MUTANTS = [
 ]
 
 
+def passed(tests, output):
+    """The ids of tests that output, pytest's report with -rf, does not
+    list as failed.  Each id is matched against a whole summary line,
+    ``FAILED <id>`` or ``FAILED <id> - <message>``: a parametrized id may
+    hold a space."""
+    lines = output.splitlines()
+    return [test for test in tests if not any(
+        line == f"FAILED {test}" or line.startswith(f"FAILED {test} - ") for line in lines)]
+
+
 def survivors(mutant):
     """The tests of mutant that pass on a copy of src/ with it made."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,8 +122,7 @@ def survivors(mutant):
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests],
             cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
             timeout=900)
-    failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.M))
-    return [test for test in mutant.tests if test not in failed]
+    return passed(mutant.tests, proc.stdout)
 
 
 def main():

@@ -762,7 +762,7 @@ def test_degree_bound_prints_the_alpha_denominator_of_each_point():
 
     data = EulerDataClosed(2, rule, lambda i, ring: Factored(ring, [ring.var(f"lam{i}")]))
     tbl = to_table(data, 2)
-    assert tbl._symmetric()
+    assert tbl._symmetric
     report = check_degree_bound(tbl)
     assert [(r.d, r.i, r.status, r.witness) for r in report.results] == [
         (1, i, "inconclusive", f"denominator involves alpha: lam{i} + alpha") for i in range(3)
@@ -772,16 +772,19 @@ def test_degree_bound_prints_the_alpha_denominator_of_each_point():
 
 @pytest.mark.parametrize("with_x", [False, True])
 def test_degree_bound_on_a_recorded_table_makes_no_entry_off_p0(monkeypatch, with_x):
-    # the quintic at d_max 4: the degree bound decides at p_0 and reads the
-    # table's record, whose only swaps, 4 + 3, are of Omega; it swaps no
-    # entry, and gives the report of the table through the constructor
-    tbl = to_table(build_hypergeom_data(QUINTIC, with_x=with_x), 4)
+    # the quintic at d_max 4: to_table decides its record by the 4 + 3
+    # swaps of Omega at p_0, and the degree bound decides at p_0 and reads
+    # the record: it swaps nothing, and gives the report of the table
+    # through the constructor
     swapped, transposition = [], eulerdata.transposition
     monkeypatch.setattr(eulerdata, "transposition",
                         lambda value, a, b: swapped.append((value, b)) or transposition(value, a, b))
-    report = check_degree_bound(tbl)
+    tbl = to_table(build_hypergeom_data(QUINTIC, with_x=with_x), 4)
     assert all(v is tbl.value(0, 0, 0) for v, _ in swapped)
     assert sorted(b for _, b in swapped) == [1, 2, 2, 3, 3, 4, 4]
+    swapped.clear()
+    report = check_degree_bound(tbl)
+    assert swapped == []
     monkeypatch.undo()
     assert report.to_json() == check_degree_bound(rebuilt(tbl)).to_json()
 
@@ -906,7 +909,7 @@ def test_mirror_transform_multiplier():
 def rebuilt(tbl):
     """tbl through the EulerDataTable, or RestrictionSequence, constructor:
     every value made, and no symmetry record, so each check, transform or
-    Lagrange map decides symmetry on what it reads."""
+    Lagrange map decides it point by point."""
     if isinstance(tbl, RestrictionSequence):
         return RestrictionSequence(tbl.n, tbl.d_max, tbl.ring, dict(tbl.values))
     keys = _grid(tbl.d_max, range(tbl.n + 1), _upto)
@@ -917,9 +920,8 @@ def rebuilt(tbl):
 def per_pair(check, *tables):
     """check(*tables) on the per-pair (per-point) route: each table
     rebuilt, and each sequence, so that none holds a record of its
-    symmetry and every value is made before the patch (a swap made under
-    it would be None), and with every transposition unequal to its
-    source, no input is point-symmetric."""
+    symmetry and every value is made before the patch, under which any
+    swap would give None."""
     tables = [rebuilt(t) if isinstance(t, (EulerDataTable, RestrictionSequence)) else t
               for t in tables]
     with mock.patch.object(eulerdata, "transposition", lambda value, a, b: None):
@@ -1217,11 +1219,11 @@ def test_rule_with_a_lam_is_substituted_at_every_point():
 
 
 def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
-    # the quintic at d_max 4: no substitution and no swap until an entry
-    # is read; the degree-zero slice neither substitutes nor swaps until it
-    # is read, and then its 4 entries at p_0 and their 16 swaps to
-    # p_1..p_4; every entry makes the 14 substitutions at p_0, where one
-    # per entry makes 70
+    # the quintic at d_max 4: no substitution until an entry is read, and
+    # no swap but the 4 + 3 of Omega that decide the record; the
+    # degree-zero slice neither substitutes nor swaps until it is read, and
+    # then its 4 entries at p_0 and their 16 swaps to p_1..p_4; every entry
+    # makes the 14 substitutions at p_0, where one per entry makes 70
     substituted, swapped = [], []
     substitute, transposition = eulerdata._moved, eulerdata.transposition
     monkeypatch.setattr(eulerdata, "_moved",
@@ -1229,7 +1231,8 @@ def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
     monkeypatch.setattr(eulerdata, "transposition",
                         lambda value, a, b: swapped.append(b) or transposition(value, a, b))
     tbl = to_table(build_hypergeom_data(QUINTIC), 4)
-    assert (len(substituted), len(swapped)) == (0, 0)
+    assert (len(substituted), sorted(swapped)) == (0, [1, 2, 2, 3, 3, 4, 4])
+    swapped.clear()
     seq = tbl.restriction_sequence()
     assert (len(substituted), len(swapped)) == (0, 0)
     assert len(dict(seq.values)) == 5 * 5
@@ -1309,12 +1312,12 @@ def test_tables_pickle_with_every_entry_made():
 
 def test_sequences_pickle_with_every_value_made():
     # a library-built sequence pickles as a plain one: every value made,
-    # and no record, so its twin is tested where the sequence is trusted
+    # and no record, so its twin is decided point by point
     _, shift = compute_normalization(build_hypergeom_series(QUINTIC, 2), QUINTIC)
     tbl = to_table(build_hypergeom_data(QUINTIC, with_x=True), 2)
     seq = mirror_transform(tbl.restriction_sequence(), None, shift)
     twin = pickle.loads(pickle.dumps(seq))
-    assert seq._symmetric and twin._symmetric is None and type(twin.values) is dict
+    assert seq._symmetric is True and twin._symmetric is False and type(twin.values) is dict
     with pytest.raises(TypeError):
         seq.values[(1, 0)] = twin.value(1, 0)
     assert RestrictionSequence(4, 2, seq.ring, twin.values).values is twin.values
@@ -1326,8 +1329,9 @@ def test_sequences_pickle_with_every_value_made():
 
 # ---------------------------------------------------------------------
 # symmetry decided where a table is built: to_table on a lam-free rule
-# and lagrange_map on point-symmetric input record it, and checks read
-# the record; a table from the constructor is decided per check
+# decides it on Omega, and mirror_transform on its multiplier; the checks
+# and lagrange_map read the record, and a table or sequence from the
+# constructor holds none and is decided point by point
 
 
 @pytest.mark.parametrize("omega", ["lam_i*(lam0 + alpha)", "lam_i*(lam_i + i*alpha)"])
@@ -1366,13 +1370,12 @@ def test_rule_with_a_lam_is_decided_per_check():
 def test_composite_linking_reads_p0_only(monkeypatch):
     # the quintic at d_max 2 with the normalization shift: both tables
     # hold a record, so check_linked reads and subtracts at p_0 only, one
-    # difference per d, and makes no entry at p_1..p_4; its only swaps,
-    # 4 + 3, decide tbl's Omega; the per-pair route reads and subtracts
-    # at every point, d = 0 included
+    # difference per d, and makes no entry at p_1..p_4; it swaps nothing,
+    # as to_table's 4 + 3 swaps decided tbl's Omega; the per-pair route
+    # reads and subtracts at every point, one difference per d and point
     _, shift = compute_normalization(build_hypergeom_series(QUINTIC, 2), QUINTIC)
     lagrange = lagrange_map(mirror_transform(
         to_table(build_hypergeom_data(QUINTIC), 2).restriction_sequence(), None, shift))
-    tbl = to_table(build_hypergeom_data(QUINTIC), 2)
     read, swapped, subtracted = [], [], []
     entry, transposition = EulerDataTable.entry, eulerdata.transposition
     sub = RationalFunction.__sub__
@@ -1382,36 +1385,41 @@ def test_composite_linking_reads_p0_only(monkeypatch):
                         lambda value, a, b: swapped.append(b) or transposition(value, a, b))
     monkeypatch.setattr(RationalFunction, "__sub__",
                         lambda self, other: subtracted.append(1) or sub(self, other))
+    tbl = to_table(build_hypergeom_data(QUINTIC), 2)
+    assert (read, sorted(swapped), subtracted) == ([], [1, 2, 2, 3, 3, 4, 4], [])
+    swapped.clear()
     report = check_linked(tbl, lagrange)
     assert report.all_pass and len(report.results) == 2 * 5 * 4
-    assert (set(read), sorted(swapped), len(subtracted)) == ({0}, [1, 2, 2, 3, 3, 4, 4], 2)
+    assert (set(read), swapped, len(subtracted)) == ({0}, [], 2)
     read.clear()
     subtracted.clear()
     assert per_pair(check_linked, tbl, lagrange).to_json() == report.to_json()
-    assert (set(read), len(subtracted)) == (set(range(5)), 15)
+    assert (set(read), len(subtracted)) == (set(range(5)), 10)
 
 
 def test_recorded_sequences_are_neither_tested_nor_swapped(monkeypatch):
-    # the quintic at d_max 2 with the normalization shift: the degree-zero
-    # slice hands on its table's record, so mirror_transform tests only
-    # f = 0 and swaps only the table's Factored Omega, 4 + 3, to run that
-    # record; it makes no value at p_1..p_4 until it is read, once each,
-    # and lagrange_map on its recorded output swaps nothing
+    # the quintic at d_max 2 with the normalization shift: to_table's only
+    # swaps, 4 + 3, decide its Factored Omega, and the degree-zero slice
+    # hands on the table's record, so mirror_transform tests only f = 0 and
+    # swaps no nonzero value; it makes no value at p_1..p_4 until it is
+    # read, once each, and lagrange_map on its recorded output swaps nothing
     _, shift = compute_normalization(build_hypergeom_series(QUINTIC, 2), QUINTIC)
-    seq = to_table(build_hypergeom_data(QUINTIC), 2).restriction_sequence()
     swapped, transposition = [], eulerdata.transposition
     monkeypatch.setattr(eulerdata, "transposition",
                         lambda value, a, b: swapped.append((value, b)) or transposition(value, a, b))
+    seq = to_table(build_hypergeom_data(QUINTIC), 2).restriction_sequence()
+    assert all(isinstance(v, Factored) for v, _ in swapped)
+    assert sorted(b for _, b in swapped) == [1, 2, 2, 3, 3, 4, 4]
+    swapped.clear()
     out = mirror_transform(seq, None, shift)
-    assert all(isinstance(v, Factored) for v, _ in swapped if not v.is_zero())
-    assert sorted(b for v, b in swapped if not v.is_zero()) == [1, 2, 2, 3, 3, 4, 4]
+    assert [b for v, b in swapped if not v.is_zero()] == []
     swapped.clear()
     degree_zero = [out.value(0, k) for k in range(5)]
     assert all(out.value(0, k) is v for k, v in enumerate(degree_zero))
     assert sorted(b for _, b in swapped) == [1, 2, 3, 4]
     swapped.clear()
     lagrange = lagrange_map(out)
-    assert swapped == [] and lagrange._symmetric()
+    assert swapped == [] and lagrange._symmetric
 
 
 def test_linking_takes_the_orbit_only_when_both_tables_hold_a_record():
@@ -1424,6 +1432,35 @@ def test_linking_takes_the_orbit_only_when_both_tables_hold_a_record():
         report = check_linked(*pair)
         assert report.to_json() == per_pair(check_linked, *pair).to_json()
         assert {(r.d, r.i) for r in report.failures} == {(1, 2)}
+
+
+@pytest.mark.parametrize("with_x", [False, True])
+def test_only_the_builders_decide_symmetry(monkeypatch, with_x):
+    # the quintic at d_max 2 with the normalization shift: to_table on a
+    # lam-free rule tests its Omega, once, and mirror_transform on recorded
+    # input its multiplier, once; a rule with a lam, a transform of a
+    # constructor copy, every check and every Lagrange map test nothing,
+    # on recorded tables and on their constructor copies alike
+    calls, point_symmetric = [], eulerdata._point_symmetric
+    monkeypatch.setattr(eulerdata, "_point_symmetric",
+                        lambda *args: calls.append(args) or point_symmetric(*args))
+    _, shift = compute_normalization(build_hypergeom_series(QUINTIC, 2), QUINTIC)
+    data = build_hypergeom_data(QUINTIC, with_x=with_x)
+    tbl = to_table(data, 2)
+    assert len(calls) == 1 and tbl._symmetric
+    seq = mirror_transform(tbl.restriction_sequence(), None, shift)
+    assert len(calls) == 2 and seq._symmetric
+    calls.clear()
+    with_lam = EulerDataClosed(4, lambda d, ring: data._rule(d, ring) * Factored(
+        ring, [ring.var("kappa") + ring.var("lam1")]), data._omega_restriction)
+    assert not to_table(with_lam, 2)._symmetric
+    assert not mirror_transform(rebuilt(seq), None, shift)._symmetric
+    lagranges = [lagrange_map(seq), lagrange_map(rebuilt(seq))]
+    checks = [check_gluing, check_reciprocity, check_mirror_linked, check_degree_bound] + [
+        functools.partial(check_linked, table_b=lagrange) for lagrange in lagranges]
+    recorded, copied = ([check(table).to_json() for check in checks]
+                        for table in (tbl, rebuilt(tbl)))
+    assert recorded == copied and calls == []
 
 
 # ---------------------------------------------------------------------
@@ -1611,16 +1648,18 @@ def test_checks_read_each_variable_by_name(with_x):
         assert check_linked(other, other).all_pass
 
 def test_gluing_on_a_recorded_table_makes_no_entry_off_p0(monkeypatch):
-    # the quintic at d_max 4: gluing decides at p_0 and reads the table's
-    # record, whose only swaps, 4 + 3, are of Omega; it swaps no entry, so
-    # makes none at p_1..p_4: reading them afterwards swaps all 56
-    tbl = to_table(build_hypergeom_data(QUINTIC), 4)
+    # the quintic at d_max 4: to_table decides its record by the 4 + 3
+    # swaps of Omega at p_0, and gluing decides at p_0 and reads the
+    # record; it swaps nothing, so makes no entry at p_1..p_4: reading
+    # them afterwards swaps all 56
     swapped, transposition = [], eulerdata.transposition
     monkeypatch.setattr(eulerdata, "transposition",
                         lambda value, a, b: swapped.append((value, b)) or transposition(value, a, b))
-    report = check_gluing(tbl)
-    assert report.all_pass and len(report.results) == 5 * (2 + 3 + 4 + 5)
+    tbl = to_table(build_hypergeom_data(QUINTIC), 4)
     assert all(v is tbl.value(0, 0, 0) for v, _ in swapped)
     assert sorted(b for _, b in swapped) == [1, 2, 2, 3, 3, 4, 4]
     swapped.clear()
+    report = check_gluing(tbl)
+    assert report.all_pass and len(report.results) == 5 * (2 + 3 + 4 + 5)
+    assert swapped == []
     assert len(tbl.entries) == 70 and len(swapped) == 4 * 14
