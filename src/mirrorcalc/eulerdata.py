@@ -45,7 +45,6 @@ P_d(lam_i) with (bar(Omega)/Omega) * P_d(lam_i), and runs no transform.
 import functools
 import itertools
 import json
-import math
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
@@ -539,11 +538,10 @@ def lagrange_map(seq):
 
 
 def _product_factor(ring, n, i, r, d):
-    """prod_{j=0..n} prod_{m=r+1..d} (lam_i - lam_j - m*alpha), multiplied
-    j by j, which keeps the partial products sparse."""
-    lam_i, alpha = ring.var(f"lam{i}"), ring.var("alpha")
-    return math.prod((lam_i - ring.var(f"lam{j}") - m * alpha
-                      for j in range(n + 1) for m in range(d, r, -1)), start=ring.one)
+    """prod_{j=0..n} prod_{m=r+1..d} (lam_i - lam_j - m*alpha), built from its
+    int forms and expanded once; mirror_transform's block(m) is (r, d) = (m - 1, m)."""
+    return _product(ring, [{"alpha": -m} if j == i else {f"lam{i}": 1, f"lam{j}": -1, "alpha": -m}
+                           for j in range(n + 1) for m in range(r + 1, d + 1)]).expand()
 
 
 def _shift_series(shift, d_max):
@@ -563,13 +561,14 @@ def mirror_transform(seq, multiplier=None, shift=None):
     ``shift`` (g) is a scalar q-series with rational coefficients and
     zero constant term; ``multiplier`` (f) is a list of coefficients,
     rational functions in (lam, alpha), also with zero constant term.
-    Two recursions are applied in order at each p_i: first the e^(dg)
-    redistribution gives primed(d), then the series
-    u = e^(f/alpha - lam_i*g/alpha) gives the transformed value.  Every
-    summand that either recursion adds to B_d(lam_i) carries the factor
-    prod_j (lam_i - lam_j - d*alpha), so linked values are preserved.
-    Built once per orbit, at p_0 and swapped to p_k on read, if the B_d are recorded
-    point-symmetric and f is (g is scalar), and so recorded; else at every p_i."""
+    At each p_i the e^(dg) redistribution gives primed(d), then the series
+    u = e^(f/alpha - lam_i*g/alpha) the transformed value.  The summand from
+    degree r < d carries prod_{m=r+1..d} block(m), block(m) = prod_j (lam_i -
+    lam_j - m*alpha): each sum is taken by Horner's rule in the d_max blocks,
+    built once per point, and as every summand carries block(d), linked
+    values are preserved.  Built once per orbit, at p_0 and swapped to p_k on
+    read, if the B_d are recorded point-symmetric and so are f's nonzero
+    coefficients (g is scalar), and so recorded; else at every p_i."""
     n, d_max, ring = seq.n, seq.d_max, seq.ring
     g = _shift_series(shift, d_max)
     f = [RationalFunction.promote(ring, c) for c in multiplier or ()][: d_max + 1]
@@ -582,19 +581,29 @@ def mirror_transform(seq, multiplier=None, shift=None):
     def at(i):
         lam_i, zero = RationalFunction(ring.var(f"lam{i}")), RationalFunction(ring.zero)
         combined = [(f[s] - lam_i * g[s]) / alpha for s in range(d_max + 1)]
-        factor = functools.cache(functools.partial(_product_factor, ring, n, i))
+        block = functools.cache(lambda m: _product_factor(ring, n, i, m - 1, m))
+
+        def horner(terms, last):
+            """last + sum(t * factor(r, d) for r, t in enumerate(terms)), d = len(terms), a None
+            t zero: the sum so far times block(r) at each r past its first term, then block(d)."""
+            acc = None
+            for r, t in enumerate(terms):
+                acc = acc if acc is None else acc * block(r)
+                acc = t if acc is None else acc if t is None else acc + t
+            return last if acc is None else acc * block(len(terms)) + last
+
         u, primed, out_i = [RationalFunction(ring.one)], [], {}
         for d in range(1, d_max + 1):
             u.append(sum((combined[s] * u[d - s] * s for s in range(1, d + 1)
                           if not combined[s].is_zero()), zero) * Fraction(1, d))
         for d in range(d_max + 1):
-            primed.append(sum((powers[r][d] * seq.value(r, i) * factor(r, d) for r in range(d)
-                               if powers[r][d]), seq.value(d, i)))
-            out_i[d] = sum((u[d - r] * primed[r] * factor(r, d) for r in range(d)
-                            if not u[d - r].is_zero()), primed[d])
+            primed.append(horner([powers[r][d] * seq.value(r, i) if powers[r][d] else None
+                                  for r in range(d)], seq.value(d, i)))
+            out_i[d] = horner([None if u[d - r].is_zero() else u[d - r] * primed[r]
+                               for r in range(d)], primed[d])
         return out_i
 
-    symmetric = seq._symmetric and _point_symmetric([f] * (n + 1))
+    symmetric = seq._symmetric and _point_symmetric([[c for c in f if not c.is_zero()]] * (n + 1))
     out = _per_point(n, symmetric, at)
     return _sequence(seq, lambda d, i: out(i, d), symmetric)
 

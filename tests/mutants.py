@@ -66,11 +66,25 @@ MUTANTS = [
            (EULER + "test_to_table_decides_an_omega_that_is_not_symmetric"
                     "[lam_i*(lam_i + i*alpha)]",)),
     Mutant("mirror_transform skips its multiplier test", "eulerdata.py",
-           "seq._symmetric and _point_symmetric([f] * (n + 1))", "seq._symmetric",
+           "seq._symmetric and _point_symmetric([[c for c in f if not c.is_zero()]] * (n + 1))",
+           "seq._symmetric",
            (EULER + "test_orbit_transform_and_lagrange_match_the_per_point_route",)),
+    Mutant("mirror_transform tests only the zero multiplier coefficients", "eulerdata.py",
+           "[c for c in f if not c.is_zero()]", "[c for c in f if c.is_zero()]",
+           (EULER + "test_orbit_transform_and_lagrange_match_the_per_point_route",
+            EULER + "test_transform_values_and_lagrange_reports_are_pinned")),
     Mutant("lagrange_map records any sequence", "eulerdata.py",
            "symmetric = seq._symmetric\n", "symmetric = True\n",
            (EULER + "test_orbit_transform_and_lagrange_match_the_per_point_route",)),
+    # the mirror transform's sums by Horner's rule in the blocks
+    Mutant("Horner skips the block between two terms", "eulerdata.py",
+           "acc = acc if acc is None else acc * block(r)", "acc = acc",
+           (EULER + "test_transform_values_and_lagrange_reports_are_pinned",)),
+    Mutant("Horner drops the final block(d)", "eulerdata.py",
+           "acc * block(len(terms)) + last", "acc + last",
+           (EULER + "test_linked_mirror_transform",
+            EULER + "test_transform_values_and_lagrange_reports_are_pinned",
+            "tests/test_acceptance.py::test_criterion_09_mirror_group")),
     # int moves
     Mutant("_weight drops r*alpha", "eulerdata.py",
            '{f"lam{i}": 1, "alpha": r}', '{f"lam{i}": 1}',

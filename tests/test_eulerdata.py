@@ -632,8 +632,8 @@ def test_mirror_linked_matches_composite(preset):
     # the closed form gives the composite's report byte for byte: live at
     # --dmax <= 3, with the canonical shift for the critical type and a
     # unit one-term shift with x, and through the pinned digests at 1-6
-    # (at --dmax 4 the composite takes up to 6.3 s per preset, p4-concavex
-    # with and without x, on a 2-vCPU VM)
+    # (at --dmax 4 the composite takes up to 0.9 s of CPU per preset,
+    # p4-concavex with and without x, on a 2-vCPU VM)
     n, bundle, _ = cli.PRESETS[preset]
     st = cli.parse_bundle(bundle, n)
     for with_x in (False, True):
@@ -1137,8 +1137,8 @@ def test_orbit_transform_and_lagrange_match_the_per_point_route(case):
 
 def test_orbit_transform_builds_one_point(monkeypatch):
     # on the quintic at d_max 2 with the normalization shift, the per-point
-    # route builds 15 product factors, 3 at each p_i; the orbit route
-    # builds those at p_0 only, so a silent fall-back fails here
+    # route builds 10 product factors, the blocks m = 1, 2 at each p_i; the
+    # orbit route builds those at p_0 only, so a silent fall-back fails here
     calls = []
     product_factor = eulerdata._product_factor
     monkeypatch.setattr(eulerdata, "_product_factor",
@@ -1147,10 +1147,54 @@ def test_orbit_transform_builds_one_point(monkeypatch):
     seq = to_table(build_hypergeom_data(quintic), 2).restriction_sequence()
     _, shift = compute_normalization(build_hypergeom_series(quintic, 2), quintic)
     per_pair(mirror_transform, seq, None, shift)
-    assert len(calls) == 15
+    assert len(calls) == 10
     calls.clear()
     mirror_transform(seq, None, shift)
-    assert len(calls) <= 3
+    assert sorted(args[2:] for args in calls) == [(0, 0, 1), (0, 1, 2)]
+
+
+# transform_sweep_digest() as the transform that multiplied each summand
+# by its whole product factor gives it
+TRANSFORM_DIGEST = "2c1538acbf18eb2bea0f31d12968086ecb93d9d3326bb1d3e159c9bfad487c97"
+
+
+def transform_sweep_digest():
+    """The 5 presets, with and without x, at d_max 1-3 (P^4 at 1-2), each
+    transformed by the normalization shift g, by the multiplier [0, lam0/3]
+    (not point-symmetric), and by [0, sum(lam)/alpha, 2*alpha] with g: the
+    stored form of every transformed value, and at d_max 1, and at 2
+    without x, the four checks' reports on its Lagrange table."""
+    h = hashlib.sha256()
+    for preset, (n, bundle, _) in sorted(cli.PRESETS.items()):
+        st = cli.parse_bundle(bundle, n)
+        for with_x in (False, True):
+            for d_max in range(1, 3 if n == 4 else 4):
+                tbl = to_table(build_hypergeom_data(st, with_x=with_x), d_max)
+                ring = tbl.ring
+                alpha = ring.var("alpha")
+                lams = sum((ring.var(f"lam{i}") for i in range(n + 1)), ring.zero)
+                g = compute_normalization(build_hypergeom_series(st, d_max), st)[1]
+                for multiplier, shift in ((None, g), ([0, ring.var("lam0") * Fraction(1, 3)], None),
+                                          ([0, RationalFunction(lams, alpha), 2 * alpha], g)):
+                    seq = mirror_transform(tbl.restriction_sequence(), multiplier, shift)
+                    for key in sorted(seq.values):
+                        num, num_den, den, den_den = stored(seq.value(*key))
+                        h.update(repr((key, sorted(num.items()), num_den, sorted(den.items()),
+                                       den_den)).encode())
+                    if d_max == 1 or d_max == 2 and not with_x:
+                        lag = lagrange_map(seq)
+                        for report in (check_gluing(lag), check_reciprocity(lag),
+                                       check_degree_bound(lag), check_linked(tbl, lag)):
+                            h.update(report.to_json().encode())
+    return h.hexdigest()
+
+
+def test_transform_values_and_lagrange_reports_are_pinned():
+    # Horner's rule in the blocks changes no stored int of a transformed
+    # value: each denominator is the product of the same summands'.  The
+    # sweep leaves out P^4 at d_max 3 (2 s of transforms) and the checks
+    # on the larger Lagrange tables (about 2 min in all)
+    assert transform_sweep_digest() == TRANSFORM_DIGEST
 
 
 # ---------------------------------------------------------------------
