@@ -9,10 +9,9 @@ the values of P_d at the fixed-point weights kappa = lam_i + r*alpha.
 An invertible class Omega supplies the d = 0 entry, and "bar" on
 restrictions flips the sign of alpha only.
 
-``to_table`` builds each P_d once and keeps each restriction (on a
-lam-free rule made on first read, at p_0 and swapped from it, below) and
-each Omega restriction as a ``Factored`` value: a constant times linear
-forms.  The checks multiply, bar, substitute (by int moves) and compare
+``to_table`` builds each P_d once and keeps each restriction (made on
+first read, below) and each Omega restriction as a ``Factored`` value: a
+constant times linear forms.  The checks multiply, bar, substitute (by int moves) and compare
 the forms and expand nothing; a value is expanded, once, only where a
 RationalFunction is needed: ``entries``, ``entry`` (and so
 ``restriction_sequence`` and ``check_linked``) and a printed witness,
@@ -33,9 +32,9 @@ gives p_k p_0's verdict.  Point symmetry is one bool record, set where a
 table or sequence is built: ``to_table`` decides it by Omega on a
 lam-free rule, ``mirror_transform`` by its multiplier on recorded input,
 and ``lagrange_map`` and ``restriction_sequence`` pass it on.  The checks
-read it, and the transform and the Lagrange map build by it, at p_0 and
-swapped to each p_k on read, as ``to_table`` does on a lam-free rule.  A
-table or sequence from a constructor holds none: decided point by point.
+read it, and so does the one store of every table and sequence built
+here: each value made on first read, and on a record made at p_0 only and
+swapped to p_k.  One from a constructor holds none: decided point by point.
 The transform runs over alpha.  Every summand it adds to P_d(lam_i)
 carries lam_i - lam_j - d*alpha, so ``check_mirror_linked`` decides
 linking in closed form: at alpha = (lam_i - lam_j)/d it compares
@@ -156,23 +155,22 @@ def _grid(d_max, *axes):
 
 
 def to_table(ed, d_max):
-    """All restrictions up to degree d_max, factored.  By orbit on a lam-free rule:
-    each p_0 entry substituted on first read, which cannot raise (a*kappa + b*alpha + c*x
-    goes to a*lam_i + (a*r + b)*alpha + c*x), and recorded point-symmetric if Omega is,
-    decided here; a rule with a lam is substituted at every p_i here, where it raises."""
+    """All restrictions up to degree d_max, factored.  A lam-free rule is recorded
+    point-symmetric if Omega is, decided here, and made on read, which cannot raise
+    (a*kappa + b*alpha + c*x goes to a*lam_i + (a*r + b)*alpha + c*x); a rule with a
+    lam is made in full here, where it raises, and records nothing."""
     if d_max < 1:
         raise EulerDataError("d_max must be >= 1")
     weight = functools.cache(functools.partial(_weight, ed.ring))
     factors = {d: ed.factors(d) for d in range(1, d_max + 1)}
     lam_free = not any(any(ed.ring.forms[f][:ed.n + 1]) for p in factors.values()
                        for f in itertools.chain(p.num, p.den))
-    def at(i):
-        values = _OnRead(_grid(d_max, _upto), lambda e: _moved(factors[e[0]], weight(i, e[1])))
-        return values if lam_free else dict(values)
-    value = _per_point(ed.n, lam_free, at)
     omega = {i: ed.omega_restriction(i) for i in range(ed.n + 1)}
-    return _table(ed.n, d_max, ed.ring, value, omega,
-                  lam_free and _point_symmetric([[w] for w in omega.values()]))
+    tbl = _table(ed.n, d_max, ed.ring, lambda d, i, r: _moved(factors[d], weight(i, r)), omega,
+                 lam_free and _point_symmetric([[w] for w in omega.values()]))
+    if not lam_free:
+        dict(tbl._entries)
+    return tbl
 
 
 # ---------------------------------------------------------------------
@@ -180,15 +178,18 @@ def to_table(ed, d_max):
 
 
 class _OnRead(Mapping):
-    """key -> build(key) over the keys of ``keys``, each made on first read."""
+    """key -> build(*key) over the keys (d, i, ...) of ``keys``, each made on first
+    read; if orbit, at i > 0 instead the value at (d, 0, ...) under lam_0 <-> lam_i."""
 
-    def __init__(self, keys, build):
-        self._values, self._build = dict.fromkeys(keys), build
+    def __init__(self, keys, build, orbit):
+        self._values, self._build, self._orbit = dict.fromkeys(keys), build, orbit
 
     def __getitem__(self, key):
         value = self._values[key]
         if value is None:
-            value = self._values[key] = self._build(key)
+            d, i, *rest = key
+            value = self._values[key] = (transposition(self[(d, 0, *rest)], 0, i)
+                                         if self._orbit and i else self._build(*key))
         return value
 
     def __contains__(self, key):
@@ -201,11 +202,11 @@ class _OnRead(Mapping):
         return len(self._values)
 
 
-def _table(n, d_max, ring, value, omega, symmetric):
-    """Entries value(i, (d, r)), each made on its first read, Omega
-    omega[i], and the record symmetric: whether all its values are
+def _table(n, d_max, ring, build, omega, symmetric):
+    """Entries build(d, i, r) in a store by orbit on the record symmetric,
+    Omega omega[i], and that record: whether all its values are
     point-symmetric, which only the builder decides."""
-    entries = _OnRead(_grid(d_max, range(n + 1), _upto), lambda k: value(k[1], (k[0], k[2])))
+    entries = _OnRead(_grid(d_max, range(n + 1), _upto), build, symmetric)
     tbl = EulerDataTable(n, d_max, ring, entries, omega)
     tbl._symmetric = symmetric
     return tbl
@@ -255,7 +256,8 @@ class EulerDataTable:
         return expanded(self.value(d, i, r))
 
     def restriction_sequence(self):
-        """The slice d -> entry(d, i, 0), d = 0 included, made on read, and the record."""
+        """The slice d -> entry(d, i, 0), d = 0 included, made on read, and the
+        record; on a record, the values at p_k are swaps of its own at p_0."""
         entries, omega = self._entries, self._omega
         return _sequence(self, lambda d, i: expanded(entries[(d, i, 0)] if d else omega[i]),
                          self._symmetric)
@@ -287,13 +289,13 @@ class RestrictionSequence:
         return self.values[(d, i)]
 
 
-def _sequence(like, value, symmetric):
-    """The n, d_max and ring of like, values value(d, i), each made on its
-    first read (nonzero at d = 0, as like's), and the record symmetric."""
+def _sequence(like, build, symmetric):
+    """The n, d_max and ring of like, values build(d, i) in a store by orbit
+    on the record symmetric (nonzero at d = 0, as like's), and that record."""
     seq, keys = object.__new__(RestrictionSequence), itertools.product(
         _upto(like.d_max), range(like.n + 1))
     vars(seq).update(n=like.n, d_max=like.d_max, ring=like.ring, _symmetric=symmetric,
-                     values=_OnRead(keys, lambda k: value(*k)))
+                     values=_OnRead(keys, build, symmetric))
     return seq
 
 
@@ -395,29 +397,21 @@ def _point_symmetric(points):
     return all(all(map(same, (transposition(v, a, k) for v in base), vs)) for a, k, vs in swaps)
 
 
-def _per_point(n, symmetric, build):
-    """value(i, e) = build(i)[e], build(i) a mapping of values at p_i; by
-    orbit if symmetric: build(0) only, at p_k swapped by lam_0 <-> lam_k."""
-    if not symmetric:
-        points = [build(i) for i in range(n + 1)]
-        return lambda i, e: points[i][e]
-    at_0 = build(0)
-    return lambda i, e: transposition(at_0[e], 0, i) if i else at_0[e]
-
-
 def _decide(report, identities, tables):
     """Append the verdict of each (key, work and (holds, witness, prefix))
     that identities(firsts, seconds, work) yields for i in firsts, j in
-    seconds (if any j): by orbit, each key a pass and no work made, if those
-    at i = 0, j = 1 pass and all tables record point symmetry; else by its work."""
+    seconds (if any j): by orbit, each key a pass and no work made, if all
+    tables record point symmetry and those at i = 0, j = 1 pass; else by its work."""
     points, reps = range(report.n + 1), VerificationReport(report.check, report.n, report.d_max)
-    for key, work in identities(points[:1], points[1:2], True):
-        _verdict(reps, key, *work)
-    if all(r.status == "pass" for r in reps.results) and all(tbl._symmetric for tbl in tables):
-        report.results += [CheckResult(*k, "pass") for k, _ in identities(points, points, False)]
-    else:
-        for key, work in identities(points, points, True):
-            _verdict(report, key, *work)
+    if all(tbl._symmetric for tbl in tables):
+        for key, work in identities(points[:1], points[1:2], True):
+            _verdict(reps, key, *work)
+        if all(r.status == "pass" for r in reps.results):
+            report.results += [CheckResult(*k, "pass")
+                               for k, _ in identities(points, points, False)]
+            return report
+    for key, work in identities(points, points, True):
+        _verdict(report, key, *work)
     return report
 
 
@@ -523,18 +517,12 @@ def check_degree_bound(tbl):
 def lagrange_map(seq):
     """Rebuild a full table from a degree-zero restriction sequence:
     entry(d, i, r) = Omega(lam_i)^-1 * bar(B_r(lam_i)) * B_{d-r}(lam_i),
-    each made on its first read, and by orbit: at p_0, and at p_k by
-    lam_0 <-> lam_k, if the sequence records that the B_d are
-    point-symmetric, else at every p_i.  The table takes that record,
-    which covers Omega = B_0."""
-    def at(i):
-        omega_inv = RationalFunction(seq.ring.one) / seq.value(0, i)
-        return _OnRead(_grid(seq.d_max, _upto), lambda e: (
-            omega_inv * bar_involution(seq.value(e[1], i)) * seq.value(e[0] - e[1], i)))
-
-    symmetric = seq._symmetric
-    return _table(seq.n, seq.d_max, seq.ring, _per_point(seq.n, symmetric, at),
-                  {i: seq.value(0, i) for i in range(seq.n + 1)}, symmetric)
+    each made on its first read.  The table takes the sequence's record,
+    which covers Omega = B_0, and so is built by orbit on it."""
+    omega = {i: seq.value(0, i) for i in range(seq.n + 1)}
+    omega_inv = functools.cache(lambda i: RationalFunction(seq.ring.one) / omega[i])
+    return _table(seq.n, seq.d_max, seq.ring, lambda d, i, r: omega_inv(i) * bar_involution(
+        seq.value(r, i)) * seq.value(d - r, i), omega, seq._symmetric)
 
 
 def _product_factor(ring, n, i, r, d):
@@ -566,9 +554,9 @@ def mirror_transform(seq, multiplier=None, shift=None):
     degree r < d carries prod_{m=r+1..d} block(m), block(m) = prod_j (lam_i -
     lam_j - m*alpha): each sum is taken by Horner's rule in the d_max blocks,
     built once per point, and as every summand carries block(d), linked
-    values are preserved.  Built once per orbit, at p_0 and swapped to p_k on
-    read, if the B_d are recorded point-symmetric and so are f's nonzero
-    coefficients (g is scalar), and so recorded; else at every p_i."""
+    values are preserved.  Each point is built on its first read; the output
+    is recorded point-symmetric, and so built by orbit, if the B_d are and so
+    are f's nonzero coefficients (g is scalar)."""
     n, d_max, ring = seq.n, seq.d_max, seq.ring
     g = _shift_series(shift, d_max)
     f = [RationalFunction.promote(ring, c) for c in multiplier or ()][: d_max + 1]
@@ -604,8 +592,8 @@ def mirror_transform(seq, multiplier=None, shift=None):
         return out_i
 
     symmetric = seq._symmetric and _point_symmetric([[c for c in f if not c.is_zero()]] * (n + 1))
-    out = _per_point(n, symmetric, at)
-    return _sequence(seq, lambda d, i: out(i, d), symmetric)
+    point = functools.cache(at)
+    return _sequence(seq, lambda d, i: point(i)[d], symmetric)
 
 
 def check_mirror_linked(table):

@@ -42,10 +42,14 @@ MUTANTS = [
            "tbl._symmetric and p0[0] is not None", "tbl._symmetric",
            (EULER + "test_degree_bound_prints_the_alpha_denominator_of_each_point",)),
     Mutant("to_table substitutes a rule with a lam on read", "eulerdata.py",
-           "return values if lam_free else dict(values)", "return values",
+           "        dict(tbl._entries)\n", "        pass\n",
            (EULER + "test_to_table_raises_where_it_did",)),
+    Mutant("the store swaps without a record", "eulerdata.py",
+           "if self._orbit and i else", "if i else",
+           (EULER + "test_rule_with_a_lam_is_substituted_at_every_point",
+            EULER + "test_orbit_transform_and_lagrange_match_the_per_point_route")),
     Mutant("bulk passes without deciding the representatives", "eulerdata.py",
-           'if all(r.status == "pass" for r in reps.results) and all(', "if all(",
+           'if all(r.status == "pass" for r in reps.results):', "if True:",
            (EULER + "test_mutated_data_fails_gluing_and_reciprocity[drop-st0-2]",
             EULER + "test_mutated_data_fails_gluing_and_reciprocity[shift-st2-1]")),
     Mutant("bulk passes under keys the per-point route does not make", "eulerdata.py",
@@ -74,7 +78,7 @@ MUTANTS = [
            (EULER + "test_orbit_transform_and_lagrange_match_the_per_point_route",
             EULER + "test_transform_values_and_lagrange_reports_are_pinned")),
     Mutant("lagrange_map records any sequence", "eulerdata.py",
-           "symmetric = seq._symmetric\n", "symmetric = True\n",
+           "omega, seq._symmetric)", "omega, True)",
            (EULER + "test_orbit_transform_and_lagrange_match_the_per_point_route",)),
     # the mirror transform's sums by Horner's rule in the blocks
     Mutant("Horner skips the block between two terms", "eulerdata.py",

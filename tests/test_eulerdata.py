@@ -595,19 +595,22 @@ def composite_linked(tbl, shift):
 
 
 def test_linked_fails_when_transform_factor_stops_short(monkeypatch):
-    # a mutated mirror transform whose product factor runs m = r+1..d-1,
-    # dropping the (lam_i - lam_j - d*alpha) factors: no result may pass
+    # a mutated mirror transform whose top block, m = d_max = 3, drops its
+    # (lam_i - lam_j - 3*alpha) factors: every summand of P_3(lam_i) then
+    # survives the binding alpha = (lam_i - lam_j)/3, so linking fails at
+    # d = 3 and passes below, on the recorded route and point by point
+    product_factor = eulerdata._product_factor
+
     def short_factor(ring, n, i, r, d):
-        lam_i, alpha = ring.var(f"lam{i}"), ring.var("alpha")
-        return math.prod((lam_i - ring.var(f"lam{j}") - m * alpha
-                          for j in range(n + 1) for m in range(r + 1, d)), start=ring.one)
+        return product_factor(ring, n, i, r, d if d < 3 else r)
 
     monkeypatch.setattr(eulerdata, "_product_factor", short_factor)
     tbl = to_table(build_hypergeom_data(LOCAL_P2), 3)
     _, shift = compute_normalization(build_hypergeom_series(LOCAL_P2, 3), LOCAL_P2)
-    report = composite_linked(tbl, shift)
-    assert len(report.results) == 18
-    assert all(r.status == "fail" for r in report.results)
+    for table in (tbl, rebuilt(tbl)):
+        report = composite_linked(table, shift)
+        assert sorted((r.d, r.status) for r in report.results) == \
+            [(d, "pass") for d in (1, 2) for _ in range(6)] + [(3, "fail")] * 6
 
 
 # sha1 prefix of the `mirrorcalc verify linking` stdout (the report's
@@ -1137,8 +1140,9 @@ def test_orbit_transform_and_lagrange_match_the_per_point_route(case):
 
 def test_orbit_transform_builds_one_point(monkeypatch):
     # on the quintic at d_max 2 with the normalization shift, the per-point
-    # route builds 10 product factors, the blocks m = 1, 2 at each p_i; the
-    # orbit route builds those at p_0 only, so a silent fall-back fails here
+    # route builds 10 product factors once every value is read, the blocks
+    # m = 1, 2 at each p_i; the orbit route builds those at p_0 only, so a
+    # silent fall-back fails here; neither builds one before a value is read
     calls = []
     product_factor = eulerdata._product_factor
     monkeypatch.setattr(eulerdata, "_product_factor",
@@ -1146,10 +1150,14 @@ def test_orbit_transform_builds_one_point(monkeypatch):
     quintic = SplittingType(4, (5,), ())
     seq = to_table(build_hypergeom_data(quintic), 2).restriction_sequence()
     _, shift = compute_normalization(build_hypergeom_series(quintic, 2), quintic)
-    per_pair(mirror_transform, seq, None, shift)
+    out = per_pair(mirror_transform, seq, None, shift)
+    assert calls == []
+    dict(out.values)
     assert len(calls) == 10
     calls.clear()
-    mirror_transform(seq, None, shift)
+    out = mirror_transform(seq, None, shift)
+    assert calls == []
+    dict(out.values)
     assert sorted(args[2:] for args in calls) == [(0, 0, 1), (0, 1, 2)]
 
 
@@ -1198,9 +1206,10 @@ def test_transform_values_and_lagrange_reports_are_pinned():
 
 
 # ---------------------------------------------------------------------
-# restriction tables by orbit and on read: to_table substitutes a P_d
-# free of the lam at p_0 and swaps lam_0 <-> lam_k for p_k, and a table
-# makes each swapped entry, and each Lagrange entry, on its first read
+# restriction tables by orbit and on read: on a table it records
+# point-symmetric, to_table substitutes P_d at p_0 and swaps lam_0 <->
+# lam_k for p_k, and a table makes each entry, swapped, substituted or a
+# Lagrange product, on its first read
 
 QUINTIC = SplittingType(4, (5,), ())
 
@@ -1266,8 +1275,9 @@ def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
     # the quintic at d_max 4: no substitution until an entry is read, and
     # no swap but the 4 + 3 of Omega that decide the record; the
     # degree-zero slice neither substitutes nor swaps until it is read, and
-    # then its 4 entries at p_0 and their 16 swaps to p_1..p_4; every entry
-    # makes the 14 substitutions at p_0, where one per entry makes 70
+    # then the table's 4 entries at p_0, and the slice swaps its own 5
+    # values at p_0 to p_1..p_4, 20 swaps; every entry makes the 14
+    # substitutions at p_0, where one per entry makes 70, and 56 swaps
     substituted, swapped = [], []
     substitute, transposition = eulerdata._moved, eulerdata.transposition
     monkeypatch.setattr(eulerdata, "_moved",
@@ -1280,7 +1290,8 @@ def test_to_table_substitutes_at_p0_and_swaps_on_read(monkeypatch):
     seq = tbl.restriction_sequence()
     assert (len(substituted), len(swapped)) == (0, 0)
     assert len(dict(seq.values)) == 5 * 5
-    assert (len(substituted), sorted(swapped)) == (4, sorted([1, 2, 3, 4] * 4))
+    assert (len(substituted), sorted(swapped)) == (4, sorted([1, 2, 3, 4] * 5))
+    swapped.clear()
     assert len(tbl.entries) == 70 and (len(substituted), len(swapped)) == (14, 14 * 4)
 
 
@@ -1382,7 +1393,9 @@ def test_sequences_pickle_with_every_value_made():
 def test_to_table_decides_an_omega_that_is_not_symmetric(omega):
     # a lam-free rule with an Omega that is not point-symmetric: the
     # second passes linking at i = 0, j = 1 and fails it at i = 1 and 2,
-    # so a table that trusted its Omega would report that every pair passes
+    # so a table that trusted its Omega would report that every pair passes;
+    # such a table holds no record, so it swaps nothing, and each entry is
+    # substituted at its own point
     def omega_restriction(i, ring):
         lam, alpha = ring.var(f"lam{i}"), ring.var("alpha")
         other = ring.var("lam0") + alpha if omega.startswith("lam_i*(lam0") else lam + i * alpha
@@ -1390,6 +1403,10 @@ def test_to_table_decides_an_omega_that_is_not_symmetric(omega):
 
     data = EulerDataClosed(2, build_hypergeom_data(LOCAL_P2)._rule, omega_restriction)
     tbl = to_table(data, 2)
+    with mock.patch.object(eulerdata, "transposition", side_effect=AssertionError) as swap:
+        values = {key: factored_form(tbl.value(*key)) for key in _grid(2, range(3), _upto)}
+    assert not swap.called
+    assert values == {key: factored_form(v) for key, v in per_point_table(data, 2).items()}
     reports = [check(tbl) for check in (check_reciprocity, check_mirror_linked)]
     assert [r.to_json() for r in reports] == \
         [per_pair(check, tbl).to_json() for check in (check_reciprocity, check_mirror_linked)]

@@ -1,10 +1,10 @@
 """The recorded mutants of tests/mutants.py stay current: each one's old
-text occurs exactly once in today's source, and one mutant, made on a
-copy of src/, is killed by its tests in a subprocess; the runner reads
-pytest's summary of failures whole.  ``python tests/mutants.py`` runs
+text occurs exactly once in today's source, each test it names exists,
+and one mutant, made on a copy of src/, is killed by its tests in a
+subprocess; the runner reads pytest's summary of failures whole.  ``python tests/mutants.py`` runs
 them all."""
 
-from mutants import MUTANTS, SRC, passed, survivors
+from mutants import MUTANTS, ROOT, SRC, passed, survivors
 
 OMEGA = "tests/test_eulerdata.py::test_to_table_decides_an_omega_that_is_not_symmetric"
 
@@ -25,6 +25,18 @@ def test_each_old_text_occurs_once():
     stale = [m.name for m in MUTANTS
              if (SRC / m.module).read_text(encoding="utf-8").count(m.old) != 1]
     assert not stale
+
+
+def test_each_test_a_mutant_names_exists():
+    # a renamed test is never reported failed, so its mutant would read as a survivor
+    missing = []
+    for mutant in MUTANTS:
+        for test in mutant.tests:
+            path, name = test.split("::")
+            source = ROOT / path
+            if not source.is_file() or f"def {name.split('[')[0]}(" not in source.read_text():
+                missing.append((mutant.name, test))
+    assert not missing
 
 
 def test_a_mutant_is_killed_end_to_end():
