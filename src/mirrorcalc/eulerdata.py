@@ -11,13 +11,13 @@ restrictions flips the sign of alpha only.
 
 ``to_table`` builds each P_d once and keeps each restriction (made on
 first read, below) and each Omega restriction as a ``Factored`` value: a
-constant times linear forms.  The checks multiply, bar, substitute (by int moves) and compare
-the forms and expand nothing; a value is expanded, once, only where a
-RationalFunction is needed: ``entries``, ``entry`` (and so
-``restriction_sequence`` and ``check_linked``) and a printed witness,
-which prints as the same operations give it on expanded values.  A table
-of RationalFunctions, such as ``lagrange_map`` builds, goes through the
-same checks unexpanded.
+constant times linear forms.  The checks multiply, bar, substitute (by
+int moves) and compare the forms and expand nothing; a value is
+expanded, once, only where a RationalFunction is needed: ``entries``,
+``entry`` (and so ``restriction_sequence`` and ``check_linked``) and a
+printed witness, which prints as the same operations give it on
+expanded values.  A table of RationalFunctions, such as
+``lagrange_map`` builds, goes through the same checks unexpanded.
 
 Every verifier walks the (d, i, r) index grid through ``_grid`` and
 records "pass", "fail" with a witness, or "inconclusive" when a

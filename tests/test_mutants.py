@@ -1,8 +1,8 @@
 """The recorded mutants of tests/mutants.py stay current: each one's old
 text occurs exactly once in today's source, each test it names exists,
 and one mutant, made on a copy of src/, is killed by its tests in a
-subprocess; the runner reads pytest's summary of failures whole.  ``python tests/mutants.py`` runs
-them all."""
+subprocess; the runner reads pytest's summary of failures whole.
+``python tests/mutants.py`` runs them all."""
 
 from mutants import MUTANTS, ROOT, SRC, passed, survivors
 
